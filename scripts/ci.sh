@@ -7,7 +7,7 @@
 # halt_on_error.
 #
 # Usage: scripts/ci.sh [--skip-tsan] [--bench-smoke] [--chaos-smoke]
-#                      [--kernel-coverage]
+#                      [--kernel-coverage] [--oversubscribe]
 #
 #   --chaos-smoke  re-runs the chaos/soak battery (non-TSAN binary) with a
 #                  pinned seed and a short wall-clock budget; part of the
@@ -20,6 +20,13 @@
 #                  translator-emitted hot SELECTs must be served by
 #                  compiled kernels at >= 80% or the run fails. Fast
 #                  standalone check for kernel-grammar regressions.
+#
+#   --oversubscribe  builds and runs ONLY the oversubscription stress gate:
+#                  2 x nproc concurrent copies of each of the worker pool,
+#                  kernel, shard and chaos-soak tests, once per
+#                  HYPERQ_EXEC_THREADS value in 1/4/16. Lost wakeups and
+#                  other hangs TSAN cannot see show up as a copy that
+#                  exceeds its 300 s timeout; any non-zero exit fails.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -28,12 +35,14 @@ SKIP_TSAN=0
 BENCH_SMOKE=0
 CHAOS_SMOKE=0
 KERNEL_COVERAGE=0
+OVERSUBSCRIBE=0
 for arg in "$@"; do
   case "$arg" in
     --skip-tsan) SKIP_TSAN=1 ;;
     --bench-smoke) BENCH_SMOKE=1 ;;
     --chaos-smoke) CHAOS_SMOKE=1 ;;
     --kernel-coverage) KERNEL_COVERAGE=1 ;;
+    --oversubscribe) OVERSUBSCRIBE=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
 done
@@ -46,6 +55,45 @@ if [[ "$KERNEL_COVERAGE" == 1 ]]; then
   ./build/tests/side_by_side_fuzz_test \
     --gtest_filter='*KernelCoverageOnTranslatedHotCorpus*'
   echo "==> kernel-coverage: green"
+  exit 0
+fi
+
+if [[ "$OVERSUBSCRIBE" == 1 ]]; then
+  STRESS_TESTS=(worker_pool_test kernel_exec_test shard_exec_test
+                chaos_soak_test)
+  COPIES=$((2 * JOBS))
+  echo "==> oversubscribe: configure + build"
+  cmake -B build -S . >/dev/null
+  cmake --build build -j "$JOBS" --target "${STRESS_TESTS[@]}" >/dev/null
+  LOG_DIR="$(mktemp -d)"
+  FAILED=0
+  for threads in 1 4 16; do
+    for t in "${STRESS_TESTS[@]}"; do
+      echo "==> oversubscribe: $COPIES x $t, HYPERQ_EXEC_THREADS=$threads"
+      pids=()
+      for ((i = 0; i < COPIES; ++i)); do
+        HYPERQ_EXEC_THREADS="$threads" timeout 300 "./build/tests/$t" \
+          >"$LOG_DIR/$t.$threads.$i.log" 2>&1 &
+        pids+=("$!")
+      done
+      for i in "${!pids[@]}"; do
+        rc=0
+        wait "${pids[$i]}" || rc=$?
+        if [[ "$rc" != 0 ]]; then
+          echo "FAILED: $t copy $i exited $rc (124 = 300 s timeout)," \
+               "HYPERQ_EXEC_THREADS=$threads" >&2
+          tail -20 "$LOG_DIR/$t.$threads.$i.log" >&2
+          FAILED=1
+        fi
+      done
+    done
+  done
+  rm -rf "$LOG_DIR"
+  if [[ "$FAILED" != 0 ]]; then
+    echo "==> oversubscribe: FAILED" >&2
+    exit 1
+  fi
+  echo "==> oversubscribe: green"
   exit 0
 fi
 

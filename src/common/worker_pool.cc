@@ -25,14 +25,13 @@ size_t DefaultThreadCount() {
 
 }  // namespace
 
-WorkerPool::WorkerPool(size_t threads) {
-  StartWorkers(threads == 0 ? DefaultThreadCount() : threads);
-}
+WorkerPool::WorkerPool(size_t threads) { StartWorkers(threads); }
 
 WorkerPool::~WorkerPool() { StopWorkers(); }
 
 WorkerPool& WorkerPool::Shared() {
-  static WorkerPool* pool = new WorkerPool();  // leaked: outlives all users
+  // Leaked: outlives all users.
+  static WorkerPool* pool = new WorkerPool(DefaultThreadCount());
   return *pool;
 }
 

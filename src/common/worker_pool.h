@@ -31,15 +31,16 @@ namespace hyperq {
 /// a pool with zero threads.
 class WorkerPool {
  public:
-  /// threads == 0 picks a default from the hardware (and the
-  /// HYPERQ_EXEC_THREADS environment variable, if set).
-  explicit WorkerPool(size_t threads = 0);
+  /// Starts `threads` pool threads; 0 means none (every ParallelFor runs
+  /// inline on its caller), the same as Resize(0).
+  explicit WorkerPool(size_t threads);
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  /// The process-wide pool the executor uses.
+  /// The process-wide pool the executor uses, sized from the hardware (and
+  /// the HYPERQ_EXEC_THREADS environment variable, if set).
   static WorkerPool& Shared();
 
   /// Runs fn(i) for every i in [0, n) and returns when all calls finished.

@@ -1,5 +1,6 @@
 #include "core/translation_cache.h"
 
+#include <algorithm>
 #include <cctype>
 
 #include "common/strings.h"
@@ -30,8 +31,73 @@ TranslationCache::TranslationCache(Options options)
   if (options_.max_variants == 0) options_.max_variants = 1;
   shards_.reserve(options_.shard_count);
   for (size_t i = 0; i < options_.shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+    auto shard = std::make_unique<Shard>();
+    shard->fp.SetCapacity(options_.capacity_per_shard);
+    shard->exact.SetCapacity(options_.exact_capacity_per_shard);
+    shards_.push_back(std::move(shard));
   }
+}
+
+template <typename Entry>
+void TranslationCache::Tier<Entry>::SetCapacity(size_t capacity) {
+  probation_cap = std::max<size_t>(1, capacity / 8);
+  protected_cap = capacity > probation_cap ? capacity - probation_cap : 0;
+}
+
+template <typename Entry>
+Entry& TranslationCache::Tier<Entry>::FindOrInsert(const std::string& key,
+                                                   bool* inserted) {
+  auto it = map.find(key);
+  if (inserted != nullptr) *inserted = it == map.end();
+  if (it != map.end()) {
+    Touch(it->second);
+    return it->second;
+  }
+  probation.push_front(key);
+  Entry& e = map.emplace(key, Entry{}).first->second;
+  e.lru_it = probation.begin();
+  return e;
+}
+
+template <typename Entry>
+void TranslationCache::Tier<Entry>::Touch(Entry& e) {
+  if (e.is_protected) {
+    protect.splice(protect.begin(), protect, e.lru_it);
+    return;
+  }
+  protect.splice(protect.begin(), probation, e.lru_it);
+  e.is_protected = true;
+  if (protect.size() > protected_cap) {
+    Entry& demoted = map.find(protect.back())->second;
+    probation.splice(probation.begin(), protect, demoted.lru_it);
+    demoted.is_protected = false;
+  }
+}
+
+template <typename Entry>
+typename std::unordered_map<std::string, Entry>::iterator
+TranslationCache::Tier<Entry>::Erase(
+    typename std::unordered_map<std::string, Entry>::iterator it) {
+  (it->second.is_protected ? protect : probation).erase(it->second.lru_it);
+  return map.erase(it);
+}
+
+template <typename Entry>
+size_t TranslationCache::Tier<Entry>::Trim() {
+  size_t evicted = 0;
+  while (probation.size() > probation_cap) {
+    map.erase(probation.back());
+    probation.pop_back();
+    ++evicted;
+  }
+  return evicted;
+}
+
+template <typename Entry>
+void TranslationCache::Tier<Entry>::Clear() {
+  map.clear();
+  probation.clear();
+  protect.clear();
 }
 
 bool TranslationCache::AnyShadowed(const std::vector<std::string>& names,
@@ -50,18 +116,16 @@ bool TranslationCache::LookupExact(const std::string& q_text,
   Shard& shard = ShardFor(FingerprintHash(q_text));
   const uint64_t version = CurrentVersion();
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.exact.find(q_text);
-  if (it == shard.exact.end()) return false;
+  auto it = shard.exact.map.find(q_text);
+  if (it == shard.exact.map.end()) return false;
   const Cached& c = it->second.value;
   if (c.version != version) {
-    shard.exact_lru.erase(it->second.lru_it);
-    shard.exact.erase(it);
+    shard.exact.Erase(it);
     invalidations_->Increment();
     return false;
   }
   if (AnyShadowed(c.ref_names, shadowed)) return false;
-  shard.exact_lru.splice(shard.exact_lru.begin(), shard.exact_lru,
-                         it->second.lru_it);
+  shard.exact.Touch(it->second);
   out->setup_sql.clear();
   out->result_sql = c.sql;
   out->shape = c.shape;
@@ -82,17 +146,9 @@ void TranslationCache::InsertExact(const std::string& q_text,
   Shard& shard = ShardFor(FingerprintHash(q_text));
   const uint64_t version = CurrentVersion();
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.exact.find(q_text);
-  if (it == shard.exact.end()) {
-    shard.exact_lru.push_front(q_text);
-    it = shard.exact.emplace(q_text, ExactEntry{}).first;
-    it->second.lru_it = shard.exact_lru.begin();
-    inserts_->Increment();
-  } else {
-    shard.exact_lru.splice(shard.exact_lru.begin(), shard.exact_lru,
-                           it->second.lru_it);
-  }
-  Cached& c = it->second.value;
+  bool inserted = false;
+  Cached& c = shard.exact.FindOrInsert(q_text, &inserted).value;
+  if (inserted) inserts_->Increment();
   c.sql = t.result_sql;
   c.shape = t.shape;
   c.key_columns = t.key_columns;
@@ -102,12 +158,7 @@ void TranslationCache::InsertExact(const std::string& q_text,
   c.ref_tables = std::move(ref_tables);
   c.ref_names = std::move(ref_names);
   c.version = version;
-  while (shard.exact.size() > options_.exact_capacity_per_shard) {
-    const std::string& victim = shard.exact_lru.back();
-    shard.exact.erase(victim);
-    shard.exact_lru.pop_back();
-    evictions_->Increment();
-  }
+  evictions_->Increment(shard.exact.Trim());
 }
 
 TranslationCache::FpResult TranslationCache::Lookup(
@@ -122,12 +173,12 @@ TranslationCache::FpResult TranslationCache::Lookup(
   Result<std::vector<std::string>> rendered = RenderParams(params);
 
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.fp.find(fp_text);
-  if (it == shard.fp.end()) {
+  auto it = shard.fp.map.find(fp_text);
+  if (it == shard.fp.map.end()) {
     misses_->Increment();
     return FpResult::kMiss;
   }
-  shard.fp_lru.splice(shard.fp_lru.begin(), shard.fp_lru, it->second.lru_it);
+  shard.fp.Touch(it->second);
   if (it->second.uncacheable) return FpResult::kUncacheable;
   if (!rendered.ok()) {
     // A lifted literal we cannot render can never match or instantiate.
@@ -178,16 +229,7 @@ void TranslationCache::Insert(uint64_t hash, const std::string& fp_text,
   Shard& shard = ShardFor(hash);
   const uint64_t version = CurrentVersion();
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.fp.find(fp_text);
-  if (it == shard.fp.end()) {
-    shard.fp_lru.push_front(fp_text);
-    it = shard.fp.emplace(fp_text, FpEntry{}).first;
-    it->second.lru_it = shard.fp_lru.begin();
-  } else {
-    shard.fp_lru.splice(shard.fp_lru.begin(), shard.fp_lru,
-                        it->second.lru_it);
-  }
-  FpEntry& e = it->second;
+  FpEntry& e = shard.fp.FindOrInsert(fp_text);
   if (e.uncacheable) return;
   Cached c;
   c.sql = entry.sql_template;
@@ -214,12 +256,7 @@ void TranslationCache::Insert(uint64_t hash, const std::string& fp_text,
   }
   e.variants.push_back(std::move(c));
   inserts_->Increment();
-  while (shard.fp.size() > options_.capacity_per_shard) {
-    const std::string& victim = shard.fp_lru.back();
-    shard.fp.erase(victim);
-    shard.fp_lru.pop_back();
-    evictions_->Increment();
-  }
+  evictions_->Increment(shard.fp.Trim());
 }
 
 void TranslationCache::MarkUncacheable(uint64_t hash,
@@ -227,29 +264,18 @@ void TranslationCache::MarkUncacheable(uint64_t hash,
                                        std::string reason) {
   Shard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.fp.find(fp_text);
-  if (it == shard.fp.end()) {
-    shard.fp_lru.push_front(fp_text);
-    it = shard.fp.emplace(fp_text, FpEntry{}).first;
-    it->second.lru_it = shard.fp_lru.begin();
-  }
-  FpEntry& e = it->second;
+  FpEntry& e = shard.fp.FindOrInsert(fp_text);
   if (!e.uncacheable) uncacheable_->Increment();
   e.uncacheable = true;
   e.reason = std::move(reason);
   e.variants.clear();
-  while (shard.fp.size() > options_.capacity_per_shard) {
-    const std::string& victim = shard.fp_lru.back();
-    shard.fp.erase(victim);
-    shard.fp_lru.pop_back();
-    evictions_->Increment();
-  }
+  evictions_->Increment(shard.fp.Trim());
 }
 
 void TranslationCache::InvalidateTable(const std::string& table) {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    for (auto it = shard->fp.begin(); it != shard->fp.end();) {
+    for (auto it = shard->fp.map.begin(); it != shard->fp.map.end();) {
       auto& variants = it->second.variants;
       for (auto v = variants.begin(); v != variants.end();) {
         bool refs = false;
@@ -268,13 +294,12 @@ void TranslationCache::InvalidateTable(const std::string& table) {
       }
       // Keep uncacheable markers; drop entries left with no variants.
       if (!it->second.uncacheable && variants.empty()) {
-        shard->fp_lru.erase(it->second.lru_it);
-        it = shard->fp.erase(it);
+        it = shard->fp.Erase(it);
       } else {
         ++it;
       }
     }
-    for (auto it = shard->exact.begin(); it != shard->exact.end();) {
+    for (auto it = shard->exact.map.begin(); it != shard->exact.map.end();) {
       bool refs = false;
       for (const auto& t : it->second.value.ref_tables) {
         if (t == table) {
@@ -283,8 +308,7 @@ void TranslationCache::InvalidateTable(const std::string& table) {
         }
       }
       if (refs) {
-        shard->exact_lru.erase(it->second.lru_it);
-        it = shard->exact.erase(it);
+        it = shard->exact.Erase(it);
         invalidations_->Increment();
       } else {
         ++it;
@@ -296,11 +320,9 @@ void TranslationCache::InvalidateTable(const std::string& table) {
 void TranslationCache::Clear() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    size_t dropped = shard->fp.size() + shard->exact.size();
-    shard->fp.clear();
-    shard->fp_lru.clear();
-    shard->exact.clear();
-    shard->exact_lru.clear();
+    size_t dropped = shard->fp.map.size() + shard->exact.map.size();
+    shard->fp.Clear();
+    shard->exact.Clear();
     invalidations_->Increment(dropped);
   }
 }
@@ -351,8 +373,8 @@ TranslationCache::Sizes TranslationCache::sizes() const {
   Sizes s;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    s.fingerprint += shard->fp.size();
-    s.exact += shard->exact.size();
+    s.fingerprint += shard->fp.map.size();
+    s.exact += shard->exact.map.size();
   }
   return s;
 }

@@ -152,19 +152,49 @@ class TranslationCache {
     std::string reason;
     std::vector<Cached> variants;
     std::list<std::string>::iterator lru_it;
+    bool is_protected = false;
   };
 
   struct ExactEntry {
     Cached value;
     std::list<std::string>::iterator lru_it;
+    bool is_protected = false;
+  };
+
+  /// One tier of one shard under segmented-LRU admission. A new key enters
+  /// the probation list; a later touch promotes it to the protected list.
+  /// Protected overflow is demoted to the head of probation and probation
+  /// overflow is evicted, so keys seen once (ad-hoc traffic) cycle through
+  /// the small probation list without displacing keys that were reused.
+  template <typename Entry>
+  struct Tier {
+    std::unordered_map<std::string, Entry> map;
+    std::list<std::string> probation;  ///< front = most recent
+    std::list<std::string> protect;    ///< front = most recent
+    size_t probation_cap = 1;
+    size_t protected_cap = 0;
+
+    /// Splits `capacity` into a probation list of capacity/8 (at least
+    /// one) and a protected list holding the rest.
+    void SetCapacity(size_t capacity);
+    /// Finds `key`, inserting a default entry at the head of probation
+    /// when absent (reported through `inserted`, if given). An existing
+    /// entry is touched.
+    Entry& FindOrInsert(const std::string& key, bool* inserted = nullptr);
+    /// Promotes (or refreshes) an entry that was just used.
+    void Touch(Entry& e);
+    /// Unlinks and drops the entry at `it`; returns the next iterator.
+    typename std::unordered_map<std::string, Entry>::iterator Erase(
+        typename std::unordered_map<std::string, Entry>::iterator it);
+    /// Evicts from the tail of probation until it fits; returns how many.
+    size_t Trim();
+    void Clear();
   };
 
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<std::string, FpEntry> fp;
-    std::list<std::string> fp_lru;  ///< front = most recent
-    std::unordered_map<std::string, ExactEntry> exact;
-    std::list<std::string> exact_lru;
+    Tier<FpEntry> fp;
+    Tier<ExactEntry> exact;
   };
 
   Shard& ShardFor(uint64_t hash) {

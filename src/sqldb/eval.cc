@@ -873,7 +873,36 @@ Result<ColumnPtr> BinaryKernel(const Expr& e, const Column& a,
     }
     return out;
   };
-  if (op == "IS_DISTINCT" || op == "IS_NOT_DISTINCT") return per_row();
+  const uint8_t* an = a.null_bytes().empty() ? nullptr : a.null_bytes().data();
+  const uint8_t* bn = b.null_bytes().empty() ? nullptr : b.null_bytes().data();
+
+  if (op == "IS_DISTINCT" || op == "IS_NOT_DISTINCT") {
+    // Datum::DistinctEquals per cell: NULL matches only NULL, floats
+    // compare as doubles (so NaN is distinct from NaN).
+    Column::Storage s = a.storage();
+    if (s != b.storage() || s == Column::Storage::kMixed ||
+        s == Column::Storage::kEmpty) {
+      return per_row();
+    }
+    const bool want_equal = op == "IS_NOT_DISTINCT";
+    std::vector<int64_t> out(n, 0);
+    for (size_t i = 0; i < n; ++i) {
+      bool a_null = an && an[i];
+      bool b_null = bn && bn[i];
+      bool eq;
+      if (a_null || b_null) {
+        eq = a_null == b_null;
+      } else if (s == Column::Storage::kInt) {
+        eq = a.ints()[i] == b.ints()[i];
+      } else if (s == Column::Storage::kFloat) {
+        eq = a.floats()[i] == b.floats()[i];
+      } else {
+        eq = a.strs()[i] == b.strs()[i];
+      }
+      out[i] = eq == want_equal ? 1 : 0;
+    }
+    return Column::FromInts(SqlType::kBoolean, std::move(out));
+  }
   if (a.storage() == Column::Storage::kMixed ||
       b.storage() == Column::Storage::kMixed) {
     return per_row();
@@ -885,8 +914,6 @@ Result<ColumnPtr> BinaryKernel(const Expr& e, const Column& a,
     return Column::Constant(Datum::Null(), n);
   }
 
-  const uint8_t* an = a.null_bytes().empty() ? nullptr : a.null_bytes().data();
-  const uint8_t* bn = b.null_bytes().empty() ? nullptr : b.null_bytes().data();
   bool a_str = a.storage() == Column::Storage::kString;
   bool b_str = b.storage() == Column::Storage::kString;
 
@@ -1050,6 +1077,90 @@ Result<ColumnPtr> BinaryKernel(const Expr& e, const Column& a,
   return Column::FromInts(rt, std::move(out),
                           any_null ? std::move(nulls)
                                    : std::vector<uint8_t>());
+}
+
+/// COALESCE over a batch. Every argument is evaluated over all n rows, as
+/// EvalExpr evaluates every argument of every row, so errors surface on
+/// the same inputs. Each cell then takes its first non-null argument.
+/// Arguments sharing one storage class and value type copy payloads in a
+/// tight loop; any other mix appends cell by cell, which types (or
+/// degrades to kMixed) exactly as the per-row path does.
+Result<ColumnPtr> CoalesceBatch(const Expr& e, const BatchCtx& ctx,
+                                const uint32_t* sel, size_t n) {
+  std::vector<ColumnPtr> args;  // all-NULL arguments are never picked
+  bool uniform = true;
+  for (const auto& arg : e.args) {
+    HQ_ASSIGN_OR_RETURN(ColumnPtr c, EvalBatch(*arg, ctx, sel, n));
+    if (c->storage() == Column::Storage::kEmpty) continue;
+    if (c->storage() == Column::Storage::kMixed ||
+        (!args.empty() && (c->storage() != args[0]->storage() ||
+                           c->value_type() != args[0]->value_type()))) {
+      uniform = false;
+    }
+    args.push_back(std::move(c));
+  }
+
+  // pick[i]: the first argument non-null at row i, or -1.
+  std::vector<int32_t> pick(n, -1);
+  bool any_value = false;
+  bool any_null = false;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t k = 0; k < args.size(); ++k) {
+      if (!args[k]->IsNull(i)) {
+        pick[i] = static_cast<int32_t>(k);
+        break;
+      }
+    }
+    if (pick[i] < 0) {
+      any_null = true;
+    } else {
+      any_value = true;
+    }
+  }
+  if (!any_value) return Column::Constant(Datum::Null(), n);
+
+  if (!uniform) {
+    auto out = std::make_shared<Column>();
+    out->Reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (pick[i] < 0) {
+        out->AppendNull();
+      } else {
+        out->AppendFrom(*args[pick[i]], i);
+      }
+    }
+    return out;
+  }
+
+  std::vector<uint8_t> nulls;
+  if (any_null) {
+    nulls.resize(n);
+    for (size_t i = 0; i < n; ++i) nulls[i] = pick[i] < 0 ? 1 : 0;
+  }
+  const SqlType vt = args[0]->value_type();
+  switch (args[0]->storage()) {
+    case Column::Storage::kInt: {
+      std::vector<int64_t> out(n, 0);
+      for (size_t i = 0; i < n; ++i) {
+        if (pick[i] >= 0) out[i] = args[pick[i]]->ints()[i];
+      }
+      return Column::FromInts(vt, std::move(out), std::move(nulls));
+    }
+    case Column::Storage::kFloat: {
+      std::vector<double> out(n, 0);
+      for (size_t i = 0; i < n; ++i) {
+        if (pick[i] >= 0) out[i] = args[pick[i]]->floats()[i];
+      }
+      return Column::FromFloats(vt, std::move(out), std::move(nulls));
+    }
+    default: {  // kString
+      std::vector<std::string> out(n);
+      for (size_t i = 0; i < n; ++i) {
+        if (pick[i] >= 0) out[i] = args[pick[i]]->strs()[i];
+      }
+      return Column::FromStrings(vt, std::move(out), std::move(nulls));
+    }
+  }
 }
 
 }  // namespace
@@ -1228,6 +1339,7 @@ Result<ColumnPtr> EvalBatch(const Expr& e, const BatchCtx& ctx,
         }
         return out;
       }
+      if (e.func_name == "coalesce") return CoalesceBatch(e, ctx, sel, n);
       return EvalBatchFallback(e, ctx, sel, n);
     }
 

@@ -89,6 +89,28 @@ std::string OutputName(const SelectItem& item) {
   return "?column?";
 }
 
+/// Marks in *mask the columns of `rel` that the column references under e
+/// resolve to. Returns false as soon as one does not resolve.
+bool MarkReferencedColumns(const Expr& e, const Relation& rel,
+                           std::vector<uint8_t>* mask) {
+  if (e.kind == ExprKind::kColRef) {
+    Result<int> idx = rel.Resolve(e.qualifier, e.column);
+    if (!idx.ok()) return false;
+    (*mask)[*idx] = 1;
+    return true;
+  }
+  for (const Expr* child : {e.lhs.get(), e.rhs.get(), e.low.get(),
+                            e.high.get()}) {
+    if (child != nullptr && !MarkReferencedColumns(*child, rel, mask)) {
+      return false;
+    }
+  }
+  for (const auto& a : e.args) {
+    if (a && !MarkReferencedColumns(*a, rel, mask)) return false;
+  }
+  return true;
+}
+
 /// Whether a stage over n rows is worth fanning out to the shared pool.
 bool ShouldParallelize(size_t n) {
   return n >= 2 * kMorselRows && WorkerPool::Shared().thread_count() > 0;
@@ -793,17 +815,50 @@ Result<Relation> Executor::ExecJoin(const TableRef& join) {
   // Applies conjuncts to candidate pairs chunk by chunk, narrowing with
   // each conjunct the way row-at-a-time evaluation short-circuited: a
   // later conjunct only sees pairs where every earlier one was TRUE.
+  //
+  // Candidates carry the full combined schema but gather only the columns
+  // the conjuncts reference; the rest stay null pointers nothing reads.
+  // When a reference does not resolve, every column is gathered so the
+  // evaluation reports the same error as over the full relation.
   auto filter_pairs = [&](const std::vector<ExprPtr>& conds,
                           std::vector<uint32_t>* li,
                           std::vector<int64_t>* ri) -> Status {
     if (conds.empty() || li->empty()) return Status::OK();
+    Relation cand;
+    cand.cols = out_cols;
+    std::vector<uint8_t> mask(out_cols.size(), 0);
+    bool resolved = true;
+    for (const auto& c : conds) {
+      resolved = resolved && MarkReferencedColumns(*c, cand, &mask);
+    }
+    if (!resolved) mask.assign(out_cols.size(), 1);
+    Relation narrow_left, narrow_right;
+    std::vector<size_t> narrow_pos;  // combined index of each narrow column
+    for (size_t c = 0; c < mask.size(); ++c) {
+      if (!mask[c]) continue;
+      bool from_left = c < left.cols.size();
+      const Relation& src = from_left ? left : right;
+      size_t k = from_left ? c : c - left.cols.size();
+      Relation& dst = from_left ? narrow_left : narrow_right;
+      dst.cols.push_back(src.cols[k]);
+      dst.columns.push_back(src.columns[k]);
+      narrow_pos.push_back(c);
+    }
     std::vector<uint32_t> keep_li;
     std::vector<int64_t> keep_ri;
     for (size_t base = 0; base < li->size(); base += kJoinChunkPairs) {
       size_t cn = std::min(kJoinChunkPairs, li->size() - base);
       std::vector<uint32_t> cli(li->begin() + base, li->begin() + base + cn);
       std::vector<int64_t> cri(ri->begin() + base, ri->begin() + base + cn);
-      Relation cand = materialize_pairs(cli, cri);
+      Relation lg = narrow_left.GatherRows(cli.data(), cn);
+      Relation rg = narrow_right.GatherRowsPad(cri.data(), cn);
+      cand.columns.assign(out_cols.size(), nullptr);
+      cand.row_count = cn;
+      for (size_t k = 0; k < narrow_pos.size(); ++k) {
+        cand.columns[narrow_pos[k]] =
+            k < lg.columns.size() ? std::move(lg.columns[k])
+                                  : std::move(rg.columns[k - lg.columns.size()]);
+      }
       BatchCtx bctx;
       bctx.rel = &cand;
       SelVector sel;

@@ -434,6 +434,31 @@ TEST_F(TranslationCacheTest, LruEvictsWhenCapacityIsExceeded) {
   EXPECT_GT(CounterValue("translation_cache.evictions"), evictions_before);
 }
 
+TEST_F(TranslationCacheTest, OneShotTrafficDoesNotDisplaceReusedEntries) {
+  HyperQSession::Options tiny;
+  tiny.translation_cache.shard_count = 1;
+  // Probation holds 16 / 8 = 2 entries per tier; protected the other 14.
+  tiny.translation_cache.capacity_per_shard = 16;
+  tiny.translation_cache.exact_capacity_per_shard = 16;
+  HyperQSession small(&db_, tiny);
+  const std::string reused = "select Price from trades where Symbol=`IBM";
+  ASSERT_TRUE(small.Translate(reused).ok());
+  Result<Translation> second = small.Translate(reused);  // promotes it
+  ASSERT_TRUE(second.ok());
+  EXPECT_TRUE(second->cache_hit);
+  // Far more structurally distinct one-shot queries than the capacity.
+  for (int i = 0; i < 40; ++i) {
+    std::string q = "select p" + std::to_string(i) + ":Price from trades";
+    ASSERT_TRUE(small.Translate(q).ok()) << q;
+  }
+  Result<Translation> later = small.Translate(reused);
+  ASSERT_TRUE(later.ok());
+  EXPECT_TRUE(later->cache_hit);
+  // The one-shot entries never left probation.
+  EXPECT_LE(small.translation_cache().sizes().exact, 3u);
+  EXPECT_LE(small.translation_cache().sizes().fingerprint, 3u);
+}
+
 // Multi-threaded hit/miss/evict/invalidate stress over a shared cache.
 // Run under TSAN in scripts/ci.sh.
 TEST_F(TranslationCacheTest, ConcurrentSessionsShareOneCacheSafely) {
