@@ -1,21 +1,18 @@
 // C10K front-end benchmark: can the endpoint hold ten thousand idle
-// connections while a thousand active clients run pipelined queries, and
-// how do the two io_models compare?
+// connections while a thousand active clients run pipelined queries,
+// without the idle fleet taxing the active clients' tail latency?
 //
-// Three phases:
-//   A. event loop: ramp `--idle` parked QIPC sessions (held by forked
+// Two phases, each on a fresh server:
+//   A. idle load: ramp `--idle` parked QIPC sessions (held by forked
 //      child processes so the parent's fd budget covers only the server
 //      side), then drive `--active` pipelined clients and record
 //      per-query latency percentiles with the idle load still parked.
-//   B. thread-per-connection: idle capacity probe — open connections
-//      until the server refuses (its cap is a handler thread each).
-//   C. thread-per-connection: latency baseline with the same active
-//      workload and NO idle load (its best case).
+//   B. no idle load: the same active workload alone (the baseline).
 //
 // The JSON artifact (BENCH_endpoint.json) feeds the scripts/bench.sh
-// gate: event_p99_us must not exceed thread_p99_us (the event loop pays
-// no latency tax even while holding 10K idle sessions the thread model
-// cannot), and idle_capacity_ratio must be >= 10.
+// gate: event_p99_us must stay within a slack of event_noidle_p99_us,
+// every idle connection must be sustained on full runs, and the server
+// RSS per idle connection must stay within budget.
 //
 // Custom main (not google-benchmark): the subject is a server process
 // plus a connection fleet, not a tight loop. Flags mirror the suite:
@@ -320,89 +317,51 @@ int Main(int argc, char** argv) {
 
   std::vector<uint8_t> hs = qipc::EncodeHandshake("bench", "pw");
 
-  // Phase A: event loop under full load.
-  std::printf("==> event loop: ramping %d idle connections\n", cfg.idle);
-  sqldb::Database event_db;
-  HyperQServer::Options eopts;
-  eopts.io_model = IoModel::kEventLoop;
-  HyperQServer event_server(&event_db, eopts);
-  if (!event_server.Start(0).ok()) {
-    std::fprintf(stderr, "event server failed to start\n");
-    return 1;
+  // Phase A: active workload with the idle fleet parked.
+  std::printf("==> idle load: ramping %d idle connections\n", cfg.idle);
+  LatencyStats event_stats;
+  IdleFleet fleet;
+  int64_t rss_per_idle = 0;
+  {
+    sqldb::Database db;
+    HyperQServer server(&db, HyperQServer::Options());
+    if (!server.Start(0).ok()) {
+      std::fprintf(stderr, "server failed to start\n");
+      return 1;
+    }
+    int64_t rss_before = ReadRssBytes();
+    fleet = SpawnIdleFleet(server.port(), cfg.idle, hs);
+    int64_t rss_after = ReadRssBytes();
+    rss_per_idle = fleet.sustained > 0
+                       ? (rss_after - rss_before) / fleet.sustained
+                       : 0;
+    std::printf("    sustained %d idle (%.1f KiB server RSS each)\n",
+                fleet.sustained, static_cast<double>(rss_per_idle) / 1024);
+    std::printf("==> idle load: %d active clients, %d rounds x %d-deep "
+                "pipelines\n",
+                cfg.active, cfg.rounds, cfg.burst);
+    event_stats = RunActiveWorkload(server.port(), cfg, hs);
+    ReleaseIdleFleet(&fleet);
+    server.Stop();
   }
-  int64_t rss_before = ReadRssBytes();
-  IdleFleet fleet = SpawnIdleFleet(event_server.port(), cfg.idle, hs);
-  int64_t rss_after = ReadRssBytes();
-  int64_t rss_per_idle =
-      fleet.sustained > 0 ? (rss_after - rss_before) / fleet.sustained : 0;
-  std::printf("    sustained %d idle (%.1f KiB server RSS each)\n",
-              fleet.sustained, static_cast<double>(rss_per_idle) / 1024);
-
-  std::printf("==> event loop: %d active clients, %d rounds x %d-deep "
-              "pipelines\n",
-              cfg.active, cfg.rounds, cfg.burst);
-  LatencyStats event_stats =
-      RunActiveWorkload(event_server.port(), cfg, hs);
-  ReleaseIdleFleet(&fleet);
-  event_server.Stop();
   std::printf("    p50 %.0f us, p99 %.0f us, %.0f q/s\n", event_stats.p50_us,
               event_stats.p99_us, event_stats.qps);
 
-  // Phase B: thread model idle capacity probe. Stop after a run of
-  // refusals: the cap has been hit and every further attempt burns a
-  // connect for nothing.
-  std::printf("==> thread model: idle capacity probe\n");
-  int thread_idle = 0;
+  // Phase B: the same active workload with no idle load.
+  std::printf("==> no idle load: %d active clients\n", cfg.active);
+  LatencyStats noidle_stats;
   {
     sqldb::Database db;
-    HyperQServer::Options topts;
-    topts.io_model = IoModel::kThreadPerConnection;
-    HyperQServer server(&db, topts);
+    HyperQServer server(&db, HyperQServer::Options());
     if (!server.Start(0).ok()) {
-      std::fprintf(stderr, "thread server failed to start\n");
+      std::fprintf(stderr, "server failed to start\n");
       return 1;
     }
-    std::vector<TcpConnection> held;
-    int consecutive_refused = 0;
-    for (int i = 0; i < cfg.idle && consecutive_refused < 64; ++i) {
-      std::optional<TcpConnection> s = OpenSession(server.port(), hs);
-      if (s.has_value()) {
-        held.push_back(std::move(*s));
-        consecutive_refused = 0;
-      } else {
-        ++consecutive_refused;
-      }
-    }
-    thread_idle = static_cast<int>(held.size());
-    for (TcpConnection& c : held) c.Close();
-    server.Stop();
-  }
-  std::printf("    sustained %d idle before refusal\n", thread_idle);
-
-  // Phase C: thread model latency baseline, no idle load (its best case).
-  std::printf("==> thread model: %d active clients (no idle load)\n",
-              cfg.active);
-  LatencyStats thread_stats;
-  {
-    sqldb::Database db;
-    HyperQServer::Options topts;
-    topts.io_model = IoModel::kThreadPerConnection;
-    topts.max_connections = cfg.active + 64;
-    HyperQServer server(&db, topts);
-    if (!server.Start(0).ok()) {
-      std::fprintf(stderr, "thread server failed to start\n");
-      return 1;
-    }
-    thread_stats = RunActiveWorkload(server.port(), cfg, hs);
+    noidle_stats = RunActiveWorkload(server.port(), cfg, hs);
     server.Stop();
   }
   std::printf("    p50 %.0f us, p99 %.0f us, %.0f q/s\n",
-              thread_stats.p50_us, thread_stats.p99_us, thread_stats.qps);
-
-  double ratio = thread_idle > 0
-                     ? static_cast<double>(fleet.sustained) / thread_idle
-                     : 0;
-  std::printf("==> idle capacity ratio (event/thread): %.1fx\n", ratio);
+              noidle_stats.p50_us, noidle_stats.p99_us, noidle_stats.qps);
 
   if (!cfg.json_path.empty()) {
     std::string out;
@@ -410,18 +369,17 @@ int Main(int argc, char** argv) {
     std::snprintf(
         buf, sizeof buf,
         "{\n"
+        "  \"num_cpus\": %u,\n"
         "  \"idle_target\": %d,\n"
         "  \"idle_sustained_event\": %d,\n"
-        "  \"idle_sustained_thread\": %d,\n"
-        "  \"idle_capacity_ratio\": %.2f,\n"
         "  \"rss_per_idle_conn_bytes\": %lld,\n"
         "  \"active_conns_event\": %d,\n"
-        "  \"active_conns_thread\": %d,\n"
+        "  \"active_conns_noidle\": %d,\n"
         "  \"burst\": %d,\n"
         "  \"rounds\": %d,\n",
-        cfg.idle, fleet.sustained, thread_idle, ratio,
+        std::thread::hardware_concurrency(), cfg.idle, fleet.sustained,
         static_cast<long long>(rss_per_idle), event_stats.conns,
-        thread_stats.conns, cfg.burst, cfg.rounds);
+        noidle_stats.conns, cfg.burst, cfg.rounds);
     out += buf;
     std::snprintf(
         buf, sizeof buf,
@@ -429,14 +387,14 @@ int Main(int argc, char** argv) {
         "  \"event_p99_us\": %.1f,\n"
         "  \"event_qps\": %.0f,\n"
         "  \"event_accept_p99_us\": %.1f,\n"
-        "  \"thread_p50_us\": %.1f,\n"
-        "  \"thread_p99_us\": %.1f,\n"
-        "  \"thread_qps\": %.0f,\n"
+        "  \"event_noidle_p50_us\": %.1f,\n"
+        "  \"event_noidle_p99_us\": %.1f,\n"
+        "  \"event_noidle_qps\": %.0f,\n"
         "  \"smoke\": %s\n"
         "}\n",
         event_stats.p50_us, event_stats.p99_us, event_stats.qps,
-        event_stats.accept_p99_us, thread_stats.p50_us, thread_stats.p99_us,
-        thread_stats.qps, cfg.smoke ? "true" : "false");
+        event_stats.accept_p99_us, noidle_stats.p50_us, noidle_stats.p99_us,
+        noidle_stats.qps, cfg.smoke ? "true" : "false");
     out += buf;
     if (cfg.json_path == "-") {
       std::fputs(out.c_str(), stdout);

@@ -1,17 +1,10 @@
 #include "core/endpoint.h"
 
-#include <sys/epoll.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-
-#include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <future>
 
 #include "common/deadline.h"
 #include "common/fault.h"
-#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/strings.h"
 #include "core/fsm.h"
@@ -23,10 +16,7 @@ namespace hyperq {
 namespace {
 
 struct ServerMetrics {
-  Gauge* connections_active;
   Gauge* connections_idle;
-  Counter* connections_total;
-  Counter* connections_refused;
   Counter* handshake_failures;
   Counter* read_timeouts;
   Counter* bytes_in;
@@ -41,10 +31,7 @@ struct ServerMetrics {
     static ServerMetrics* m = [] {
       MetricsRegistry& r = MetricsRegistry::Global();
       return new ServerMetrics{
-          r.GetGauge("server.connections_active"),
           r.GetGauge("server.connections_idle"),
-          r.GetCounter("server.connections_total"),
-          r.GetCounter("server.connections_refused"),
           r.GetCounter("server.handshake_failures"),
           r.GetCounter("server.read_timeouts"),
           r.GetCounter("server.bytes_in"),
@@ -88,10 +75,6 @@ struct WireMetrics {
   }
 };
 
-bool IsTimeout(const Status& s) {
-  return s.message().find("timed out") != std::string::npos;
-}
-
 /// Structured wire errors: a q client sees `'timeout` / `'busy` symbols it
 /// can branch on instead of a free-form diagnostic string. Everything else
 /// keeps the full status text.
@@ -115,20 +98,8 @@ bool IsUpdMessage(const QValue& v) {
          v.Items()[1].is_atom();
 }
 
-/// Once a request this large has been served, the connection's reusable
-/// buffers are shrunk back so one oversized query does not pin its peak
-/// footprint for the rest of the session.
-constexpr size_t kConnBufferKeepBytes = 1u << 20;
-
 constexpr size_t kMaxHandshakeBytes = 4096;
 constexpr uint32_t kMaxFrameBytes = 256u << 20;
-
-void ShrinkIfOversized(std::vector<uint8_t>* buf) {
-  if (buf->capacity() > kConnBufferKeepBytes) {
-    buf->clear();
-    buf->shrink_to_fit();
-  }
-}
 
 uint32_t PlainLengthOfCompressed(const std::vector<uint8_t>& msg) {
   uint32_t v = 0;
@@ -136,7 +107,7 @@ uint32_t PlainLengthOfCompressed(const std::vector<uint8_t>& msg) {
   return v;
 }
 
-/// Records metrics for a fully written reply (both io models).
+/// Records metrics for a fully written reply.
 void RecordReplySent(size_t reply_bytes,
                      std::chrono::steady_clock::time_point request_start) {
   ServerMetrics& metrics = ServerMetrics::Get();
@@ -153,7 +124,7 @@ void RecordReplySent(size_t reply_bytes,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Shared request pipeline
+// Request pipeline
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<HyperQSession> HyperQServer::MakeSession() {
@@ -175,8 +146,8 @@ void HyperQServer::AdjustIdle(int delta) {
 
 bool HyperQServer::ShouldShed() {
   // Load shedding against *dispatched* queries — queued on the exec pool
-  // or executing — so queueing stays bounded in both io models. The
-  // caller must pair this with DoneExecuting() when the query finishes.
+  // or executing — so queueing stays bounded. The caller must pair this
+  // with DoneExecuting() when the query finishes.
   if (options_.max_inflight_queries <= 0) return false;
   int prior = inflight_queries_.fetch_add(1, std::memory_order_acq_rel);
   return prior >= options_.max_inflight_queries;
@@ -193,12 +164,6 @@ void HyperQServer::BuildReply(HyperQSession& session,
   ServerMetrics& metrics = ServerMetrics::Get();
   WireMetrics& wire = WireMetrics::Get();
   *respond = true;
-  out->slices.clear();
-  out->owned.clear();
-  out->arena.Clear();
-  out->keepalive.reset();
-  out->idx = 0;
-  out->off = 0;
 
   Result<qipc::DecodedMessage> msg = qipc::DecodeMessage(request);
   // Injected decode failures look exactly like a malformed request: a
@@ -215,9 +180,8 @@ void HyperQServer::BuildReply(HyperQSession& session,
                               qipc::MsgType::kResponse);
   } else if (IsUpdMessage(msg->value)) {
     // Tickerplant publish: dispatched straight to the ingest store, never
-    // through the translator. Works identically in both io models (this
-    // is the one shared request path), so publishers ride the C10K event
-    // loop like every query client.
+    // through the translator. Publishers ride the C10K event loop like
+    // every query client.
     const std::vector<QValue>& items = msg->value.Items();
     LiveStore* store = session.gateway().live_store();
     Result<QValue> result = QValue();
@@ -346,251 +310,7 @@ void HyperQServer::BuildReply(HyperQSession& session,
 }
 
 // ---------------------------------------------------------------------------
-// Start / Stop
-// ---------------------------------------------------------------------------
-
-Status HyperQServer::Start(uint16_t port) {
-  HQ_ASSIGN_OR_RETURN(TcpListener listener, TcpListener::Listen(port));
-  port_ = listener.port();
-  listener_ = std::make_unique<TcpListener>(std::move(listener));
-  if (options_.io_model == IoModel::kEventLoop) {
-    return StartEventModel();
-  }
-  running_ = true;
-  accept_thread_ = std::make_unique<std::thread>([this]() { AcceptLoop(); });
-  return Status::OK();
-}
-
-void HyperQServer::Stop() {
-  if (!running_.exchange(false)) return;
-  if (options_.io_model == IoModel::kEventLoop) {
-    StopEventModel();
-  } else {
-    StopThreadModel();
-  }
-  HQ_LOG(Debug) << "qipc server stopped; final metrics:\n"
-                << MetricsRegistry::Global().TextDump();
-}
-
-// ---------------------------------------------------------------------------
-// Thread-per-connection model
-// ---------------------------------------------------------------------------
-
-void HyperQServer::StopThreadModel() {
-  if (listener_) listener_->Close();
-  if (accept_thread_ && accept_thread_->joinable()) accept_thread_->join();
-  {
-    // Drain, don't axe: SHUT_RD wakes workers blocked in recv (they see
-    // EOF and exit), while a worker mid-query can still write its response
-    // before its loop observes running_ == false. The drain must be
-    // bounded, though — a peer that stops reading leaves a worker blocked
-    // in send() with a full socket buffer, and an unbounded Stop() would
-    // wedge behind it. Arming SO_SNDTIMEO caps any write the worker
-    // *enters* from now on; it cannot wake a send() that is already
-    // blocked, so stragglers past the drain window get SHUT_RDWR, which
-    // does.
-    std::unique_lock<std::mutex> lock(conn_mu_);
-    struct timeval tv;
-    int snd_ms =
-        options_.drain_timeout_ms > 0 ? options_.drain_timeout_ms : 1;
-    tv.tv_sec = snd_ms / 1000;
-    tv.tv_usec = (snd_ms % 1000) * 1000;
-    for (int fd : active_fds_) {
-      ::shutdown(fd, SHUT_RD);
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-    }
-    drain_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.drain_timeout_ms),
-        [this]() { return active_fds_.empty(); });
-    for (int fd : active_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  workers_.clear();
-}
-
-void HyperQServer::AcceptLoop() {
-  ServerMetrics& metrics = ServerMetrics::Get();
-  while (running_) {
-    Result<TcpConnection> conn = listener_->Accept();
-    if (!conn.ok()) {
-      if (running_ && !TcpListener::IsClosedError(conn.status())) {
-        HQ_LOG(Warning) << "qipc accept failed: "
-                        << conn.status().ToString();
-      }
-      return;
-    }
-    // Admission control up front: an over-limit connection is refused
-    // right here — closed before the accept byte, no handler thread
-    // spawned — so rejections cost one accept() and never stall the loop.
-    // The gauge mirrors active_count_ via Set() rather than Add(+-1) so a
-    // mid-flight .hyperq.resetStats[] desyncs it only until the next
-    // connection event instead of driving it negative forever.
-    metrics.connections_total->Increment();
-    int prior = active_count_.fetch_add(1, std::memory_order_acq_rel);
-    metrics.connections_active->Set(prior + 1);
-    if (prior >= effective_max_connections()) {
-      metrics.connections_refused->Increment();
-      int now = active_count_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-      metrics.connections_active->Set(now);
-      continue;  // `conn` closes on scope exit: refusal without a thread
-    }
-    workers_.emplace_back([this, c = std::move(*conn)]() mutable {
-      HandleConnection(std::move(c));
-    });
-  }
-}
-
-void HyperQServer::RegisterFd(int fd) {
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  active_fds_.push_back(fd);
-}
-
-void HyperQServer::UnregisterFd(int fd) {
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  active_fds_.erase(std::remove(active_fds_.begin(), active_fds_.end(), fd),
-                    active_fds_.end());
-  if (active_fds_.empty()) drain_cv_.notify_all();
-}
-
-void HyperQServer::HandleConnection(TcpConnection conn) {
-  ServerMetrics& metrics = ServerMetrics::Get();
-  // The admission slot was reserved by AcceptLoop; release it on exit.
-  struct SlotGuard {
-    HyperQServer* s;
-    ~SlotGuard() {
-      int now = s->active_count_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-      ServerMetrics::Get().connections_active->Set(now);
-    }
-  };
-  SlotGuard slot{this};
-
-  RegisterFd(conn.fd());
-  struct FdGuard {
-    HyperQServer* s;
-    int fd;
-    ~FdGuard() { s->UnregisterFd(fd); }
-  } guard{this, conn.fd()};
-
-  if (options_.read_timeout_ms > 0) {
-    if (!conn.SetReadTimeout(options_.read_timeout_ms).ok()) return;
-  }
-
-  // Handshake: read the NUL-terminated credential block (§4.2).
-  std::vector<uint8_t> creds;
-  while (true) {
-    Result<std::vector<uint8_t>> chunk = conn.ReadSome(256);
-    if (!chunk.ok() || chunk->empty()) {
-      if (!chunk.ok() && IsTimeout(chunk.status())) {
-        metrics.read_timeouts->Increment();
-      }
-      metrics.handshake_failures->Increment();
-      return;
-    }
-    creds.insert(creds.end(), chunk->begin(), chunk->end());
-    if (creds.back() == 0) break;
-    if (creds.size() > kMaxHandshakeBytes) {  // junk
-      metrics.handshake_failures->Increment();
-      return;
-    }
-  }
-  metrics.bytes_in->Increment(creds.size());
-  Result<qipc::HandshakeRequest> hs = qipc::DecodeHandshake(creds);
-  if (!hs.ok()) {
-    metrics.handshake_failures->Increment();
-    return;
-  }
-  if (!options_.user.empty() &&
-      (hs->user != options_.user || hs->password != options_.password)) {
-    // Rejected credentials: close immediately, as kdb+ does (§4.2).
-    metrics.handshake_failures->Increment();
-    return;
-  }
-  // Accept: single byte echoing a supported protocol version.
-  uint8_t accept_version = hs->version > 3 ? 3 : hs->version;
-  if (!conn.WriteAll(&accept_version, 1).ok()) return;
-  metrics.bytes_out->Increment(1);
-
-  ServeRequests(conn);
-}
-
-void HyperQServer::ServeRequests(TcpConnection& conn) {
-  ServerMetrics& metrics = ServerMetrics::Get();
-  WireMetrics& wire = WireMetrics::Get();
-  // The session is created lazily on the first request: a connected-but-
-  // quiet client costs no backend state in either io model.
-  std::unique_ptr<HyperQSession> session;
-
-  // Per-connection reusable buffers: the request buffer absorbs header +
-  // body in place (no per-request allocation, no header/rest splice), and
-  // the Outgoing's arena + slice list back the scatter egress path. All
-  // are shrunk back after an oversized request (kConnBufferKeepBytes).
-  std::vector<uint8_t> request;
-  Outgoing out;
-
-  AdjustIdle(+1);
-  bool idle = true;
-
-  while (running_) {
-    uint8_t header[8];
-    Status header_read = conn.ReadExactInto(header, 8);
-    if (!header_read.ok()) {  // disconnect or idle timeout
-      if (IsTimeout(header_read)) metrics.read_timeouts->Increment();
-      break;
-    }
-    auto request_start = std::chrono::steady_clock::now();
-    Result<uint32_t> len = qipc::PeekMessageLength(header);
-    if (!len.ok() || *len < 9 || *len > kMaxFrameBytes) break;
-    request.resize(*len);
-    std::memcpy(request.data(), header, 8);
-    Status body_read = conn.ReadExactInto(request.data() + 8, *len - 8);
-    if (!body_read.ok()) {
-      if (IsTimeout(body_read)) metrics.read_timeouts->Increment();
-      break;
-    }
-    metrics.bytes_in->Increment(*len);
-
-    AdjustIdle(-1);
-    idle = false;
-    if (!session) session = MakeSession();
-    bool respond;
-    bool shed = ShouldShed();
-    BuildReply(*session, request, &out, &respond, shed);
-    DoneExecuting();
-    if (!respond) {
-      ShrinkIfOversized(&request);
-      AdjustIdle(+1);
-      idle = true;
-      continue;
-    }
-    size_t reply_bytes = out.TotalBytes();
-    bool sent;
-    if (out.slices.size() > 1) {
-      wire.scatter_slices->Increment(out.slices.size());
-      wire.writev_calls->Increment();
-      sent = conn.WriteAllV(out.slices).ok();
-    } else {
-      sent = conn.WriteAll(out.slices[0].data, out.slices[0].len).ok();
-    }
-    if (sent) RecordReplySent(reply_bytes, request_start);
-    AdjustIdle(+1);
-    idle = true;
-    if (!sent) break;
-    ShrinkIfOversized(&request);
-    ShrinkIfOversized(&out.owned);
-    if (out.arena.data().capacity() > kConnBufferKeepBytes) {
-      out.arena = ByteWriter();
-    }
-    out.keepalive.reset();
-    out.slices.clear();
-  }
-  if (idle) AdjustIdle(-1);
-  if (session) (void)session->Close();
-}
-
-// ---------------------------------------------------------------------------
-// Event-loop model
+// Connection state machine
 // ---------------------------------------------------------------------------
 
 /// Per-socket QIPC protocol state machine on an event loop (§3.4: each
@@ -598,7 +318,7 @@ void HyperQServer::ServeRequests(TcpConnection& conn) {
 /// phases — handshake → frame header → frame body → dispatch →
 /// write-drain — over a shared immutable transition table, so an idle
 /// connection is just this object plus its (usually empty) read buffer.
-class HyperQServer::QipcEventConn final : public EventConn {
+class HyperQServer::QipcEventConn final : public ServerConn {
  public:
   enum class St { kHandshake, kFrameHeader, kFrameBody, kDispatch, kDrain };
   enum class Ev {
@@ -611,49 +331,17 @@ class HyperQServer::QipcEventConn final : public EventConn {
   };
 
   QipcEventConn(HyperQServer* server, EventLoop* loop, TcpConnection conn)
-      : EventConn(loop, std::move(conn)),
+      : ServerConn(&server->events_, loop, std::move(conn)),
         server_(server),
         fsm_(St::kHandshake, &Table()) {}
 
-  /// Called on the loop thread right after Register() succeeds.
-  void AfterRegister() {
+  void AfterRegister() override {
     SetIdle(true);
     ArmReadTimer();
   }
 
-  /// Server drain (Stop): stop reading; an idle connection closes now, a
-  /// busy one finishes its in-flight request + response under a
-  /// force-close timer — the event-loop successor of the thread model's
-  /// SO_SNDTIMEO + SHUT_RDWR drain bound.
-  void BeginDrain() {
-    if (closed() || draining_) return;
-    draining_ = true;
-    PauseReads();
-    ::shutdown(fd(), SHUT_RD);
-    if (!executing_ && !write_pending()) {
-      Close();
-      return;
-    }
-    int bound = server_->options_.drain_timeout_ms > 0
-                    ? server_->options_.drain_timeout_ms
-                    : 1;
-    drain_timer_ = loop()->AddTimerAfter(std::chrono::milliseconds(bound),
-                                         [this] {
-                                           drain_timer_ = 0;
-                                           Close();
-                                         });
-  }
-
  protected:
   void OnData() override { Pump(); }
-
-  void OnError(const Status& error) override {
-    if (fsm_.state() == St::kHandshake) {
-      ServerMetrics::Get().handshake_failures->Increment();
-    }
-    if (IsTimeout(error)) ServerMetrics::Get().read_timeouts->Increment();
-    Close();
-  }
 
   void OnPeerClosed() override {
     if (fsm_.state() == St::kHandshake) {
@@ -662,12 +350,14 @@ class HyperQServer::QipcEventConn final : public EventConn {
     Close();
   }
 
+  void OnError(const Status&) override { OnPeerClosed(); }
+
   void OnWriteDrained() override {
     if (fsm_.state() != St::kDrain) return;  // handshake ack drained
     (void)fsm_.Fire(Ev::kReplyDrained);
     RecordReplySent(pending_reply_bytes_, request_start_);
     pending_reply_bytes_ = 0;
-    if (draining_) {
+    if (draining()) {
       Close();
       return;
     }
@@ -681,14 +371,10 @@ class HyperQServer::QipcEventConn final : public EventConn {
       loop()->CancelTimer(read_timer_);
       read_timer_ = 0;
     }
-    if (drain_timer_ != 0) {
-      loop()->CancelTimer(drain_timer_);
-      drain_timer_ = 0;
-    }
     // A query still running on the exec pool holds the session; its
     // completion callback closes it. Otherwise close here.
     if (!executing_) CloseSession();
-    server_->OnEventConnClosed(this);
+    ServerConn::OnClosed();
   }
 
  private:
@@ -806,7 +492,7 @@ class HyperQServer::QipcEventConn final : public EventConn {
     // queries, so the exec pool's queue stays bounded even when every
     // reactor is pumping pipelined requests at it.
     bool shed = server_->ShouldShed();
-    bool accepted = server_->exec_pool_->Submit(
+    bool accepted = Execute(
         [self, server = server_, session = session_, shed,
          frame = std::move(frame)] {
           auto out = std::make_shared<Outgoing>();
@@ -833,7 +519,7 @@ class HyperQServer::QipcEventConn final : public EventConn {
     }
     if (!respond) {  // async message: no reply on the wire
       (void)fsm_.Fire(Ev::kAsyncDone);
-      if (draining_) {
+      if (draining()) {
         if (!write_pending()) Close();
         return;
       }
@@ -875,7 +561,7 @@ class HyperQServer::QipcEventConn final : public EventConn {
 
   void ReadTimerFired() {
     read_timer_ = 0;
-    if (closed() || draining_) return;
+    if (closed() || draining()) return;
     int timeout = server_->options_.read_timeout_ms;
     if (executing_ || write_pending()) {
       // Not waiting on the peer right now; check again in a full window.
@@ -902,155 +588,31 @@ class HyperQServer::QipcEventConn final : public EventConn {
   Fsm<St, Ev> fsm_;
   std::shared_ptr<HyperQSession> session_;
   uint32_t frame_len_ = 0;
-  bool executing_ = false;
-  bool draining_ = false;
   bool counted_idle_ = false;
   uint64_t read_timer_ = 0;
-  uint64_t drain_timer_ = 0;
   size_t pending_reply_bytes_ = 0;
   std::chrono::steady_clock::time_point request_start_{};
 };
 
-Status HyperQServer::StartEventModel() {
-  loops_ = std::make_unique<EventLoopGroup>(
-      options_.event_loop_threads > 0
-          ? static_cast<size_t>(options_.event_loop_threads)
-          : 0);
-  HQ_RETURN_IF_ERROR(loops_->Start());
-  exec_pool_ = std::make_unique<TaskPool>(
-      options_.exec_threads > 0 ? static_cast<size_t>(options_.exec_threads)
-                                : 0);
-  HQ_RETURN_IF_ERROR(listener_->SetNonBlocking(true));
-  running_ = true;
-  // Single dispatcher: loop 0 owns the listener and fans accepted sockets
-  // out across the group.
-  loops_->loop(0)->Post([this] {
-    listen_watch_ = loops_->loop(0)->AddWatch(
-        listener_->fd(), EPOLLIN, [this](uint32_t) { EventAcceptReady(); });
-  });
-  return Status::OK();
-}
-
-void HyperQServer::EventAcceptReady() {
-  ServerMetrics& metrics = ServerMetrics::Get();
-  while (true) {
-    Result<std::optional<TcpConnection>> pending = listener_->TryAccept();
-    if (!pending.ok()) {
-      if (running_ && !TcpListener::IsClosedError(pending.status())) {
-        HQ_LOG(Warning) << "qipc accept failed: "
-                        << pending.status().ToString();
-      }
-      if (listen_watch_ != nullptr) {
-        loops_->loop(0)->RemoveWatch(listen_watch_);
-        listen_watch_ = nullptr;
-      }
-      return;
-    }
-    if (!pending->has_value()) return;  // accept queue drained
-    TcpConnection conn = std::move(**pending);
-    metrics.connections_total->Increment();
-    int prior = active_count_.fetch_add(1, std::memory_order_acq_rel);
-    metrics.connections_active->Set(prior + 1);
-    if (prior >= effective_max_connections() || !running_) {
-      // Non-blocking refusal: close before the accept byte, right here on
-      // the dispatcher — no thread, no registration, no syscalls beyond
-      // the close.
-      metrics.connections_refused->Increment();
-      int now = active_count_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-      metrics.connections_active->Set(now);
-      continue;
-    }
-    EventLoop* target = loops_->Next();
-    auto ec = std::make_shared<QipcEventConn>(this, target,
-                                              std::move(conn));
-    {
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      event_conns_.emplace(ec.get(), ec);
-    }
-    target->Post([ec] {
-      if (!ec->Register().ok()) {
-        ec->Close();
-        return;
-      }
-      ec->AfterRegister();
-    });
-  }
-}
-
-void HyperQServer::OnEventConnClosed(EventConn* conn) {
-  ServerMetrics& metrics = ServerMetrics::Get();
-  int now = active_count_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-  metrics.connections_active->Set(now);
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  event_conns_.erase(conn);
-  if (event_conns_.empty()) drain_cv_.notify_all();
-}
-
-void HyperQServer::StopEventModel() {
-  // 1. Stop accepting. The watch retirement must complete on the loop
-  // thread BEFORE the fd is closed here: close() racing the loop's
-  // epoll_ctl on the same descriptor is a genuine data race (and could
-  // hit a recycled fd number). The bounded wait covers the pathological
-  // case of a loop that died early (its posts are dropped).
-  {
-    auto removed = std::make_shared<std::promise<void>>();
-    std::future<void> done = removed->get_future();
-    loops_->loop(0)->Post([this, removed] {
-      if (listen_watch_ != nullptr) {
-        loops_->loop(0)->RemoveWatch(listen_watch_);
-        listen_watch_ = nullptr;
-      }
-      removed->set_value();
-    });
-    done.wait_for(std::chrono::seconds(2));
-  }
-  listener_->Close();
-  // 2. Drain every connection on its own loop: idle ones close now, busy
-  // ones finish their in-flight request + response under a per-connection
-  // force-close timer (the event-loop form of the drain bound).
-  std::vector<std::shared_ptr<EventConn>> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    snapshot.reserve(event_conns_.size());
-    for (auto& [ptr, sp] : event_conns_) snapshot.push_back(sp);
-  }
-  for (auto& sp : snapshot) {
-    auto qc = std::static_pointer_cast<QipcEventConn>(sp);
-    qc->loop()->Post([qc] { qc->BeginDrain(); });
-  }
-  snapshot.clear();
-  // 3. Bounded wait for the drain to finish.
-  {
-    std::unique_lock<std::mutex> lock(conn_mu_);
-    drain_cv_.wait_for(
-        lock,
-        std::chrono::milliseconds(options_.drain_timeout_ms + 1000),
-        [this] { return event_conns_.empty(); });
-  }
-  // 4. Queries still running finish here (deadlines bound them); their
-  // completion posts land on loops that are still alive.
-  exec_pool_->Stop();
-  // 5. Anything that survived the drain window is closed unconditionally.
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    snapshot.reserve(event_conns_.size());
-    for (auto& [ptr, sp] : event_conns_) snapshot.push_back(sp);
-  }
-  for (auto& sp : snapshot) {
-    sp->loop()->Post([sp] { sp->Close(); });
-  }
-  snapshot.clear();
-  {
-    std::unique_lock<std::mutex> lock(conn_mu_);
-    drain_cv_.wait_for(lock, std::chrono::milliseconds(1000),
-                       [this] { return event_conns_.empty(); });
-  }
-  // 6. Loops drain their remaining posts (connection releases) and exit.
-  loops_->Stop();
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    event_conns_.clear();
-  }
+HyperQServer::HyperQServer(sqldb::Database* backend, Options options)
+    : backend_(backend),
+      options_(std::move(options)),
+      translation_cache_(options_.session.translation_cache),
+      events_("server",
+              EventServer::Options{options_.event_loop_threads,
+                                   options_.exec_threads,
+                                   options_.max_connections,
+                                   options_.drain_timeout_ms},
+              [this](EventLoop* loop, TcpConnection conn) {
+                return std::make_shared<QipcEventConn>(this, loop,
+                                                       std::move(conn));
+              }) {
+  // One translation cache for the whole server: every per-connection
+  // session shares the hot entries (the cache is internally sharded and
+  // thread-safe). Sessions receive it through their options.
+  translation_cache_.SetVersionProvider(
+      [this]() { return backend_->catalog().version(); });
+  options_.session.shared_translation_cache = &translation_cache_;
 }
 
 // ---------------------------------------------------------------------------

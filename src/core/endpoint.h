@@ -2,18 +2,13 @@
 #define HYPERQ_CORE_ENDPOINT_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "common/worker_pool.h"
 #include "core/hyperq.h"
-#include "net/event_loop.h"
+#include "net/event_server.h"
 #include "net/tcp.h"
 #include "protocol/qipc/qipc.h"
 
@@ -25,16 +20,12 @@ namespace hyperq {
 /// performs the QIPC handshake, extracts query text from incoming messages
 /// and runs each request through a per-connection HyperQSession.
 ///
-/// Two selectable front ends (Options::io_model):
-///   - kEventLoop (default): an epoll reactor multiplexes every connection
-///     as a per-socket protocol state machine; queries execute on a small
-///     TaskPool (which fans morsels out to the shared WorkerPool) and
-///     responses drain asynchronously on EPOLLOUT. Idle sessions cost a
-///     few hundred bytes, so tens of thousands are affordable.
-///   - kThreadPerConnection: the original model, one blocking handler
-///     thread per admitted connection. Kept for A/B comparison
-///     (bench_endpoint_c10k) and as a fallback.
-/// Both models produce byte-identical wire traffic for the same requests.
+/// Connections run on the shared EventServer (net/event_server.h): an
+/// epoll reactor multiplexes every connection as a per-socket QIPC state
+/// machine; queries execute on a small TaskPool (which fans morsels out to
+/// the shared WorkerPool) and responses drain asynchronously on EPOLLOUT.
+/// Idle sessions cost a few hundred bytes, so tens of thousands are
+/// affordable.
 class HyperQServer {
  public:
   struct Options {
@@ -52,21 +43,16 @@ class HyperQServer {
     /// clients understand the single-stream scheme only), so it is a
     /// separate serve-side opt-in.
     bool block_compression = false;
-    /// Connection-handling front end; see the class comment.
-    IoModel io_model = IoModel::kEventLoop;
-    /// Reactor threads for the event-loop model; 0 sizes to the hardware
-    /// (min(cores, 8)).
+    /// Reactor threads; 0 sizes to the hardware (min(cores, 8)).
     int event_loop_threads = 0;
-    /// Query-execution threads for the event-loop model (each runs whole
-    /// queries; morsel fan-out still happens on the shared WorkerPool);
-    /// 0 picks a small hardware default.
+    /// Query-execution threads (each runs whole queries; morsel fan-out
+    /// still happens on the shared WorkerPool); 0 picks a small hardware
+    /// default.
     int exec_threads = 0;
     /// Hard cap on simultaneously served connections; refusals are closed
     /// before the accept byte, which a q client surfaces as a rejected
-    /// handshake rather than a hang. 0 picks the model default: 256 for
-    /// thread-per-connection (a thread each), 65536 for the event loop
-    /// (a small state machine each).
-    int max_connections = 0;
+    /// handshake rather than a hang.
+    int max_connections = 65536;
     /// Per-connection idle read timeout in milliseconds; 0 disables. A
     /// connection whose next request does not arrive in time is closed
     /// (slow-loris style half-open peers no longer pin a worker forever).
@@ -81,10 +67,8 @@ class HyperQServer {
     /// error instead of queueing without bound. 0 disables.
     int max_inflight_queries = 0;
     /// Stop() drain bound in milliseconds: how long in-flight requests may
-    /// take to finish writing their responses before the stragglers are
-    /// forced out. The thread model arms socket send timeouts plus a
-    /// write-side shutdown; the event loop arms a per-connection
-    /// force-close timer on its reactor.
+    /// take to finish writing their responses before a per-connection
+    /// force-close timer closes the stragglers.
     int drain_timeout_ms = 5000;
     /// Builds the backend gateway for each connection's session; null uses
     /// a DirectGateway on the server's backend. Lets the server front the
@@ -94,41 +78,23 @@ class HyperQServer {
     std::function<std::unique_ptr<BackendGateway>()> gateway_factory;
   };
 
-  HyperQServer(sqldb::Database* backend, Options options)
-      : backend_(backend),
-        options_(std::move(options)),
-        translation_cache_(options_.session.translation_cache) {
-    // One translation cache for the whole server: every per-connection
-    // session shares the hot entries (the cache is internally sharded and
-    // thread-safe). Sessions receive it through their options.
-    translation_cache_.SetVersionProvider(
-        [this]() { return backend_->catalog().version(); });
-    options_.session.shared_translation_cache = &translation_cache_;
-  }
+  HyperQServer(sqldb::Database* backend, Options options);
   ~HyperQServer() { Stop(); }
 
   /// Binds 127.0.0.1:port (0 = ephemeral) and serves until Stop().
-  Status Start(uint16_t port);
-  uint16_t port() const { return port_; }
+  Status Start(uint16_t port) { return events_.Start(port); }
+  uint16_t port() const { return events_.port(); }
 
   /// Stops accepting, then drains: in-flight requests run to completion
   /// and their responses are written (reads are shut down, writes are
   /// not); idle connections close immediately. Blocks until every
   /// connection has closed (bounded by drain_timeout_ms). Safe to call
   /// repeatedly / concurrently.
-  void Stop();
+  void Stop() { events_.Stop(); }
 
   /// Admitted (or about-to-be-refused) connections right now. Returns to
   /// 0 after all clients disconnect.
-  int active_connections() const {
-    return active_count_.load(std::memory_order_acquire);
-  }
-
-  /// The configured cap with model defaults applied (Options comment).
-  int effective_max_connections() const {
-    if (options_.max_connections > 0) return options_.max_connections;
-    return options_.io_model == IoModel::kEventLoop ? 65536 : 256;
-  }
+  int active_connections() const { return events_.active_connections(); }
 
   /// The server-wide translation cache shared by all sessions.
   TranslationCache& translation_cache() { return translation_cache_; }
@@ -137,27 +103,8 @@ class HyperQServer {
   class QipcEventConn;
   friend class QipcEventConn;
 
-  // --- thread-per-connection model ---
-  void AcceptLoop();
-  void HandleConnection(TcpConnection conn);
-  void ServeRequests(TcpConnection& conn);
-  void RegisterFd(int fd);
-  void UnregisterFd(int fd);
-  void StopThreadModel();
-
-  // --- event-loop model ---
-  Status StartEventModel();
-  void StopEventModel();
-  /// Listener-ready callback on loop 0 (single dispatcher): accepts every
-  /// pending socket, applies admission control without blocking, and
-  /// round-robins admitted connections across the reactor group.
-  void EventAcceptReady();
-  void OnEventConnClosed(EventConn* conn);
-
-  // --- shared ---
-  /// Decode → deadline → shed → execute → encode for one request frame;
-  /// both io models call this, which is what keeps their wire bytes
-  /// identical by construction. Sets *respond = false for async messages
+  /// Decode → deadline → shed → execute → encode for one request frame
+  /// into a fresh `out`. Sets *respond = false for async messages
   /// (executed, no reply).
   void BuildReply(HyperQSession& session,
                   const std::vector<uint8_t>& request, Outgoing* out,
@@ -174,23 +121,9 @@ class HyperQServer {
   sqldb::Database* backend_;
   Options options_;
   TranslationCache translation_cache_;
-  uint16_t port_ = 0;
-  std::unique_ptr<TcpListener> listener_;
-  std::unique_ptr<std::thread> accept_thread_;
-  std::vector<std::thread> workers_;
-  std::atomic<bool> running_{false};
-  std::atomic<int> active_count_{0};
   std::atomic<int> idle_count_{0};
   std::atomic<int> inflight_queries_{0};
-  std::mutex conn_mu_;
-  std::condition_variable drain_cv_;
-  std::vector<int> active_fds_;
-
-  std::unique_ptr<EventLoopGroup> loops_;
-  std::unique_ptr<TaskPool> exec_pool_;
-  EventLoop::Watch* listen_watch_ = nullptr;  // loop-0-thread-only
-  /// Keeps every live event connection alive; guarded by conn_mu_.
-  std::unordered_map<EventConn*, std::shared_ptr<EventConn>> event_conns_;
+  EventServer events_;  // last: built from options_, destroyed first
 };
 
 /// A minimal Q-application-side client: speaks QIPC exactly as a q process

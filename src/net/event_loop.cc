@@ -24,8 +24,8 @@ Status Errno(const char* what) {
 /// peer cannot starve the other connections sharing the loop.
 constexpr size_t kMaxReadPerCycle = 256u << 10;
 
-/// Shrink threshold for the per-connection read buffer once it is empty —
-/// same policy as the blocking model's kConnBufferKeepBytes.
+/// Shrink threshold for the per-connection read buffer once it is empty,
+/// so one oversized request does not pin its peak footprint.
 constexpr size_t kReadBufferKeepBytes = 1u << 20;
 
 }  // namespace

@@ -22,17 +22,6 @@ class Counter;
 class Gauge;
 class LatencyHistogram;
 
-/// Which connection-handling front end a server runs (ROADMAP: "C100K
-/// front end"). Thread-per-connection burns a full stack per session and
-/// caps concurrency at thread count; the event loop multiplexes thousands
-/// of non-blocking sockets per reactor thread and keeps only a small
-/// state-machine object per idle session. Kept selectable for A/B
-/// benchmarking (`bench_endpoint_c10k`).
-enum class IoModel {
-  kThreadPerConnection,
-  kEventLoop,
-};
-
 /// One epoll reactor thread: a level-triggered epoll set, an eventfd for
 /// cross-thread wakeups, a task queue (Post), and a timer wheel. All I/O
 /// callbacks, timers and posted tasks run on the single loop thread, so
@@ -198,8 +187,7 @@ class EventConn : public std::enable_shared_from_this<EventConn> {
   void Send(Outgoing out);
 
   /// Unregisters, closes the fd and fires OnClosed() exactly once. Any
-  /// queued unwritten output is discarded (mirrors the blocking model,
-  /// where a failed write abandons the connection).
+  /// queued unwritten output is discarded.
   void Close();
 
   bool closed() const { return closed_; }
@@ -229,8 +217,7 @@ class EventConn : public std::enable_shared_from_this<EventConn> {
   /// Orderly EOF from the peer (after any final OnData). Default: Close().
   virtual void OnPeerClosed() { Close(); }
   /// Read or write failure, including injected net.read/net.write faults.
-  /// Default: Close() — identical to the blocking model, where an I/O
-  /// error abandons the connection.
+  /// Default: Close() — an I/O error abandons the connection.
   virtual void OnError(const Status& error);
   /// The write queue just became empty.
   virtual void OnWriteDrained() {}

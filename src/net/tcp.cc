@@ -5,7 +5,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
@@ -68,28 +67,6 @@ Result<TcpConnection> TcpConnection::Connect(const std::string& host,
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return TcpConnection(fd);
-}
-
-Status TcpConnection::SetReadTimeout(int millis) {
-  if (millis < 0) return InvalidArgument("negative read timeout");
-  timeval tv{};
-  tv.tv_sec = millis / 1000;
-  tv.tv_usec = (millis % 1000) * 1000;
-  if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0) {
-    return Errno("setsockopt(SO_RCVTIMEO)");
-  }
-  return Status::OK();
-}
-
-Status TcpConnection::SetWriteTimeout(int millis) {
-  if (millis < 0) return InvalidArgument("negative write timeout");
-  timeval tv{};
-  tv.tv_sec = millis / 1000;
-  tv.tv_usec = (millis % 1000) * 1000;
-  if (::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) != 0) {
-    return Errno("setsockopt(SO_SNDTIMEO)");
-  }
-  return Status::OK();
 }
 
 Status TcpConnection::SetNonBlocking(bool nonblocking) {

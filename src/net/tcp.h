@@ -63,17 +63,6 @@ class TcpConnection {
   /// Reads at most `max` bytes; empty result means orderly shutdown.
   Result<std::vector<uint8_t>> ReadSome(size_t max);
 
-  /// Caps how long a single blocking read may wait (SO_RCVTIMEO); 0
-  /// disables the timeout. A timed-out read fails with NetworkError
-  /// mentioning "timed out".
-  Status SetReadTimeout(int millis);
-
-  /// Caps how long a single blocking write may wait for socket-buffer
-  /// space (SO_SNDTIMEO); 0 disables. Armed during server drain so a peer
-  /// that stops reading cannot pin a worker in send() forever. A timed-out
-  /// write fails with NetworkError "send timed out".
-  Status SetWriteTimeout(int millis);
-
   /// Switches the socket to non-blocking mode (O_NONBLOCK) for use on an
   /// epoll event loop. The blocking Read*/Write* calls above then surface
   /// empty sockets as "timed out" errors; event-driven callers use the

@@ -1,19 +1,13 @@
 #include "protocol/pgwire/pgwire.h"
 
-#include <sys/epoll.h>
-#include <sys/socket.h>
-
 #include <charconv>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <future>
 #include <optional>
 
 #include <algorithm>
 
 #include "common/fault.h"
-#include "common/logging.h"
 #include "core/fsm.h"
 #include "sqldb/eval.h"
 #include "common/strings.h"
@@ -146,8 +140,7 @@ std::vector<uint8_t> ReadyBody() {
   return w.Take();
 }
 
-/// Fixed md5 salt (toy auth flow; see ToyMd5). One constant so the
-/// blocking and event-driven handshakes challenge identically.
+/// Fixed md5 salt (toy auth flow; see ToyMd5).
 constexpr char kPgAuthSalt[] = "hqs!";
 
 /// Minimum string-cell size worth its own iovec entry in the gather
@@ -310,19 +303,12 @@ Result<sqldb::Datum> DatumFromText(sqldb::SqlType type,
 
 /// Builds the complete reply to one simple-query message body —
 /// RowDescription/DataRows/CommandComplete on success, ErrorResponse on
-/// failure, always followed by ReadyForQuery — into `out`. Framing lives
-/// in out->arena with lengths patched in place; large string cells are
-/// borrowed from the result, which out->keepalive pins until the bytes
-/// are on the wire. Both io models call this, which is what keeps their
-/// wire traffic byte-identical by construction.
+/// failure, always followed by ReadyForQuery — into a fresh `out`.
+/// Framing lives in out->arena with lengths patched in place; large
+/// string cells are borrowed from the result, which out->keepalive pins
+/// until the bytes are on the wire.
 void BuildQueryReply(sqldb::Database* db, sqldb::Session* session,
                      const std::vector<uint8_t>& body, Outgoing* out) {
-  out->owned.clear();
-  out->keepalive.reset();
-  out->slices.clear();
-  out->idx = 0;
-  out->off = 0;
-
   ByteReader reader(body);
   Result<std::string> sql = reader.GetCString();
   Status error = Status::OK();
@@ -548,200 +534,13 @@ void PgWireClient::Close() {
 // Server
 // ---------------------------------------------------------------------------
 
-Status PgWireServer::Start(uint16_t port) {
-  HQ_ASSIGN_OR_RETURN(TcpListener listener, TcpListener::Listen(port));
-  port_ = listener.port();
-  listener_ = std::make_unique<TcpListener>(std::move(listener));
-  if (options_.io_model == IoModel::kEventLoop) {
-    return StartEventModel();
-  }
-  running_ = true;
-  accept_thread_ = std::make_unique<std::thread>([this]() { AcceptLoop(); });
-  return Status::OK();
-}
-
-void PgWireServer::Stop() {
-  if (!running_.exchange(false)) return;
-  if (options_.io_model == IoModel::kEventLoop) {
-    StopEventModel();
-    return;
-  }
-  StopThreadModel();
-}
-
-void PgWireServer::StopThreadModel() {
-  if (listener_) listener_->Close();
-  if (accept_thread_ && accept_thread_->joinable()) accept_thread_->join();
-  {
-    // Wake workers blocked in recv on still-open client connections.
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (int fd : active_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  workers_.clear();
-}
-
-void PgWireServer::AcceptLoop() {
-  while (running_) {
-    Result<TcpConnection> conn = listener_->Accept();
-    if (!conn.ok()) {
-      // Stop() closing the listener surfaces as a benign "listener
-      // closed" error; anything else is a real accept failure.
-      if (running_ && !TcpListener::IsClosedError(conn.status())) {
-        HQ_LOG(Warning) << "pg accept failed: " << conn.status().ToString();
-      }
-      return;
-    }
-    int prior = active_count_.fetch_add(1, std::memory_order_acq_rel);
-    if (prior >= effective_max_connections()) {
-      // Refused: the socket closes before any protocol byte.
-      active_count_.fetch_sub(1, std::memory_order_acq_rel);
-      continue;
-    }
-    workers_.emplace_back(
-        [this, c = std::move(*conn)]() mutable {
-          HandleConnection(std::move(c));
-        });
-  }
-}
-
-Status PgWireServer::Handshake(TcpConnection* conn) {
-  // Startup packet: length + protocol + params.
-  HQ_ASSIGN_OR_RETURN(std::vector<uint8_t> lenb, conn->ReadExact(4));
-  ByteReader lr(lenb);
-  HQ_ASSIGN_OR_RETURN(uint32_t len, lr.GetU32BE());
-  if (len < 8 || len > (1u << 20)) {
-    return ProtocolError("implausible startup packet length");
-  }
-  HQ_ASSIGN_OR_RETURN(std::vector<uint8_t> body, conn->ReadExact(len - 4));
-  ByteReader r(body);
-  HQ_ASSIGN_OR_RETURN(int32_t protocol, r.GetI32BE());
-  if (protocol != kProtocolVersion3) {
-    return ProtocolError(StrCat("unsupported protocol version ", protocol));
-  }
-  std::string user;
-  while (!r.AtEnd()) {
-    Result<std::string> key = r.GetCString();
-    if (!key.ok() || key->empty()) break;
-    HQ_ASSIGN_OR_RETURN(std::string value, r.GetCString());
-    if (*key == "user") user = value;
-  }
-
-  auto send = [&](char type, const std::vector<uint8_t>& payload) {
-    ByteWriter out;
-    WriteMessage(&out, type, payload);
-    return conn->WriteAll(out.data());
-  };
-
-  std::string salt = kPgAuthSalt;
-  if (options_.auth == AuthMode::kCleartext) {
-    HQ_RETURN_IF_ERROR(send(kMsgAuthentication, AuthBody(3)));
-  } else if (options_.auth == AuthMode::kMd5) {
-    ByteWriter b;
-    b.PutI32BE(5);
-    b.PutString(salt);
-    HQ_RETURN_IF_ERROR(send(kMsgAuthentication, b.Take()));
-  }
-  if (options_.auth != AuthMode::kTrust) {
-    HQ_ASSIGN_OR_RETURN(WireMessage pw, ReadMessage(conn));
-    if (pw.type != kMsgPassword) {
-      return AuthError("expected password message");
-    }
-    ByteReader pr(pw.body);
-    HQ_ASSIGN_OR_RETURN(std::string given, pr.GetCString());
-    bool ok;
-    if (options_.auth == AuthMode::kCleartext) {
-      ok = given == options_.password && user == options_.user;
-    } else {
-      std::string expect =
-          "md5" + ToyMd5(ToyMd5(options_.password + options_.user) + salt);
-      ok = given == expect;
-    }
-    if (!ok) {
-      ByteWriter out;
-      WriteMessage(&out, kMsgErrorResponse,
-                   ErrorBody(AuthError("password authentication failed")));
-      (void)conn->WriteAll(out.data());
-      return AuthError("password authentication failed");
-    }
-  }
-  HQ_RETURN_IF_ERROR(send(kMsgAuthentication, AuthBody(0)));
-
-  ByteWriter ps;
-  ps.PutCString("server_version");
-  ps.PutCString("9.2-hyperq-mini");
-  HQ_RETURN_IF_ERROR(send(kMsgParameterStatus, ps.Take()));
-  return send(kMsgReadyForQuery, ReadyBody());
-}
-
-void PgWireServer::RegisterFd(int fd) {
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  active_fds_.push_back(fd);
-}
-
-void PgWireServer::UnregisterFd(int fd) {
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  active_fds_.erase(std::remove(active_fds_.begin(), active_fds_.end(), fd),
-                    active_fds_.end());
-}
-
-void PgWireServer::HandleConnection(TcpConnection conn) {
-  RegisterFd(conn.fd());
-  struct Guard {
-    PgWireServer* s;
-    int fd;
-    ~Guard() {
-      s->UnregisterFd(fd);
-      s->active_count_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-  } guard{this, conn.fd()};
-  Status hs = Handshake(&conn);
-  if (!hs.ok()) {
-    HQ_LOG(Info) << "pg handshake failed: " << hs.ToString();
-    return;
-  }
-  auto session = db_->CreateSession();
-  // Per-connection reply buffers, reused across queries; bounded so one
-  // oversized result set does not pin its peak footprint.
-  constexpr size_t kArenaKeepBytes = 1u << 20;
-  Outgoing out;
-  while (running_) {
-    Result<WireMessage> msg = ReadMessage(&conn);
-    if (!msg.ok()) return;  // disconnect
-    if (msg->type == kMsgTerminate) return;
-    if (msg->type != kMsgQuery) continue;
-    if (out.arena.data().capacity() > kArenaKeepBytes) {
-      out.arena = ByteWriter();
-    }
-    BuildQueryReply(db_, session.get(), msg->body, &out);
-    // An egress fault behaves as the transport dying mid-response: the
-    // connection is dropped, never patched over with a second frame on a
-    // stream whose position is unknown.
-    if (FaultHit f = CheckFault("pgwire.write");
-        f.kind != FaultHit::Kind::kNone) {
-      if (f.kind == FaultHit::Kind::kShortWrite && !out.slices.empty()) {
-        (void)conn.WriteAll(out.slices[0].data,
-                            std::min(f.short_len, out.slices[0].len));
-      }
-      return;
-    }
-    if (!conn.WriteAllV(out.slices).ok()) return;
-    out.keepalive.reset();  // release the result's row set
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Event-loop model
-// ---------------------------------------------------------------------------
 
 /// Per-socket PG v3 protocol state machine on an event loop, the pgwire
 /// counterpart of the QIPC QipcEventConn (§3.4: each protocol translator
 /// maintains its state as an FSM). States follow the wire phases —
 /// startup → password-wait → ready → execute → respond — over a shared
 /// immutable transition table.
-class PgWireServer::PgEventConn final : public EventConn {
+class PgWireServer::PgEventConn final : public ServerConn {
  public:
   enum class St { kStartup, kPasswordWait, kReady, kExecute, kRespond };
   enum class Ev {
@@ -753,31 +552,9 @@ class PgWireServer::PgEventConn final : public EventConn {
   };
 
   PgEventConn(PgWireServer* server, EventLoop* loop, TcpConnection conn)
-      : EventConn(loop, std::move(conn)),
+      : ServerConn(&server->events_, loop, std::move(conn)),
         server_(server),
         fsm_(St::kStartup, &Table()) {}
-
-  /// Server drain (Stop): stop reading; an idle connection closes now, a
-  /// busy one finishes its in-flight query + response under a
-  /// force-close timer.
-  void BeginDrain() {
-    if (closed() || draining_) return;
-    draining_ = true;
-    PauseReads();
-    ::shutdown(fd(), SHUT_RD);
-    if (!executing_ && !write_pending()) {
-      Close();
-      return;
-    }
-    int bound = server_->options_.drain_timeout_ms > 0
-                    ? server_->options_.drain_timeout_ms
-                    : 1;
-    drain_timer_ = loop()->AddTimerAfter(std::chrono::milliseconds(bound),
-                                         [this] {
-                                           drain_timer_ = 0;
-                                           Close();
-                                         });
-  }
 
  protected:
   void OnData() override { Pump(); }
@@ -789,20 +566,12 @@ class PgWireServer::PgEventConn final : public EventConn {
     }
     if (fsm_.state() != St::kRespond) return;  // handshake frames drained
     (void)fsm_.Fire(Ev::kReplyDrained);
-    if (draining_) {
+    if (draining()) {
       Close();
       return;
     }
     ResumeReads();
     Pump();  // pipelined queries may already be buffered
-  }
-
-  void OnClosed() override {
-    if (drain_timer_ != 0) {
-      loop()->CancelTimer(drain_timer_);
-      drain_timer_ = 0;
-    }
-    server_->OnEventConnClosed(this);
   }
 
  private:
@@ -873,8 +642,7 @@ class PgWireServer::PgEventConn final : public EventConn {
 
   /// Extracts one complete typed message from rbuf_ if available.
   /// Returns false when the connection was closed (framing violation or
-  /// injected pgwire.read fault — the fault site the blocking
-  /// ReadMessage checks per message).
+  /// an injected pgwire.read fault, checked once per message).
   bool ExtractMessage(std::optional<WireMessage>* out) {
     size_t avail = rbuf_.size() - rpos_;
     if (avail < 5) {
@@ -904,7 +672,7 @@ class PgWireServer::PgEventConn final : public EventConn {
   }
 
   /// Startup packet: protocol check, user extraction, auth challenge (or
-  /// immediate grant under trust). Same bytes as the blocking Handshake.
+  /// immediate grant under trust).
   bool ProcessStartup(const std::vector<uint8_t>& body) {
     ByteReader r(body);
     Result<int32_t> protocol = r.GetI32BE();
@@ -1008,7 +776,7 @@ class PgWireServer::PgEventConn final : public EventConn {
       session_ = std::shared_ptr<sqldb::Session>(server_->db_->CreateSession());
     }
     auto self = std::static_pointer_cast<PgEventConn>(shared_from_this());
-    bool accepted = server_->exec_pool_->Submit(
+    bool accepted = Execute(
         [self, db = server_->db_, session = session_,
          body = std::move(body)] {
           auto out = std::make_shared<Outgoing>();
@@ -1028,8 +796,8 @@ class PgWireServer::PgEventConn final : public EventConn {
     if (closed()) return;
     (void)fsm_.Fire(Ev::kReplyReady);
     // An egress fault behaves as the transport dying mid-response
-    // (optionally after a short prefix) — same semantics as the
-    // blocking model's pgwire.write site.
+    // (optionally after a short prefix), never patched over with a second
+    // frame on a stream whose position is unknown.
     if (FaultHit f = CheckFault("pgwire.write");
         f.kind != FaultHit::Kind::kNone) {
       if (f.kind == FaultHit::Kind::kShortWrite && !out.slices.empty()) {
@@ -1052,139 +820,21 @@ class PgWireServer::PgEventConn final : public EventConn {
   Fsm<St, Ev> fsm_;
   std::shared_ptr<sqldb::Session> session_;
   std::string user_;
-  bool executing_ = false;
-  bool draining_ = false;
   bool close_after_reply_ = false;
-  uint64_t drain_timer_ = 0;
 };
 
-Status PgWireServer::StartEventModel() {
-  loops_ = std::make_unique<EventLoopGroup>(
-      options_.event_loop_threads > 0
-          ? static_cast<size_t>(options_.event_loop_threads)
-          : 0);
-  HQ_RETURN_IF_ERROR(loops_->Start());
-  exec_pool_ = std::make_unique<TaskPool>(
-      options_.exec_threads > 0 ? static_cast<size_t>(options_.exec_threads)
-                                : 0);
-  HQ_RETURN_IF_ERROR(listener_->SetNonBlocking(true));
-  running_ = true;
-  // Single dispatcher: loop 0 owns the listener and fans accepted sockets
-  // out across the group.
-  loops_->loop(0)->Post([this] {
-    listen_watch_ = loops_->loop(0)->AddWatch(
-        listener_->fd(), EPOLLIN, [this](uint32_t) { EventAcceptReady(); });
-  });
-  return Status::OK();
-}
-
-void PgWireServer::EventAcceptReady() {
-  while (true) {
-    Result<std::optional<TcpConnection>> pending = listener_->TryAccept();
-    if (!pending.ok()) {
-      if (running_ && !TcpListener::IsClosedError(pending.status())) {
-        HQ_LOG(Warning) << "pg accept failed: "
-                        << pending.status().ToString();
-      }
-      if (listen_watch_ != nullptr) {
-        loops_->loop(0)->RemoveWatch(listen_watch_);
-        listen_watch_ = nullptr;
-      }
-      return;
-    }
-    if (!pending->has_value()) return;  // accept queue drained
-    TcpConnection conn = std::move(**pending);
-    int prior = active_count_.fetch_add(1, std::memory_order_acq_rel);
-    if (prior >= effective_max_connections() || !running_) {
-      // Non-blocking refusal: close before any protocol byte.
-      active_count_.fetch_sub(1, std::memory_order_acq_rel);
-      continue;
-    }
-    EventLoop* target = loops_->Next();
-    auto ec = std::make_shared<PgEventConn>(this, target, std::move(conn));
-    {
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      event_conns_.emplace(ec.get(), ec);
-    }
-    target->Post([ec] {
-      if (!ec->Register().ok()) ec->Close();
-    });
-  }
-}
-
-void PgWireServer::OnEventConnClosed(EventConn* conn) {
-  active_count_.fetch_sub(1, std::memory_order_acq_rel);
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  event_conns_.erase(conn);
-  if (event_conns_.empty()) drain_cv_.notify_all();
-}
-
-void PgWireServer::StopEventModel() {
-  // 1. Stop accepting. The watch retirement must complete on the loop
-  // thread BEFORE the fd is closed here: close() racing the loop's
-  // epoll_ctl on the same descriptor is a genuine data race (and could
-  // hit a recycled fd number). The bounded wait covers the pathological
-  // case of a loop that died early (its posts are dropped).
-  {
-    auto removed = std::make_shared<std::promise<void>>();
-    std::future<void> done = removed->get_future();
-    loops_->loop(0)->Post([this, removed] {
-      if (listen_watch_ != nullptr) {
-        loops_->loop(0)->RemoveWatch(listen_watch_);
-        listen_watch_ = nullptr;
-      }
-      removed->set_value();
-    });
-    done.wait_for(std::chrono::seconds(2));
-  }
-  listener_->Close();
-  // 2. Drain every connection on its own loop: idle ones close now, busy
-  // ones finish their in-flight query + response under a per-connection
-  // force-close timer.
-  std::vector<std::shared_ptr<EventConn>> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    snapshot.reserve(event_conns_.size());
-    for (auto& [ptr, sp] : event_conns_) snapshot.push_back(sp);
-  }
-  for (auto& sp : snapshot) {
-    auto pc = std::static_pointer_cast<PgEventConn>(sp);
-    pc->loop()->Post([pc] { pc->BeginDrain(); });
-  }
-  snapshot.clear();
-  // 3. Bounded wait for the drain to finish.
-  {
-    std::unique_lock<std::mutex> lock(conn_mu_);
-    drain_cv_.wait_for(
-        lock,
-        std::chrono::milliseconds(options_.drain_timeout_ms + 1000),
-        [this] { return event_conns_.empty(); });
-  }
-  // 4. Queries still running finish here; their completion posts land on
-  // loops that are still alive.
-  exec_pool_->Stop();
-  // 5. Anything that survived the drain window is closed unconditionally.
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    snapshot.reserve(event_conns_.size());
-    for (auto& [ptr, sp] : event_conns_) snapshot.push_back(sp);
-  }
-  for (auto& sp : snapshot) {
-    sp->loop()->Post([sp] { sp->Close(); });
-  }
-  snapshot.clear();
-  {
-    std::unique_lock<std::mutex> lock(conn_mu_);
-    drain_cv_.wait_for(lock, std::chrono::milliseconds(1000),
-                       [this] { return event_conns_.empty(); });
-  }
-  // 6. Loops drain their remaining posts (connection releases) and exit.
-  loops_->Stop();
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    event_conns_.clear();
-  }
-}
+PgWireServer::PgWireServer(sqldb::Database* db, ServerOptions options)
+    : db_(db),
+      options_(std::move(options)),
+      events_("pgwire",
+              EventServer::Options{options_.event_loop_threads,
+                                   options_.exec_threads,
+                                   options_.max_connections,
+                                   options_.drain_timeout_ms},
+              [this](EventLoop* loop, TcpConnection conn) {
+                return std::make_shared<PgEventConn>(this, loop,
+                                                     std::move(conn));
+              }) {}
 
 }  // namespace pgwire
 }  // namespace hyperq

@@ -2,20 +2,12 @@
 #define HYPERQ_PROTOCOL_PGWIRE_PGWIRE_H_
 
 #include <cstdint>
-#include <atomic>
-#include <condition_variable>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
-#include "common/worker_pool.h"
-#include "net/event_loop.h"
+#include "net/event_server.h"
 #include "net/tcp.h"
 #include "sqldb/database.h"
 
@@ -91,90 +83,44 @@ struct ServerOptions {
   AuthMode auth = AuthMode::kTrust;
   std::string user = "hyperq";
   std::string password;
-  /// Connection-handling front end; see the PgWireServer class comment.
-  IoModel io_model = IoModel::kEventLoop;
-  /// Reactor threads for the event-loop model; 0 sizes to the hardware.
+  /// Reactor threads; 0 sizes to the hardware.
   int event_loop_threads = 0;
-  /// Query-execution threads for the event-loop model; 0 picks a small
-  /// hardware default.
+  /// Query-execution threads; 0 picks a small hardware default.
   int exec_threads = 0;
-  /// Hard cap on simultaneously served connections; 0 picks the model
-  /// default (256 thread-per-connection, 65536 event loop). Refused
-  /// sockets are closed before any protocol byte.
-  int max_connections = 0;
-  /// Stop() drain bound in milliseconds for the event-loop model: how
-  /// long an in-flight query may take to finish writing its response
-  /// before the connection is forced closed.
+  /// Hard cap on simultaneously served connections. Refused sockets are
+  /// closed before any protocol byte.
+  int max_connections = 65536;
+  /// Stop() drain bound in milliseconds: how long an in-flight query may
+  /// take to finish writing its response before the connection is forced
+  /// closed.
   int drain_timeout_ms = 5000;
 };
 
-/// Serves the mini PG engine over the PG v3 protocol. Two selectable
-/// front ends (ServerOptions::io_model), mirroring HyperQServer:
-///   - kEventLoop (default): an epoll reactor multiplexes every
-///     connection as a per-socket protocol state machine (startup →
-///     password-wait → ready → execute → respond); queries run on a
-///     TaskPool and responses drain asynchronously on EPOLLOUT.
-///   - kThreadPerConnection: the original model, one blocking handler
-///     thread per connection.
-/// Both models produce byte-identical wire traffic for the same requests
-/// (they share one response builder).
+/// Serves the mini PG engine over the PG v3 protocol on the shared
+/// EventServer (net/event_server.h), like HyperQServer: an epoll reactor
+/// multiplexes every connection as a per-socket protocol state machine
+/// (startup → password-wait → ready → execute → respond); queries run on
+/// a TaskPool and responses drain asynchronously on EPOLLOUT.
 class PgWireServer {
  public:
-  PgWireServer(sqldb::Database* db, ServerOptions options)
-      : db_(db), options_(std::move(options)) {}
-
-  /// Binds to 127.0.0.1:port (0 = ephemeral) and starts serving.
-  Status Start(uint16_t port);
-  uint16_t port() const { return port_; }
-  void Stop();
+  PgWireServer(sqldb::Database* db, ServerOptions options);
   ~PgWireServer() { Stop(); }
 
-  /// Admitted connections right now.
-  int active_connections() const {
-    return active_count_.load(std::memory_order_acquire);
-  }
+  /// Binds to 127.0.0.1:port (0 = ephemeral) and starts serving.
+  Status Start(uint16_t port) { return events_.Start(port); }
+  uint16_t port() const { return events_.port(); }
+  void Stop() { events_.Stop(); }
 
-  /// The configured cap with model defaults applied.
-  int effective_max_connections() const {
-    if (options_.max_connections > 0) return options_.max_connections;
-    return options_.io_model == IoModel::kEventLoop ? 65536 : 256;
-  }
+  /// Admitted connections right now.
+  int active_connections() const { return events_.active_connections(); }
 
  private:
   class PgEventConn;
   friend class PgEventConn;
 
-  // --- thread-per-connection model ---
-  void AcceptLoop();
-  void HandleConnection(TcpConnection conn);
-  Status Handshake(TcpConnection* conn);
-  void RegisterFd(int fd);
-  void UnregisterFd(int fd);
-  void StopThreadModel();
-
-  // --- event-loop model ---
-  Status StartEventModel();
-  void StopEventModel();
-  void EventAcceptReady();
-  void OnEventConnClosed(EventConn* conn);
-
   sqldb::Database* db_;
   ServerOptions options_;
-  uint16_t port_ = 0;
-  std::unique_ptr<TcpListener> listener_;
-  std::unique_ptr<std::thread> accept_thread_;
-  std::vector<std::thread> workers_;
-  std::atomic<bool> running_{false};
-  std::atomic<int> active_count_{0};
-  std::mutex conn_mu_;
-  std::condition_variable drain_cv_;
-  std::vector<int> active_fds_;
-
-  std::unique_ptr<EventLoopGroup> loops_;
-  std::unique_ptr<TaskPool> exec_pool_;
-  EventLoop::Watch* listen_watch_ = nullptr;  // loop-0-thread-only
-  /// Keeps every live event connection alive; guarded by conn_mu_.
-  std::unordered_map<EventConn*, std::shared_ptr<EventConn>> event_conns_;
+  EventServer events_;  // last: built from options_, destroyed first
 };
 
 /// Toy MD5-shaped hash used for the md5 auth flow. NOT cryptographic — it

@@ -38,6 +38,21 @@ int64_t EnvInt(const char* name, int64_t fallback) {
   return std::atoll(v);
 }
 
+/// The reply the server must send for `q`, computed in process: the
+/// session's result encoded contiguously, or its error status.
+std::vector<uint8_t> ExpectedQipcReply(HyperQSession* session,
+                                       const std::string& q) {
+  Result<QValue> result = session->Query(q);
+  if (!result.ok()) {
+    return qipc::EncodeError(result.status().ToString(),
+                             qipc::MsgType::kResponse);
+  }
+  Result<std::vector<uint8_t>> encoded =
+      qipc::EncodeMessage(*result, qipc::MsgType::kResponse);
+  EXPECT_TRUE(encoded.ok()) << q;
+  return encoded.ok() ? std::move(*encoded) : std::vector<uint8_t>();
+}
+
 /// Deterministic, stateless query pool: safe to replay in any order on a
 /// fresh server and compare raw response bytes.
 const std::vector<std::string>& QueryPool() {
@@ -126,28 +141,12 @@ class ChaosSoakTest : public ::testing::Test {
   sqldb::Database db_;
 };
 
-std::string IoModelName(const ::testing::TestParamInfo<IoModel>& info) {
-  return info.param == IoModel::kEventLoop ? "EventLoop" : "ThreadPerConn";
-}
-
-/// The chaos soak runs against both connection-handling front ends: the
-/// epoll event loop must absorb the same fault storm the blocking model
-/// does, and the replay half compares the two models' raw frames.
-class ChaosSoakIoModelTest : public ChaosSoakTest,
-                             public ::testing::WithParamInterface<IoModel> {};
-
-INSTANTIATE_TEST_SUITE_P(IoModels, ChaosSoakIoModelTest,
-                         ::testing::Values(IoModel::kEventLoop,
-                                           IoModel::kThreadPerConnection),
-                         IoModelName);
-
-TEST_P(ChaosSoakIoModelTest, SoakSurvivesSeededFaultsAndReplaysByteIdentical) {
+TEST_F(ChaosSoakTest, SoakSurvivesSeededFaultsAndReplaysByteIdentical) {
   const int64_t soak_ms = EnvInt("HYPERQ_SOAK_MS", 2000);
   const uint64_t seed =
       static_cast<uint64_t>(EnvInt("HYPERQ_SOAK_SEED", 42));
 
   HyperQServer::Options opts;
-  opts.io_model = GetParam();
   opts.default_deadline_ms = 500;  // deadlines active during the soak
   HyperQServer server(&db_, opts);
   ASSERT_TRUE(server.Start(0).ok());
@@ -255,10 +254,10 @@ TEST_P(ChaosSoakIoModelTest, SoakSurvivesSeededFaultsAndReplaysByteIdentical) {
   server.Stop();
   EXPECT_EQ(server.active_connections(), 0);
 
-  // Replay: the recorded (fault-free-deterministic) query stream against
-  // two fresh servers over fresh identical backends — one per io_model —
-  // must produce byte-identical response streams. This is both the
-  // run-to-run determinism check and the cross-model wire-parity oracle.
+  // Replay: the recorded (fault-free-deterministic) query stream served
+  // by a fresh server over a fresh identical backend must be byte-identical
+  // to an in-process oracle — one HyperQSession over another fresh
+  // backend, each reply encoded contiguously (errors with EncodeError).
   std::vector<std::string> replay;
   for (int tid = 0; tid < kClients && replay.size() < 200; ++tid) {
     for (const std::string& q : recorded[tid]) {
@@ -267,32 +266,30 @@ TEST_P(ChaosSoakIoModelTest, SoakSurvivesSeededFaultsAndReplaysByteIdentical) {
     }
   }
   ASSERT_FALSE(replay.empty());
-  auto run_replay = [&](IoModel model,
-                        std::vector<std::vector<uint8_t>>* out) {
+  std::vector<std::vector<uint8_t>> expected;
+  {
     sqldb::Database fresh;
     LoadInto(&fresh);
-    HyperQServer::Options ropts;
-    ropts.io_model = model;
-    HyperQServer replay_server(&fresh, ropts);
-    ASSERT_TRUE(replay_server.Start(0).ok());
-    Result<RawClient> rc = RawClient::Open(replay_server.port());
-    ASSERT_TRUE(rc.ok());
+    HyperQSession oracle(&fresh);
     for (const std::string& q : replay) {
-      Result<std::vector<uint8_t>> bytes = rc->Query(q);
-      ASSERT_TRUE(bytes.ok()) << q;
-      out->push_back(std::move(*bytes));
+      expected.push_back(ExpectedQipcReply(&oracle, q));
     }
-    rc->conn.Close();
-    replay_server.Stop();
-  };
-  std::vector<std::vector<uint8_t>> via_event, via_thread;
-  run_replay(IoModel::kEventLoop, &via_event);
-  run_replay(IoModel::kThreadPerConnection, &via_thread);
-  ASSERT_EQ(via_event.size(), via_thread.size());
-  for (size_t i = 0; i < via_event.size(); ++i) {
-    ASSERT_EQ(via_event[i], via_thread[i])
-        << "io models diverged at query " << i << ": " << replay[i];
   }
+  sqldb::Database fresh;
+  LoadInto(&fresh);
+  HyperQServer replay_server(&fresh, HyperQServer::Options());
+  ASSERT_TRUE(replay_server.Start(0).ok());
+  Result<RawClient> rc = RawClient::Open(replay_server.port());
+  ASSERT_TRUE(rc.ok());
+  for (size_t i = 0; i < replay.size(); ++i) {
+    Result<std::vector<uint8_t>> bytes = rc->Query(replay[i]);
+    ASSERT_TRUE(bytes.ok()) << replay[i];
+    ASSERT_EQ(*bytes, expected[i])
+        << "server diverged from the oracle at query " << i << ": "
+        << replay[i];
+  }
+  rc->conn.Close();
+  replay_server.Stop();
 }
 
 TEST_F(ChaosSoakTest, ShardedSoakSurvivesAndMixedReplayIsByteIdentical) {

@@ -6,7 +6,6 @@
 #include "core/hyperq.h"
 #include "core/loader.h"
 #include "core/metadata_cache.h"
-#include "core/plugins.h"
 #include "kdb/engine.h"
 
 namespace hyperq {
@@ -193,64 +192,6 @@ TEST(ScopesTest, SessionUpsertsVisibleAfterFunctionExit) {
   EXPECT_TRUE(scopes.Lookup("y").ok());  // visible inside
   scopes.PopLocal();
   EXPECT_EQ(scopes.session_vars().count("y"), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Plugin registry (§3: plugin-based architecture, version-aware components)
-// ---------------------------------------------------------------------------
-
-TEST(PluginRegistryTest, BuiltinsRegistered) {
-  PluginRegistry reg = PluginRegistry::WithBuiltins();
-  EXPECT_GE(reg.EndpointSystems().size(), 2u);  // kdb+ v2 and v3
-  EXPECT_GE(reg.BackendSystems().size(), 2u);   // postgres + greenplum
-}
-
-TEST(PluginRegistryTest, VersionAwareResolution) {
-  PluginRegistry reg = PluginRegistry::WithBuiltins();
-  // A v9.2-era request resolves to the v9 plugin (highest <= requested).
-  auto pg = reg.FindBackend("postgres", 9);
-  ASSERT_TRUE(pg.ok());
-  EXPECT_EQ((*pg)->id.version, 9);
-  auto newer = reg.FindBackend("postgres", 12);
-  ASSERT_TRUE(newer.ok());
-  EXPECT_EQ((*newer)->id.version, 9);
-
-  // kdb+ v3 client -> v3 endpoint; v2 client -> v2 endpoint.
-  EXPECT_EQ((*reg.FindEndpoint("kdb+", 3))->max_protocol_version, 3);
-  EXPECT_EQ((*reg.FindEndpoint("kdb+", 2))->max_protocol_version, 2);
-}
-
-TEST(PluginRegistryTest, UnknownSystemAndTooOldVersion) {
-  PluginRegistry reg = PluginRegistry::WithBuiltins();
-  EXPECT_EQ(reg.FindBackend("oracle", 12).status().code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(reg.FindEndpoint("kdb+", 1).status().code(),
-            StatusCode::kUnsupported);
-}
-
-TEST(PluginRegistryTest, DuplicateRegistrationRejected) {
-  PluginRegistry reg = PluginRegistry::WithBuiltins();
-  EndpointPlugin dup;
-  dup.id = {"kdb+", 3};
-  EXPECT_EQ(reg.RegisterEndpoint(std::move(dup)).code(),
-            StatusCode::kAlreadyExists);
-}
-
-TEST(PluginRegistryTest, CustomBackendPluginConnects) {
-  PluginRegistry reg;
-  BackendPlugin mock;
-  mock.id = {"mockdb", 1};
-  int connects = 0;
-  mock.connect = [&connects](const std::string&)
-      -> Result<std::unique_ptr<BackendGateway>> {
-    ++connects;
-    return NotFound("mock backend has no server");
-  };
-  ASSERT_TRUE(reg.RegisterBackend(std::move(mock)).ok());
-  auto plugin = reg.FindBackend("mockdb", 5);
-  ASSERT_TRUE(plugin.ok());
-  EXPECT_FALSE((*plugin)->connect("localhost:1").ok());
-  EXPECT_EQ(connects, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -29,17 +29,12 @@ constexpr bool kTsan = false;
 constexpr bool kTsan = false;
 #endif
 
-std::string IoModelName(const ::testing::TestParamInfo<IoModel>& info) {
-  return info.param == IoModel::kEventLoop ? "EventLoop"
-                                           : "ThreadPerConnection";
-}
-
 /// Concurrency hardening for the QIPC endpoint: many simultaneous
 /// unchanged-Q-application clients, admission control, idle timeouts,
 /// connection churn and drain-on-Stop() — the serving properties a
 /// production Hyper-Q needs on top of single-connection correctness
-/// (endpoint_test.cc). Parametrized over both connection front ends.
-class EndpointStressTest : public ::testing::TestWithParam<IoModel> {
+/// (endpoint_test.cc).
+class EndpointStressTest : public ::testing::Test {
  protected:
   void SetUp() override {
     MetricsRegistry::Global().ResetAll();
@@ -53,12 +48,6 @@ class EndpointStressTest : public ::testing::TestWithParam<IoModel> {
                         "09:30:03.000 09:30:04.000)")
                     .ok());
     ASSERT_TRUE(LoadQTable(&db_, "trades", *loader.GetGlobal("trades")).ok());
-  }
-
-  HyperQServer::Options Opts() const {
-    HyperQServer::Options opts;
-    opts.io_model = GetParam();
-    return opts;
   }
 
   /// Polls until the server's connection count drains to `expected`.
@@ -76,13 +65,8 @@ class EndpointStressTest : public ::testing::TestWithParam<IoModel> {
   sqldb::Database db_;
 };
 
-INSTANTIATE_TEST_SUITE_P(IoModels, EndpointStressTest,
-                         ::testing::Values(IoModel::kEventLoop,
-                                           IoModel::kThreadPerConnection),
-                         IoModelName);
-
-TEST_P(EndpointStressTest, SixteenClientsFiftyQueriesEach) {
-  HyperQServer server(&db_, Opts());
+TEST_F(EndpointStressTest, SixteenClientsFiftyQueriesEach) {
+  HyperQServer server(&db_, HyperQServer::Options());
   ASSERT_TRUE(server.Start(0).ok());
 
   constexpr int kClients = 16;
@@ -122,13 +106,14 @@ TEST_P(EndpointStressTest, SixteenClientsFiftyQueriesEach) {
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(wrong_answers.load(), 0);
 
-  // Every worker notices its client went away: the count drains to zero.
+  // The server notices every client went away: the count drains to zero.
   EXPECT_TRUE(WaitForActive(server, 0));
   server.Stop();
 }
 
-TEST_P(EndpointStressTest, StopDuringInFlightTrafficDrainsCleanly) {
-  auto server = std::make_unique<HyperQServer>(&db_, Opts());
+TEST_F(EndpointStressTest, StopDuringInFlightTrafficDrainsCleanly) {
+  auto server =
+      std::make_unique<HyperQServer>(&db_, HyperQServer::Options());
   ASSERT_TRUE(server->Start(0).ok());
 
   constexpr int kClients = 8;
@@ -161,13 +146,13 @@ TEST_P(EndpointStressTest, StopDuringInFlightTrafficDrainsCleanly) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(crashes_observed.load(), 0);
   EXPECT_GE(completed.load(), 50);
-  // Stop() joined all workers, so nothing is serving anymore.
+  // Stop() drained every connection, so nothing is serving anymore.
   EXPECT_EQ(server->active_connections(), 0);
   server.reset();
 }
 
-TEST_P(EndpointStressTest, MaxConnectionsRefusesGracefully) {
-  HyperQServer::Options opts = Opts();
+TEST_F(EndpointStressTest, MaxConnectionsRefusesGracefully) {
+  HyperQServer::Options opts;
   opts.max_connections = 2;
   HyperQServer server(&db_, opts);
   ASSERT_TRUE(server.Start(0).ok());
@@ -197,8 +182,8 @@ TEST_P(EndpointStressTest, MaxConnectionsRefusesGracefully) {
   server.Stop();
 }
 
-TEST_P(EndpointStressTest, IdleConnectionsTimeOut) {
-  HyperQServer::Options opts = Opts();
+TEST_F(EndpointStressTest, IdleConnectionsTimeOut) {
+  HyperQServer::Options opts;
   opts.read_timeout_ms = 100;
   HyperQServer server(&db_, opts);
   ASSERT_TRUE(server.Start(0).ok());
@@ -218,8 +203,8 @@ TEST_P(EndpointStressTest, IdleConnectionsTimeOut) {
   server.Stop();
 }
 
-TEST_P(EndpointStressTest, StatsBuiltinOverLiveQipcAfterMixedWorkload) {
-  HyperQServer::Options opts = Opts();
+TEST_F(EndpointStressTest, StatsBuiltinOverLiveQipcAfterMixedWorkload) {
+  HyperQServer::Options opts;
   opts.compress_responses = true;
   HyperQServer server(&db_, opts);
   ASSERT_TRUE(server.Start(0).ok());
@@ -285,13 +270,12 @@ TEST_P(EndpointStressTest, StatsBuiltinOverLiveQipcAfterMixedWorkload) {
   server.Stop();
 }
 
-/// Regression: Stop() used to hang behind a worker blocked in send() when
+/// Regression: Stop() used to hang behind a connection stuck writing when
 /// a client requested a response far larger than the socket buffers and
-/// then never read it. The thread model's bounded drain (SO_SNDTIMEO +
-/// write-side shutdown escalation) and the event loop's per-connection
-/// force-close timer must both get Stop() back within the configured
-/// window regardless of what the peer does.
-TEST_P(EndpointStressTest, StopDrainsBlockedWriterWithinBound) {
+/// then never read it. The per-connection force-close timer of the drain
+/// must get Stop() back within the configured window regardless of what
+/// the peer does.
+TEST_F(EndpointStressTest, StopDrainsBlockedWriterWithinBound) {
   // A response big enough to overflow loopback send+receive buffers, so
   // the serving side genuinely wedges mid-write.
   {
@@ -299,7 +283,7 @@ TEST_P(EndpointStressTest, StopDrainsBlockedWriterWithinBound) {
     ASSERT_TRUE(loader.EvalText("big: ([] a: til 2000000)").ok());
     ASSERT_TRUE(LoadQTable(&db_, "big", *loader.GetGlobal("big")).ok());
   }
-  HyperQServer::Options opts = Opts();
+  HyperQServer::Options opts;
   opts.drain_timeout_ms = 200;
   HyperQServer server(&db_, opts);
   ASSERT_TRUE(server.Start(0).ok());
@@ -317,7 +301,7 @@ TEST_P(EndpointStressTest, StopDrainsBlockedWriterWithinBound) {
   ASSERT_TRUE(msg.ok());
   ASSERT_TRUE(conn->WriteAll(*msg).ok());
 
-  // Give the worker time to execute the query and wedge in the write.
+  // Give the server time to execute the query and wedge in the write.
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
 
   auto t0 = std::chrono::steady_clock::now();
@@ -334,22 +318,20 @@ TEST_P(EndpointStressTest, StopDrainsBlockedWriterWithinBound) {
 /// C100K-scale connection churn: a large block of handshaken-but-idle
 /// connections, half of which disconnect at once, while fresh clients
 /// keep arriving. Admission, idle accounting and fd bookkeeping must all
-/// converge (no leaked slots, no stuck gauge). The event loop carries
-/// thousands of idle sessions; the thread model is exercised at a scale
-/// its one-thread-per-connection design can hold.
-TEST_P(EndpointStressTest, IdleConnectionChurnConvergesAccounting) {
+/// converge (no leaked slots, no stuck gauge) with thousands of idle
+/// sessions parked on the event loop.
+TEST_F(EndpointStressTest, IdleConnectionChurnConvergesAccounting) {
   struct rlimit nofile{};
   ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &nofile), 0);
   // Client fd + server fd per connection, plus generous headroom for the
   // suite's own files, loops and listeners.
   int fd_budget = static_cast<int>((nofile.rlim_cur - 200) / 2);
-  int target = GetParam() == IoModel::kEventLoop ? 2000 : 96;
+  int target = 2000;
   if (kTsan) target = std::min(target, 256);
   target = std::min(target, fd_budget);
   ASSERT_GT(target, 8) << "file descriptor limit too low for churn test";
 
-  HyperQServer::Options opts = Opts();
-  HyperQServer server(&db_, opts);
+  HyperQServer server(&db_, HyperQServer::Options());
   ASSERT_TRUE(server.Start(0).ok());
 
   // Open the idle block: handshake only, no queries — each one should

@@ -10,17 +10,25 @@
 namespace hyperq {
 namespace {
 
-std::string IoModelName(const ::testing::TestParamInfo<IoModel>& info) {
-  return info.param == IoModel::kEventLoop ? "EventLoop"
-                                           : "ThreadPerConnection";
+/// The reply the server must send for `q`, computed in process: the
+/// session's result encoded contiguously, or its error status.
+std::vector<uint8_t> ExpectedQipcReply(HyperQSession* session,
+                                       const std::string& q) {
+  Result<QValue> result = session->Query(q);
+  if (!result.ok()) {
+    return qipc::EncodeError(result.status().ToString(),
+                             qipc::MsgType::kResponse);
+  }
+  Result<std::vector<uint8_t>> encoded =
+      qipc::EncodeMessage(*result, qipc::MsgType::kResponse);
+  EXPECT_TRUE(encoded.ok()) << q;
+  return encoded.ok() ? std::move(*encoded) : std::vector<uint8_t>();
 }
 
 /// The full paper pipeline over real sockets: an unchanged "Q application"
 /// (QipcClient) talks QIPC to Hyper-Q, which translates and executes
-/// against the PG-compatible backend (§3 Query Life Cycle). Parametrized
-/// over both connection-handling front ends — the event-loop reactor and
-/// the thread-per-connection baseline must be interchangeable.
-class EndpointTest : public ::testing::TestWithParam<IoModel> {
+/// against the PG-compatible backend (§3 Query Life Cycle).
+class EndpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
     kdb::Interpreter loader;
@@ -33,28 +41,17 @@ class EndpointTest : public ::testing::TestWithParam<IoModel> {
                         "09:30:03.000 09:30:04.000)")
                     .ok());
     ASSERT_TRUE(LoadQTable(&db_, "trades", *loader.GetGlobal("trades")).ok());
-    server_ = std::make_unique<HyperQServer>(&db_, Opts());
+    server_ = std::make_unique<HyperQServer>(&db_, HyperQServer::Options());
     ASSERT_TRUE(server_->Start(0).ok());
   }
 
   void TearDown() override { server_->Stop(); }
 
-  HyperQServer::Options Opts() const {
-    HyperQServer::Options opts;
-    opts.io_model = GetParam();
-    return opts;
-  }
-
   sqldb::Database db_;
   std::unique_ptr<HyperQServer> server_;
 };
 
-INSTANTIATE_TEST_SUITE_P(IoModels, EndpointTest,
-                         ::testing::Values(IoModel::kEventLoop,
-                                           IoModel::kThreadPerConnection),
-                         IoModelName);
-
-TEST_P(EndpointTest, QueryLifeCycleOverQipc) {
+TEST_F(EndpointTest, QueryLifeCycleOverQipc) {
   auto client =
       QipcClient::Connect("127.0.0.1", server_->port(), "trader", "pw");
   ASSERT_TRUE(client.ok()) << client.status().ToString();
@@ -67,7 +64,7 @@ TEST_P(EndpointTest, QueryLifeCycleOverQipc) {
   client->Close();
 }
 
-TEST_P(EndpointTest, MultipleQueriesShareSessionState) {
+TEST_F(EndpointTest, MultipleQueriesShareSessionState) {
   auto client =
       QipcClient::Connect("127.0.0.1", server_->port(), "trader", "pw");
   ASSERT_TRUE(client.ok());
@@ -80,7 +77,7 @@ TEST_P(EndpointTest, MultipleQueriesShareSessionState) {
   client->Close();
 }
 
-TEST_P(EndpointTest, ErrorsTravelAsQipcErrors) {
+TEST_F(EndpointTest, ErrorsTravelAsQipcErrors) {
   auto client =
       QipcClient::Connect("127.0.0.1", server_->port(), "trader", "pw");
   ASSERT_TRUE(client.ok());
@@ -93,7 +90,7 @@ TEST_P(EndpointTest, ErrorsTravelAsQipcErrors) {
   client->Close();
 }
 
-TEST_P(EndpointTest, AggregateAtomOverWire) {
+TEST_F(EndpointTest, AggregateAtomOverWire) {
   auto client =
       QipcClient::Connect("127.0.0.1", server_->port(), "trader", "pw");
   ASSERT_TRUE(client.ok());
@@ -104,8 +101,8 @@ TEST_P(EndpointTest, AggregateAtomOverWire) {
   client->Close();
 }
 
-TEST_P(EndpointTest, CompressedResponsesDecodeTransparently) {
-  HyperQServer::Options opts = Opts();
+TEST_F(EndpointTest, CompressedResponsesDecodeTransparently) {
+  HyperQServer::Options opts;
   opts.compress_responses = true;
   HyperQServer compressed(&db_, opts);
   ASSERT_TRUE(compressed.Start(0).ok());
@@ -120,8 +117,8 @@ TEST_P(EndpointTest, CompressedResponsesDecodeTransparently) {
   compressed.Stop();
 }
 
-TEST_P(EndpointTest, AuthRejectionClosesConnection) {
-  HyperQServer::Options opts = Opts();
+TEST_F(EndpointTest, AuthRejectionClosesConnection) {
+  HyperQServer::Options opts;
   opts.user = "alice";
   opts.password = "correct";
   HyperQServer secured(&db_, opts);
@@ -135,7 +132,7 @@ TEST_P(EndpointTest, AuthRejectionClosesConnection) {
   secured.Stop();
 }
 
-TEST_P(EndpointTest, ConcurrentClients) {
+TEST_F(EndpointTest, ConcurrentClients) {
   // kdb+ serializes requests (§2.2); Hyper-Q allows concurrent sessions
   // ("configurable concurrency" is one of its improvements, §5).
   constexpr int kClients = 4;
@@ -160,11 +157,10 @@ TEST_P(EndpointTest, ConcurrentClients) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST_P(EndpointTest, PipelinedRequestsAreServedInOrder) {
+TEST_F(EndpointTest, PipelinedRequestsAreServedInOrder) {
   // A q client may write several sync messages back to back before reading
   // any reply; the server must answer each, in order. The event loop
-  // decodes the burst out of one read buffer; the thread model naturally
-  // serializes on its blocking loop.
+  // decodes the burst out of one read buffer.
   Result<TcpConnection> conn =
       TcpConnection::Connect("127.0.0.1", server_->port());
   ASSERT_TRUE(conn.ok());
@@ -197,10 +193,13 @@ TEST_P(EndpointTest, PipelinedRequestsAreServedInOrder) {
   conn->Close();
 }
 
-/// Both front ends must put exactly the same bytes on the wire for the
-/// same request stream — the A/B selectability of Options::io_model is
-/// only sound if the models are indistinguishable to a byte-level client.
-TEST(IoModelParityTest, QipcResponsesAreByteIdenticalAcrossIoModels) {
+/// The server's raw frames must equal an in-process encoding of the same
+/// request stream: one HyperQSession over a fresh identical backend, each
+/// success encoded with the contiguous qipc::EncodeMessage and each error
+/// with qipc::EncodeError. This pins the whole serving path — handshake,
+/// framing, the scatter encoder against the contiguous one, error text —
+/// to an oracle that shares none of the server's reply code.
+TEST(QipcWireOracleTest, ServerFramesEqualInProcessEncoding) {
   const std::vector<std::string> queries = {
       "select Price from trades where Symbol=`GOOG",
       "select Size wavg Price by Symbol from trades",
@@ -210,58 +209,60 @@ TEST(IoModelParityTest, QipcResponsesAreByteIdenticalAcrossIoModels) {
       "select from trades where Price>PX",
       "1+1",
   };
-
-  auto serve_raw = [&](IoModel model, std::vector<std::vector<uint8_t>>* out) {
-    sqldb::Database db;
-    {
-      kdb::Interpreter loader;
-      ASSERT_TRUE(loader
-                      .EvalText(
-                          "trades: ([] Symbol:`GOOG`IBM`GOOG`MSFT`IBM;"
-                          " Price:720.5 151.2 721.0 52.1 150.9;"
-                          " Size:100 200 150 300 120;"
-                          " Time:09:30:00.000 09:30:01.000 09:30:02.000 "
-                          "09:30:03.000 09:30:04.000)")
-                      .ok());
-      ASSERT_TRUE(
-          LoadQTable(&db, "trades", *loader.GetGlobal("trades")).ok());
-    }
-    HyperQServer::Options opts;
-    opts.io_model = model;
-    HyperQServer server(&db, opts);
-    ASSERT_TRUE(server.Start(0).ok());
-
-    Result<TcpConnection> conn =
-        TcpConnection::Connect("127.0.0.1", server.port());
-    ASSERT_TRUE(conn.ok());
-    ASSERT_TRUE(conn->WriteAll(qipc::EncodeHandshake("parity", "pw")).ok());
-    Result<std::vector<uint8_t>> ack = conn->ReadExact(1);
-    ASSERT_TRUE(ack.ok());
-    out->push_back(*ack);
-    for (const std::string& q : queries) {
-      auto msg = qipc::EncodeMessage(QValue::Chars(q), qipc::MsgType::kSync);
-      ASSERT_TRUE(msg.ok());
-      ASSERT_TRUE(conn->WriteAll(*msg).ok());
-      uint8_t header[8];
-      ASSERT_TRUE(conn->ReadExactInto(header, 8).ok());
-      Result<uint32_t> len = qipc::PeekMessageLength(header);
-      ASSERT_TRUE(len.ok());
-      std::vector<uint8_t> whole(*len);
-      std::memcpy(whole.data(), header, 8);
-      ASSERT_TRUE(conn->ReadExactInto(whole.data() + 8, *len - 8).ok());
-      out->push_back(std::move(whole));
-    }
-    conn->Close();
-    server.Stop();
+  auto load = [](sqldb::Database* db) {
+    kdb::Interpreter loader;
+    ASSERT_TRUE(loader
+                    .EvalText(
+                        "trades: ([] Symbol:`GOOG`IBM`GOOG`MSFT`IBM;"
+                        " Price:720.5 151.2 721.0 52.1 150.9;"
+                        " Size:100 200 150 300 120;"
+                        " Time:09:30:00.000 09:30:01.000 09:30:02.000 "
+                        "09:30:03.000 09:30:04.000)")
+                    .ok());
+    ASSERT_TRUE(LoadQTable(db, "trades", *loader.GetGlobal("trades")).ok());
   };
 
-  std::vector<std::vector<uint8_t>> via_event, via_thread;
-  serve_raw(IoModel::kEventLoop, &via_event);
-  serve_raw(IoModel::kThreadPerConnection, &via_thread);
-  ASSERT_EQ(via_event.size(), via_thread.size());
-  for (size_t i = 0; i < via_event.size(); ++i) {
-    ASSERT_EQ(via_event[i], via_thread[i])
-        << "io models diverged at frame " << i;
+  std::vector<std::vector<uint8_t>> expected = {{3}};  // handshake ack
+  {
+    sqldb::Database db;
+    load(&db);
+    HyperQSession session(&db);
+    for (const std::string& q : queries) {
+      expected.push_back(ExpectedQipcReply(&session, q));
+    }
+  }
+
+  sqldb::Database db;
+  load(&db);
+  HyperQServer server(&db, HyperQServer::Options());
+  ASSERT_TRUE(server.Start(0).ok());
+  Result<TcpConnection> conn =
+      TcpConnection::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(conn->WriteAll(qipc::EncodeHandshake("oracle", "pw")).ok());
+  std::vector<std::vector<uint8_t>> served;
+  Result<std::vector<uint8_t>> ack = conn->ReadExact(1);
+  ASSERT_TRUE(ack.ok());
+  served.push_back(*ack);
+  for (const std::string& q : queries) {
+    auto msg = qipc::EncodeMessage(QValue::Chars(q), qipc::MsgType::kSync);
+    ASSERT_TRUE(msg.ok());
+    ASSERT_TRUE(conn->WriteAll(*msg).ok());
+    uint8_t header[8];
+    ASSERT_TRUE(conn->ReadExactInto(header, 8).ok());
+    Result<uint32_t> len = qipc::PeekMessageLength(header);
+    ASSERT_TRUE(len.ok());
+    std::vector<uint8_t> whole(*len);
+    std::memcpy(whole.data(), header, 8);
+    ASSERT_TRUE(conn->ReadExactInto(whole.data() + 8, *len - 8).ok());
+    served.push_back(std::move(whole));
+  }
+  conn->Close();
+  server.Stop();
+
+  ASSERT_EQ(served.size(), expected.size());
+  for (size_t i = 0; i < served.size(); ++i) {
+    EXPECT_EQ(served[i], expected[i]) << "frame " << i;
   }
 }
 

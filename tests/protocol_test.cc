@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "protocol/pgwire/pgwire.h"
 #include "protocol/qipc/qipc.h"
 #include "qval/temporal.h"
@@ -116,26 +118,6 @@ TEST(QipcTest, TruncatedMessageIsProtocolError) {
   EXPECT_FALSE(qipc::DecodeMessage(cut).ok());
 }
 
-std::string IoModelName(const ::testing::TestParamInfo<IoModel>& info) {
-  return info.param == IoModel::kEventLoop ? "EventLoop"
-                                           : "ThreadPerConnection";
-}
-
-/// PG v3 server tests parametrized over both connection front ends.
-class PgWireServerTest : public ::testing::TestWithParam<IoModel> {
- protected:
-  pgwire::ServerOptions Opts() const {
-    pgwire::ServerOptions opts;
-    opts.io_model = GetParam();
-    return opts;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(IoModels, PgWireServerTest,
-                         ::testing::Values(IoModel::kEventLoop,
-                                           IoModel::kThreadPerConnection),
-                         IoModelName);
-
 TEST(PgWireTest, OidMappingIsInverse) {
   using sqldb::SqlType;
   for (SqlType t : {SqlType::kBoolean, SqlType::kSmallInt, SqlType::kInteger,
@@ -158,7 +140,7 @@ TEST(PgWireTest, MessageFraming) {
 }
 
 /// Full server round trip over real TCP: startup, auth, query, results.
-TEST_P(PgWireServerTest, EndToEndQueryOverWire) {
+TEST(PgWireServerTest, EndToEndQueryOverWire) {
   sqldb::Database db;
   {
     auto session = db.CreateSession();
@@ -170,7 +152,7 @@ TEST_P(PgWireServerTest, EndToEndQueryOverWire) {
                            "(3, NULL)")
                     .ok());
   }
-  pgwire::PgWireServer server(&db, Opts());
+  pgwire::PgWireServer server(&db, pgwire::ServerOptions());
   ASSERT_TRUE(server.Start(0).ok());
 
   auto client = pgwire::PgWireClient::Connect("127.0.0.1", server.port(),
@@ -195,9 +177,9 @@ TEST_P(PgWireServerTest, EndToEndQueryOverWire) {
   server.Stop();
 }
 
-TEST_P(PgWireServerTest, CleartextAuthFlow) {
+TEST(PgWireServerTest, CleartextAuthFlow) {
   sqldb::Database db;
-  pgwire::ServerOptions opts = Opts();
+  pgwire::ServerOptions opts;
   opts.auth = pgwire::AuthMode::kCleartext;
   opts.user = "gp";
   opts.password = "secret";
@@ -214,9 +196,9 @@ TEST_P(PgWireServerTest, CleartextAuthFlow) {
   server.Stop();
 }
 
-TEST_P(PgWireServerTest, Md5AuthFlow) {
+TEST(PgWireServerTest, Md5AuthFlow) {
   sqldb::Database db;
-  pgwire::ServerOptions opts = Opts();
+  pgwire::ServerOptions opts;
   opts.auth = pgwire::AuthMode::kMd5;
   opts.user = "gp";
   opts.password = "secret";
@@ -229,11 +211,42 @@ TEST_P(PgWireServerTest, Md5AuthFlow) {
   server.Stop();
 }
 
-/// Both front ends must put exactly the same bytes on the wire: a raw
-/// byte-level PG client runs the same startup + query sequence against a
-/// thread-per-connection server and an event-loop server and compares the
-/// full response streams, handshake included.
-TEST(PgWireParityTest, ResponsesAreByteIdenticalAcrossIoModels) {
+/// The server must put exactly the recorded bytes on the wire: a raw
+/// byte-level PG client runs a startup + query sequence and compares the
+/// full response stream, handshake included, with a golden recording.
+TEST(PgWireParityTest, ResponsesMatchRecordedStream) {
+  using namespace std::string_view_literals;
+  constexpr std::string_view kRecorded =
+      // Trust startup: AuthenticationOk, ParameterStatus, ReadyForQuery.
+      "R\x00\x00\x00\x08\x00\x00\x00\x00"
+      "S\x00\x00\x00#server_version\x00\x39.2-hyperq-mini\x00"
+      "Z\x00\x00\x00\x05I"
+      // SELECT a, b FROM t ORDER BY a
+      "T\x00\x00\x00.\x00\x02\x61\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+      "\x00\x14\xff\xff\xff\xff\xff\xff\x00\x00\x62\x00\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x04\x13\xff\xff\xff\xff\xff\xff\x00\x00"
+      "D\x00\x00\x00\x10\x00\x02\x00\x00\x00\x01\x31\x00\x00\x00\x01x"
+      "D\x00\x00\x00\x10\x00\x02\x00\x00\x00\x01\x32\x00\x00\x00\x01y"
+      "D\x00\x00\x00\x0f\x00\x02\x00\x00\x00\x01\x33\xff\xff\xff\xff"
+      "C\x00\x00\x00\x0dSELECT 3\x00"
+      "Z\x00\x00\x00\x05I"
+      // SELECT COUNT(*) FROM t
+      "T\x00\x00\x00\x1e\x00\x01\x63ount\x00\x00\x00\x00\x00\x00\x00"
+      "\x00\x00\x00\x14\xff\xff\xff\xff\xff\xff\x00\x00"
+      "D\x00\x00\x00\x0b\x00\x01\x00\x00\x00\x01\x33"
+      "C\x00\x00\x00\x0dSELECT 1\x00"
+      "Z\x00\x00\x00\x05I"
+      // SELECT nope FROM t: ErrorResponse
+      "E\x00\x00\x00YSERROR\x00\x43XX000\x00"
+      "MBindError: column \"nope\" does not exist; available columns: "
+      "t.a, t.b\x00\x00"
+      "Z\x00\x00\x00\x05I"
+      // SELECT b FROM t WHERE a = 2
+      "T\x00\x00\x00\x1a\x00\x01\x62\x00\x00\x00\x00\x00\x00\x00\x00"
+      "\x00\x04\x13\xff\xff\xff\xff\xff\xff\x00\x00"
+      "D\x00\x00\x00\x0b\x00\x01\x00\x00\x00\x01y"
+      "C\x00\x00\x00\x0dSELECT 1\x00"
+      "Z\x00\x00\x00\x05I"sv;
   const std::vector<std::string> queries = {
       "SELECT a, b FROM t ORDER BY a",
       "SELECT COUNT(*) FROM t",
@@ -258,7 +271,7 @@ TEST(PgWireParityTest, ResponsesAreByteIdenticalAcrossIoModels) {
     return true;
   };
 
-  auto serve_raw = [&](IoModel model, std::vector<uint8_t>* stream) {
+  auto serve_raw = [&](std::vector<uint8_t>* stream) {
     sqldb::Database db;
     {
       auto session = db.CreateSession();
@@ -270,9 +283,7 @@ TEST(PgWireParityTest, ResponsesAreByteIdenticalAcrossIoModels) {
                              "(3, NULL)")
                       .ok());
     }
-    pgwire::ServerOptions opts;
-    opts.io_model = model;
-    pgwire::PgWireServer server(&db, opts);
+    pgwire::PgWireServer server(&db, pgwire::ServerOptions());
     ASSERT_TRUE(server.Start(0).ok());
 
     Result<TcpConnection> conn =
@@ -314,11 +325,11 @@ TEST(PgWireParityTest, ResponsesAreByteIdenticalAcrossIoModels) {
     server.Stop();
   };
 
-  std::vector<uint8_t> via_event, via_thread;
-  serve_raw(IoModel::kEventLoop, &via_event);
-  serve_raw(IoModel::kThreadPerConnection, &via_thread);
-  ASSERT_EQ(via_event.size(), via_thread.size());
-  EXPECT_EQ(via_event, via_thread);
+  std::vector<uint8_t> served;
+  serve_raw(&served);
+  EXPECT_EQ(std::string_view(reinterpret_cast<const char*>(served.data()),
+                             served.size()),
+            kRecorded);
 }
 
 }  // namespace
