@@ -213,7 +213,7 @@ Result<const uint8_t*> ByteReader::Raw(size_t len) {
 Status ByteReader::GetI64ArrayLE(int64_t* out, size_t n) {
   HQ_ASSIGN_OR_RETURN(const uint8_t* p, Raw(n * sizeof(int64_t)));
   if constexpr (kHostIsLittleEndian) {
-    std::memcpy(out, p, n * sizeof(int64_t));
+    if (n > 0) std::memcpy(out, p, n * sizeof(int64_t));  // out may be null
   } else {
     for (size_t i = 0; i < n; ++i) {
       out[i] = static_cast<int64_t>(ReadLE<uint64_t>(p + i * 8));
@@ -225,7 +225,7 @@ Status ByteReader::GetI64ArrayLE(int64_t* out, size_t n) {
 Status ByteReader::GetF64ArrayLE(double* out, size_t n) {
   HQ_ASSIGN_OR_RETURN(const uint8_t* p, Raw(n * sizeof(double)));
   if constexpr (kHostIsLittleEndian) {
-    std::memcpy(out, p, n * sizeof(double));
+    if (n > 0) std::memcpy(out, p, n * sizeof(double));  // out may be null
   } else {
     for (size_t i = 0; i < n; ++i) {
       uint64_t bits = ReadLE<uint64_t>(p + i * 8);

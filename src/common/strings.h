@@ -1,6 +1,7 @@
 #ifndef HYPERQ_COMMON_STRINGS_H_
 #define HYPERQ_COMMON_STRINGS_H_
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -26,6 +27,17 @@ std::string_view StripWhitespace(std::string_view text);
 
 bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);
+
+/// 64-bit FNV-1a. Stable across processes, builds and platforms (std::hash
+/// is none of these), so shard placement may depend on it.
+inline uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
 
 /// Concatenates stream-formattable arguments into one string. Used for
 /// building error messages: StrCat("unknown column '", name, "'").

@@ -41,6 +41,27 @@ double MicrosSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// Serializes a planned distribution. A rewrite that does not distribute,
+/// or does not serialize, yields an empty plan: planning failures never
+/// fail translation, and the fallback path stays correct.
+ShardPlan ToShardPlan(ShardRewrite rewrite) {
+  if (rewrite.mode == ShardMode::kNone) return ShardPlan{};
+  ShardPlan plan;
+  if (rewrite.partial != nullptr) {
+    Result<std::string> p = Serializer().Serialize(rewrite.partial);
+    if (!p.ok()) return ShardPlan{};
+    plan.partial_sql = std::move(*p);
+  }
+  Result<std::string> m = Serializer().Serialize(rewrite.merge);
+  if (!m.ok()) return ShardPlan{};
+  plan.mode = rewrite.mode;
+  plan.table = std::move(rewrite.table);
+  plan.merge_sql = std::move(*m);
+  plan.routed = rewrite.routed;
+  plan.route_key = std::move(rewrite.route_key);
+  return plan;
+}
+
 }  // namespace
 
 std::string QueryTranslator::NextTempName() {
@@ -187,8 +208,7 @@ Result<Translation> QueryTranslator::TranslateFingerprintMiss(
   }
   out.shape = bound.shape;
   out.key_columns = bound.key_columns;
-  PlanSharding(bound.root, &out);
-  PlanHybrid(bound.root, &out);
+  PlanDistribution(bound.root, &out);
 
   // Value-dependent bindings make the translation specific to this
   // session's variables: return it, but never share it through the cache.
@@ -438,55 +458,18 @@ Status QueryTranslator::EmitResultQuery(const AstPtr& expr, Binder* binder,
   }
   out->shape = bound.shape;
   out->key_columns = bound.key_columns;
-  PlanSharding(bound.root, out);
-  PlanHybrid(bound.root, out);
+  PlanDistribution(bound.root, out);
   return Status::OK();
 }
 
-void QueryTranslator::PlanSharding(const xtra::XtraPtr& root,
-                                   Translation* out) {
-  out->shard = ShardPlan{};
-  if (!options_.shard_info) return;
-  ShardRewrite rewrite = PlanShardRewrite(root, options_.shard_info);
-  if (rewrite.mode == ShardMode::kNone) return;
-  std::string partial_sql;
-  if (rewrite.partial != nullptr) {
-    Serializer partial_ser;
-    Result<std::string> p = partial_ser.Serialize(rewrite.partial);
-    if (!p.ok()) return;
-    partial_sql = std::move(*p);
-  }
-  Serializer merge_ser;
-  Result<std::string> m = merge_ser.Serialize(rewrite.merge);
-  if (!m.ok()) return;
-  out->shard.mode = rewrite.mode;
-  out->shard.table = std::move(rewrite.table);
-  out->shard.partial_sql = std::move(partial_sql);
-  out->shard.merge_sql = std::move(*m);
-  out->shard.routed = rewrite.routed;
-  out->shard.route_key = std::move(rewrite.route_key);
-}
-
-void QueryTranslator::PlanHybrid(const xtra::XtraPtr& root,
-                                 Translation* out) {
-  out->hybrid = ShardPlan{};
-  if (!options_.live_info) return;
-  ShardRewrite rewrite = PlanHybridRewrite(root, options_.live_info);
-  if (rewrite.mode == ShardMode::kNone) return;
-  std::string partial_sql;
-  if (rewrite.partial != nullptr) {
-    Serializer partial_ser;
-    Result<std::string> p = partial_ser.Serialize(rewrite.partial);
-    if (!p.ok()) return;
-    partial_sql = std::move(*p);
-  }
-  Serializer merge_ser;
-  Result<std::string> m = merge_ser.Serialize(rewrite.merge);
-  if (!m.ok()) return;
-  out->hybrid.mode = rewrite.mode;
-  out->hybrid.table = std::move(rewrite.table);
-  out->hybrid.partial_sql = std::move(partial_sql);
-  out->hybrid.merge_sql = std::move(*m);
+void QueryTranslator::PlanDistribution(const xtra::XtraPtr& root,
+                                       Translation* out) {
+  out->shard = options_.shard_info
+                   ? ToShardPlan(PlanShardRewrite(root, options_.shard_info))
+                   : ShardPlan{};
+  out->hybrid = options_.live_info
+                    ? ToShardPlan(PlanHybridRewrite(root, options_.live_info))
+                    : ShardPlan{};
 }
 
 }  // namespace hyperq

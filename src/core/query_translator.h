@@ -112,12 +112,10 @@ class QueryTranslator {
                              Translation* out, bool* produced_result);
   Status EmitResultQuery(const AstPtr& expr, Binder* binder,
                          Translation* out);
-  /// Classifies the transformed tree for scatter-gather and serializes the
-  /// per-shard / merge SQL into out->shard. Planning failures only clear
-  /// the plan (the fallback path stays correct), never fail translation.
-  void PlanSharding(const xtra::XtraPtr& root, Translation* out);
-  /// Same, for the hybrid live/historical split (Translation::hybrid).
-  void PlanHybrid(const xtra::XtraPtr& root, Translation* out);
+  /// Classifies the transformed tree for scatter-gather (out->shard) and
+  /// for the hybrid live/historical split (out->hybrid), serializing each
+  /// plan's partial and merge SQL.
+  void PlanDistribution(const xtra::XtraPtr& root, Translation* out);
   Status MaterializeQuery(const std::string& var_name, const AstPtr& expr,
                           Binder* binder, Translation* out);
 

@@ -130,7 +130,7 @@ Result<sqldb::QueryResult> HybridGateway::SplitExecute(const Translation& t) {
     return DeadlineExceeded("ingest.hybrid");
   }
   Status statuses[2] = {Status::OK(), Status::OK()};
-  sqldb::QueryResult partials[2];
+  std::vector<sqldb::QueryResult> partials(2);
   {
     // The tail partial runs against a gateway-private database whose
     // catalog holds the pinned snapshot as a first-class table — NOT as a
@@ -181,24 +181,9 @@ Result<sqldb::QueryResult> HybridGateway::SplitExecute(const Translation& t) {
   // Gather historical-then-tail into the merge engine's partials table.
   // Concatenation order never reaches results: every merge plan re-sorts
   // by explicit keys (ordcol tiebreak or group keys).
-  auto gathered = std::make_shared<sqldb::StoredTable>();
-  gathered->name = kShardPartialsTable;
-  gathered->columns = partials[0].columns;
-  gathered->row_count = partials[0].data.row_count + partials[1].data.row_count;
-  gathered->data.reserve(gathered->columns.size());
-  for (size_t c = 0; c < gathered->columns.size(); ++c) {
-    sqldb::ColumnPtr col = sqldb::Column::Make(gathered->columns[c].type);
-    col->Reserve(gathered->row_count);
-    for (const sqldb::QueryResult& p : partials) {
-      col->AppendColumn(*p.data.columns[c]);
-    }
-    gathered->data.push_back(std::move(col));
-  }
-
-  merge_session_->temp_tables()[kShardPartialsTable] = std::move(gathered);
-  Result<sqldb::QueryResult> mergedr =
-      merge_db_.Execute(merge_session_.get(), t.hybrid.merge_sql);
-  merge_session_->temp_tables().erase(kShardPartialsTable);
+  Result<sqldb::QueryResult> mergedr = merge_db_.ExecuteOverParts(
+      merge_session_.get(), kShardPartialsTable, partials,
+      t.hybrid.merge_sql);
   if (!mergedr.ok()) {
     metrics.errors->Increment();
     return mergedr.status();

@@ -1,5 +1,6 @@
 #include "protocol/qipc/qipc.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -577,10 +578,22 @@ Result<QValue> DecodeList(QType t, ByteReader* r) {
   HQ_ASSIGN_OR_RETURN(int32_t count, r->GetI32LE());
   if (count < 0) return ProtocolError("negative list length");
   size_t n = static_cast<size_t>(count);
+  // The count is untrusted: allocate only what the bytes left can hold.
+  // Fixed-width elements must all fit before the vector is sized; symbol
+  // and mixed elements take at least one byte each.
+  const size_t width = t == QType::kReal    ? 4
+                       : t == QType::kFloat ? 8
+                       : IsIntegralBacked(t)
+                           ? static_cast<size_t>(AtomWidth(t))
+                           : 0;
+  if (width > 0 && n > r->remaining() / width) {
+    return ProtocolError(StrCat("list of ", n, " elements overruns frame"));
+  }
+  const size_t reserve = std::min(n, r->remaining());
   switch (t) {
     case QType::kSymbol: {
       std::vector<std::string> out;
-      out.reserve(n);
+      out.reserve(reserve);
       for (size_t i = 0; i < n; ++i) {
         HQ_ASSIGN_OR_RETURN(std::string s, r->GetCString());
         out.push_back(std::move(s));
@@ -593,7 +606,7 @@ Result<QValue> DecodeList(QType t, ByteReader* r) {
     }
     case QType::kMixed: {
       std::vector<QValue> out;
-      out.reserve(n);
+      out.reserve(reserve);
       for (size_t i = 0; i < n; ++i) {
         HQ_ASSIGN_OR_RETURN(QValue e, DecodeObject(r));
         out.push_back(std::move(e));

@@ -42,17 +42,6 @@ struct ShardMetrics {
   }
 };
 
-/// FNV-1a over the datum's canonical encoding: stable across processes and
-/// column storage layouts (std::hash is neither).
-uint64_t Fnv1a(const std::string& bytes) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace
 
 ShardedBackend::ShardedBackend(Options options)
@@ -258,29 +247,12 @@ Result<sqldb::QueryResult> ShardedGateway::ScatterGather(
   // the merge sorts; every merge plan orders by explicit keys (ordcol
   // tiebreak or group keys), so concatenation order never leaks into
   // results.
-  auto gathered = std::make_shared<sqldb::StoredTable>();
-  gathered->name = kShardPartialsTable;
-  gathered->columns = partials[0].columns;
   size_t total_rows = 0;
   for (const sqldb::QueryResult& p : partials) total_rows += p.data.row_count;
-  gathered->row_count = total_rows;
-  gathered->data.reserve(gathered->columns.size());
-  for (size_t c = 0; c < gathered->columns.size(); ++c) {
-    sqldb::ColumnPtr col = sqldb::Column::Make(gathered->columns[c].type);
-    col->Reserve(total_rows);
-    for (const sqldb::QueryResult& p : partials) {
-      col->AppendColumn(*p.data.columns[c]);
-    }
-    gathered->data.push_back(std::move(col));
-  }
   metrics.partial_rows->Increment(total_rows);
-
-  merge_session_->temp_tables()[kShardPartialsTable] = std::move(gathered);
-  Result<sqldb::QueryResult> merged = [&] {
-    ScopedLatencyTimer timer(registry, metrics.merge_us);
-    return merge_db_.Execute(merge_session_.get(), t.shard.merge_sql);
-  }();
-  merge_session_->temp_tables().erase(kShardPartialsTable);
+  Result<sqldb::QueryResult> merged = merge_db_.ExecuteOverParts(
+      merge_session_.get(), kShardPartialsTable, partials, t.shard.merge_sql,
+      metrics.merge_us);
   if (!merged.ok()) {
     metrics.errors->Increment();
     return merged.status();

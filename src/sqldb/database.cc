@@ -1,5 +1,6 @@
 #include "sqldb/database.h"
 
+#include "common/metrics.h"
 #include "common/strings.h"
 #include "sqldb/eval.h"
 #include "sqldb/exec.h"
@@ -49,6 +50,29 @@ Result<QueryResult> Database::Execute(Session* session,
     HQ_ASSIGN_OR_RETURN(last, ExecuteStatement(session, stmt));
   }
   return last;
+}
+
+Result<QueryResult> Database::ExecuteOverParts(
+    Session* session, const std::string& name,
+    const std::vector<QueryResult>& parts, const std::string& sql,
+    LatencyHistogram* exec_us) {
+  auto table = std::make_shared<StoredTable>();
+  table->name = name;
+  table->columns = parts[0].columns;
+  for (const QueryResult& p : parts) table->row_count += p.data.row_count;
+  for (size_t c = 0; c < table->columns.size(); ++c) {
+    ColumnPtr col = Column::Make(table->columns[c].type);
+    col->Reserve(table->row_count);
+    for (const QueryResult& p : parts) col->AppendColumn(*p.data.columns[c]);
+    table->data.push_back(std::move(col));
+  }
+  session->temp_tables()[name] = std::move(table);
+  Result<QueryResult> r = [&] {
+    ScopedLatencyTimer timer(MetricsRegistry::Global(), exec_us);
+    return Execute(session, sql);
+  }();
+  session->temp_tables().erase(name);
+  return r;
 }
 
 Result<QueryResult> Database::ExecuteStatement(Session* session,

@@ -12,6 +12,9 @@
 #include "sqldb/session.h"
 
 namespace hyperq {
+
+class LatencyHistogram;
+
 namespace sqldb {
 
 /// A lightweight view of one result row. Cells are materialized as Datums
@@ -159,6 +162,15 @@ class Database {
   /// Executes a single parsed statement.
   Result<QueryResult> ExecuteStatement(Session* session,
                                        const SqlStatement& stmt);
+
+  /// Runs `sql` with the row-wise concatenation of `parts` (one shared
+  /// schema) bound to the session temp table `name`, which is removed
+  /// again afterwards. `exec_us`, when set, times the statement alone.
+  Result<QueryResult> ExecuteOverParts(Session* session,
+                                       const std::string& name,
+                                       const std::vector<QueryResult>& parts,
+                                       const std::string& sql,
+                                       LatencyHistogram* exec_us = nullptr);
 
   /// Convenience bulk loader used by tests, benchmarks and examples.
   Status CreateAndLoad(StoredTable table) {

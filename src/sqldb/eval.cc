@@ -7,6 +7,7 @@
 
 #include "common/strings.h"
 #include "qval/temporal.h"
+#include "sqldb/operators.h"
 
 namespace hyperq {
 namespace sqldb {
@@ -237,24 +238,9 @@ Result<Datum> ScalarBinaryTail(const Expr& e, const Datum& a,
     return Datum::Bool(op == "IS_DISTINCT" ? !eq : eq);
   }
   if (a.is_null() || b.is_null()) return Datum::Null();
-  if (op == "=" || op == "<>" || op == "<" || op == ">" || op == "<=" ||
-      op == ">=") {
+  if (int cmp_op = CmpOpIndex(op); cmp_op >= 0) {
     HQ_ASSIGN_OR_RETURN(int cmp, CompareDatums(a, b, op));
-    bool r;
-    if (op == "=") {
-      r = cmp == 0;
-    } else if (op == "<>") {
-      r = cmp != 0;
-    } else if (op == "<") {
-      r = cmp < 0;
-    } else if (op == ">") {
-      r = cmp > 0;
-    } else if (op == "<=") {
-      r = cmp <= 0;
-    } else {
-      r = cmp >= 0;
-    }
-    return Datum::Bool(r);
+    return Datum::Bool(CmpHolds(cmp_op, cmp));
   }
   if (op == "||") {
     return Datum::Text(a.ToText() + b.ToText());
@@ -710,17 +696,7 @@ Result<Datum> ComputeAggregateColumnar(const Expr& agg, const Column& col,
       double best = fv[idx[0]];
       for (uint32_t r : idx) {
         double x = fv[r];
-        bool nx = std::isnan(x), nb = std::isnan(best);
-        int cmp;
-        if (nx && nb) {
-          cmp = 0;
-        } else if (nx) {
-          cmp = 1;
-        } else if (nb) {
-          cmp = -1;
-        } else {
-          cmp = x < best ? -1 : (x > best ? 1 : 0);
-        }
+        int cmp = Cmp3Double(x, best);
         if ((f == "min" && cmp < 0) || (f == "max" && cmp > 0)) best = x;
       }
       return Datum::Float(vt, best);
@@ -808,33 +784,6 @@ bool PreResolve(const Expr& e, const Relation& rel) {
 }
 
 namespace {
-
-int CmpOpIndex(const std::string& op) {
-  if (op == "=") return 0;
-  if (op == "<>") return 1;
-  if (op == "<") return 2;
-  if (op == ">") return 3;
-  if (op == "<=") return 4;
-  if (op == ">=") return 5;
-  return -1;
-}
-
-inline bool CmpHolds(int idx, int cmp) {
-  switch (idx) {
-    case 0:
-      return cmp == 0;
-    case 1:
-      return cmp != 0;
-    case 2:
-      return cmp < 0;
-    case 3:
-      return cmp > 0;
-    case 4:
-      return cmp <= 0;
-    default:
-      return cmp >= 0;
-  }
-}
 
 bool IsArithOp(const std::string& op) {
   return op == "+" || op == "-" || op == "*" || op == "/" || op == "%";
@@ -950,18 +899,7 @@ Result<ColumnPtr> BinaryKernel(const Expr& e, const Column& a,
         }
         double x = af_ok ? af[i] : static_cast<double>(ai[i]);
         double y = bf_ok ? bf[i] : static_cast<double>(bi[i]);
-        int cmp;
-        bool nx = std::isnan(x), ny = std::isnan(y);
-        if (nx && ny) {
-          cmp = 0;
-        } else if (nx) {
-          cmp = 1;
-        } else if (ny) {
-          cmp = -1;
-        } else {
-          cmp = x < y ? -1 : (x > y ? 1 : 0);
-        }
-        out[i] = CmpHolds(cmp_op, cmp) ? 1 : 0;
+        out[i] = CmpHolds(cmp_op, Cmp3Double(x, y)) ? 1 : 0;
       }
     } else {
       const int64_t* ai = a.ints();
@@ -972,8 +910,7 @@ Result<ColumnPtr> BinaryKernel(const Expr& e, const Column& a,
           any_null = true;
           continue;
         }
-        int cmp = ai[i] < bi[i] ? -1 : (ai[i] > bi[i] ? 1 : 0);
-        out[i] = CmpHolds(cmp_op, cmp) ? 1 : 0;
+        out[i] = CmpHolds(cmp_op, (ai[i] > bi[i]) - (ai[i] < bi[i])) ? 1 : 0;
       }
     }
     return Column::FromInts(SqlType::kBoolean, std::move(out),
@@ -1422,30 +1359,6 @@ Status EvalFilter(const Expr& e, const BatchCtx& ctx, const uint32_t* sel,
     }
   }
   return Status::OK();
-}
-
-int CompareCells(const Column& col, size_t a, size_t b) {
-  switch (col.storage()) {
-    case Column::Storage::kMixed:
-      return Datum::Compare(col.mixed()[a], col.mixed()[b]);
-    case Column::Storage::kString: {
-      int c = col.strs()[a].compare(col.strs()[b]);
-      return c < 0 ? -1 : (c > 0 ? 1 : 0);
-    }
-    case Column::Storage::kFloat: {
-      double x = col.floats()[a], y = col.floats()[b];
-      bool xn = std::isnan(x), yn = std::isnan(y);
-      if (xn || yn) return xn == yn ? 0 : (xn ? 1 : -1);  // NaN sorts last
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    case Column::Storage::kInt: {
-      int64_t x = col.ints()[a], y = col.ints()[b];
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    case Column::Storage::kEmpty:
-      return 0;  // all NULL; callers handle nulls before comparing
-  }
-  return 0;
 }
 
 }  // namespace sqldb

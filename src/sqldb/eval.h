@@ -88,13 +88,6 @@ Result<Datum> ComputeAggregate(const Expr& agg, const Relation& rel,
 Result<Datum> ComputeAggregateColumnar(const Expr& agg, const Column& arg_col,
                                        const SelVector& member_rows);
 
-/// Compares two cells of one column with Datum::Compare semantics (the
-/// column is homogeneously typed, so the typed branch is exact). Shared by
-/// the interpreted ORDER BY / DISTINCT paths and the fused-kernel sort so
-/// both tiers order rows identically by construction. Callers handle NULLs
-/// before comparing.
-int CompareCells(const Column& col, size_t a, size_t b);
-
 }  // namespace sqldb
 }  // namespace hyperq
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <string>
@@ -13,7 +12,7 @@
 #include "common/deadline.h"
 #include "common/metrics.h"
 #include "common/strings.h"
-#include "common/worker_pool.h"
+#include "sqldb/operators.h"
 
 namespace hyperq {
 namespace sqldb {
@@ -21,10 +20,6 @@ namespace sqldb {
 namespace {
 
 constexpr int kMaxViewDepth = 16;
-
-/// Rows per morsel for parallel scan/filter, group building and join
-/// probes. Large enough to amortize dispatch, small enough to balance.
-constexpr size_t kMorselRows = 16 * 1024;
 
 /// Pair-chunk size for join condition evaluation; bounds the size of the
 /// materialized candidate relation.
@@ -56,16 +51,6 @@ double NowUs() {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Cooperative cancellation at morsel/stage boundaries. The Deadline must
-/// be captured by value on the serving thread before any fan-out: pool
-/// threads do not inherit the caller's ambient (thread-local) deadline.
-/// Parallel lambdas skip their work when expired; the serving thread turns
-/// that into kTimeout here before any partial results are merged.
-Status CancelIfExpired(const Deadline& dl, const char* stage) {
-  if (dl.Expired()) return DeadlineExceeded(stage);
-  return Status::OK();
 }
 
 /// Splits an expression into its top-level AND conjuncts.
@@ -111,55 +96,49 @@ bool MarkReferencedColumns(const Expr& e, const Relation& rel,
   return true;
 }
 
-/// Whether a stage over n rows is worth fanning out to the shared pool.
-bool ShouldParallelize(size_t n) {
-  return n >= 2 * kMorselRows && WorkerPool::Shared().thread_count() > 0;
-}
-
 /// Evaluates a filter over rows [0, n) of ctx.rel, morsel-parallel when the
 /// input is large and every column reference pre-resolves. Survivors are
-/// appended to *out in ascending row order regardless of scheduling; on
+/// written to *out in ascending row order regardless of scheduling; on
 /// error the lowest failing morsel wins, matching sequential evaluation.
 Status FilterRows(const Expr& e, const BatchCtx& ctx, size_t n,
                   SelVector* out) {
   const ExecMetrics& m = ExecMetrics::Get();
   m.rows->Increment(n);
   if (ShouldParallelize(n) && PreResolve(e, *ctx.rel)) {
-    size_t morsels = (n + kMorselRows - 1) / kMorselRows;
-    std::vector<SelVector> parts(morsels);
-    std::vector<Status> stats(morsels, Status::OK());
-    const Deadline dl = Deadline::Current();
-    WorkerPool::Shared().ParallelFor(morsels, [&](size_t mi) {
-      if (dl.Expired()) {
-        stats[mi] = DeadlineExceeded("filter morsel");
-        return;
-      }
-      double t0 = NowUs();
-      size_t lo = mi * kMorselRows;
-      size_t hi = std::min(n, lo + kMorselRows);
-      SelVector morsel(hi - lo);
-      for (size_t k = 0; k < morsel.size(); ++k) {
-        morsel[k] = static_cast<uint32_t>(lo + k);
-      }
-      stats[mi] =
-          EvalFilter(e, ctx, morsel.data(), morsel.size(), &parts[mi]);
-      m.morsel_us->Record(NowUs() - t0);
-    });
-    m.batches->Increment(morsels);
-    m.parallel_tasks->Increment(morsels);
-    for (size_t mi = 0; mi < morsels; ++mi) {
-      HQ_RETURN_IF_ERROR(stats[mi]);
-    }
-    size_t total = 0;
-    for (const auto& p : parts) total += p.size();
-    out->reserve(out->size() + total);
-    for (const auto& p : parts) {
-      out->insert(out->end(), p.begin(), p.end());
-    }
+    Result<SelVector> sel = FilterMorsels(
+        n, true, Deadline::Current(),
+        [&](size_t lo, size_t hi, SelVector* part) {
+          double t0 = NowUs();
+          SelVector morsel(hi - lo);
+          std::iota(morsel.begin(), morsel.end(), static_cast<uint32_t>(lo));
+          Status s = EvalFilter(e, ctx, morsel.data(), morsel.size(), part);
+          m.morsel_us->Record(NowUs() - t0);
+          return s;
+        });
+    m.batches->Increment(MorselCount(n));
+    m.parallel_tasks->Increment(MorselCount(n));
+    HQ_ASSIGN_OR_RETURN(*out, std::move(sel));
     return Status::OK();
   }
   m.batches->Increment(1);
   return EvalFilter(e, ctx, nullptr, n, out);
+}
+
+/// Groups rows [0, n) by the key columns on the shared group table
+/// (first-occurrence group order, ascending members). Parallel morsels
+/// record their time in exec.morsel_us.
+Result<std::vector<SelVector>> GroupRows(const std::vector<ColumnPtr>& keys,
+                                         size_t n, bool parallel) {
+  const ExecMetrics& m = ExecMetrics::Get();
+  return GroupMembers(keys, n, parallel, Deadline::Current(),
+                      [&](size_t lo, size_t hi, auto&& add) {
+                        double t0 = parallel ? NowUs() : 0;
+                        for (size_t i = lo; i < hi; ++i) {
+                          add(static_cast<uint32_t>(i));
+                        }
+                        if (parallel) m.morsel_us->Record(NowUs() - t0);
+                        return Status::OK();
+                      });
 }
 
 }  // namespace
@@ -179,8 +158,7 @@ SqlType Executor::InferType(const Expr& e, const Relation& input) {
       return InferType(*e.lhs, input);
     case ExprKind::kBinary: {
       const std::string& op = e.op;
-      if (op == "AND" || op == "OR" || op == "=" || op == "<>" ||
-          op == "<" || op == ">" || op == "<=" || op == ">=" ||
+      if (CmpOpIndex(op) >= 0 || op == "AND" || op == "OR" ||
           op == "LIKE" || op == "IS_DISTINCT" || op == "IS_NOT_DISTINCT") {
         return SqlType::kBoolean;
       }
@@ -306,91 +284,29 @@ Result<Executor::CoreResult> Executor::ExecCore(const SelectStmt& stmt) {
   if (grouped) {
     size_t n = input.row_count;
 
-    // Group keys evaluate column-wise; rows are then bucketed by the key
-    // bytes, encoded into one scratch buffer reused across rows.
+    // Group keys evaluate column-wise; rows are then bucketed on the
+    // shared group table, whose adapter follows the key columns' storage.
+    const BatchCtx ictx{&input, nullptr, nullptr};
     std::vector<ColumnPtr> key_cols;
     key_cols.reserve(stmt.group_by.size());
-    {
-      BatchCtx gctx;
-      gctx.rel = &input;
-      for (const auto& g : stmt.group_by) {
-        HQ_ASSIGN_OR_RETURN(ColumnPtr c, EvalBatch(*g, gctx, nullptr, n));
-        key_cols.push_back(std::move(c));
-      }
+    for (const auto& g : stmt.group_by) {
+      HQ_ASSIGN_OR_RETURN(ColumnPtr c, EvalBatch(*g, ictx, nullptr, n));
+      key_cols.push_back(std::move(c));
     }
 
     // Bucket rows by group key (order of first occurrence). Large inputs
-    // build morsel-local groups in parallel, then merge in morsel order —
-    // morsels cover ascending row ranges, so both the group order and the
-    // member order within each group match the sequential scan exactly.
+    // build morsel-local groups in parallel, then merge in morsel order, so
+    // group and member order match the sequential scan exactly.
     std::vector<SelVector> members;
-    if (!key_cols.empty() && ShouldParallelize(n)) {
-      size_t morsels = (n + kMorselRows - 1) / kMorselRows;
-      struct LocalGroups {
-        std::vector<std::string> keys;  // first-occurrence order
-        std::vector<SelVector> groups;
-        std::unordered_map<std::string, size_t> map;
-      };
-      std::vector<LocalGroups> locals(morsels);
-      const Deadline dl = Deadline::Current();
-      WorkerPool::Shared().ParallelFor(morsels, [&](size_t mi) {
-        if (dl.Expired()) return;  // serving thread reports the timeout
-        double t0 = NowUs();
-        LocalGroups& lg = locals[mi];
-        size_t lo = mi * kMorselRows;
-        size_t hi = std::min(n, lo + kMorselRows);
-        std::string key;
-        for (size_t i = lo; i < hi; ++i) {
-          key.clear();
-          for (const auto& kc : key_cols) kc->EncodeValue(i, &key);
-          // find-then-insert: emplace would allocate a map node per row
-          // even on hits, and that per-row malloc dominates the loop.
-          auto it = lg.map.find(key);
-          if (it == lg.map.end()) {
-            it = lg.map.emplace(key, lg.keys.size()).first;
-            lg.keys.push_back(key);
-            lg.groups.push_back({});
-          }
-          lg.groups[it->second].push_back(static_cast<uint32_t>(i));
-        }
-        metrics.morsel_us->Record(NowUs() - t0);
-      });
-      metrics.batches->Increment(morsels);
-      metrics.parallel_tasks->Increment(morsels);
-      metrics.rows->Increment(n);
-      HQ_RETURN_IF_ERROR(CancelIfExpired(dl, "group build"));
-      std::unordered_map<std::string, size_t> group_of;
-      for (auto& lg : locals) {
-        for (size_t g = 0; g < lg.keys.size(); ++g) {
-          auto [it, inserted] =
-              group_of.emplace(std::move(lg.keys[g]), members.size());
-          if (inserted) {
-            members.push_back(std::move(lg.groups[g]));
-          } else {
-            SelVector& dst = members[it->second];
-            dst.insert(dst.end(), lg.groups[g].begin(), lg.groups[g].end());
-          }
-        }
-      }
-    } else if (!key_cols.empty()) {
-      std::unordered_map<std::string, size_t> group_of;
-      std::string key;  // reused across rows
-      for (size_t i = 0; i < n; ++i) {
-        key.clear();
-        for (const auto& kc : key_cols) kc->EncodeValue(i, &key);
-        auto it = group_of.find(key);
-        if (it == group_of.end()) {
-          it = group_of.emplace(key, members.size()).first;
-          members.push_back({});
-        }
-        members[it->second].push_back(static_cast<uint32_t>(i));
-      }
-      metrics.batches->Increment(1);
+    if (!key_cols.empty()) {
+      const bool parallel = ShouldParallelize(n);
+      HQ_ASSIGN_OR_RETURN(members, GroupRows(key_cols, n, parallel));
+      metrics.batches->Increment(parallel ? MorselCount(n) : 1);
+      if (parallel) metrics.parallel_tasks->Increment(MorselCount(n));
       metrics.rows->Increment(n);
     } else if (n > 0) {
       // No GROUP BY: every row lands in one group.
-      members.push_back({});
-      members[0].resize(n);
+      members.emplace_back(n);
       std::iota(members[0].begin(), members[0].end(), 0);
     }
     // An aggregate query with no GROUP BY always yields one group, even
@@ -400,21 +316,15 @@ Result<Executor::CoreResult> Executor::ExecCore(const SelectStmt& stmt) {
     size_t ngroups = members.size();
 
     // Representative rows: first member (empty groups use all-null).
-    {
-      std::vector<int64_t> rep(ngroups);
-      for (size_t g = 0; g < ngroups; ++g) {
-        rep[g] = members[g].empty()
-                     ? -1
-                     : static_cast<int64_t>(members[g].front());
-      }
-      core.work = input.GatherRowsPad(rep.data(), ngroups);
-    }
+    core.work =
+        input.GatherRowsPad(RepresentativeRows(members).data(), ngroups);
 
     // Aggregates: evaluate each argument once over the full input as a
-    // column, then reduce groups in parallel. Member order within a group
-    // is ascending row order, so float accumulation is bit-identical to
-    // the row-at-a-time path.
+    // column, then reduce groups (in parallel for large inputs). Member
+    // order within a group is ascending row order, so float accumulation
+    // is bit-identical to the row-at-a-time path.
     core.agg_per_row.resize(ngroups);
+    const bool par_aggs = ngroups > 1 && ShouldParallelize(n);
     for (const Expr* agg : agg_nodes) {
       if (ngroups > 0 && core.agg_per_row[0].count(agg) > 0) {
         continue;  // duplicate node, already computed
@@ -422,46 +332,19 @@ Result<Executor::CoreResult> Executor::ExecCore(const SelectStmt& stmt) {
       const std::string& f = agg->func_name;
       bool star = !agg->args.empty() &&
                   agg->args[0]->kind == ExprKind::kStar;
-      if (f == "count" && (agg->args.empty() || star)) {
-        for (size_t g = 0; g < ngroups; ++g) {
-          core.agg_per_row[g].emplace(
-              agg, Datum::BigInt(static_cast<int64_t>(members[g].size())));
+      ColumnPtr arg_col;  // stays null for COUNT(*)
+      if (f != "count" || !(agg->args.empty() || star)) {
+        if (agg->args.size() != 1 && f != "count") {
+          return TypeError(StrCat("aggregate ", f, " takes one argument"));
         }
-        continue;
+        HQ_ASSIGN_OR_RETURN(arg_col,
+                            EvalBatch(*agg->args[0], ictx, nullptr, n));
+        metrics.batches->Increment(1);
+        if (par_aggs) metrics.parallel_tasks->Increment(ngroups);
       }
-      if (agg->args.size() != 1 && f != "count") {
-        return TypeError(StrCat("aggregate ", f, " takes one argument"));
-      }
-      BatchCtx actx;
-      actx.rel = &input;
-      HQ_ASSIGN_OR_RETURN(ColumnPtr arg_col,
-                          EvalBatch(*agg->args[0], actx, nullptr, n));
-      std::vector<Datum> results(ngroups);
-      std::vector<Status> stats(ngroups, Status::OK());
-      const Deadline dl = Deadline::Current();
-      auto reduce = [&](size_t g) {
-        if (dl.Expired()) {
-          stats[g] = DeadlineExceeded("aggregate morsel");
-          return;
-        }
-        Result<Datum> r = ComputeAggregateColumnar(*agg, *arg_col,
-                                                   members[g]);
-        if (r.ok()) {
-          results[g] = std::move(*r);
-        } else {
-          stats[g] = r.status();
-        }
-      };
-      if (ngroups > 1 && ShouldParallelize(n)) {
-        WorkerPool::Shared().ParallelFor(ngroups, reduce);
-        metrics.parallel_tasks->Increment(ngroups);
-      } else {
-        for (size_t g = 0; g < ngroups; ++g) reduce(g);
-      }
-      metrics.batches->Increment(1);
-      for (size_t g = 0; g < ngroups; ++g) {
-        HQ_RETURN_IF_ERROR(stats[g]);
-      }
+      HQ_ASSIGN_OR_RETURN(
+          std::vector<Datum> results,
+          ReduceGroups(*agg, arg_col.get(), members, par_aggs, deadline));
       for (size_t g = 0; g < ngroups; ++g) {
         core.agg_per_row[g].emplace(agg, std::move(results[g]));
       }
@@ -532,13 +415,8 @@ Result<Executor::CoreResult> Executor::ExecCore(const SelectStmt& stmt) {
   for (size_t c = 0; c < items.size(); ++c) {
     HQ_ASSIGN_OR_RETURN(ColumnPtr col,
                         EvalBatch(*items[c].expr, pctx, nullptr, out_rows));
-    // Refine the inferred type from the first row's actual value.
-    if (out_rows > 0 && !col->IsNull(0)) {
-      Datum v0 = col->At(0);
-      if (core.output.cols[c].type != v0.type()) {
-        core.output.cols[c].type = v0.type();
-      }
-    }
+    core.output.cols[c].type =
+        RefinedType(core.output.cols[c].type, *col, out_rows);
     core.output.columns.push_back(std::move(col));
   }
   core.output.row_count = out_rows;
@@ -546,19 +424,13 @@ Result<Executor::CoreResult> Executor::ExecCore(const SelectStmt& stmt) {
   metrics.rows->Increment(out_rows);
 
   // ---- DISTINCT ----
+  // Keeps the first member of each group over all output columns.
   if (stmt.distinct) {
-    std::unordered_map<std::string, bool> seen;
-    seen.reserve(out_rows * 2);
+    HQ_ASSIGN_OR_RETURN(std::vector<SelVector> groups,
+                        GroupRows(core.output.columns, out_rows, false));
     SelVector keep;
-    std::string key;  // reused across rows
-    for (size_t i = 0; i < out_rows; ++i) {
-      key.clear();
-      for (const auto& col : core.output.columns) col->EncodeValue(i, &key);
-      if (seen.find(key) == seen.end()) {
-        seen.emplace(key, true);
-        keep.push_back(static_cast<uint32_t>(i));
-      }
-    }
+    keep.reserve(groups.size());
+    for (const SelVector& g : groups) keep.push_back(g[0]);
     core.output = core.output.GatherRows(keep.data(), keep.size());
     core.distinct_applied = true;
   }
@@ -611,25 +483,12 @@ Status Executor::ApplyOrderBy(const SelectStmt& stmt, CoreResult* core) {
     key_cols.push_back(std::move(kcol));
   }
 
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    for (size_t k = 0; k < stmt.order_by.size(); ++k) {
-      const Column& col = *key_cols[k];
-      const OrderItem& item = stmt.order_by[k];
-      bool xn = col.IsNull(a), yn = col.IsNull(b);
-      if (xn || yn) {
-        if (xn == yn) continue;
-        return xn == item.nulls_first;
-      }
-      int cmp = CompareCells(col, a, b);
-      if (cmp != 0) return item.ascending ? cmp < 0 : cmp > 0;
-    }
-    return false;
-  });
-
-  SelVector sel(n);
-  for (size_t i = 0; i < n; ++i) sel[i] = static_cast<uint32_t>(order[i]);
+  std::vector<SortKey> keys;
+  for (size_t k = 0; k < key_cols.size(); ++k) {
+    keys.push_back({static_cast<int>(k), stmt.order_by[k].ascending,
+                    stmt.order_by[k].nulls_first});
+  }
+  SelVector sel = SortPermutation(key_cols, keys, n);
   core->output = core->output.GatherRows(sel.data(), sel.size());
   return Status::OK();
 }
@@ -648,21 +507,7 @@ Status Executor::ApplyLimit(const SelectStmt& stmt, Relation* rel) {
   int64_t limit = -1, offset = 0;
   HQ_RETURN_IF_ERROR(eval_const(stmt.limit, &limit));
   HQ_RETURN_IF_ERROR(eval_const(stmt.offset, &offset));
-  size_t start = 0;
-  size_t end = rel->row_count;
-  if (stmt.offset && offset > 0) {
-    start = std::min<size_t>(static_cast<size_t>(offset), end);
-  }
-  if (stmt.limit && limit >= 0 &&
-      end - start > static_cast<size_t>(limit)) {
-    end = start + static_cast<size_t>(limit);
-  }
-  if (start == 0 && end == rel->row_count) return Status::OK();
-  SelVector sel(end - start);
-  for (size_t i = 0; i < sel.size(); ++i) {
-    sel[i] = static_cast<uint32_t>(start + i);
-  }
-  *rel = rel->GatherRows(sel.data(), sel.size());
+  *rel = LimitWindow(std::move(*rel), limit, offset);
   return Status::OK();
 }
 
@@ -909,89 +754,66 @@ Result<Relation> Executor::ExecJoin(const TableRef& join) {
   };
 
   if (!keys.empty()) {
-    // Hash join. Build side: encode right-row keys column-wise into one
-    // scratch buffer per row.
-    std::unordered_map<std::string, std::vector<uint32_t>> buckets;
-    buckets.reserve(rn * 2);
-    {
-      std::string key;
-      for (size_t i = 0; i < rn; ++i) {
-        key.clear();
-        bool usable = true;
-        for (const auto& k : keys) {
-          const Column& c = *right.columns[k.right_idx];
-          if (c.IsNull(i) && !k.null_safe) {
-            usable = false;  // plain '=' never matches NULL
-            break;
-          }
-          c.EncodeValue(i, &key);
-        }
-        if (usable) buckets[key].push_back(static_cast<uint32_t>(i));
-      }
+    // Hash join on the shared group table: build over the right rows,
+    // probe with the left rows. Typed adapters apply only when both sides'
+    // key columns share a storage class; otherwise the EncodeValue bytes
+    // match an int key with an equal float key (1 with 1.0).
+    std::vector<ColumnPtr> lkeys, rkeys;
+    for (const auto& k : keys) {
+      lkeys.push_back(left.columns[k.left_idx]);
+      rkeys.push_back(right.columns[k.right_idx]);
     }
-
-    // Probe side: morsel-parallel over the left rows; each morsel emits
-    // pairs in left-row order and morsels concatenate in row order, so the
-    // output permutation is deterministic.
-    size_t morsels =
-        ShouldParallelize(ln) ? (ln + kMorselRows - 1) / kMorselRows : 1;
-    struct ProbeOut {
-      std::vector<uint32_t> li;
-      std::vector<int64_t> ri;
-    };
-    std::vector<ProbeOut> parts(morsels);
-    auto probe_range = [&](size_t mi, size_t lo, size_t hi) {
-      ProbeOut& po = parts[mi];
-      std::string key;
-      for (size_t i = lo; i < hi; ++i) {
-        key.clear();
-        bool usable = true;
-        for (const auto& k : keys) {
-          const Column& c = *left.columns[k.left_idx];
-          if (c.IsNull(i) && !k.null_safe) {
-            usable = false;
-            break;
-          }
-          c.EncodeValue(i, &key);
-        }
-        if (!usable) continue;
-        auto it = buckets.find(key);
-        if (it == buckets.end()) continue;
-        for (uint32_t r : it->second) {
-          po.li.push_back(static_cast<uint32_t>(i));
-          po.ri.push_back(static_cast<int64_t>(r));
-        }
+    KeyKind kind = KeyKindFor(rkeys);
+    if (KeyKindFor(lkeys) != kind) kind = KeyKind::kGeneric;
+    // Plain '=' never matches NULL: such rows stay out of build and probe.
+    auto usable = [&](const std::vector<ColumnPtr>& cols, size_t i) {
+      for (size_t k = 0; k < keys.size(); ++k) {
+        if (!keys[k].null_safe && cols[k]->IsNull(i)) return false;
       }
+      return true;
     };
+
+    // Morsel-parallel probe: each left row looks up its key's group; the
+    // pairs are then emitted in left-row order, so the output permutation
+    // is deterministic.
+    const bool parallel = ShouldParallelize(ln);
     const Deadline dl = Deadline::Current();
-    if (morsels > 1) {
-      WorkerPool::Shared().ParallelFor(morsels, [&](size_t mi) {
-        if (dl.Expired()) return;  // serving thread reports the timeout
-        double t0 = NowUs();
-        probe_range(mi, mi * kMorselRows,
-                    std::min(ln, (mi + 1) * kMorselRows));
-        metrics.morsel_us->Record(NowUs() - t0);
-      });
-      metrics.parallel_tasks->Increment(morsels);
-    } else {
-      probe_range(0, 0, ln);
-    }
-    metrics.batches->Increment(morsels);
-    metrics.rows->Increment(ln + rn);
-    HQ_RETURN_IF_ERROR(CancelIfExpired(dl, "join probe"));
-
     std::vector<uint32_t> li;
     std::vector<int64_t> ri;
-    {
-      size_t total = 0;
-      for (const auto& po : parts) total += po.li.size();
-      li.reserve(total);
-      ri.reserve(total);
-      for (const auto& po : parts) {
-        li.insert(li.end(), po.li.begin(), po.li.end());
-        ri.insert(ri.end(), po.ri.begin(), po.ri.end());
+    HQ_RETURN_IF_ERROR(WithKeyAdapter(kind, rkeys, [&](auto build_ad) {
+      using Adapter = decltype(build_ad);
+      Result<FlatGroups<Adapter>> table = BuildGroups(
+          rn, false, dl, build_ad, [&](size_t lo, size_t hi, auto&& add) {
+            for (size_t i = lo; i < hi; ++i) {
+              if (usable(rkeys, i)) add(static_cast<uint32_t>(i));
+            }
+            return Status::OK();
+          });
+      if (!table.ok()) return table.status();
+      const Adapter probe_ad(lkeys);
+      std::vector<uint32_t> group_of(ln);
+      HQ_RETURN_IF_ERROR(ForEachMorsel(
+          ln, parallel, dl, "join probe", [&](size_t, size_t lo, size_t hi) {
+            double t0 = parallel ? NowUs() : 0;
+            const Adapter ad = probe_ad;  // per-morsel key scratch
+            for (size_t i = lo; i < hi; ++i) {
+              group_of[i] = usable(lkeys, i) ? table->Find(ad, i) : kNoGroup;
+            }
+            if (parallel) metrics.morsel_us->Record(NowUs() - t0);
+            return Status::OK();
+          }));
+      for (size_t l = 0; l < ln; ++l) {
+        if (group_of[l] == kNoGroup) continue;
+        for (uint32_t r : table->members[group_of[l]]) {
+          li.push_back(static_cast<uint32_t>(l));
+          ri.push_back(static_cast<int64_t>(r));
+        }
       }
-    }
+      return Status::OK();
+    }));
+    metrics.batches->Increment(parallel ? MorselCount(ln) : 1);
+    if (parallel) metrics.parallel_tasks->Increment(MorselCount(ln));
+    metrics.rows->Increment(ln + rn);
     HQ_RETURN_IF_ERROR(filter_pairs(residual, &li, &ri));
 
     if (join.join_type == JoinType::kLeft) {
@@ -1051,19 +873,19 @@ Status Executor::ComputeWindows(
                      nullptr};
     };
 
-    // Partition rows.
-    std::unordered_map<std::string, size_t> part_of;
-    std::vector<std::vector<size_t>> partitions;
+    // Partition rows: the keys evaluate row by row (so errors surface on
+    // the same rows), then the shared group table buckets their columns.
+    std::vector<ColumnPtr> part_cols(spec.partition_by.size());
+    for (ColumnPtr& c : part_cols) c = std::make_shared<Column>();
     for (size_t i = 0; i < n; ++i) {
-      std::string key;
-      for (const auto& p : spec.partition_by) {
-        HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*p, ctx_for(i)));
-        EncodeDatum(v, &key);
+      for (size_t p = 0; p < spec.partition_by.size(); ++p) {
+        HQ_ASSIGN_OR_RETURN(Datum v,
+                            EvalExpr(*spec.partition_by[p], ctx_for(i)));
+        part_cols[p]->Append(v);
       }
-      auto [it, inserted] = part_of.emplace(key, partitions.size());
-      if (inserted) partitions.push_back({});
-      partitions[it->second].push_back(i);
     }
+    HQ_ASSIGN_OR_RETURN(std::vector<SelVector> partitions,
+                        GroupRows(part_cols, n, false));
 
     std::vector<Datum> result(n);
     for (auto& part : partitions) {

@@ -1,12 +1,10 @@
 #include "sqldb/kernel.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -14,41 +12,17 @@
 #include "common/deadline.h"
 #include "common/sql_markers.h"
 #include "common/status.h"
-#include "common/worker_pool.h"
 #include "sqldb/eval.h"
 #include "sqldb/exec.h"
+#include "sqldb/operators.h"
 
 namespace hyperq {
 namespace sqldb {
 namespace {
 
-// Mirrors the interpreted executor's morsel discipline (exec.cc): same
-// morsel size, same parallelization threshold, same cooperative
-// cancellation stages, so a kernel behaves like the interpreter under
-// deadlines and thread-count changes.
-constexpr size_t kMorselRows = 16 * 1024;
-
-bool ShouldParallelize(size_t n) {
-  return n >= 2 * kMorselRows && WorkerPool::Shared().thread_count() > 0;
-}
-
-Status CancelIfExpired(const Deadline& dl, const char* stage) {
-  if (dl.Expired()) return DeadlineExceeded(stage);
-  return Status::OK();
-}
-
 // ---------------------------------------------------------------------------
 // Fingerprinting
 // ---------------------------------------------------------------------------
-
-uint64_t Fnv1a(const std::string& s) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 /// Literal class for the `$k` slot: statements whose literals differ only
 /// within a class compile to the same kernel.
@@ -57,29 +31,6 @@ char ClassOf(const Datum& d) {
   if (IsStringType(d.type())) return 's';
   if (d.type() == SqlType::kReal || d.type() == SqlType::kDouble) return 'f';
   return 'i';
-}
-
-/// Comparison operator index shared with the plan: 0 '=', 1 '<>', 2 '<',
-/// 3 '>', 4 '<=', 5 '>='; -1 for anything else (incl. IS_DISTINCT).
-int CmpOpIndexOf(const std::string& op) {
-  if (op == "=") return 0;
-  if (op == "<>" || op == "!=") return 1;
-  if (op == "<") return 2;
-  if (op == ">") return 3;
-  if (op == "<=") return 4;
-  if (op == ">=") return 5;
-  return -1;
-}
-
-/// Mirrors swapping the operand order of a comparison.
-int FlipCmpOp(int op) {
-  switch (op) {
-    case 2: return 3;
-    case 3: return 2;
-    case 4: return 5;
-    case 5: return 4;
-    default: return op;  // =, <> are symmetric
-  }
 }
 
 /// Folds a literal operand to a Datum: plain constants, unary minus over
@@ -239,7 +190,7 @@ bool MatchCoalesceCmp(const Expr& e, CoalesceCmp* out) {
       cmp.rhs == nullptr) {
     return false;
   }
-  int op = CmpOpIndexOf(cmp.op);
+  int op = CmpOpIndex(cmp.op);
   if (op < 0) return false;
   const Expr* col = nullptr;
   Datum lit;
@@ -289,7 +240,7 @@ bool WalkWhere(const Expr& e, FpBuilder* b) {
     return true;
   }
   if (e.kind == ExprKind::kBinary) {
-    int op = CmpOpIndexOf(e.op);
+    int op = CmpOpIndex(e.op);
     if (op < 0 || e.lhs == nullptr || e.rhs == nullptr) return false;
     const Expr* col = nullptr;
     Datum lit;
@@ -922,7 +873,7 @@ Status CompileWhere(const Expr& e, CompileCtx* ctx) {
     p.mode = EqModeFor((*ctx->storages)[p.col], ClassOf(lit));
     p.p0 = ctx->next_param++;
   } else if (e.kind == ExprKind::kBinary) {
-    int op = CmpOpIndexOf(e.op);
+    int op = CmpOpIndex(e.op);
     const Expr* colref = nullptr;
     Datum lit;
     if (e.lhs->kind == ExprKind::kColRef && FoldLiteral(*e.rhs, &lit)) {
@@ -1098,7 +1049,7 @@ Result<std::shared_ptr<const KernelPlan>> KernelPlan::Compile(
     } else {
       has_agg = true;
       it.is_agg = true;
-      it.agg.fn_name = e.func_name;
+      it.agg.call = item.expr;
       if (e.args.size() == 1 && e.args[0]->kind == ExprKind::kColRef) {
         it.agg.col = ResolveCol(*e.args[0], plan->schema_, alias);
         if (it.agg.col < 0) {
@@ -1124,21 +1075,6 @@ Result<std::shared_ptr<const KernelPlan>> KernelPlan::Compile(
     int c = ResolveCol(*g, plan->schema_, alias);
     if (c < 0) return Unsupported("kernel: unresolved group column");
     plan->group_cols_.push_back(c);
-  }
-  if (plan->grouped_) {
-    if (plan->group_cols_.empty()) {
-      plan->group_mode_ = GroupMode::kNone;
-    } else if (plan->group_cols_.size() == 1 &&
-               plan->storages_[plan->group_cols_[0]] ==
-                   Column::Storage::kInt) {
-      plan->group_mode_ = GroupMode::kSingleInt;
-    } else if (plan->group_cols_.size() == 1 &&
-               plan->storages_[plan->group_cols_[0]] ==
-                   Column::Storage::kString) {
-      plan->group_mode_ = GroupMode::kSingleString;
-    } else {
-      plan->group_mode_ = GroupMode::kGeneric;
-    }
   }
 
   // ORDER BY keys resolve against the output items exactly like the
@@ -1166,11 +1102,7 @@ Result<std::shared_ptr<const KernelPlan>> KernelPlan::Compile(
         return Unsupported("kernel: ORDER BY key not in the select list");
       }
     }
-    OrderKey key;
-    key.item = idx;
-    key.ascending = k.ascending;
-    key.nulls_first = k.nulls_first;
-    plan->order_keys_.push_back(key);
+    plan->order_keys_.push_back({idx, k.ascending, k.nulls_first});
   }
 
   // ordcol elision: a lone ascending key over a column the loader declared
@@ -1183,7 +1115,7 @@ Result<std::shared_ptr<const KernelPlan>> KernelPlan::Compile(
   // sorts whenever it scans a different buffer.
   if (!plan->grouped_ && plan->order_keys_.size() == 1 &&
       plan->order_keys_[0].ascending) {
-    const Item& it = plan->items_[plan->order_keys_[0].item];
+    const Item& it = plan->items_[plan->order_keys_[0].col];
     if (!it.is_agg && it.col >= 0) {
       const std::string& cname = plan->schema_[it.col].name;
       bool declared =
@@ -1292,24 +1224,6 @@ struct BoundPred {
   std::vector<const std::string*> in_s;
 };
 
-/// Datum::Compare's double ordering: NaN sorts last, two NaNs tie.
-inline int Cmp3Double(double x, double y) {
-  bool nx = std::isnan(x), ny = std::isnan(y);
-  if (nx || ny) return nx && ny ? 0 : (nx ? 1 : -1);
-  return (x > y) - (x < y);
-}
-
-inline bool CmpHoldsIdx(int op, int c) {
-  switch (op) {
-    case 0: return c == 0;
-    case 1: return c != 0;
-    case 2: return c < 0;
-    case 3: return c > 0;
-    case 4: return c <= 0;
-    default: return c >= 0;
-  }
-}
-
 /// Three-way "column value vs spliced bound" under the mode's typing.
 inline int Cmp3Bound(CmpMode mode, const ColView& c, size_t r, int64_t bi,
                      double bd, const std::string* bs) {
@@ -1382,7 +1296,7 @@ void ApplyPred(const BoundPred& bp, const std::vector<ColView>& cols,
           FillOrCompact(first, lo, hi, sel, [iv, nulls, b, op](size_t r) {
             if (nulls != nullptr && nulls[r] != 0) return false;
             const int64_t x = iv[r];
-            return CmpHoldsIdx(op, (x > b) - (x < b));
+            return CmpHolds(op, (x > b) - (x < b));
           });
           return;
         }
@@ -1391,8 +1305,7 @@ void ApplyPred(const BoundPred& bp, const std::vector<ColView>& cols,
           const double b = bp.d0;
           FillOrCompact(first, lo, hi, sel, [iv, nulls, b, op](size_t r) {
             if (nulls != nullptr && nulls[r] != 0) return false;
-            return CmpHoldsIdx(op,
-                               Cmp3Double(static_cast<double>(iv[r]), b));
+            return CmpHolds(op, Cmp3Double(static_cast<double>(iv[r]), b));
           });
           return;
         }
@@ -1401,7 +1314,7 @@ void ApplyPred(const BoundPred& bp, const std::vector<ColView>& cols,
           const double b = bp.d0;
           FillOrCompact(first, lo, hi, sel, [dv, nulls, b, op](size_t r) {
             if (nulls != nullptr && nulls[r] != 0) return false;
-            return CmpHoldsIdx(op, Cmp3Double(dv[r], b));
+            return CmpHolds(op, Cmp3Double(dv[r], b));
           });
           return;
         }
@@ -1411,7 +1324,7 @@ void ApplyPred(const BoundPred& bp, const std::vector<ColView>& cols,
           FillOrCompact(first, lo, hi, sel, [sv, nulls, b, op](size_t r) {
             if (nulls != nullptr && nulls[r] != 0) return false;
             const int s = (*sv)[r].compare(*b);
-            return CmpHoldsIdx(op, (s > 0) - (s < 0));
+            return CmpHolds(op, (s > 0) - (s < 0));
           });
           return;
         }
@@ -1537,7 +1450,7 @@ void ApplyPred(const BoundPred& bp, const std::vector<ColView>& cols,
                             return pass_null;
                           }
                           const int64_t x = iv[r];
-                          return CmpHoldsIdx(op, (x > b) - (x < b));
+                          return CmpHolds(op, (x > b) - (x < b));
                         });
           return;
         }
@@ -1548,8 +1461,8 @@ void ApplyPred(const BoundPred& bp, const std::vector<ColView>& cols,
               first, lo, hi, sel,
               [iv, nulls, b, op, pass_null](size_t r) {
                 if (nulls != nullptr && nulls[r] != 0) return pass_null;
-                return CmpHoldsIdx(
-                    op, Cmp3Double(static_cast<double>(iv[r]), b));
+                return CmpHolds(op,
+                                Cmp3Double(static_cast<double>(iv[r]), b));
               });
           return;
         }
@@ -1561,7 +1474,7 @@ void ApplyPred(const BoundPred& bp, const std::vector<ColView>& cols,
                           if (nulls != nullptr && nulls[r] != 0) {
                             return pass_null;
                           }
-                          return CmpHoldsIdx(op, Cmp3Double(dv[r], b));
+                          return CmpHolds(op, Cmp3Double(dv[r], b));
                         });
           return;
         }
@@ -1574,7 +1487,7 @@ void ApplyPred(const BoundPred& bp, const std::vector<ColView>& cols,
                             return pass_null;
                           }
                           const int s = (*sv)[r].compare(*b);
-                          return CmpHoldsIdx(op, (s > 0) - (s < 0));
+                          return CmpHolds(op, (s > 0) - (s < 0));
                         });
           return;
         }
@@ -1622,25 +1535,31 @@ void ApplyPred(const BoundPred& bp, const std::vector<ColView>& cols,
   }
 }
 
-/// Fused filter over one morsel: survivors of all conjuncts land in `sel`
-/// (ascending). No full-table SelVector is ever materialized.
-void FilterMorsel(const std::vector<BoundPred>& preds,
-                  const std::vector<ColView>& cols, size_t lo, size_t hi,
-                  SelVector* sel) {
-  sel->clear();
-  if (preds.empty()) {
-    sel->reserve(hi - lo);
-    for (size_t r = lo; r < hi; ++r) {
-      sel->push_back(static_cast<uint32_t>(r));
+/// The plan's conjuncts bound to one execution: literal slots spliced and
+/// the table's columns viewed.
+struct BoundFilter {
+  std::vector<BoundPred> preds;
+  std::vector<ColView> cols;
+
+  /// Fused filter over one morsel: survivors of all conjuncts land in
+  /// `sel` (ascending). No full-table SelVector is ever materialized.
+  Status operator()(size_t lo, size_t hi, SelVector* sel) const {
+    sel->clear();
+    sel->reserve(hi - lo);  // one allocation per morsel, not a regrowth
+    if (preds.empty()) {
+      for (size_t r = lo; r < hi; ++r) {
+        sel->push_back(static_cast<uint32_t>(r));
+      }
+      return Status::OK();
     }
-    return;
+    bool first = true;
+    for (const BoundPred& bp : preds) {
+      ApplyPred(bp, cols, first, lo, hi, sel);
+      first = false;
+    }
+    return Status::OK();
   }
-  bool first = true;
-  for (const BoundPred& bp : preds) {
-    ApplyPred(bp, cols, first, lo, hi, sel);
-    first = false;
-  }
-}
+};
 
 Result<std::vector<BoundPred>> SplicePreds(
     const std::vector<Pred>& preds,
@@ -1701,239 +1620,15 @@ Result<std::vector<BoundPred>> SplicePreds(
   return out;
 }
 
-// --- fused filter + group build -------------------------------------------
-
-/// Key adapters for the group-build template. `at()` must only be called
-/// on rows where `null_at()` is false.
-struct IntKeyAdapter {
-  const ColView* c;
-  using Key = int64_t;
-  bool null_at(size_t r) const { return c->IsNull(r); }
-  Key at(size_t r) const { return c->iv[r]; }
-  static uint64_t Hash(int64_t k) {  // splitmix64 finalizer
-    uint64_t x = static_cast<uint64_t>(k) + 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-  }
-};
-
-struct StringKeyAdapter {
-  const ColView* c;
-  using Key = std::string_view;
-  bool null_at(size_t r) const { return c->IsNull(r); }
-  Key at(size_t r) const { return std::string_view((*c->sv)[r]); }
-  static uint64_t Hash(std::string_view k) {
-    uint64_t h = 1469598103934665603ull;
-    for (char ch : k) {
-      h ^= static_cast<uint8_t>(ch);
-      h *= 1099511628211ull;
-    }
-    return h;
-  }
-};
-
-/// Generic keying: identical bytes to the interpreter's per-row
-/// EncodeValue concatenation over the group columns, so NaN
-/// canonicalization and the integral-double/int equivalence class carry
-/// over exactly.
-struct GenericKeyAdapter {
-  const std::vector<ColumnPtr>* columns;
-  const std::vector<int>* group_cols;
-  mutable std::string scratch;
-  using Key = std::string;
-  bool null_at(size_t) const { return false; }
-  const std::string& at(size_t r) const {
-    scratch.clear();
-    for (int gc : *group_cols) (*columns)[gc]->EncodeValue(r, &scratch);
-    return scratch;
-  }
-  static uint64_t Hash(const std::string& k) {
-    return StringKeyAdapter::Hash(std::string_view(k));
-  }
-};
-
-/// Morsel-local groups over an open-addressing table (power-of-two
-/// capacity, linear probing, cached hashes) — no per-row node allocation,
-/// which is what makes the fused path beat the interpreter's
-/// unordered_map bucketing. Group ids are assigned in first-occurrence
-/// row order within the morsel and merged in morsel order, so group
-/// order stays byte-identical to the interpreter's parallel group build
-/// (exec.cc).
-template <typename Adapter>
-struct FlatGroups {
-  using Key = typename Adapter::Key;
-  static constexpr uint32_t kEmptySlot = 0xFFFFFFFFu;
-
-  std::vector<uint32_t> slot_gid;   // kEmptySlot = vacant
-  std::vector<uint64_t> slot_hash;  // valid where slot_gid is occupied
-  size_t mask = 0;
-  bool has_null = false;
-  uint32_t null_gid = 0;
-  std::vector<Key> keys;  // per gid; default-constructed for the null gid
-  std::vector<uint8_t> key_null;
-  std::vector<SelVector> members;
-
-  void Grow() {
-    size_t ncap = slot_gid.empty() ? 64 : slot_gid.size() * 2;
-    std::vector<uint32_t> ng(ncap, kEmptySlot);
-    std::vector<uint64_t> nh(ncap, 0);
-    size_t nmask = ncap - 1;
-    for (size_t i = 0; i < slot_gid.size(); ++i) {
-      if (slot_gid[i] == kEmptySlot) continue;
-      size_t j = slot_hash[i] & nmask;
-      while (ng[j] != kEmptySlot) j = (j + 1) & nmask;
-      ng[j] = slot_gid[i];
-      nh[j] = slot_hash[i];
-    }
-    slot_gid = std::move(ng);
-    slot_hash = std::move(nh);
-    mask = nmask;
-  }
-
-  uint32_t GidFor(uint64_t h, const Key& key) {
-    if ((keys.size() + 1) * 4 >= slot_gid.size() * 3) Grow();
-    size_t j = h & mask;
-    while (slot_gid[j] != kEmptySlot) {
-      uint32_t g = slot_gid[j];
-      if (slot_hash[j] == h && keys[g] == key) return g;
-      j = (j + 1) & mask;
-    }
-    uint32_t gid = static_cast<uint32_t>(keys.size());
-    slot_gid[j] = gid;
-    slot_hash[j] = h;
-    keys.push_back(key);
-    key_null.push_back(0);
-    members.emplace_back();
-    return gid;
-  }
-
-  SelVector* NullMembers() {
-    if (!has_null) {
-      has_null = true;
-      null_gid = static_cast<uint32_t>(members.size());
-      keys.emplace_back();
-      key_null.push_back(1);
-      members.emplace_back();
-    }
-    return &members[null_gid];
-  }
-
-  void Add(const Adapter& ad, uint32_t row) {
-    if (ad.null_at(row)) {
-      NullMembers()->push_back(row);
-      return;
-    }
-    const auto& key = ad.at(row);
-    members[GidFor(Adapter::Hash(key), key)].push_back(row);
-  }
-};
-
-template <typename Adapter>
-Result<std::vector<SelVector>> BuildGroupsT(
-    size_t n, const std::vector<BoundPred>& preds,
-    const std::vector<ColView>& cols, const Adapter& ad, const Deadline& dl) {
-  if (ShouldParallelize(n)) {
-    size_t morsels = (n + kMorselRows - 1) / kMorselRows;
-    std::vector<FlatGroups<Adapter>> locals(morsels);
-    std::vector<Status> stats(morsels, Status::OK());
-    WorkerPool::Shared().ParallelFor(morsels, [&](size_t mi) {
-      if (dl.Expired()) {
-        stats[mi] = DeadlineExceeded("filter morsel");
-        return;
-      }
-      Adapter local_ad = ad;  // generic adapter carries a scratch buffer
-      size_t lo = mi * kMorselRows;
-      size_t hi = std::min(n, lo + kMorselRows);
-      FlatGroups<Adapter>& fg = locals[mi];
-      SelVector sel;
-      FilterMorsel(preds, cols, lo, hi, &sel);
-      for (uint32_t r : sel) fg.Add(local_ad, r);
-    });
-    for (const Status& s : stats) {
-      if (!s.ok()) return s;  // lowest morsel's error wins
-    }
-    // Merge in morsel order: first-occurrence group order is global.
-    FlatGroups<Adapter> global;
-    for (FlatGroups<Adapter>& lg : locals) {
-      for (size_t g = 0; g < lg.members.size(); ++g) {
-        SelVector* m;
-        if (lg.key_null[g]) {
-          m = global.NullMembers();
-        } else {
-          const typename Adapter::Key& key = lg.keys[g];
-          m = &global.members[global.GidFor(Adapter::Hash(key), key)];
-        }
-        if (m->empty()) {
-          *m = std::move(lg.members[g]);
-        } else {
-          m->insert(m->end(), lg.members[g].begin(), lg.members[g].end());
-        }
-      }
-    }
-    return std::move(global.members);
-  }
-
-  FlatGroups<Adapter> fg;
-  SelVector sel;
-  for (size_t lo = 0; lo < n; lo += kMorselRows) {
-    if (dl.Expired()) return DeadlineExceeded("filter morsel");
-    size_t hi = std::min(n, lo + kMorselRows);
-    FilterMorsel(preds, cols, lo, hi, &sel);
-    for (uint32_t r : sel) fg.Add(ad, r);
-  }
-  return std::move(fg.members);
-}
-
-/// Filter-only survivor scan (projection path and no-GROUP-BY
-/// aggregation): per-morsel ascending parts concatenated in morsel order,
-/// exactly like the interpreter's FilterRows merge.
-Result<SelVector> FusedFilter(size_t n, const std::vector<BoundPred>& preds,
-                              const std::vector<ColView>& cols,
-                              const Deadline& dl) {
-  if (ShouldParallelize(n)) {
-    size_t morsels = (n + kMorselRows - 1) / kMorselRows;
-    std::vector<SelVector> parts(morsels);
-    std::vector<Status> stats(morsels, Status::OK());
-    WorkerPool::Shared().ParallelFor(morsels, [&](size_t mi) {
-      if (dl.Expired()) {
-        stats[mi] = DeadlineExceeded("filter morsel");
-        return;
-      }
-      size_t lo = mi * kMorselRows;
-      size_t hi = std::min(n, lo + kMorselRows);
-      FilterMorsel(preds, cols, lo, hi, &parts[mi]);
-    });
-    for (const Status& s : stats) {
-      if (!s.ok()) return s;
-    }
-    SelVector sel;
-    size_t total = 0;
-    for (const SelVector& p : parts) total += p.size();
-    sel.reserve(total);
-    for (const SelVector& p : parts) sel.insert(sel.end(), p.begin(), p.end());
-    return sel;
-  }
-  SelVector sel;
-  SelVector part;
-  for (size_t lo = 0; lo < n; lo += kMorselRows) {
-    if (dl.Expired()) return DeadlineExceeded("filter morsel");
-    size_t hi = std::min(n, lo + kMorselRows);
-    FilterMorsel(preds, cols, lo, hi, &part);
-    sel.insert(sel.end(), part.begin(), part.end());
-  }
-  return sel;
-}
-
-/// Synthesizes the aggregate Expr node ComputeAggregateColumnar reads
-/// (func_name + distinct); reusing the library reducer keeps every
-/// accumulator — member-order FP folds included — byte-identical to the
-/// interpreted path by construction.
-Expr AggExprFor(const std::string& fn_name) {
-  Expr e;
-  e.kind = ExprKind::kFuncCall;
-  e.func_name = fn_name;
-  return e;
+Result<BoundFilter> BindFilter(const std::vector<Pred>& preds,
+                               const std::vector<KernelPlan::InList>& in_lists,
+                               const std::vector<Datum>& params,
+                               const StoredTable& table) {
+  BoundFilter f;
+  HQ_ASSIGN_OR_RETURN(f.preds, SplicePreds(preds, in_lists, params));
+  f.cols.reserve(table.data.size());
+  for (const ColumnPtr& c : table.data) f.cols.push_back(ViewOf(*c));
+  return f;
 }
 
 }  // namespace
@@ -1944,36 +1639,24 @@ Result<Relation> KernelPlan::ExecuteGrouped(
   HQ_RETURN_IF_ERROR(CancelIfExpired(dl, "scan/join"));
   const size_t n = table.row_count;
 
-  HQ_ASSIGN_OR_RETURN(std::vector<BoundPred> preds,
-                      SplicePreds(preds_, in_lists_, params));
-  std::vector<ColView> cols;
-  cols.reserve(table.data.size());
-  for (const ColumnPtr& c : table.data) cols.push_back(ViewOf(*c));
-
+  HQ_ASSIGN_OR_RETURN(const BoundFilter filter,
+                      BindFilter(preds_, in_lists_, params, table));
+  const bool parallel = ShouldParallelize(n);
   std::vector<SelVector> members;
-  switch (group_mode_) {
-    case GroupMode::kNone: {
-      HQ_ASSIGN_OR_RETURN(SelVector sel, FusedFilter(n, preds, cols, dl));
-      if (!sel.empty()) members.push_back(std::move(sel));
-      break;
-    }
-    case GroupMode::kSingleInt: {
-      IntKeyAdapter ad{&cols[group_cols_[0]]};
-      HQ_ASSIGN_OR_RETURN(members, BuildGroupsT(n, preds, cols, ad, dl));
-      break;
-    }
-    case GroupMode::kSingleString: {
-      StringKeyAdapter ad{&cols[group_cols_[0]]};
-      HQ_ASSIGN_OR_RETURN(members, BuildGroupsT(n, preds, cols, ad, dl));
-      break;
-    }
-    case GroupMode::kGeneric: {
-      GenericKeyAdapter ad;
-      ad.columns = &table.data;
-      ad.group_cols = &group_cols_;
-      HQ_ASSIGN_OR_RETURN(members, BuildGroupsT(n, preds, cols, ad, dl));
-      break;
-    }
+  if (group_cols_.empty()) {
+    HQ_ASSIGN_OR_RETURN(SelVector sel, FilterMorsels(n, parallel, dl, filter));
+    if (!sel.empty()) members.push_back(std::move(sel));
+  } else {
+    std::vector<ColumnPtr> keys;
+    for (int c : group_cols_) keys.push_back(table.data[c]);
+    HQ_ASSIGN_OR_RETURN(
+        members, GroupMembers(keys, n, parallel, dl,
+                              [&](size_t lo, size_t hi, auto&& add) {
+                                SelVector sel;
+                                HQ_RETURN_IF_ERROR(filter(lo, hi, &sel));
+                                for (uint32_t r : sel) add(r);
+                                return Status::OK();
+                              }));
   }
   // No GROUP BY: aggregates over an empty input still produce one row
   // (count(*) = 0, sums NULL), exactly like the interpreted executor.
@@ -1986,11 +1669,7 @@ Result<Relation> KernelPlan::ExecuteGrouped(
 
   // Representative rows feed the plain-column outputs (first member; -1
   // pads the empty no-GROUP-BY group with NULLs).
-  std::vector<int64_t> rep(ngroups);
-  for (size_t g = 0; g < ngroups; ++g) {
-    rep[g] = members[g].empty() ? -1
-                                : static_cast<int64_t>(members[g].front());
-  }
+  const std::vector<int64_t> rep = RepresentativeRows(members);
   std::unordered_map<int, ColumnPtr> rep_cols;
   for (const Item& item : items_) {
     if (item.is_agg || rep_cols.count(item.col) != 0) continue;
@@ -2005,47 +1684,18 @@ Result<Relation> KernelPlan::ExecuteGrouped(
     ColumnPtr col;
     if (!item.is_agg) {
       col = rep_cols[item.col];
-    } else if (item.agg.col < 0) {
-      auto c = std::make_shared<Column>();
-      for (size_t g = 0; g < ngroups; ++g) {
-        c->Append(Datum::BigInt(static_cast<int64_t>(members[g].size())));
-      }
-      col = std::move(c);
     } else {
-      const Column& arg = *table.data[item.agg.col];
-      const Expr agg_expr = AggExprFor(item.agg.fn_name);
-      std::vector<Datum> vals(ngroups);
-      std::vector<Status> stats(ngroups, Status::OK());
-      auto reduce_one = [&](size_t g) {
-        if (dl.Expired()) {
-          stats[g] = DeadlineExceeded("aggregate morsel");
-          return;
-        }
-        Result<Datum> v = ComputeAggregateColumnar(agg_expr, arg, members[g]);
-        if (!v.ok()) {
-          stats[g] = v.status();
-          return;
-        }
-        vals[g] = *std::move(v);
-      };
-      if (par_aggs) {
-        WorkerPool::Shared().ParallelFor(ngroups, reduce_one);
-      } else {
-        for (size_t g = 0; g < ngroups; ++g) reduce_one(g);
-      }
-      for (const Status& s : stats) {
-        if (!s.ok()) return s;  // lowest group's error wins
-      }
+      const Column* arg =
+          item.agg.col < 0 ? nullptr : table.data[item.agg.col].get();
+      HQ_ASSIGN_OR_RETURN(
+          std::vector<Datum> vals,
+          ReduceGroups(*item.agg.call, arg, members, par_aggs, dl));
       auto c = std::make_shared<Column>();
-      for (size_t g = 0; g < ngroups; ++g) c->Append(vals[g]);
+      for (const Datum& v : vals) c->Append(v);
       col = std::move(c);
     }
-    SqlType type = item.type;
-    if (ngroups > 0 && !col->IsNull(0)) {
-      Datum v0 = col->At(0);
-      if (type != v0.type()) type = v0.type();
-    }
-    out.cols.push_back(RelColumn{"", item.name, type});
+    out.cols.push_back(
+        RelColumn{"", item.name, RefinedType(item.type, *col, ngroups)});
     out.columns.push_back(std::move(col));
   }
   HQ_RETURN_IF_ERROR(CancelIfExpired(dl, "group/aggregate"));
@@ -2062,11 +1712,8 @@ Result<Relation> KernelPlan::ExecuteProject(
   std::unordered_map<int, ColumnPtr> gathered;
   size_t out_rows = n;
   if (!preds_.empty()) {
-    HQ_ASSIGN_OR_RETURN(std::vector<BoundPred> preds,
-                        SplicePreds(preds_, in_lists_, params));
-    std::vector<ColView> cols;
-    cols.reserve(table.data.size());
-    for (const ColumnPtr& c : table.data) cols.push_back(ViewOf(*c));
+    HQ_ASSIGN_OR_RETURN(const BoundFilter filter,
+                        BindFilter(preds_, in_lists_, params, table));
     SelVector sel;
     // LIMIT early-exit: with no sort left to satisfy, survivors are taken
     // in scan order, so the morsel loop can stop once OFFSET+LIMIT rows
@@ -2087,14 +1734,15 @@ Result<Relation> KernelPlan::ExecuteProject(
              lo += kMorselRows) {
           HQ_RETURN_IF_ERROR(CancelIfExpired(dl, "filter morsel"));
           size_t hi = std::min(n, lo + kMorselRows);
-          FilterMorsel(preds, cols, lo, hi, &part);
+          HQ_RETURN_IF_ERROR(filter(lo, hi, &part));
           sel.insert(sel.end(), part.begin(), part.end());
         }
         early_done = true;
       }
     }
     if (!early_done) {
-      HQ_ASSIGN_OR_RETURN(sel, FusedFilter(n, preds, cols, dl));
+      HQ_ASSIGN_OR_RETURN(sel,
+                          FilterMorsels(n, ShouldParallelize(n), dl, filter));
     }
     out_rows = sel.size();
 
@@ -2130,12 +1778,8 @@ Result<Relation> KernelPlan::ExecuteProject(
   out.row_count = out_rows;
   for (const Item& item : items_) {
     ColumnPtr col = gathered[item.col];
-    SqlType type = item.type;
-    if (out_rows > 0 && !col->IsNull(0)) {
-      Datum v0 = col->At(0);
-      if (type != v0.type()) type = v0.type();
-    }
-    out.cols.push_back(RelColumn{"", item.name, type});
+    out.cols.push_back(
+        RelColumn{"", item.name, RefinedType(item.type, *col, out_rows)});
     out.columns.push_back(std::move(col));
   }
   return ApplyOrderAndLimit(std::move(out), params, scan_ordered);
@@ -2143,56 +1787,16 @@ Result<Relation> KernelPlan::ExecuteProject(
 
 Result<Relation> KernelPlan::ApplyOrderAndLimit(
     Relation out, const std::vector<Datum>& params, bool scan_ordered) const {
-  // Mirrors the interpreted ApplyOrderBy: stable sort of a row
-  // permutation, NULLs placed by nulls_first, cells compared with the
-  // shared CompareCells, then one gather. Identity permutations (0/1
-  // rows) skip the gather; cell bytes are unchanged either way.
+  // The interpreted ApplyOrderBy/ApplyLimit operators over the output
+  // items. Identity permutations (0/1 rows) skip the gather; cell bytes
+  // are unchanged either way.
   if (!scan_ordered && out.row_count > 1) {
-    const size_t n = out.row_count;
-    SelVector order(n);
-    for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
-    std::stable_sort(
-        order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-          for (const OrderKey& k : order_keys_) {
-            const Column& col = *out.columns[k.item];
-            bool xn = col.IsNull(a), yn = col.IsNull(b);
-            if (xn || yn) {
-              if (xn == yn) continue;
-              return xn == k.nulls_first;
-            }
-            int cmp = CompareCells(col, a, b);
-            if (cmp != 0) return k.ascending ? cmp < 0 : cmp > 0;
-          }
-          return false;
-        });
+    SelVector order = SortPermutation(out.columns, order_keys_, out.row_count);
     out = out.GatherRows(order.data(), order.size());
   }
-
-  // Mirrors the interpreted ApplyLimit: negative LIMIT means "no limit",
-  // OFFSET only applies when positive, and the whole-range case skips the
-  // gather.
-  if (has_limit_ || has_offset_) {
-    int64_t limit = -1, offset = 0;
-    if (has_limit_) limit = params[limit_slot_].AsInt();
-    if (has_offset_) offset = params[offset_slot_].AsInt();
-    size_t start = 0;
-    size_t end = out.row_count;
-    if (has_offset_ && offset > 0) {
-      start = std::min<size_t>(static_cast<size_t>(offset), end);
-    }
-    if (has_limit_ && limit >= 0 &&
-        end - start > static_cast<size_t>(limit)) {
-      end = start + static_cast<size_t>(limit);
-    }
-    if (!(start == 0 && end == out.row_count)) {
-      SelVector sel(end - start);
-      for (size_t i = 0; i < sel.size(); ++i) {
-        sel[i] = static_cast<uint32_t>(start + i);
-      }
-      out = out.GatherRows(sel.data(), sel.size());
-    }
-  }
-  return out;
+  return LimitWindow(std::move(out),
+                     has_limit_ ? params[limit_slot_].AsInt() : -1,
+                     has_offset_ ? params[offset_slot_].AsInt() : 0);
 }
 
 Result<Relation> KernelPlan::Execute(const StoredTable& table,

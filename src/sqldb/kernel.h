@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "sqldb/ast.h"
 #include "sqldb/catalog.h"
+#include "sqldb/operators.h"
 #include "sqldb/relation.h"
 #include "sqldb/types.h"
 
@@ -17,18 +18,19 @@ namespace sqldb {
 
 /// Fused-kernel execution for hot SELECT shapes (docs/PERFORMANCE.md).
 ///
-/// The interpreted executor (exec.cc/eval.cc) evaluates a filter into a
-/// SelVector, gathers every table column through it, encodes group keys row
-/// by row over the gathered relation, and only then reduces aggregates. For
-/// the simple shapes that dominate hot dashboard traffic —
+/// The interpreted executor (exec.cc/eval.cc) runs the operators of
+/// sqldb/operators.h one stage at a time: it evaluates a filter into a
+/// SelVector, gathers every table column through it, groups the gathered
+/// relation, and only then reduces aggregates. For the simple shapes that
+/// dominate hot dashboard traffic —
 ///
 ///   SELECT cols / aggs FROM one_table [WHERE conjuncts] [GROUP BY cols]
 ///
-/// — a compiled KernelPlan instead runs scan -> filter -> group/aggregate
-/// (or scan -> filter -> project) as a single morsel-at-a-time loop over the
-/// base columns: typed comparators test each row in place, survivors feed
-/// the group builder directly (no intermediate SelVector or gathered
-/// relation), and aggregates reduce straight off the stored column buffers.
+/// — a compiled KernelPlan instead fuses the same operators into one
+/// morsel-at-a-time loop over the base columns: typed comparators test each
+/// row in place, survivors feed the shared group table directly (no
+/// intermediate SelVector or gathered relation), and the shared reducer runs
+/// straight off the stored column buffers.
 /// Plans are cached in the per-database KernelRegistry keyed by a statement
 /// fingerprint with literals lifted to `$k` slots, so the PR 2 parameterized
 /// translation tier shares one kernel across literal variants.
@@ -144,15 +146,10 @@ class KernelPlan {
     bool has_null_item = false;
   };
 
-  /// One compiled ORDER BY key, resolved to an output item index.
-  struct OrderKey {
-    int item = 0;
-    bool ascending = true;
-    bool nulls_first = false;
-  };
-
   struct Agg {
-    std::string fn_name;  ///< aggregate function (IsAggregateFunction set)
+    /// The statement's call node (never DISTINCT), read by the shared
+    /// reducer, so every accumulator is the interpreter's by construction.
+    ExprPtr call;
     int col = -1;         ///< argument column; -1 for count(*)
   };
 
@@ -192,21 +189,13 @@ class KernelPlan {
  private:
   KernelPlan() = default;
 
-  /// Group-key specialization chosen at compile time.
-  enum class GroupMode : uint8_t {
-    kNone,          ///< no GROUP BY and aggregates present: one group
-    kSingleInt,     ///< single kInt-storage key column
-    kSingleString,  ///< single kString-storage key column
-    kGeneric,       ///< EncodeValue byte keys (multi-column / float keys)
-  };
-
   Result<Relation> ExecuteGrouped(const StoredTable& table,
                                   const std::vector<Datum>& params) const;
   Result<Relation> ExecuteProject(const StoredTable& table,
                                   const std::vector<Datum>& params) const;
-  /// Mirrors the interpreted ApplyOrderBy/ApplyLimit tail over the built
-  /// output relation (stable sort with the shared CompareCells comparator,
-  /// then the LIMIT/OFFSET row-range gather). `scan_ordered` skips the sort.
+  /// The interpreter's ORDER BY and LIMIT operators over the built output
+  /// relation (SortPermutation, then LimitWindow). `scan_ordered` skips the
+  /// sort.
   Result<Relation> ApplyOrderAndLimit(Relation out,
                                       const std::vector<Datum>& params,
                                       bool scan_ordered) const;
@@ -222,11 +211,11 @@ class KernelPlan {
   std::vector<Pred> preds_;
   std::vector<InList> in_lists_;
   bool grouped_ = false;  ///< aggregate path vs projection path
-  GroupMode group_mode_ = GroupMode::kNone;
   std::vector<int> group_cols_;
   std::vector<Item> items_;
 
-  std::vector<OrderKey> order_keys_;
+  /// ORDER BY keys resolved to output item indices.
+  std::vector<SortKey> order_keys_;
   /// Sort elision (see Compile): when the lone ascending ORDER BY key is a
   /// column whose compile-time buffer was verified sorted and NULL-free,
   /// that column and buffer. A stable sort of it is the identity, so

@@ -10,6 +10,29 @@
 namespace hyperq {
 namespace sqldb {
 
+namespace {
+
+// Key encoding (EncodeDatum / Column::EncodeValue): a type tag, the
+// payload and a '\x1f' terminator the callers append.
+void EncodeIntKey(int64_t v, std::string* out) {
+  out->push_back('i');
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/// NaNs canonicalize to one payload, and integral-valued doubles encode as
+/// ints so 1 and 1.0 group together.
+void EncodeDoubleKey(double v, std::string* out) {
+  if (std::isnan(v)) v = std::nan("");
+  if (!std::isnan(v) && v == static_cast<double>(static_cast<int64_t>(v))) {
+    EncodeIntKey(static_cast<int64_t>(v), out);
+    return;
+  }
+  out->push_back('f');
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Column
 // ---------------------------------------------------------------------------
@@ -473,15 +496,9 @@ std::vector<std::string> Column::TakeStrings() {
 }
 
 void Column::EncodeValue(size_t i, std::string* out) const {
-  switch (storage_) {
-    case Storage::kEmpty:
-      out->push_back('\x00');
-      return;
-    case Storage::kMixed:
-      EncodeDatum(mixed_[i], out);
-      return;
-    default:
-      break;
+  if (storage_ == Storage::kMixed) {
+    EncodeDatum(mixed_[i], out);
+    return;
   }
   if (IsNull(i)) {
     out->push_back('\x00');
@@ -492,26 +509,12 @@ void Column::EncodeValue(size_t i, std::string* out) const {
       out->push_back('s');
       out->append(strs_[i]);
       break;
-    case Storage::kFloat: {
-      out->push_back('f');
-      double v = floats_[i];
-      if (std::isnan(v)) v = std::nan("");
-      if (!std::isnan(v) &&
-          v == static_cast<double>(static_cast<int64_t>(v))) {
-        (*out)[out->size() - 1] = 'i';
-        int64_t iv = static_cast<int64_t>(v);
-        out->append(reinterpret_cast<const char*>(&iv), sizeof(iv));
-      } else {
-        out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-      }
+    case Storage::kFloat:
+      EncodeDoubleKey(floats_[i], out);
       break;
-    }
-    default: {
-      out->push_back('i');
-      int64_t v = ints_[i];
-      out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+    default:
+      EncodeIntKey(ints_[i], out);
       break;
-    }
   }
   out->push_back('\x1f');
 }
@@ -665,21 +668,9 @@ void EncodeDatum(const Datum& d, std::string* out) {
     out->push_back('s');
     out->append(d.AsString());
   } else if (d.type() == SqlType::kReal || d.type() == SqlType::kDouble) {
-    out->push_back('f');
-    double v = d.AsDouble();
-    if (std::isnan(v)) v = std::nan("");
-    // Integral-valued doubles encode as ints so 1 and 1.0 group together.
-    if (!std::isnan(v) && v == static_cast<double>(static_cast<int64_t>(v))) {
-      (*out)[out->size() - 1] = 'i';
-      int64_t iv = static_cast<int64_t>(v);
-      out->append(reinterpret_cast<const char*>(&iv), sizeof(iv));
-    } else {
-      out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-    }
+    EncodeDoubleKey(d.AsDouble(), out);
   } else {
-    out->push_back('i');
-    int64_t v = d.AsInt();
-    out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+    EncodeIntKey(d.AsInt(), out);
   }
   out->push_back('\x1f');
 }

@@ -153,11 +153,7 @@ int Datum::Compare(const Datum& a, const Datum& b) {
   }
   if ((a.type_ == SqlType::kReal || a.type_ == SqlType::kDouble) ||
       (b.type_ == SqlType::kReal || b.type_ == SqlType::kDouble)) {
-    double x = a.AsDouble(), y = b.AsDouble();
-    if (std::isnan(x) && std::isnan(y)) return 0;
-    if (std::isnan(x)) return 1;  // PG: NaN sorts last among non-nulls
-    if (std::isnan(y)) return -1;
-    return x < y ? -1 : (x > y ? 1 : 0);
+    return Cmp3Double(a.AsDouble(), b.AsDouble());
   }
   return a.i_ < b.i_ ? -1 : (a.i_ > b.i_ ? 1 : 0);
 }

@@ -1,6 +1,7 @@
 #ifndef HYPERQ_SQLDB_TYPES_H_
 #define HYPERQ_SQLDB_TYPES_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -116,6 +117,14 @@ class Datum {
   double f_ = 0;
   std::string s_;
 };
+
+/// Datum::Compare's double ordering, shared by every typed comparison
+/// loop: NaN sorts last among non-nulls (as in PG), two NaNs tie.
+inline int Cmp3Double(double x, double y) {
+  bool nx = std::isnan(x), ny = std::isnan(y);
+  if (nx || ny) return nx && ny ? 0 : (nx ? 1 : -1);
+  return (x > y) - (x < y);
+}
 
 }  // namespace sqldb
 }  // namespace hyperq

@@ -268,6 +268,34 @@ TEST_P(QipcRoundTrip, CompressedStreamFuzzDoesNotCrash) {
   }
 }
 
+TEST(QipcHostileFrames, HugeListCountsFailWithoutAllocating) {
+  // A list header claiming INT32_MAX elements followed by a few bytes must
+  // be refused before anything is sized from the count: 2^31 longs would
+  // be 16 GiB.
+  const QType kTypes[] = {QType::kLong, QType::kFloat, QType::kReal,
+                          QType::kSymbol, QType::kMixed};
+  for (QType t : kTypes) {
+    std::vector<uint8_t> frame = {1, 1, 0, 0, 0, 0, 0, 0,
+                                  static_cast<uint8_t>(t), 0,
+                                  0xFF, 0xFF, 0xFF, 0x7F};
+    // Symbols get a few terminated names; mixed elements a few long atoms
+    // (type -7); the fixed-width lists some payload bytes.
+    if (t == QType::kMixed) {
+      for (int i = 0; i < 3; ++i) {
+        frame.push_back(static_cast<uint8_t>(-7));
+        frame.insert(frame.end(), 8, 1);
+      }
+    } else {
+      frame.insert(frame.end(), {'a', 0, 'b', 0, 'c', 0, 'd', 0});
+    }
+    const uint32_t len = static_cast<uint32_t>(frame.size());
+    for (int k = 0; k < 4; ++k) frame[4 + k] = (len >> (8 * k)) & 0xFF;
+    auto r = DecodeMessage(frame);
+    ASSERT_FALSE(r.ok()) << QTypeName(t);
+    EXPECT_EQ(r.status().code(), StatusCode::kProtocolError) << QTypeName(t);
+  }
+}
+
 // -- Vectorized wire path ----------------------------------------------------
 
 TEST_P(QipcRoundTrip, BulkEncodeMatchesElementwiseBaseline) {

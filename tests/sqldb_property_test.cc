@@ -1,10 +1,14 @@
+#include <cmath>
 #include <map>
+#include <set>
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/strings.h"
 #include "common/worker_pool.h"
 #include "sqldb/database.h"
+#include "sqldb/operators.h"
 #include "testing/market_data.h"
 
 namespace hyperq {
@@ -204,6 +208,88 @@ class NullAwareBatchProperty : public ::testing::TestWithParam<uint64_t> {
     ExpectSameData(Run(got_sql), Run(want_sql), got_sql);
   }
 
+  /// Runs `sql` inline (pool of 0 threads) and on a pool of 4, asserts the
+  /// two results are identical, and returns the pooled one.
+  QueryResult RunAtPoolSizes(const std::string& sql) {
+    WorkerPool& pool = WorkerPool::Shared();
+    const size_t restore = pool.thread_count();
+    pool.Resize(0);
+    QueryResult inline_run = Run(sql);
+    pool.Resize(4);
+    QueryResult pooled = Run(sql);
+    pool.Resize(restore);
+    ExpectSameData(pooled, inline_run, sql);
+    return pooled;
+  }
+
+  /// Tables spanning more than two morsels, so a pool of 4 runs every
+  /// shared operator in parallel. `m` keys: `k` bigint and `s` varchar
+  /// with NULLs; `x` double with NULL, NaN, -0.0 and integral values (1.0
+  /// groups and joins with the bigint 1). `r` is a small build side whose
+  /// float key `f` holds integral values equal to `m.k` values.
+  void LoadMorselTables() {
+    hyperq::testing::Rng rng(GetParam() + 2);
+    const size_t n = 2 * kMorselRows + 1 + rng.Below(kMorselRows);
+    const double kX[] = {1.0, 2.0, 0.5, -0.0, 0.0, 7.0, std::nan("")};
+    std::vector<int64_t> id(n), k(n);
+    std::vector<double> x(n);
+    std::vector<std::string> s(n);
+    std::vector<uint8_t> k_null(n, 0), x_null(n, 0), s_null(n, 0);
+    for (size_t i = 0; i < n; ++i) {
+      id[i] = static_cast<int64_t>(i);
+      k[i] = static_cast<int64_t>(rng.Below(40));
+      k_null[i] = rng.Below(10) == 0;
+      x[i] = kX[rng.Below(7)];
+      x_null[i] = rng.Below(10) == 0;
+      s[i] = StrCat("s", rng.Below(12));
+      s_null[i] = rng.Below(10) == 0;
+      if (x_null[i]) continue;
+      x_classes_.insert(std::isnan(x[i]) ? "nan" : StrCat(x[i] + 0.0));
+    }
+    if (std::count(x_null.begin(), x_null.end(), 1) > 0) {
+      x_classes_.insert("null");
+    }
+    StoredTable m;
+    m.name = "m";
+    m.columns = {{"id", SqlType::kBigInt}, {"k", SqlType::kBigInt},
+                 {"x", SqlType::kDouble}, {"s", SqlType::kVarchar}};
+    m.data = {Column::FromInts(SqlType::kBigInt, std::move(id)),
+              Column::FromInts(SqlType::kBigInt, std::move(k),
+                               std::move(k_null)),
+              Column::FromFloats(SqlType::kDouble, std::move(x),
+                                 std::move(x_null)),
+              Column::FromStrings(SqlType::kVarchar, std::move(s),
+                                  std::move(s_null))};
+    m.row_count = n;
+    ASSERT_TRUE(db_.CreateAndLoad(std::move(m)).ok());
+
+    const size_t rn = 30;
+    std::vector<int64_t> rid(rn);
+    std::vector<double> f(rn);
+    std::vector<std::string> rs(rn);
+    std::vector<uint8_t> f_null(rn, 0);
+    for (size_t i = 0; i < rn; ++i) {
+      rid[i] = static_cast<int64_t>(i);
+      f[i] = static_cast<double>(rng.Below(45));  // some match no `k`
+      f_null[i] = rng.Below(8) == 0;
+      rs[i] = StrCat("s", rng.Below(14));
+    }
+    StoredTable r;
+    r.name = "r";
+    r.columns = {{"rid", SqlType::kBigInt}, {"f", SqlType::kDouble},
+                 {"rs", SqlType::kVarchar}};
+    r.data = {Column::FromInts(SqlType::kBigInt, std::move(rid)),
+              Column::FromFloats(SqlType::kDouble, std::move(f),
+                                 std::move(f_null)),
+              Column::FromStrings(SqlType::kVarchar, std::move(rs))};
+    r.row_count = rn;
+    ASSERT_TRUE(db_.CreateAndLoad(std::move(r)).ok());
+  }
+
+  /// The distinct classes of m.x: "null", "nan", or the value (-0.0 and
+  /// 0.0 are one class).
+  std::set<std::string> x_classes_;
+
   Database db_;
   std::unique_ptr<Session> session_;
 };
@@ -282,6 +368,147 @@ TEST_P(NullAwareBatchProperty, CoalesceErrorsMatchPerRowEvaluation) {
   // Zero rows evaluate nothing and so never fail.
   QueryResult empty = Run("SELECT COALESCE(a, 1/0) FROM u WHERE id < 0");
   EXPECT_EQ(empty.data.row_count, 0u);
+}
+
+TEST_P(NullAwareBatchProperty, GroupTableAgreesAcrossPoolSizes) {
+  LoadMorselTables();
+  // Typed int key, typed string key, generic float key, multi-column and
+  // expression keys (one with thousands of groups), all with NULLs.
+  const char* kGroupBys[] = {
+      "SELECT k, COUNT(*), SUM(x), MIN(s), MAX(id) FROM m GROUP BY k",
+      "SELECT s, COUNT(x), AVG(k) FROM m GROUP BY s",
+      "SELECT x, COUNT(*), MIN(id) FROM m GROUP BY x",
+      "SELECT k, s, x, SUM(id) FROM m GROUP BY k, s, x",
+      "SELECT k + x, COUNT(*) FROM m GROUP BY k + x",
+      "SELECT id % 4999, COUNT(*), MAX(x) FROM m GROUP BY id % 4999",
+  };
+  for (const char* sql : kGroupBys) RunAtPoolSizes(sql);
+  // NaN is one group, -0.0 groups with 0.0, and 1.0 is not split.
+  QueryResult by_x = RunAtPoolSizes("SELECT x FROM m GROUP BY x");
+  EXPECT_EQ(by_x.data.row_count, x_classes_.size());
+  QueryResult distinct_x = RunAtPoolSizes("SELECT DISTINCT x FROM m");
+  ExpectSameData(distinct_x, by_x, "DISTINCT x vs GROUP BY x");
+  for (const char* sql : {"SELECT DISTINCT k FROM m",
+                          "SELECT DISTINCT s, k FROM m",
+                          "SELECT DISTINCT k + x, s FROM m"}) {
+    RunAtPoolSizes(sql);
+  }
+  // Integral doubles and bigints are one class: the float key 1.0 groups
+  // with the int key 1.
+  QueryResult mixed = RunAtPoolSizes(
+      "SELECT v, COUNT(*) FROM (SELECT k AS v FROM m WHERE k < 3 UNION ALL "
+      "SELECT x AS v FROM m WHERE x = 1) t GROUP BY v");
+  size_t ones = 0;
+  for (size_t i = 0; i < mixed.data.row_count; ++i) {
+    Datum v = mixed.data.At(i, 0);
+    if (!v.is_null() && v.AsDouble() == 1.0) ++ones;
+  }
+  EXPECT_EQ(ones, 1u);
+}
+
+TEST_P(NullAwareBatchProperty, KernelGroupByMatchesInterpreter) {
+  LoadMorselTables();
+  const char* kShapes[] = {
+      "SELECT k, COUNT(*), SUM(x), MIN(s), MAX(id) FROM m GROUP BY k",
+      "SELECT s, COUNT(x), MAX(x) FROM m WHERE id > 100 GROUP BY s",
+      "SELECT x, COUNT(*), MIN(id) FROM m GROUP BY x",
+      "SELECT k, s, SUM(id) FROM m WHERE x IS NOT NULL GROUP BY k, s",
+      "SELECT COUNT(*), SUM(x) FROM m WHERE k > 1000",
+      "SELECT s, COUNT(*) AS c FROM m GROUP BY s ORDER BY c DESC, s "
+      "LIMIT 5 OFFSET 2",
+  };
+  Counter* hits = MetricsRegistry::Global().GetCounter("kernel.hits");
+  for (const char* sql : kShapes) {
+    int64_t h0 = hits->value();
+    QueryResult kernel = RunAtPoolSizes(sql);
+    ASSERT_GT(hits->value(), h0) << "kernel did not take: " << sql;
+    db_.kernel_registry().set_enabled(false);
+    QueryResult interpreted = RunAtPoolSizes(sql);
+    db_.kernel_registry().set_enabled(true);
+    ExpectSameData(kernel, interpreted, sql);
+  }
+}
+
+TEST_P(NullAwareBatchProperty, HashJoinMatchesCrossJoinFilter) {
+  LoadMorselTables();
+  // Byte identity across pool sizes over all of m: int vs float keys,
+  // typed string keys, a multi-column key and a null-safe key.
+  const char* kJoins[] = {
+      "SELECT m.id, m.k, r.rid, r.f FROM m JOIN r ON m.k = r.f",
+      "SELECT r.rid, m.id FROM r JOIN m ON r.f = m.k",
+      "SELECT m.id, r.rid FROM m LEFT JOIN r ON r.rs = m.s",
+      "SELECT m.id, r.rid FROM m JOIN r ON m.k = r.f AND m.s = r.rs",
+      "SELECT m.id, r.rid FROM m LEFT JOIN r ON m.k IS NOT DISTINCT FROM "
+      "r.f",
+  };
+  for (const char* sql : kJoins) RunAtPoolSizes(sql);
+  // The hash join keeps exactly the pairs, in the order, that a filtered
+  // cross join does (left-major, right rows ascending); 1 meets 1.0.
+  const char* kPrefix = "(SELECT * FROM m WHERE id < 1500) a";
+  const char* kOn[] = {"a.k = r.f", "a.s = r.rs", "a.k = r.f AND a.s = r.rs",
+                       "r.f = a.k"};
+  size_t int_float_pairs = 0;
+  for (const char* on : kOn) {
+    QueryResult hashed = Run(StrCat("SELECT a.id, r.rid FROM ", kPrefix,
+                                    " JOIN r ON ", on));
+    QueryResult crossed = Run(StrCat("SELECT a.id, r.rid FROM ", kPrefix,
+                                     " CROSS JOIN r WHERE ", on));
+    ExpectSameData(hashed, crossed, on);
+    if (std::string(on) == "a.k = r.f") int_float_pairs = hashed.data.row_count;
+  }
+  EXPECT_GT(int_float_pairs, 0u);
+  // Float build keys probed by int keys, the other way round.
+  ExpectSameData(
+      Run(StrCat("SELECT r.rid, a.id FROM r JOIN ", kPrefix, " ON r.f = a.k")),
+      Run(StrCat("SELECT r.rid, a.id FROM r CROSS JOIN ", kPrefix,
+                 " WHERE r.f = a.k")),
+      "r.f = a.k");
+}
+
+TEST_P(NullAwareBatchProperty, PartitionAndOrderAgreeAcrossPoolSizes) {
+  LoadMorselTables();
+  RunAtPoolSizes(
+      "SELECT id, ROW_NUMBER() OVER (PARTITION BY x ORDER BY id DESC), "
+      "LAG(id) OVER (PARTITION BY k, s ORDER BY id) FROM m");
+  // Partitions follow the group rule: the last row number of each x
+  // partition is that class's row count.
+  QueryResult per_x = RunAtPoolSizes(
+      "SELECT x, MAX(rn) FROM (SELECT x, ROW_NUMBER() OVER (PARTITION BY x "
+      "ORDER BY id) AS rn FROM m) t GROUP BY x");
+  QueryResult counts = RunAtPoolSizes("SELECT x, COUNT(*) FROM m GROUP BY x");
+  ExpectSameData(per_x, counts, "row_number partitions vs group counts");
+  EXPECT_EQ(per_x.data.row_count, x_classes_.size());
+
+  // ORDER BY with NULLs placed either way and NaN sorting last; every
+  // LIMIT/OFFSET window is the matching slice of the full order.
+  const std::string order = "SELECT id, x, k FROM m ORDER BY x DESC NULLS "
+                            "FIRST, k NULLS LAST, id";
+  QueryResult full = RunAtPoolSizes(order);
+  const size_t n = full.data.row_count;
+  for (size_t i = 1; i < n; ++i) {
+    Datum a = full.data.At(i - 1, 1), b = full.data.At(i, 1);
+    if (a.is_null() || b.is_null()) {
+      ASSERT_TRUE(a.is_null() || !b.is_null()) << "NULL after value at " << i;
+      continue;
+    }
+    ASSERT_GE(Datum::Compare(a, b), 0) << "x out of order at row " << i;
+  }
+  const int64_t kWindows[][2] = {{100, 37}, {0, 5}, {-1, 5}, {7, 0}, {5, 1},
+                                 {10, static_cast<int64_t>(n) - 3},
+                                 {3, static_cast<int64_t>(n) + 10}};
+  for (const auto& [limit, offset] : kWindows) {
+    std::string sql = StrCat(order, " LIMIT ", limit, " OFFSET ", offset);
+    QueryResult window = RunAtPoolSizes(sql);
+    size_t start = std::min<size_t>(static_cast<size_t>(offset), n);
+    size_t end = limit < 0 ? n
+                           : std::min(n, start + static_cast<size_t>(limit));
+    ASSERT_EQ(window.data.row_count, end - start) << sql;
+    for (size_t i = 0; i < window.data.row_count; ++i) {
+      ASSERT_EQ(window.data.At(i, 0).AsInt(),
+                full.data.At(start + i, 0).AsInt())
+          << sql << " row " << i;
+    }
+  }
 }
 
 /// An as-of join in the shape the translator lowers `aj` to: a left outer
