@@ -23,7 +23,7 @@
 #
 #   --oversubscribe  builds and runs ONLY the oversubscription stress gate:
 #                  2 x nproc concurrent copies of each of the worker pool,
-#                  kernel, shard and chaos-soak tests, once per
+#                  kernel, shard, chaos-soak and ingest-hybrid tests, once per
 #                  HYPERQ_EXEC_THREADS value in 1/4/16. Lost wakeups and
 #                  other hangs TSAN cannot see show up as a copy that
 #                  exceeds its 300 s timeout; any non-zero exit fails.
@@ -60,7 +60,7 @@ fi
 
 if [[ "$OVERSUBSCRIBE" == 1 ]]; then
   STRESS_TESTS=(worker_pool_test kernel_exec_test shard_exec_test
-                chaos_soak_test)
+                chaos_soak_test ingest_hybrid_test)
   COPIES=$((2 * JOBS))
   echo "==> oversubscribe: configure + build"
   cmake -B build -S . >/dev/null

@@ -27,25 +27,19 @@ class BackendGateway {
   virtual Result<sqldb::QueryResult> Execute(const std::string& sql) = 0;
 
   /// Dispatches a fully translated result query. The default ignores the
-  /// shard plan and executes the result SQL as-is; a sharded gateway
-  /// scatters the per-shard SQL and merges the partials.
+  /// shard plan and executes the result SQL as-is; a sharded or live
+  /// gateway runs the partial SQL over its parts and merges the partials.
   virtual Result<sqldb::QueryResult> ExecuteTranslated(const Translation& t) {
     return Execute(t.result_sql);
   }
 
-  /// Partitioning info for a base table; nullopt when the gateway is not
-  /// sharded or the table is not partitioned.
+  /// Partitioning info for a base table; nullopt when the table is not
+  /// split into parts: shards (the hash-partition column) or a live
+  /// table's historical rows and tail (kLivePartitionColumn).
   virtual std::optional<ShardTableInfo> ShardInfo(
       const std::string& table) const {
     (void)table;
     return std::nullopt;
-  }
-
-  /// True when the table is live-backed: rows may sit in an in-memory
-  /// ingest tail in addition to the historical backend (docs/INGEST.md).
-  virtual bool IsLiveTable(const std::string& table) const {
-    (void)table;
-    return false;
   }
 
   /// The ingest store feeding this gateway's live tables; null when the

@@ -49,9 +49,8 @@ class HyperQSession {
         cache_(&raw_mdi_, options.cache),
         scopes_(&cache_),
         translator_(&cache_, &scopes_,
-                    WithLiveInfo(WithShardInfo(std::move(options.translator),
-                                               gateway_.get()),
-                                 gateway_.get()),
+                    WithShardInfo(std::move(options.translator),
+                                  gateway_.get()),
                     [this](const std::string& sql) -> Status {
                       Result<sqldb::QueryResult> r = gateway_->Execute(sql);
                       return r.ok() ? Status::OK() : r.status();
@@ -120,8 +119,9 @@ class HyperQSession {
   /// Handles `.hyperq.*` builtins; returns nullopt for ordinary queries.
   std::optional<Result<QValue>> TryBuiltin(const std::string& q_text);
 
-  /// Routes the translator's partitioning lookups through the gateway
-  /// (a plain gateway answers nullopt for every table).
+  /// Routes the translator's partitioning lookups through the gateway: a
+  /// sharded gateway answers for its partitioned tables, a live one for
+  /// its ingest-backed tables, a plain one nullopt for every table.
   static QueryTranslator::Options WithShardInfo(
       QueryTranslator::Options options, BackendGateway* gateway) {
     if (!options.shard_info) {
@@ -129,19 +129,6 @@ class HyperQSession {
           [gateway](const std::string& table) {
             return gateway->ShardInfo(table);
           };
-    }
-    return options;
-  }
-
-  /// Routes the translator's live-table lookups through the gateway (a
-  /// plain gateway answers false for every table), so queries over
-  /// ingest-backed tables carry a hybrid split plan.
-  static QueryTranslator::Options WithLiveInfo(
-      QueryTranslator::Options options, BackendGateway* gateway) {
-    if (!options.live_info) {
-      options.live_info = [gateway](const std::string& table) {
-        return gateway->IsLiveTable(table);
-      };
     }
     return options;
   }

@@ -464,12 +464,7 @@ Status QueryTranslator::EmitResultQuery(const AstPtr& expr, Binder* binder,
 
 void QueryTranslator::PlanDistribution(const xtra::XtraPtr& root,
                                        Translation* out) {
-  out->shard = options_.shard_info
-                   ? ToShardPlan(PlanShardRewrite(root, options_.shard_info))
-                   : ShardPlan{};
-  out->hybrid = options_.live_info
-                    ? ToShardPlan(PlanHybridRewrite(root, options_.live_info))
-                    : ShardPlan{};
+  out->shard = ToShardPlan(PlanShardRewrite(root, options_.shard_info));
 }
 
 }  // namespace hyperq

@@ -33,12 +33,13 @@ struct StageTimings {
   }
 };
 
-/// How a translated result query distributes over a sharded backend
-/// (docs/SCALE_OUT.md). Planned at translation time; a gateway without
-/// shards simply ignores it.
+/// How a translated result query distributes over a table's parts: shards
+/// (docs/SCALE_OUT.md) or a live table's historical rows and tail
+/// (docs/INGEST.md). Planned at translation time; a gateway with neither
+/// simply ignores it.
 struct ShardPlan {
   ShardMode mode = ShardMode::kNone;
-  std::string table;        ///< the hash-partitioned base table
+  std::string table;        ///< the partitioned (or live) base table
   std::string partial_sql;  ///< per-shard SQL; empty = result_sql verbatim
   std::string merge_sql;    ///< runs over the concatenated partials table
   /// Partition routing: the filters pin the partition column to this one
@@ -56,11 +57,6 @@ struct Translation {
   ResultShape shape = ResultShape::kTable;
   std::vector<std::string> key_columns;
   ShardPlan shard;
-  /// Hybrid live/historical split of the result query (docs/INGEST.md):
-  /// when mode != kNone, the gateway may run partial_sql against the
-  /// historical table and the pinned live tail independently and recombine
-  /// with merge_sql. Routing fields are never set here.
-  ShardPlan hybrid;
   StageTimings timings;
   /// True when the translation was served from the translation cache; the
   /// per-stage timings above are then zero (or parse-only for a
@@ -77,14 +73,10 @@ class QueryTranslator {
   struct Options {
     Xformer::Options xformer;
     MaterializeMode materialize = MaterializeMode::kPhysical;
-    /// Partitioning oracle for the backend's tables. When set, every
-    /// result query is classified against the distributable shapes and
-    /// carries a ShardPlan for the gateway to scatter with.
+    /// Partitioning oracle for the backend's tables (sharded or live).
+    /// When set, every result query is classified against the
+    /// distributable shapes and carries a ShardPlan for the gateway.
     ShardInfoFn shard_info;
-    /// Live-table oracle (ingest). When set, every result query over a
-    /// live-backed table is classified against the hybrid-splittable
-    /// shapes and carries Translation::hybrid for the gateway.
-    LiveInfoFn live_info;
   };
 
   /// `execute_backend` runs a setup statement against the backend
@@ -112,9 +104,8 @@ class QueryTranslator {
                              Translation* out, bool* produced_result);
   Status EmitResultQuery(const AstPtr& expr, Binder* binder,
                          Translation* out);
-  /// Classifies the transformed tree for scatter-gather (out->shard) and
-  /// for the hybrid live/historical split (out->hybrid), serializing each
-  /// plan's partial and merge SQL.
+  /// Classifies the transformed tree against the distributable shapes
+  /// (out->shard), serializing the plan's partial and merge SQL.
   void PlanDistribution(const xtra::XtraPtr& root, Translation* out);
   Status MaterializeQuery(const std::string& var_name, const AstPtr& expr,
                           Binder* binder, Translation* out);

@@ -131,7 +131,6 @@ bool TranslationCache::LookupExact(const std::string& q_text,
   out->shape = c.shape;
   out->key_columns = c.key_columns;
   out->shard = c.shard;
-  out->hybrid = c.hybrid;
   out->timings = StageTimings{};
   hits_->Increment();
   hits_exact_->Increment();
@@ -153,7 +152,6 @@ void TranslationCache::InsertExact(const std::string& q_text,
   c.shape = t.shape;
   c.key_columns = t.key_columns;
   c.shard = t.shard;
-  c.hybrid = t.hybrid;
   c.pins.clear();
   c.ref_tables = std::move(ref_tables);
   c.ref_names = std::move(ref_names);

@@ -133,13 +133,13 @@ class TranslationCache {
     std::string sql;
     ResultShape shape = ResultShape::kTable;
     std::vector<std::string> key_columns;
-    /// Exact-tier entries replay their shard and hybrid plans verbatim
-    /// (the literals are identical by construction). Fingerprint-tier hits
-    /// deliberately carry no plan — a templated partial/merge pair is not
-    /// worth the correctness risk, and the fallback paths (single-backend
-    /// scatter, merged-snapshot hybrid) stay byte-identical.
+    /// Exact-tier entries replay their shard plan (shards or live table
+    /// parts) verbatim: the literals are identical by construction.
+    /// Fingerprint-tier hits deliberately carry no plan — a templated
+    /// partial/merge pair is not worth the correctness risk, and the
+    /// fallback paths (full-copy backend, merged snapshot) stay
+    /// byte-identical.
     ShardPlan shard;
-    ShardPlan hybrid;
     /// (slot, rendered literal) pairs that must match the incoming params.
     std::vector<std::pair<int, std::string>> pins;
     std::vector<std::string> ref_tables;

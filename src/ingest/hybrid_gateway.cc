@@ -6,7 +6,6 @@
 #include "common/fault.h"
 #include "common/metrics.h"
 #include "common/strings.h"
-#include "xformer/shard_rewrite.h"
 
 namespace hyperq {
 namespace ingest {
@@ -34,14 +33,34 @@ struct HybridMetrics {
   }
 };
 
+/// Session temp tables shadowing catalog tables for part of one query,
+/// erased on every exit path so no snapshot outlives the reads it served.
+class ScopedShadows {
+ public:
+  explicit ScopedShadows(sqldb::Session* session) : session_(session) {}
+  ~ScopedShadows() {
+    for (const std::string& name : names_) session_->temp_tables().erase(name);
+  }
+  ScopedShadows(const ScopedShadows&) = delete;
+  ScopedShadows& operator=(const ScopedShadows&) = delete;
+
+  void Add(const std::string& name,
+           std::shared_ptr<sqldb::StoredTable> table) {
+    session_->temp_tables()[name] = std::move(table);
+    names_.push_back(name);
+  }
+
+ private:
+  sqldb::Session* session_;
+  std::vector<std::string> names_;
+};
+
 }  // namespace
 
 HybridGateway::HybridGateway(sqldb::Database* db, IngestStore* store)
     : db_(db),
       store_(store),
       session_(db->CreateSession()),
-      hist_session_(db->CreateSession()),
-      tail_session_(tail_db_.CreateSession()),
       merge_session_(merge_db_.CreateSession()) {}
 
 std::vector<std::string> HybridGateway::ReferencedLiveTables(
@@ -87,8 +106,8 @@ Result<sqldb::QueryResult> HybridGateway::ExecuteTranslated(
     HybridMetrics::Get().plain->Increment();
     return db_->Execute(session_.get(), t.result_sql);
   }
-  if (live.size() == 1 && t.hybrid.mode != ShardMode::kNone &&
-      t.hybrid.table == live[0]) {
+  if (live.size() == 1 && t.shard.mode != ShardMode::kNone &&
+      t.shard.table == live[0]) {
     return SplitExecute(t);
   }
   return MergedExecute(t, live);
@@ -96,26 +115,20 @@ Result<sqldb::QueryResult> HybridGateway::ExecuteTranslated(
 
 Result<sqldb::QueryResult> HybridGateway::SplitExecute(const Translation& t) {
   HybridMetrics& metrics = HybridMetrics::Get();
-  const std::string& table = t.hybrid.table;
+  const std::string& table = t.shard.table;
 
   // Pin the flush boundary for the whole split: while the pin is held a
   // flush cannot move tail rows into the historical table, so the two
-  // partials partition the table exactly — and the historical partial runs
-  // against the unshadowed catalog, keeping it fused-kernel eligible.
+  // partials partition the table exactly.
   IngestStore::TailPin pin = store_->PinTail(table);
   if (pin.table() == nullptr) {
-    // Tail drained between planning and execution: plain is exact. Drop
-    // the stale installed snapshot, if any, so rows that already flushed
-    // into the historical table aren't also held alive here.
-    if (installed_tails_.erase(table) != 0) {
-      (void)tail_db_.catalog().DropTable(table, /*if_exists=*/true);
-    }
+    // Tail drained between planning and execution: plain is exact.
     metrics.plain->Increment();
     return db_->Execute(session_.get(), t.result_sql);
   }
   ScopedLatencyTimer timer(MetricsRegistry::Global(), metrics.split_us);
   const std::string& partial_sql =
-      t.hybrid.partial_sql.empty() ? t.result_sql : t.hybrid.partial_sql;
+      t.shard.partial_sql.empty() ? t.result_sql : t.shard.partial_sql;
 
   // The two partials run sequentially on the calling thread: tail first
   // (watermark-bounded, so small), then historical. Running them under one
@@ -129,61 +142,34 @@ Result<sqldb::QueryResult> HybridGateway::SplitExecute(const Translation& t) {
   if (Deadline::Current().Expired()) {
     return DeadlineExceeded("ingest.hybrid");
   }
-  Status statuses[2] = {Status::OK(), Status::OK()};
-  std::vector<sqldb::QueryResult> partials(2);
-  {
-    // The tail partial runs against a gateway-private database whose
-    // catalog holds the pinned snapshot as a first-class table — NOT as a
-    // session temp shadow, which would make the kernel registry step
-    // aside. The install is copy-free (the StoredTable shares the pinned
-    // segment's immutable columns) and keyed on the tail's content
-    // version: an unchanged tail skips the reinstall entirely, so its
-    // compiled kernel stays hot; a changed tail bumps the private
-    // catalog's table version, which recompiles exactly once.
-    auto installed = installed_tails_.find(table);
-    if (installed == installed_tails_.end() ||
-        installed->second != pin.version()) {
-      Status s = tail_db_.catalog().CreateTable(*pin.table(),
-                                                /*or_replace=*/true);
-      if (!s.ok()) {
-        metrics.errors->Increment();
-        return s;
-      }
-      installed_tails_[table] = pin.version();
-    }
-    Result<sqldb::QueryResult> r =
-        tail_db_.Execute(tail_session_.get(), partial_sql);
-    if (r.ok()) {
-      partials[1] = std::move(r).value();
-    } else {
-      statuses[1] = r.status();
-    }
-  }
-  if (statuses[1].ok()) {
-    Result<sqldb::QueryResult> r =
-        db_->Execute(hist_session_.get(), partial_sql);
-    if (r.ok()) {
-      partials[0] = std::move(r).value();
-    } else {
-      statuses[0] = r.status();
-    }
-  }
-  // Historical-first keeps the surfaced error deterministic when both fail.
-  for (int i = 0; i < 2; ++i) {
-    if (!statuses[i].ok()) {
+  std::vector<sqldb::QueryResult> partials(2);  // historical, tail
+  auto run_partial = [&](int part) -> Status {
+    Result<sqldb::QueryResult> r = db_->Execute(session_.get(), partial_sql);
+    if (!r.ok()) {
       metrics.errors->Increment();
-      return Status(statuses[i].code(),
-                    StrCat(i == 0 ? "historical" : "tail", " partial: ",
-                           statuses[i].message()));
+      return Status(r.status().code(),
+                    StrCat(part == 0 ? "historical" : "tail", " partial: ",
+                           r.status().message()));
     }
+    partials[part] = std::move(r).value();
+    return Status::OK();
+  };
+  {
+    // The tail partial sees the pinned tail as a temp shadow under the
+    // live table's name, so it runs the catalog table's compiled kernel
+    // (GuardOk) and a tail append recompiles nothing. The shadow is gone
+    // before the historical partial reads the unshadowed catalog.
+    ScopedShadows shadow(session_.get());
+    shadow.Add(table, pin.table());
+    HQ_RETURN_IF_ERROR(run_partial(1));
   }
+  HQ_RETURN_IF_ERROR(run_partial(0));
 
   // Gather historical-then-tail into the merge engine's partials table.
   // Concatenation order never reaches results: every merge plan re-sorts
   // by explicit keys (ordcol tiebreak or group keys).
   Result<sqldb::QueryResult> mergedr = merge_db_.ExecuteOverParts(
-      merge_session_.get(), kShardPartialsTable, partials,
-      t.hybrid.merge_sql);
+      merge_session_.get(), kShardPartialsTable, partials, t.shard.merge_sql);
   if (!mergedr.ok()) {
     metrics.errors->Increment();
     return mergedr.status();
@@ -197,22 +183,18 @@ Result<sqldb::QueryResult> HybridGateway::MergedExecute(
   HybridMetrics& metrics = HybridMetrics::Get();
   // One consistent snapshot per live table, shadowed into the main session
   // so the query still resolves its materialized pipeline variables
-  // (hq_temp_*). Shadows are removed on every exit path.
-  std::vector<std::string> shadowed;
-  shadowed.reserve(live.size());
+  // (hq_temp_*).
+  ScopedShadows shadows(session_.get());
   for (const std::string& name : live) {
     Result<std::shared_ptr<sqldb::StoredTable>> merged =
         store_->MergedTable(name);
     if (!merged.ok()) {
-      for (const std::string& s : shadowed) session_->temp_tables().erase(s);
       metrics.errors->Increment();
       return merged.status();
     }
-    session_->temp_tables()[name] = std::move(merged).value();
-    shadowed.push_back(name);
+    shadows.Add(name, std::move(merged).value());
   }
   Result<sqldb::QueryResult> r = db_->Execute(session_.get(), t.result_sql);
-  for (const std::string& s : shadowed) session_->temp_tables().erase(s);
   if (!r.ok()) {
     metrics.errors->Increment();
     return r;
@@ -224,7 +206,6 @@ Result<sqldb::QueryResult> HybridGateway::MergedExecute(
 void HybridGateway::ForEachDatabase(
     const std::function<void(sqldb::Database*)>& fn) {
   fn(db_);
-  fn(&tail_db_);
   fn(&merge_db_);
 }
 

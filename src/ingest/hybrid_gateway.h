@@ -1,41 +1,40 @@
 #ifndef HYPERQ_INGEST_HYBRID_GATEWAY_H_
 #define HYPERQ_INGEST_HYBRID_GATEWAY_H_
 
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/gateway.h"
 #include "ingest/ingest.h"
 #include "sqldb/database.h"
+#include "xformer/shard_rewrite.h"
 
 namespace hyperq {
 namespace ingest {
 
 /// The read side of real-time ingest (docs/INGEST.md): a gateway that
 /// serves queries over tables whose rows live partly in the historical
-/// backend and partly in the IngestStore's in-memory tail. Three paths,
-/// chosen per translated query:
+/// backend and partly in the IngestStore's in-memory tail. ShardInfo
+/// reports each live table as an unkeyed two-part shard, so the plan in
+/// Translation::shard splits it. Three paths, chosen per translated query:
 ///
 ///   - plain: no referenced table has tail rows — execute as-is (tier-1
 ///     behavior, including fused kernels).
-///   - split: the translator attached a hybrid plan (Translation::hybrid)
-///     for the one live table — run the partial SQL against the historical
-///     catalog and the pinned tail, recombine with the merge SQL. The tail
-///     pin holds the table's flush epoch shared, so a concurrent flush can
-///     never double- or zero-count rows. Both partials are kernel-eligible:
-///     the historical one runs against the unshadowed catalog, and the tail
-///     one against a gateway-private database whose catalog holds the
-///     pinned snapshot as a first-class table (installed copy-free, and
-///     reinstalled — bumping its table version, hence recompiling — only
-///     when the tail's content version moved).
+///   - split: the plan splits the one live table — run the partial SQL
+///     over the pinned tail (shadowed into the session under the table's
+///     name), then over the historical catalog, and recombine with the
+///     merge SQL. The tail pin holds the table's flush epoch shared, so a
+///     concurrent flush can never double- or zero-count rows.
 ///   - merged: every other shape (as-of joins spanning the flush boundary,
 ///     windows, multi-table queries) — execute against one consistent
 ///     historical+tail snapshot shadowed into the session, byte-identical
-///     to a bulk-loaded table by the order-column construction. Kernel-
-///     shaped reads still run on fused kernels: the kernel registry runs
-///     the catalog-compiled plan over a same-schema shadow.
+///     to a bulk-loaded table by the order-column construction.
+///
+/// Kernel-shaped reads on both shadowing paths still run on fused kernels:
+/// the kernel registry runs the catalog-compiled plan over a shadow whose
+/// schema and storage classes match (GuardOk).
 class HybridGateway : public BackendGateway {
  public:
   /// Non-owning: the store outlives the gateway and is shared by every
@@ -45,8 +44,10 @@ class HybridGateway : public BackendGateway {
   Result<sqldb::QueryResult> Execute(const std::string& sql) override;
   Result<sqldb::QueryResult> ExecuteTranslated(const Translation& t) override;
 
-  bool IsLiveTable(const std::string& table) const override {
-    return store_->IsLive(table);
+  std::optional<ShardTableInfo> ShardInfo(
+      const std::string& table) const override {
+    if (!store_->IsLive(table)) return std::nullopt;
+    return ShardTableInfo{kLivePartitionColumn};
   }
   LiveStore* live_store() override { return store_; }
   sqldb::Database* database() override { return db_; }
@@ -54,8 +55,6 @@ class HybridGateway : public BackendGateway {
   void ForEachDatabase(
       const std::function<void(sqldb::Database*)>& fn) override;
   std::string Describe() const override { return "hybrid(ingest+sqldb)"; }
-
-  IngestStore* ingest_store() { return store_; }
 
  private:
   /// Live tables with tail rows that `sql` references and the session does
@@ -68,16 +67,9 @@ class HybridGateway : public BackendGateway {
 
   sqldb::Database* db_;
   IngestStore* store_;
-  std::unique_ptr<sqldb::Session> session_;       ///< main/translator
-  std::unique_ptr<sqldb::Session> hist_session_;  ///< historical partial
-  sqldb::Database tail_db_;   ///< holds the installed tail snapshots
-  std::unique_ptr<sqldb::Session> tail_session_;  ///< tail partial
-  sqldb::Database merge_db_;                      ///< merge-query engine
+  std::unique_ptr<sqldb::Session> session_;  ///< translator and partials
+  sqldb::Database merge_db_;                 ///< merge-query engine
   std::unique_ptr<sqldb::Session> merge_session_;
-  /// Tail content version (TailPin::version) last installed into tail_db_,
-  /// per table. A matching version skips the reinstall, so the compiled
-  /// tail kernel stays hot across queries over an unchanged tail.
-  std::map<std::string, uint64_t> installed_tails_;
 };
 
 }  // namespace ingest

@@ -254,7 +254,6 @@ Result<size_t> IngestStore::Upd(const std::string& table,
     lt->batches += 1;
     lt->tail_rows += rows;
     lt->tail_bytes += seg->bytes;
-    lt->tail_version += 1;
     lt->segments.push_back(std::move(seg));
     over_watermark = lt->tail_rows > options_.tail_max_rows ||
                      lt->tail_bytes > options_.tail_max_bytes;
@@ -310,7 +309,6 @@ Status IngestStore::FlushLocked(const std::string& name, LiveTable* lt) {
   HQ_RETURN_IF_ERROR(db_->catalog().AppendColumns(name, std::move(cols),
                                                   total));
   lt->segments.clear();
-  lt->tail_version += 1;
   lt->rows_flushed += total;
   lt->flushes += 1;
   lt->tail_rows = 0;
@@ -389,7 +387,6 @@ IngestStore::TailPin IngestStore::PinTail(const std::string& table) {
     tail->row_count = total;
   }
   pin.table_ = std::move(tail);
-  pin.version_ = lt->tail_version;
   return pin;
 }
 

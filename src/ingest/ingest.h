@@ -89,18 +89,10 @@ class IngestStore : public LiveStore {
       return table_;
     }
 
-    /// Monotonic content version of the pinned tail: advances on every
-    /// segment append and every flush, so equal versions imply identical
-    /// tail contents. Lets a caller cache work keyed on the tail state
-    /// (the hybrid gateway reinstalls — and recompiles kernels for — its
-    /// tail snapshot only when this moved).
-    uint64_t version() const { return version_; }
-
    private:
     friend class IngestStore;
     std::shared_lock<std::shared_mutex> lock_;
     std::shared_ptr<sqldb::StoredTable> table_;
-    uint64_t version_ = 0;
   };
 
   /// Pins `table`'s tail for a hybrid split execution. For non-live
@@ -119,7 +111,6 @@ class IngestStore : public LiveStore {
     uint64_t rows_flushed = 0;
     uint64_t batches = 0;
     uint64_t flushes = 0;
-    uint64_t tail_version = 0;  ///< bumped on every segment append/flush
     uint64_t tail_rows = 0;
   };
   TableStats Stats(const std::string& table) const;
@@ -142,7 +133,6 @@ class IngestStore : public LiveStore {
     uint64_t rows_flushed = 0;
     uint64_t batches = 0;
     uint64_t flushes = 0;
-    uint64_t tail_version = 0;  ///< bumped on every segment append/flush
     size_t tail_rows = 0;
     size_t tail_bytes = 0;
     std::vector<sqldb::TableColumn> schema;  ///< includes ordcol (last)

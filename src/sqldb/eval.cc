@@ -827,7 +827,7 @@ Result<ColumnPtr> BinaryKernel(const Expr& e, const Column& a,
 
   if (op == "IS_DISTINCT" || op == "IS_NOT_DISTINCT") {
     // Datum::DistinctEquals per cell: NULL matches only NULL, floats
-    // compare as doubles (so NaN is distinct from NaN).
+    // compare as doubles with NaN equal to NaN.
     Column::Storage s = a.storage();
     if (s != b.storage() || s == Column::Storage::kMixed ||
         s == Column::Storage::kEmpty) {
@@ -844,7 +844,7 @@ Result<ColumnPtr> BinaryKernel(const Expr& e, const Column& a,
       } else if (s == Column::Storage::kInt) {
         eq = a.ints()[i] == b.ints()[i];
       } else if (s == Column::Storage::kFloat) {
-        eq = a.floats()[i] == b.floats()[i];
+        eq = DistinctEqualsDouble(a.floats()[i], b.floats()[i]);
       } else {
         eq = a.strs()[i] == b.strs()[i];
       }

@@ -1350,8 +1350,9 @@ void ApplyPred(const BoundPred& bp, const std::vector<ColView>& cols,
     }
     case Pred::Kind::kDistinct: {
       // Datum::DistinctEquals semantics: NULLs are equal to each other,
-      // IEEE equality for floats (NaN != NaN), class mismatch unequal —
-      // never a type error. Row passes when equality != negated.
+      // IEEE equality for floats except that NaN equals NaN, class
+      // mismatch unequal — never a type error. Row passes when equality !=
+      // negated.
       const bool neg = p.negated;
       if (p.lit_null) {
         // Equal iff the cell is NULL.
@@ -1394,8 +1395,8 @@ void ApplyPred(const BoundPred& bp, const std::vector<ColView>& cols,
           const double* dv = c.dv;
           const double b = bp.d0;
           FillOrCompact(first, lo, hi, sel, [dv, nulls, b, neg](size_t r) {
-            const bool eq =
-                (nulls == nullptr || nulls[r] == 0) && dv[r] == b;
+            const bool eq = (nulls == nullptr || nulls[r] == 0) &&
+                            DistinctEqualsDouble(dv[r], b);
             return eq != neg;
           });
           return;
@@ -1519,7 +1520,7 @@ void ApplyPred(const BoundPred& bp, const std::vector<ColView>& cols,
               eq = static_cast<double>(c.iv[r]) == bp.in_d[i];
               break;
             case CmpMode::kDouble:
-              eq = c.dv[r] == bp.in_d[i];
+              eq = DistinctEqualsDouble(c.dv[r], bp.in_d[i]);
               break;
             case CmpMode::kString:
               eq = (*c.sv)[r] == *bp.in_s[i];

@@ -142,7 +142,7 @@ bool Datum::DistinctEquals(const Datum& a, const Datum& b) {
   if (IsStringType(a.type_) != IsStringType(b.type_)) return false;
   if ((a.type_ == SqlType::kReal || a.type_ == SqlType::kDouble) ||
       (b.type_ == SqlType::kReal || b.type_ == SqlType::kDouble)) {
-    return a.AsDouble() == b.AsDouble();
+    return DistinctEqualsDouble(a.AsDouble(), b.AsDouble());
   }
   return a.i_ == b.i_;
 }

@@ -101,7 +101,8 @@ class Datum {
   std::string ToText() const;
 
   /// SQL equality treating NULLs per IS NOT DISTINCT FROM (both NULL ->
-  /// equal). Cross-numeric comparisons coerce to double.
+  /// equal). Cross-numeric comparisons coerce to double, and NaN equals
+  /// NaN (as in PG, and as the EncodeValue keys group it).
   static bool DistinctEquals(const Datum& a, const Datum& b);
 
   /// Three-way comparison for ORDER BY (caller decides null placement).
@@ -124,6 +125,12 @@ inline int Cmp3Double(double x, double y) {
   bool nx = std::isnan(x), ny = std::isnan(y);
   if (nx || ny) return nx && ny ? 0 : (nx ? 1 : -1);
   return (x > y) - (x < y);
+}
+
+/// Datum::DistinctEquals' double equality, shared by the batched and
+/// fused forms: IEEE equality, except that two NaNs are equal.
+inline bool DistinctEqualsDouble(double x, double y) {
+  return x == y || (std::isnan(x) && std::isnan(y));
 }
 
 }  // namespace sqldb

@@ -600,29 +600,4 @@ ShardRewrite PlanShardRewrite(const xtra::XtraPtr& root,
   return TryOrdered(root, info);
 }
 
-ShardRewrite PlanHybridRewrite(const xtra::XtraPtr& root,
-                               const LiveInfoFn& live) {
-  if (!root || !live) return ShardRewrite{};
-  // Present live tables as partitioned on a column no query can name, so
-  // the shared matchers reuse their shape analysis verbatim while the
-  // partition-dependent outcomes (kAligned, routing) are unreachable:
-  // ResolveBaseColumn yields real column names or "", never the sentinel.
-  ShardInfoFn sentinel =
-      [&live](const std::string& table) -> std::optional<ShardTableInfo> {
-    if (!live(table)) return std::nullopt;
-    return ShardTableInfo{"\x01hq_live_boundary"};
-  };
-  AggShape shape;
-  if (MatchAggShape(root, sentinel, &shape)) {
-    ShardRewrite r = TryTwoPhase(shape);
-    r.routed = false;
-    r.route_key.clear();
-    return r;
-  }
-  ShardRewrite r = TryOrdered(root, sentinel);
-  r.routed = false;
-  r.route_key.clear();
-  return r;
-}
-
 }  // namespace hyperq

@@ -21,6 +21,12 @@ struct ShardTableInfo {
 using ShardInfoFn =
     std::function<std::optional<ShardTableInfo>(const std::string&)>;
 
+/// Partition column of a live table (docs/INGEST.md), whose two parts (the
+/// historical rows and the pinned tail) are split by the flush boundary,
+/// not by a column. No query can name it, so kAligned and routing are
+/// unreachable: a symbol's rows straddle the boundary by construction.
+inline constexpr char kLivePartitionColumn[] = "\x01hq_live_boundary";
+
 /// Name of the transient table the coordinator loads the concatenated
 /// per-shard partial results into before running the merge query.
 inline constexpr char kShardPartialsTable[] = "__hq_partials";
@@ -60,25 +66,10 @@ struct ShardRewrite {
 /// is not provably byte-identical to the single-backend run (joins,
 /// windows, DISTINCT, non-decomposable or float-summing aggregates,
 /// group orders the merge cannot reconstruct) returns mode kNone and the
-/// coordinator falls back to its full-copy backend.
+/// gateway falls back: a sharded coordinator to its full-copy backend, a
+/// live gateway to a merged historical+tail snapshot.
 ShardRewrite PlanShardRewrite(const xtra::XtraPtr& root,
                               const ShardInfoFn& info);
-
-/// Resolves a base table to whether it is live-backed (has an in-memory
-/// ingest tail alongside its historical rows).
-using LiveInfoFn = std::function<bool(const std::string&)>;
-
-/// Plans the hybrid live/historical split of one result query
-/// (docs/INGEST.md): the historical table and the pinned tail segment are
-/// the two "shards", so only the partition-agnostic modes apply —
-/// kOrdered (re-sort the concatenated parts by the implicit order column,
-/// which ingest continues past the historical max) and kTwoPhase
-/// (decomposable partial aggregates). kAligned and partition routing are
-/// never produced: a symbol's rows straddle the flush boundary by
-/// construction. Everything else returns kNone and the gateway falls back
-/// to merged-snapshot execution.
-ShardRewrite PlanHybridRewrite(const xtra::XtraPtr& root,
-                               const LiveInfoFn& live);
 
 }  // namespace hyperq
 

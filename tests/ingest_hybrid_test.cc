@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -33,6 +34,13 @@ namespace {
 int64_t CounterValue(const char* name) {
   return static_cast<int64_t>(
       MetricsRegistry::Global().GetCounter(name)->value());
+}
+
+/// Fused-kernel executions so far (kernel.hits counts plan lookups, which
+/// include plans GuardOk then declines).
+int64_t KernelRuns() {
+  return static_cast<int64_t>(
+      MetricsRegistry::Global().GetHistogram("kernel.exec_us")->count());
 }
 
 /// A live-backed server: one historical database + one shared ingest store,
@@ -303,6 +311,104 @@ TEST_F(IngestHybridTest, FlushOfOneTableLeavesOtherTablesKernelsHot) {
       << "quotes kernel must survive a trades flush";
   EXPECT_EQ(CounterValue("kernel.misses"), misses1)
       << "a trades flush must not recompile the quotes kernel";
+}
+
+TEST_F(IngestHybridTest, SplitPartialsShareOneCatalogKernelAcrossTailAppends) {
+  // Both split partials run the catalog table's one compiled kernel: the
+  // tail partial over the pinned tail shadowed into the session under the
+  // live table's name. A tail append changes the shadow, not the catalog
+  // table, so it recompiles nothing.
+  MarketData data = FixtureMarketData();
+  Result<BackendFixture> oracle = MakeBackend(data);
+  ASSERT_TRUE(oracle.ok());
+  size_t nt = data.trades.Table().RowCount();
+  LiveFixture live = MakeLive(data, nt / 2, 0);
+  Publish(live.store.get(), "trades", data.trades, nt / 2, nt * 3 / 4, 1);
+
+  const std::string q = "exec sum Size from trades";
+  ASSERT_TRUE(live.session->Query(q).ok());  // cold translation, compile
+  ASSERT_TRUE(live.session->Query(q).ok());  // exact-tier hit
+  Publish(live.store.get(), "trades", data.trades, nt * 3 / 4, nt, 1);
+
+  // The oracle shares the process-wide counters; run it first.
+  std::string want = ResponseBytes(*oracle->session, q);
+  int64_t split0 = CounterValue("ingest.hybrid_split");
+  int64_t hits0 = CounterValue("kernel.hits");
+  int64_t misses0 = CounterValue("kernel.misses");
+  int64_t runs0 = KernelRuns();
+  EXPECT_EQ(want, ResponseBytes(*live.session, q));
+  EXPECT_EQ(CounterValue("ingest.hybrid_split"), split0 + 1);
+  EXPECT_EQ(CounterValue("kernel.hits"), hits0 + 2);
+  EXPECT_EQ(KernelRuns(), runs0 + 2) << "both partials must be kernel-served";
+  EXPECT_EQ(CounterValue("kernel.misses"), misses0)
+      << "a tail append must not recompile";
+}
+
+TEST_F(IngestHybridTest, SplitTailWithOtherStorageRunsInterpreted) {
+  // An all-NULL historical column loads with empty storage while the tail
+  // holds typed cells, so GuardOk rejects the tail shadow: the tail partial
+  // runs interpreted, the historical one on the kernel, and the answer is
+  // the bulk-loaded table's.
+  const double kNull = std::nan("");
+  QValue table = QValue::MakeTableUnchecked(
+      {"Symbol", "Size", "Px"},
+      {QValue::Syms({"a", "b", "a", "c", "b", "a", "c", "a"}),
+       QValue::IntList(QType::kLong, {5, 7, 11, 13, 17, 19, 23, 29}),
+       QValue::FloatList(QType::kFloat, {kNull, kNull, kNull, kNull, 1.5,
+                                         2.5, kNull, 4.5})});
+  sqldb::Database oracle_db;
+  ASSERT_TRUE(LoadQTable(&oracle_db, "px", table).ok());
+  HyperQSession oracle(&oracle_db);
+  LiveFixture live;
+  live.db = std::make_unique<sqldb::Database>();
+  ASSERT_TRUE(LoadQTable(live.db.get(), "px", SliceTable(table, 0, 4)).ok());
+  live.store = std::make_unique<ingest::IngestStore>(live.db.get());
+  ASSERT_TRUE(live.store->Register("px").ok());
+  live.session = live.NewSession();
+  Publish(live.store.get(), "px", table, 4, 8, 1);
+
+  const std::string q = "exec sum Size from px";
+  ASSERT_TRUE(live.session->Query(q).ok());  // compile
+  std::string want = ResponseBytes(oracle, q);
+  int64_t split0 = CounterValue("ingest.hybrid_split");
+  int64_t runs0 = KernelRuns();
+  EXPECT_EQ(want, ResponseBytes(*live.session, q));
+  EXPECT_EQ(CounterValue("ingest.hybrid_split"), split0 + 1);
+  EXPECT_EQ(KernelRuns(), runs0 + 1)
+      << "only the historical partial is kernel-served";
+}
+
+TEST_F(IngestHybridTest, LiveTablePlansAsUnkeyedTwoPartShard) {
+  // The live gateway answers ShardInfo with a partition column no query
+  // can name, so the shared planner yields only the partition-agnostic
+  // modes: never kAligned (a symbol's rows straddle the flush boundary)
+  // and never a route.
+  MarketData data = FixtureMarketData();
+  LiveFixture live = MakeLive(data, 10, 10);
+  struct Case {
+    const char* q;
+    ShardMode mode;
+  };
+  const Case kCases[] = {
+      {"select Symbol, Price from trades", ShardMode::kOrdered},
+      {"5#`Price xasc trades", ShardMode::kOrdered},
+      {"exec sum Size from trades", ShardMode::kTwoPhase},
+      {"exec avg Price from trades", ShardMode::kNone},
+      {"select s: sum Price by Symbol from trades", ShardMode::kNone},
+      {"select s: sum Size, c: count Size by Symbol from trades",
+       ShardMode::kTwoPhase},
+      {"select Symbol, Price from trades where Symbol=`AAPL",
+       ShardMode::kOrdered},
+      {"exec sum Size from trades where Symbol=`AAPL", ShardMode::kTwoPhase},
+  };
+  for (const Case& c : kCases) {
+    Result<Translation> t = live.session->Translate(c.q);
+    ASSERT_TRUE(t.ok()) << c.q << ": " << t.status().ToString();
+    EXPECT_EQ(ShardModeName(t->shard.mode), ShardModeName(c.mode)) << c.q;
+    EXPECT_EQ(t->shard.table, c.mode == ShardMode::kNone ? "" : "trades")
+        << c.q;
+    EXPECT_FALSE(t->shard.routed) << c.q;
+  }
 }
 
 TEST_F(IngestHybridTest, UpdValidationIsAllOrNothing) {

@@ -329,19 +329,15 @@ TEST_P(NullAwareBatchProperty, CoalesceMatchesCaseExpansion) {
 
 TEST_P(NullAwareBatchProperty, IsDistinctFromMatchesCaseExpansion) {
   // Datum::DistinctEquals semantics: NULL matches only NULL, and NaN is
-  // distinct from NaN (unlike `=`, which orders NaN equal to itself).
+  // not distinct from NaN (as with `=`, which orders NaN equal to itself).
   const std::vector<std::pair<std::string, std::string>> kPairs = {
       {"a", "b"}, {"x", "y"}, {"s", "r"}, {"p", "q"}, {"a", "i"},
       {"a", "x"}, {"x", "x"}, {"s", "'s1'"}, {"a", "2"}, {"NULL", "b"},
   };
   for (const auto& [l, r] : kPairs) {
-    bool text = l == "s" || l == "r";
     std::string equal =
         StrCat("CASE WHEN ", l, " IS NULL OR ", r, " IS NULL THEN (", l,
-               " IS NULL) = (", r, " IS NULL) ELSE ", l, " = ", r,
-               text ? "" : StrCat(" AND NOT (", l,
-                                  " = CAST('NaN' AS double precision))"),
-               " END");
+               " IS NULL) = (", r, " IS NULL) ELSE ", l, " = ", r, " END");
     ExpectSameQuery(
         StrCat("SELECT id, ", l, " IS NOT DISTINCT FROM ", r, ", ", l,
                " IS DISTINCT FROM ", r, " FROM u ORDER BY id"),
@@ -463,6 +459,41 @@ TEST_P(NullAwareBatchProperty, HashJoinMatchesCrossJoinFilter) {
       Run(StrCat("SELECT r.rid, a.id FROM r CROSS JOIN ", kPrefix,
                  " WHERE r.f = a.k")),
       "r.f = a.k");
+  // {NaN, 1.0, NULL} x {NaN, 1.0, NULL} on a null-safe key: NaN meets NaN
+  // and NULL meets NULL as a join and as a filtered cross join alike.
+  for (const char* name : {"na", "nb"}) {
+    StoredTable t;
+    t.name = name;
+    t.columns = {{"id", SqlType::kBigInt}, {"v", SqlType::kDouble}};
+    t.data = {Column::FromInts(SqlType::kBigInt, {0, 1, 2}),
+              Column::FromFloats(SqlType::kDouble, {std::nan(""), 1.0, 0.0},
+                                 {0, 0, 1})};
+    t.row_count = 3;
+    ASSERT_TRUE(db_.CreateAndLoad(std::move(t)).ok());
+  }
+  const char* kNanOn = "na.v IS NOT DISTINCT FROM nb.v";
+  QueryResult nan_hashed =
+      Run(StrCat("SELECT na.id, nb.id FROM na JOIN nb ON ", kNanOn));
+  ExpectSameData(nan_hashed,
+                 Run(StrCat("SELECT na.id, nb.id FROM na CROSS JOIN nb "
+                            "WHERE ", kNanOn)),
+                 kNanOn);
+  EXPECT_EQ(nan_hashed.data.row_count, 3u);
+  // The fused kernel's null-safe and IN predicates follow the same rule.
+  Counter* hits = MetricsRegistry::Global().GetCounter("kernel.hits");
+  for (const char* sql : {"SELECT id FROM na WHERE v IS NOT DISTINCT FROM "
+                          "CAST('NaN' AS double precision)",
+                          "SELECT id FROM na WHERE v IN "
+                          "(CAST('NaN' AS double precision), 2.0)"}) {
+    Run(sql);  // compiles
+    int64_t h0 = hits->value();
+    QueryResult kernel = Run(sql);
+    EXPECT_GT(hits->value(), h0) << "kernel did not take: " << sql;
+    db_.kernel_registry().set_enabled(false);
+    ExpectSameData(kernel, Run(sql), sql);
+    db_.kernel_registry().set_enabled(true);
+    EXPECT_EQ(kernel.data.row_count, 1u) << sql;
+  }
 }
 
 TEST_P(NullAwareBatchProperty, PartitionAndOrderAgreeAcrossPoolSizes) {
