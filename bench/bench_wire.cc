@@ -1,10 +1,10 @@
 // The zero-copy wire path: QIPC encode throughput for a large typed table
 // through the vectorized encoder (size pre-pass + bulk memcpy + arena
 // reuse) against the pinned element-wise baseline, scatter-gather socket
-// egress against contiguous writes, and single-stream vs blocked parallel
-// compression. The acceptance bar is a >=4x encode speedup on the typed
-// table at 1 thread; `--json=FILE` writes the evidence as an artifact
-// (scripts/bench.sh commits it as BENCH_wire.json).
+// egress against contiguous writes, and kx single-stream compression. The
+// acceptance bar is a >=4x encode speedup on the typed table at 1 thread;
+// `--json=FILE` writes the evidence as an artifact (scripts/bench.sh
+// commits it as BENCH_wire.json).
 
 #include <algorithm>
 #include <chrono>
@@ -172,10 +172,8 @@ WriteNumbers MeasureEncodeAndWrite(const QValue& v, int iters) {
 
 struct CompressNumbers {
   double single_us = 0;
-  double blocked_us = 0;
   size_t plain_bytes = 0;
   size_t single_bytes = 0;
-  size_t blocked_bytes = 0;
 };
 
 CompressNumbers MeasureCompression(const QValue& v, int iters) {
@@ -184,19 +182,12 @@ CompressNumbers MeasureCompression(const QValue& v, int iters) {
   if (!plain.ok()) std::exit(1);
   out.plain_bytes = plain->size();
   out.single_us = 1e18;
-  out.blocked_us = 1e18;
   for (int it = 0; it < iters; ++it) {
     std::vector<uint8_t> copy = *plain;
     double start = NowUs();
     auto single = qipc::CompressMessage(std::move(copy));
     out.single_us = std::min(out.single_us, NowUs() - start);
     out.single_bytes = single.size();
-
-    copy = *plain;
-    start = NowUs();
-    auto blocked = qipc::CompressMessageBlocked(std::move(copy));
-    out.blocked_us = std::min(out.blocked_us, NowUs() - start);
-    out.blocked_bytes = blocked.size();
   }
   return out;
 }
@@ -241,10 +232,8 @@ int Run(const std::string& json_path, bool smoke) {
 
   CompressNumbers comp = MeasureCompression(typed, iters);
   std::printf(
-      "compress:       single %9.1fus  blocked %11.1fus  "
-      "(plain %zu -> %zu / %zu bytes)\n",
-      comp.single_us, comp.blocked_us, comp.plain_bytes, comp.single_bytes,
-      comp.blocked_bytes);
+      "compress:       single %9.1fus  (plain %zu -> %zu bytes)\n",
+      comp.single_us, comp.plain_bytes, comp.single_bytes);
 
   bool pass = typed_enc.Speedup() >= 4.0;
   std::printf("\nacceptance bar: >=4x typed encode bulk vs elementwise — %s\n",
@@ -257,6 +246,9 @@ int Run(const std::string& json_path, bool smoke) {
       return 1;
     }
     std::fprintf(f, "{\n  \"name\": \"wire_path\",\n");
+    std::fprintf(f, "  \"num_cpus\": %u,\n  \"smoke\": %s,\n",
+                 std::thread::hardware_concurrency(),
+                 smoke ? "true" : "false");
     std::fprintf(f, "  \"typed_rows\": %zu,\n  \"string_rows\": %zu,\n",
                  typed_rows, string_rows);
     std::fprintf(f,
@@ -283,10 +275,8 @@ int Run(const std::string& json_path, bool smoke) {
                  string_write.bytes);
     std::fprintf(f,
                  "  \"compression\": {\"single_us\": %.1f, "
-                 "\"blocked_us\": %.1f, \"plain_bytes\": %zu, "
-                 "\"single_bytes\": %zu, \"blocked_bytes\": %zu},\n",
-                 comp.single_us, comp.blocked_us, comp.plain_bytes,
-                 comp.single_bytes, comp.blocked_bytes);
+                 "\"plain_bytes\": %zu, \"single_bytes\": %zu},\n",
+                 comp.single_us, comp.plain_bytes, comp.single_bytes);
     std::fprintf(f, "  \"encode_speedup\": %.2f,\n  \"acceptance_4x\": %s\n}\n",
                  typed_enc.Speedup(), pass ? "true" : "false");
     std::fclose(f);

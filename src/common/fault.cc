@@ -30,7 +30,6 @@ constexpr SiteInfo kSites[] = {
     {"qipc.encode", StatusCode::kInternal, "QIPC response encode"},
     {"backend.execute", StatusCode::kUnavailable, "backend execution"},
     {"pool.task", StatusCode::kInternal, "worker-pool task"},
-    {"compress.block", StatusCode::kInternal, "block compression"},
     {"pgwire.read", StatusCode::kNetworkError, "pg wire read"},
     {"pgwire.write", StatusCode::kNetworkError, "pg wire write"},
     {"shard.execute", StatusCode::kUnavailable, "shard scatter execution"},

@@ -14,7 +14,7 @@ namespace hyperq {
 /// Deterministic fault injection for the serving path (docs/ROBUSTNESS.md).
 ///
 /// Every place the gateway can realistically fail — a socket read, a
-/// backend execution, a block compression — is marked with a named fault
+/// backend execution, a response encode — is marked with a named fault
 /// site. Tests arm faults at those sites and the production code reacts
 /// exactly as it would to the real failure, so graceful degradation is
 /// provable instead of hoped for (the robustness counterpart of the §5

@@ -14,6 +14,17 @@ namespace hyperq {
 
 namespace {
 
+/// Bounded retry for transient backend-gateway failures (connection loss,
+/// overload — IsTransient statuses). Only the final, idempotent result
+/// query is ever re-dispatched: setup statements (materialized variables)
+/// have side effects, and non-SELECT results could double-apply. Backoff
+/// is exponential with deterministic, seeded jitter, and never sleeps past
+/// the request's deadline.
+constexpr int kMaxAttempts = 3;  // total dispatches, first one included
+constexpr int kBaseBackoffMs = 2;
+constexpr int kMaxBackoffMs = 50;
+constexpr uint64_t kJitterSeed = 0x9E3779B97F4A7C15ull;  // replayable runs
+
 /// Per-stage translation histograms (the live counterpart of Figure 7's
 /// Algebrizer / XTRA+Xformer / Serializer split) plus end-to-end request
 /// counters. Resolved once; mutation afterwards is lock-free.
@@ -76,71 +87,21 @@ bool IsIdempotentRead(const std::string& sql) {
 
 }  // namespace
 
+CrossCompiler::CrossCompiler(QueryTranslator* translator,
+                             BackendGateway* gateway)
+    : translator_(translator), gateway_(gateway), jitter_state_(kJitterSeed) {}
+
 Result<QValue> CrossCompiler::Process(const std::string& q_text,
                                       StageTimings* timings,
                                       std::string* executed_sql) {
-  // State shared between FSM callbacks (the translator-internal state the
-  // paper's FSMs maintain across re-entrant steps).
-  Translation translation;
-  sqldb::QueryResult backend_result;
-  QValue response;
-  Status failure = Status::OK();
-
-  Fsm<PtState, PtEvent> pt(PtState::kIdle, "protocol-translator");
-
-  pt.AddTransition(PtState::kIdle, PtEvent::kRequestArrived,
-                   PtState::kParsingRequest, nullptr);
-
-  // PT extracted the query; hand it to the QT for translation.
-  pt.AddTransition(PtState::kParsingRequest, PtEvent::kQueryExtracted,
-                   PtState::kAwaitingTranslation, [&]() -> Status {
-                     Result<Translation> t = translator_->Translate(q_text);
-                     if (!t.ok()) return t.status();
-                     translation = std::move(t).value();
-                     return Status::OK();
-                   });
-
-  // Translation ready: dispatch the final SQL to the backend.
-  pt.AddTransition(
-      PtState::kAwaitingTranslation, PtEvent::kTranslationReady,
-      PtState::kExecuting, [&]() -> Status {
-        if (translation.result_sql.empty()) {
-          // Pure assignment: nothing further to execute.
-          backend_result = sqldb::QueryResult{};
-          return Status::OK();
-        }
-        return ExecuteWithRetry(translation, &backend_result);
-      });
-
-  // Results arrived: pivot rows into the Q result format (§4.2).
-  pt.AddTransition(PtState::kExecuting, PtEvent::kResultsReady,
-                   PtState::kTranslatingResults, [&]() -> Status {
-                     if (!backend_result.has_rows) {
-                       response = QValue();  // assignments answer (::)
-                       return Status::OK();
-                     }
-                     Result<QValue> v = QValueFromResult(
-                         std::move(backend_result), translation.shape,
-                         translation.key_columns);
-                     if (!v.ok()) return v.status();
-                     response = std::move(v).value();
-                     return Status::OK();
-                   });
-
-  pt.AddTransition(PtState::kTranslatingResults,
-                   PtEvent::kResultsTranslated, PtState::kResponding,
-                   nullptr);
-  pt.AddTransition(PtState::kResponding, PtEvent::kResponseSent,
-                   PtState::kIdle, nullptr);
-
   XcMetrics& metrics = XcMetrics::Get();
   metrics.requests->Increment();
 
-  // Stage-boundary cancellation: between every FSM stage an expired
-  // ambient deadline turns the request into kTimeout instead of running
-  // the next (possibly expensive) stage. A stage that finished after the
-  // deadline is also converted — the client asked for a bound, and a late
-  // success past it must look the same as a cancelled one.
+  // Stage-boundary cancellation: between every stage an expired ambient
+  // deadline turns the request into kTimeout instead of running the next
+  // (possibly expensive) stage. A stage that finished after the deadline
+  // is also converted — the client asked for a bound, and a late success
+  // past it must look the same as a cancelled one.
   const Deadline deadline = Deadline::Current();
   auto check_deadline = [&](const char* stage) -> Status {
     if (!deadline.Expired()) return Status::OK();
@@ -148,15 +109,13 @@ Result<QValue> CrossCompiler::Process(const std::string& q_text,
     return DeadlineExceeded(stage);
   };
 
-  HQ_RETURN_IF_ERROR(pt.Fire(PtEvent::kRequestArrived));
   HQ_RETURN_IF_ERROR(check_deadline("request parse"));
-  {
-    Status translated = pt.Fire(PtEvent::kQueryExtracted);
-    if (!translated.ok()) {
-      metrics.translate_errors->Increment();
-      return translated;
-    }
+  Result<Translation> translated = translator_->Translate(q_text);
+  if (!translated.ok()) {
+    metrics.translate_errors->Increment();
+    return translated.status();
   }
+  Translation translation = std::move(translated).value();
   HQ_RETURN_IF_ERROR(check_deadline("translate"));
   // The stage split was measured inside the translator; publish it to the
   // live histograms (Figure 7 per stage, Figure 6 for the total). Cache
@@ -172,19 +131,31 @@ Result<QValue> CrossCompiler::Process(const std::string& q_text,
     }
     metrics.translate_total_us->Record(translation.timings.total_us());
   }
+
+  // Dispatch the final SQL to the backend; a pure assignment has nothing
+  // further to execute.
+  sqldb::QueryResult backend_result;
   {
     ScopedLatencyTimer timer(MetricsRegistry::Global(), metrics.execute_us);
-    Status executed = pt.Fire(PtEvent::kTranslationReady);
-    if (!executed.ok()) {
-      metrics.execute_errors->Increment();
-      return executed;
+    if (!translation.result_sql.empty()) {
+      Status executed = ExecuteWithRetry(translation, &backend_result);
+      if (!executed.ok()) {
+        metrics.execute_errors->Increment();
+        return executed;
+      }
     }
   }
   HQ_RETURN_IF_ERROR(check_deadline("execute"));
-  HQ_RETURN_IF_ERROR(pt.Fire(PtEvent::kResultsReady));
+
+  // Pivot rows into the Q result format (§4.2); assignments answer (::).
+  QValue response;
+  if (backend_result.has_rows) {
+    HQ_ASSIGN_OR_RETURN(response,
+                        QValueFromResult(std::move(backend_result),
+                                         translation.shape,
+                                         translation.key_columns));
+  }
   HQ_RETURN_IF_ERROR(check_deadline("result translation"));
-  HQ_RETURN_IF_ERROR(pt.Fire(PtEvent::kResultsTranslated));
-  HQ_RETURN_IF_ERROR(pt.Fire(PtEvent::kResponseSent));
 
   if (timings != nullptr) *timings = translation.timings;
   if (executed_sql != nullptr) *executed_sql = translation.result_sql;
@@ -211,12 +182,11 @@ Status CrossCompiler::ExecuteWithRetry(const Translation& translation,
     if (!IsTransient(s) || !IsIdempotentRead(translation.result_sql)) {
       return s;
     }
-    if (attempt >= retry_.max_attempts) {
+    if (attempt >= kMaxAttempts) {
       if (attempt > 1) metrics.retry_exhausted->Increment();
       return s;
     }
-    int backoff_ms = std::min(retry_.max_backoff_ms,
-                              retry_.base_backoff_ms << (attempt - 1));
+    int backoff_ms = std::min(kMaxBackoffMs, kBaseBackoffMs << (attempt - 1));
     backoff_ms = static_cast<int>(backoff_ms * NextJitter());
     // Retrying is pointless when the backoff alone would blow the
     // deadline; hand the transient error back instead of a late timeout.

@@ -4,61 +4,23 @@
 #include <cstdint>
 #include <string>
 
-#include "core/fsm.h"
 #include "core/gateway.h"
 #include "core/query_translator.h"
 #include "qval/qvalue.h"
 
 namespace hyperq {
 
-/// Bounded retry for transient backend-gateway failures (connection loss,
-/// overload — IsTransient statuses). Only the final, idempotent result
-/// query is ever re-dispatched: setup statements (materialized variables)
-/// have side effects, and non-SELECT results could double-apply. Backoff
-/// is exponential with deterministic, seeded jitter, and never sleeps past
-/// the request's deadline.
-struct RetryPolicy {
-  /// Total dispatch attempts (1 = retries disabled).
-  int max_attempts = 3;
-  int base_backoff_ms = 2;
-  int max_backoff_ms = 50;
-  /// Seed for the jitter RNG; 0 picks a fixed default (replayable runs).
-  uint64_t jitter_seed = 0;
-};
-
 /// The Cross Compiler (XC) of §3.4 / Figure 4: drives one request through
 /// the Protocol Translator / Query Translator split. The PT owns message
 /// handling (here: query text in, Q value out — the wire encodings live in
 /// the Endpoint/Gateway plugins); the QT owns the Q -> XTRA -> SQL
-/// translation. Both are modeled as FSMs whose callbacks perform the
-/// stage work, mirroring the paper's event-driven re-entrant design.
+/// translation. One request's life cycle is a fixed sequence (translate,
+/// execute with retry, pivot), so it runs straight-line; the §3.4 state
+/// machines sit on the per-connection protocol translators (endpoint.cc,
+/// pgwire.cc), where events arrive from the socket.
 class CrossCompiler {
  public:
-  /// Protocol Translator states (request life cycle, §3 "Query Life
-  /// Cycle").
-  enum class PtState {
-    kIdle,
-    kParsingRequest,
-    kAwaitingTranslation,
-    kExecuting,
-    kTranslatingResults,
-    kResponding,
-  };
-  enum class PtEvent {
-    kRequestArrived,
-    kQueryExtracted,
-    kTranslationReady,
-    kResultsReady,
-    kResultsTranslated,
-    kResponseSent,
-  };
-
-  CrossCompiler(QueryTranslator* translator, BackendGateway* gateway,
-                RetryPolicy retry = RetryPolicy{})
-      : translator_(translator), gateway_(gateway), retry_(retry) {
-    jitter_state_ = retry_.jitter_seed ? retry_.jitter_seed
-                                       : 0x9E3779B97F4A7C15ull;
-  }
+  CrossCompiler(QueryTranslator* translator, BackendGateway* gateway);
 
   /// Runs the full query life cycle for one Q request; returns the Q value
   /// to send back. `timings` (optional) receives the translation stage
@@ -69,11 +31,10 @@ class CrossCompiler {
                          StageTimings* timings = nullptr,
                          std::string* executed_sql = nullptr);
 
-  const RetryPolicy& retry_policy() const { return retry_; }
-
  private:
   /// Dispatches the result query (scatter-gather included, via the
-  /// gateway's ExecuteTranslated) with the bounded-retry policy.
+  /// gateway's ExecuteTranslated), retrying transient failures of an
+  /// idempotent read with bounded, jittered backoff.
   Status ExecuteWithRetry(const Translation& translation,
                           sqldb::QueryResult* result);
   /// Deterministic jitter factor in [0.5, 1.5).
@@ -81,7 +42,6 @@ class CrossCompiler {
 
   QueryTranslator* translator_;
   BackendGateway* gateway_;
-  RetryPolicy retry_;
   uint64_t jitter_state_;
 };
 

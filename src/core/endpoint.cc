@@ -256,11 +256,7 @@ void HyperQServer::BuildReply(HyperQSession& session,
       auto encode_start = std::chrono::steady_clock::now();
       if (options_.compress_responses) {
         Result<std::vector<uint8_t>> encoded =
-            options_.block_compression
-                ? qipc::EncodeMessageCompressedBlocked(
-                      *result, qipc::MsgType::kResponse)
-                : qipc::EncodeMessageCompressed(*result,
-                                                qipc::MsgType::kResponse);
+            qipc::EncodeMessageCompressed(*result, qipc::MsgType::kResponse);
         if (!encoded.ok()) {
           reply = qipc::EncodeError(encoded.status().ToString(),
                                     qipc::MsgType::kResponse);

@@ -37,12 +37,6 @@ class HyperQServer {
     /// Compress large responses with kdb+ IPC compression (§3.1). kdb+
     /// compresses only for remote peers; the endpoint makes it opt-in.
     bool compress_responses = false;
-    /// With compress_responses, use the blocked scheme-2 format whose
-    /// blocks compress in parallel on the shared worker pool. Only valid
-    /// when the peer is our own QipcClient/DecodeMessage (real kdb+
-    /// clients understand the single-stream scheme only), so it is a
-    /// separate serve-side opt-in.
-    bool block_compression = false;
     /// Reactor threads; 0 sizes to the hardware (min(cores, 8)).
     int event_loop_threads = 0;
     /// Query-execution threads (each runs whole queries; morsel fan-out

@@ -3,10 +3,7 @@
 
 #include <functional>
 #include <map>
-#include <memory>
-#include <string>
 #include <utility>
-#include <vector>
 
 #include "common/status.h"
 #include "common/strings.h"
@@ -26,8 +23,7 @@ class TransitionTable {
   explicit TransitionTable(const char* name = "fsm") : name_(name) {}
 
   /// Registers `from --event--> to` running `cb` (may be null). Callbacks
-  /// in a shared table must not capture per-connection state; connection
-  /// machines pass per-fire callbacks to Fsm::Fire instead.
+  /// in a shared table must not capture per-connection state.
   void Add(State from, Event event, State to, Callback cb = nullptr) {
     transitions_[{from, event}] = {to, std::move(cb)};
   }
@@ -48,41 +44,19 @@ class TransitionTable {
 };
 
 /// Finite State Machine as described for the Cross Compiler (§3.4): each
-/// translator process (Protocol Translator, Query Translator) maintains its
-/// internal state as an FSM; firing an event runs the transition's callback
-/// and advances the state, giving the re-entrant, callback-driven structure
-/// the paper attributes to XC.
-///
-/// Two ownership modes:
-///   - Fsm(initial, name): the machine owns its own table (the original
-///     behavior; AddTransition builds it) and records visited states.
-///   - Fsm(initial, &shared_table): the machine borrows an immutable
-///     shared table and records no history — the lightweight
-///     per-connection mode (long-lived connections fire transitions
-///     indefinitely; an unbounded history would be a slow leak).
+/// connection's protocol translator keeps its state as an FSM; firing an
+/// event runs the transition's callback and advances the state, giving the
+/// re-entrant, callback-driven structure the paper attributes to XC. The
+/// machine borrows an immutable shared table, so an instance is a couple
+/// of words however long its connection lives.
 template <typename State, typename Event>
 class Fsm {
  public:
-  using Callback = std::function<Status()>;
   using Table = TransitionTable<State, Event>;
 
-  explicit Fsm(State initial, const char* name = "fsm")
-      : state_(initial),
-        owned_table_(std::make_unique<Table>(name)),
-        table_(owned_table_.get()),
-        record_history_(true) {}
-
-  Fsm(State initial, const Table* table)
-      : state_(initial), table_(table), record_history_(false) {}
-
-  /// Registers `from --event--> to` running `cb` (may be null). Only valid
-  /// on a machine that owns its table.
-  void AddTransition(State from, Event event, State to, Callback cb) {
-    owned_table_->Add(from, event, to, std::move(cb));
-  }
+  Fsm(State initial, const Table* table) : state_(initial), table_(table) {}
 
   State state() const { return state_; }
-  void Reset(State state) { state_ = state; }
 
   /// Fires an event: rejects undefined transitions (protocol violations),
   /// otherwise runs the callback and commits the new state. A failing
@@ -99,20 +73,12 @@ class Fsm {
       HQ_RETURN_IF_ERROR(it->second.callback());
     }
     state_ = it->second.to;
-    if (record_history_) history_.push_back(state_);
     return Status::OK();
   }
 
-  /// States visited (after the initial one); used by tests. Empty for
-  /// machines over a shared table (history recording is off there).
-  const std::vector<State>& history() const { return history_; }
-
  private:
   State state_;
-  std::unique_ptr<Table> owned_table_;
   const Table* table_;
-  bool record_history_;
-  std::vector<State> history_;
 };
 
 }  // namespace hyperq

@@ -1,35 +1,14 @@
 #include "protocol/qipc/compress.h"
 
 #include <algorithm>
-#include <cstring>
 
-#include "common/fault.h"
 #include "common/strings.h"
-#include "common/worker_pool.h"
 
 namespace hyperq {
 namespace qipc {
 
-namespace {
-
-uint32_t LoadU32LE(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int k = 0; k < 4; ++k) v |= static_cast<uint32_t>(p[k]) << (8 * k);
-  return v;
-}
-
-void StoreU32LE(uint8_t* p, uint32_t v) {
-  for (int k = 0; k < 4; ++k) p[k] = static_cast<uint8_t>(v >> (8 * k));
-}
-
-}  // namespace
-
 bool IsCompressedMessage(const std::vector<uint8_t>& message) {
   return message.size() > 2 && message[2] == 1;
-}
-
-bool IsBlockCompressedMessage(const std::vector<uint8_t>& message) {
-  return message.size() > 2 && message[2] == 2;
 }
 
 std::vector<uint8_t> CompressMessage(std::vector<uint8_t> input) {
@@ -195,253 +174,6 @@ Result<std::vector<uint8_t>> DecompressMessage(
       p = s;
     }
     bit = (bit + 1) & 7;
-  }
-  return dst;
-}
-
-namespace {
-
-/// Raw-span kx LZ core for scheme 2: same byte-pair algorithm as the
-/// single stream but over one block with 0-based positions and no message
-/// header. Returns the compressed size, or 0 when the output would not
-/// fit in `cap` bytes (the caller then stores the block raw).
-size_t CompressBlock(const uint8_t* in, size_t t, uint8_t* y, size_t cap) {
-  size_t a[256] = {0};  // byte-pair hash -> position in `in` (0 = unset)
-  size_t s = 0;
-  size_t d = 0;
-  size_t flag_pos = 0;
-  int bit = 0;
-  uint8_t f = 0;
-  size_t s0 = 0;
-  uint8_t h0 = 0;
-  bool have_flag = false;
-
-  while (s < t) {
-    if (bit == 0) {
-      if (d + 17 > cap) return 0;
-      if (have_flag) y[flag_pos] = f;
-      flag_pos = d++;
-      f = 0;
-      have_flag = true;
-    }
-    uint8_t h = 0;
-    size_t p = 0;
-    bool literal = true;
-    if (s + 2 < t) {
-      h = static_cast<uint8_t>(in[s] ^ in[s + 1]);
-      p = a[h];
-      literal = p == 0 || in[s] != in[p];
-    }
-    if (s0 > 0) {
-      a[h0] = s0;
-      s0 = 0;
-    }
-    if (literal) {
-      h0 = h;
-      s0 = s;
-      if (d >= cap) return 0;
-      y[d++] = in[s++];
-    } else {
-      a[h] = s;
-      f |= static_cast<uint8_t>(1u << bit);
-      p += 2;
-      s += 2;
-      size_t run_start = s;
-      size_t limit = std::min(s + 255, t);
-      while (s < limit && in[p] == in[s]) {
-        ++p;
-        ++s;
-      }
-      if (d + 2 > cap) return 0;
-      y[d++] = h;
-      y[d++] = static_cast<uint8_t>(s - run_start);
-    }
-    bit = (bit + 1) & 7;
-  }
-  if (have_flag) y[flag_pos] = f;
-  return d;
-}
-
-/// Inverse of CompressBlock: inflates exactly `n` compressed bytes into
-/// `t` plain bytes. The hash-table maintenance mirrors the compressor so
-/// back-reference keys resolve to the same positions.
-Status DecompressBlock(const uint8_t* in, size_t n, uint8_t* dst, size_t t) {
-  size_t aa[256] = {0};
-  size_t s = 0;  // write cursor in dst
-  size_t p = 0;  // delayed hash-update cursor
-  size_t d = 0;  // read cursor in `in`
-  int bit = 0;
-  uint8_t f = 0;
-
-  while (s < t) {
-    if (bit == 0) {
-      if (d >= n) return ProtocolError("truncated compressed QIPC block");
-      f = in[d++];
-    }
-    size_t copied = 0;
-    const bool is_match = (f & (1u << bit)) != 0;
-    if (is_match) {
-      if (d + 2 > n) return ProtocolError("truncated compressed QIPC block");
-      size_t r = aa[in[d++]];
-      if (r == 0 || r + 1 >= s) {
-        return ProtocolError("compressed QIPC block back-reference "
-                             "out of range");
-      }
-      if (s + 2 > t) {
-        return ProtocolError("compressed QIPC block output overrun");
-      }
-      dst[s++] = dst[r++];
-      dst[s++] = dst[r++];
-      copied = in[d++];
-      if (s + copied > t) {
-        return ProtocolError("compressed QIPC block output overrun");
-      }
-      // Byte-by-byte: runs may overlap their own output (RLE).
-      for (size_t k = 0; k < copied; ++k) dst[s + k] = dst[r + k];
-    } else {
-      if (d >= n) return ProtocolError("truncated compressed QIPC block");
-      dst[s++] = in[d++];
-    }
-    // The reset applies to every match token (zero-run included) so the
-    // table stays in lockstep with the compressor; see DecompressMessage.
-    while (p + 1 < s) {
-      aa[static_cast<uint8_t>(dst[p] ^ dst[p + 1])] = p;
-      ++p;
-    }
-    if (is_match) {
-      s += copied;
-      p = s;
-    }
-    bit = (bit + 1) & 7;
-  }
-  if (d != n) {
-    return ProtocolError(StrCat("compressed QIPC block has ", n - d,
-                                " trailing bytes"));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-std::vector<uint8_t> CompressMessageBlocked(std::vector<uint8_t> input) {
-  size_t t = input.size();
-  if (t < kMinCompressSize || t < 12) return input;
-
-  size_t payload = t - 8;
-  size_t nblocks = (payload + kCompressBlockSize - 1) / kCompressBlockSize;
-
-  // Compress every block independently; blocks that do not shrink are
-  // flagged raw. ParallelFor runs indices on the shared pool with the
-  // caller participating, and degrades to inline when the pool is busy.
-  struct BlockOut {
-    size_t plain_len = 0;
-    size_t enc_len = 0;  // == plain_len when stored raw
-    std::vector<uint8_t> enc;
-  };
-  std::vector<BlockOut> blocks(nblocks);
-  const uint8_t* base = input.data();
-  WorkerPool::Shared().ParallelFor(nblocks, [&](size_t i) {
-    size_t off = 8 + i * kCompressBlockSize;
-    size_t len = std::min(kCompressBlockSize, t - off);
-    BlockOut& b = blocks[i];
-    b.plain_len = len;
-    // A failed block compression degrades to storing the block raw — the
-    // message stays exactly decodable, only smaller wins are lost. The
-    // fault site proves that path never tears a frame.
-    if (CheckFault("compress.block").kind == FaultHit::Kind::kError) {
-      b.enc_len = len;
-      b.enc.clear();
-      return;
-    }
-    b.enc.resize(len);
-    size_t enc = CompressBlock(base + off, len, b.enc.data(), len);
-    if (enc > 0 && enc < len) {
-      b.enc_len = enc;
-      b.enc.resize(enc);
-    } else {
-      b.enc_len = len;  // stored raw; payload copied at assembly time
-      b.enc.clear();
-    }
-  });
-
-  size_t out_size = 12;
-  for (const BlockOut& b : blocks) out_size += 8 + b.enc_len;
-  if (out_size >= t) return input;  // no win even blockwise
-
-  std::vector<uint8_t> y(out_size);
-  y[0] = input[0];
-  y[1] = input[1];
-  y[2] = 2;  // blocked scheme
-  y[3] = input[3];
-  StoreU32LE(y.data() + 4, static_cast<uint32_t>(out_size));
-  StoreU32LE(y.data() + 8, static_cast<uint32_t>(t));
-  size_t d = 12;
-  size_t off = 8;
-  for (const BlockOut& b : blocks) {
-    StoreU32LE(y.data() + d, static_cast<uint32_t>(b.plain_len));
-    StoreU32LE(y.data() + d + 4, static_cast<uint32_t>(b.enc_len));
-    d += 8;
-    if (b.enc.empty()) {
-      std::memcpy(y.data() + d, base + off, b.plain_len);
-    } else {
-      std::memcpy(y.data() + d, b.enc.data(), b.enc_len);
-    }
-    d += b.enc_len;
-    off += b.plain_len;
-  }
-  return y;
-}
-
-Result<std::vector<uint8_t>> DecompressMessageBlocked(
-    const std::vector<uint8_t>& input) {
-  if (input.size() < 12) {
-    return ProtocolError("blocked QIPC message shorter than 12 bytes");
-  }
-  if (!IsBlockCompressedMessage(input)) {
-    return ProtocolError("message does not declare blocked compression");
-  }
-  uint32_t total = LoadU32LE(input.data() + 8);
-  if (total < 8 || total > (512u << 20)) {
-    return ProtocolError(
-        StrCat("implausible uncompressed QIPC length ", total));
-  }
-  std::vector<uint8_t> dst(total);
-  dst[0] = input[0];
-  dst[1] = input[1];
-  dst[2] = 0;  // plain
-  dst[3] = input[3];
-  StoreU32LE(dst.data() + 4, total);
-
-  size_t s = 8;   // write cursor in dst
-  size_t d = 12;  // read cursor in input
-  while (s < total) {
-    if (d + 8 > input.size()) {
-      return ProtocolError("truncated blocked QIPC frame header");
-    }
-    uint32_t plain_len = LoadU32LE(input.data() + d);
-    uint32_t enc_len = LoadU32LE(input.data() + d + 4);
-    d += 8;
-    if (plain_len == 0 || plain_len > total - s) {
-      return ProtocolError(StrCat("blocked QIPC frame overruns message: "
-                                  "plain_len ", plain_len, " at offset ", s,
-                                  " of ", total));
-    }
-    if (enc_len > plain_len || d + enc_len > input.size()) {
-      return ProtocolError("truncated blocked QIPC frame payload");
-    }
-    if (enc_len == plain_len) {
-      std::memcpy(dst.data() + s, input.data() + d, plain_len);
-    } else {
-      HQ_RETURN_IF_ERROR(
-          DecompressBlock(input.data() + d, enc_len, dst.data() + s,
-                          plain_len));
-    }
-    s += plain_len;
-    d += enc_len;
-  }
-  if (d != input.size()) {
-    return ProtocolError(StrCat("blocked QIPC message has ",
-                                input.size() - d, " trailing bytes"));
   }
   return dst;
 }

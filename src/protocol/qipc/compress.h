@@ -24,26 +24,14 @@ namespace qipc {
 ///   bytes 8..11  uncompressed total message length (uint32 LE)
 ///   bytes 12..   flag-byte groups
 ///
-/// Blocked layout (scheme 2, this system's extension): the plain payload
-/// (everything after the 8-byte header) is cut into fixed-size blocks,
-/// each LZ-compressed *independently* so blocks compress in parallel on
-/// the shared worker pool. After the same 12-byte prelude as scheme 1,
-/// each block is self-framed:
-///   [uint32 LE plain_len][uint32 LE enc_len][enc_len payload bytes]
-/// with enc_len == plain_len meaning the block is stored raw (it did not
-/// shrink). Scheme 2 is only emitted where our own decoder is the
-/// consumer (serve-side, behind an endpoint option); client-facing
-/// traffic stays on the kdb+-compatible single stream.
+/// Scheme 1 is the only compression a kdb+ peer can decode, so it is
+/// the only one this system emits or accepts; `DecodeMessage` refuses
+/// any other compression byte with ProtocolError.
 ///
 /// kdb+ only compresses messages over 4096 bytes going to remote hosts;
 /// `kMinCompressSize` mirrors that threshold.
 
 inline constexpr size_t kMinCompressSize = 4096;
-
-/// Independent-compression unit for scheme 2. Large enough that framing
-/// overhead (8 bytes/block) is noise and the byte-pair hash table warms
-/// up; small enough that a multi-megabyte table fans out across workers.
-inline constexpr size_t kCompressBlockSize = 256 * 1024;
 
 /// Compresses a complete uncompressed QIPC message (header + payload)
 /// with the kx single stream (scheme 1). Takes the message by value:
@@ -56,21 +44,8 @@ std::vector<uint8_t> CompressMessage(std::vector<uint8_t> message);
 Result<std::vector<uint8_t>> DecompressMessage(
     const std::vector<uint8_t>& message);
 
-/// Compresses a message into the blocked scheme-2 format, compressing
-/// blocks in parallel on WorkerPool::Shared(). Same move-on-bail-out
-/// contract as CompressMessage.
-std::vector<uint8_t> CompressMessageBlocked(std::vector<uint8_t> message);
-
-/// Decompresses a scheme-2 blocked message. Rejects truncated or
-/// overlapping frames with ProtocolError.
-Result<std::vector<uint8_t>> DecompressMessageBlocked(
-    const std::vector<uint8_t>& message);
-
 /// True when the message's header declares scheme-1 compression.
 bool IsCompressedMessage(const std::vector<uint8_t>& message);
-
-/// True when the message's header declares scheme-2 (blocked) compression.
-bool IsBlockCompressedMessage(const std::vector<uint8_t>& message);
 
 }  // namespace qipc
 }  // namespace hyperq

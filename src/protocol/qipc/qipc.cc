@@ -804,14 +804,6 @@ Result<std::vector<uint8_t>> EncodeMessageCompressed(const QValue& value,
   return CompressMessage(std::move(plain));
 }
 
-Result<std::vector<uint8_t>> EncodeMessageCompressedBlocked(
-    const QValue& value, MsgType type) {
-  HQ_ASSIGN_OR_RETURN(size_t payload, ObjectSize(value));
-  if (8 + payload < kMinCompressSize) return EncodeMessage(value, type);
-  HQ_ASSIGN_OR_RETURN(std::vector<uint8_t> plain, EncodeMessage(value, type));
-  return CompressMessageBlocked(std::move(plain));
-}
-
 std::vector<uint8_t> EncodeError(const std::string& message, MsgType type) {
   ByteWriter w;
   w.PutU8(1);
@@ -850,11 +842,6 @@ Result<DecodedMessage> DecodeMessage(const std::vector<uint8_t>& bytes) {
   if (compressed == 1) {
     HQ_ASSIGN_OR_RETURN(std::vector<uint8_t> plain,
                         DecompressMessage(bytes));
-    return DecodeMessage(plain);
-  }
-  if (compressed == 2) {
-    HQ_ASSIGN_OR_RETURN(std::vector<uint8_t> plain,
-                        DecompressMessageBlocked(bytes));
     return DecodeMessage(plain);
   }
   if (compressed != 0) {

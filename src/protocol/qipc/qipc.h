@@ -20,8 +20,8 @@ namespace qipc {
 /// Message layout:
 ///   byte 0: architecture (1 = little endian)
 ///   byte 1: message type (0 async, 1 sync, 2 response)
-///   byte 2: compression scheme (0 plain, 1 kx single-stream, 2 blocked —
-///           see compress.h)
+///   byte 2: compression scheme (0 plain, 1 kx single-stream — see
+///           compress.h; any other value is refused)
 ///   byte 3: reserved
 ///   bytes 4..7: total message length, uint32 LE
 ///   payload: recursive type-coded object encoding.
@@ -73,13 +73,6 @@ Status EncodeMessageScatter(const QValue& value, MsgType type,
 /// (see compress.h). DecodeMessage transparently handles both forms.
 Result<std::vector<uint8_t>> EncodeMessageCompressed(const QValue& value,
                                                      MsgType type);
-
-/// Like EncodeMessageCompressed but emits the blocked scheme-2 format,
-/// whose blocks compress in parallel on the shared worker pool. Only for
-/// links where our own DecodeMessage is the consumer (serve-side option);
-/// real kdb+ clients understand scheme 1 only.
-Result<std::vector<uint8_t>> EncodeMessageCompressedBlocked(
-    const QValue& value, MsgType type);
 
 /// Serializes an error response (type -128 + NUL-terminated text).
 std::vector<uint8_t> EncodeError(const std::string& message, MsgType type);

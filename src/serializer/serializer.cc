@@ -278,9 +278,6 @@ Result<std::string> Serializer::RenderScalarTwoSided(
           // args[1] is a constant list, expanded inline rather than
           // rendered as a scalar constant.
           HQ_ASSIGN_OR_RETURN(std::string lhs, render(node->args[0]));
-          if (param_mode_ && node->args[1]->param_slot >= 0) {
-            baked_slots_.push_back(node->args[1]->param_slot);
-          }
           const QValue& list = node->args[1]->value;
           std::vector<std::string> items;
           items.reserve(list.Count());
@@ -361,9 +358,6 @@ Result<std::string> Serializer::RenderScalarTwoSided(
         }
         if (f == "like") return infix("LIKE");
         if (f == "in") {
-          if (param_mode_ && node->args[1]->param_slot >= 0) {
-            baked_slots_.push_back(node->args[1]->param_slot);
-          }
           const QValue& list = node->args[1]->value;
           std::vector<std::string> items;
           items.reserve(list.Count());

@@ -25,11 +25,9 @@ class Serializer {
   /// with a param_slot render as `$slot+1` placeholders instead of their
   /// values. Slots actually emitted as placeholders are recorded in
   /// emitted_slots(); slots whose values were consumed inline anyway
-  /// (e.g. an `in` list expansion) land in baked_slots() so the cache can
-  /// refuse to parameterize them.
+  /// (e.g. an `in` list expansion) are not.
   void EnableParamMode() { param_mode_ = true; }
   const std::vector<int>& emitted_slots() const { return emitted_slots_; }
-  const std::vector<int>& baked_slots() const { return baked_slots_; }
 
   /// Maps a Q type to the SQL type name used in casts and DDL.
   static const char* SqlTypeNameFor(QType type);
@@ -65,7 +63,6 @@ class Serializer {
   int next_alias_ = 0;
   bool param_mode_ = false;
   std::vector<int> emitted_slots_;
-  std::vector<int> baked_slots_;
 };
 
 }  // namespace hyperq

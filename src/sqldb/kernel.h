@@ -43,15 +43,6 @@ namespace sqldb {
 /// ownership of its error surface (e.g. data-dependent comparison type
 /// errors).
 
-/// Version of the kernel's recognized grammar. Bumped whenever
-/// KernelFingerprintFor learns to accept a previously rejected construct,
-/// so negative cache entries stamped with an older version are re-
-/// fingerprinted instead of pinning the shape to the interpreted path
-/// (see KernelRegistry). v1: flat scan/filter/group shapes (PR 7).
-/// v2: subquery flattening, ORDER BY / LIMIT / OFFSET, null-aware
-/// COALESCE comparisons, IS [NOT] DISTINCT FROM, IN lists.
-inline constexpr int kKernelGrammarVersion = 2;
-
 /// A canonicalized statement identity for the kernel cache. `text` is a
 /// deterministic rendering of the SELECT with every literal replaced by a
 /// `$<class>` slot (classes: i = integral/bool/temporal, f = float,

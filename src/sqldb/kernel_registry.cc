@@ -50,17 +50,10 @@ void KernelRegistry::CountReject(const char* reason) {
 
 std::shared_ptr<const KernelPlan> KernelRegistry::PlanFor(
     const KernelFingerprint& fp, const SelectStmt& stmt, uint64_t version) {
-  int grammar_version;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    grammar_version = grammar_version_;
     auto it = entries_.find(fp.text);
-    if (it != entries_.end() && it->second.catalog_version == version &&
-        (it->second.plan != nullptr ||
-         it->second.grammar_version == grammar_version)) {
-      // A negative entry stamped by an older grammar is NOT a hit: the
-      // shape may have been rejected for a construct the current grammar
-      // compiles, so fall through and re-compile.
+    if (it != entries_.end() && it->second.catalog_version == version) {
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
       if (it->second.plan != nullptr) hits_->Increment();
       return it->second.plan;
@@ -83,7 +76,6 @@ std::shared_ptr<const KernelPlan> KernelRegistry::PlanFor(
   if (it != entries_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     it->second.catalog_version = version;
-    it->second.grammar_version = grammar_version;
     it->second.plan = plan;
     return plan;
   }
@@ -92,7 +84,7 @@ std::shared_ptr<const KernelPlan> KernelRegistry::PlanFor(
     lru_.pop_back();
   }
   lru_.push_front(fp.text);
-  entries_.emplace(fp.text, Entry{version, grammar_version, plan, lru_.begin()});
+  entries_.emplace(fp.text, Entry{version, plan, lru_.begin()});
   return plan;
 }
 

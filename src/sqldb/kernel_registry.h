@@ -59,22 +59,9 @@ class KernelRegistry {
 
   size_t size() const;
 
-  /// Test hook: pretend the registry was built by an older (or newer)
-  /// grammar so negative-cache staleness can be exercised without a real
-  /// grammar change. Production code never calls this.
-  void set_grammar_version_for_test(int version) {
-    std::lock_guard<std::mutex> lock(mu_);
-    grammar_version_ = version;
-  }
-
  private:
   struct Entry {
     uint64_t catalog_version = 0;
-    /// Grammar version that produced this entry. A negative entry from an
-    /// older grammar only proves the *old* compiler rejected the shape, so
-    /// it is treated as a miss and re-fingerprinted (positive entries stay
-    /// valid: a plan that compiled is correct under any newer grammar).
-    int grammar_version = kKernelGrammarVersion;
     /// nullptr = negative entry (shape compiles to "unsupported").
     std::shared_ptr<const KernelPlan> plan;
     std::list<std::string>::iterator lru_it;
@@ -98,9 +85,6 @@ class KernelRegistry {
   mutable std::mutex mu_;
   std::unordered_map<std::string, Entry> entries_;
   std::list<std::string> lru_;  ///< front = most recent
-  /// Grammar version stamped onto new entries; kKernelGrammarVersion except
-  /// under set_grammar_version_for_test.
-  int grammar_version_ = kKernelGrammarVersion;
 
   Counter* hits_;
   Counter* misses_;

@@ -152,8 +152,7 @@ TEST_F(ChaosSoakTest, SoakSurvivesSeededFaultsAndReplaysByteIdentical) {
   ASSERT_TRUE(server.Start(0).ok());
 
   // Small-probability faults at every QIPC-path site, deterministic for
-  // the seed. compress.block is armed too: harmless here (no compression),
-  // harm-checked by fault_injection_test.
+  // the seed.
   FaultInjector::Global().Reseed(seed);
   ASSERT_TRUE(FaultInjector::Global()
                   .Arm("net.read=error,p:0.01;"
@@ -162,8 +161,7 @@ TEST_F(ChaosSoakTest, SoakSurvivesSeededFaultsAndReplaysByteIdentical) {
                        "qipc.encode=error,p:0.02;"
                        "backend.execute=error,p:0.04;"
                        "backend.kernel=error,p:0.04;"
-                       "pool.task=delay:1,p:0.05;"
-                       "compress.block=error,p:0.1")
+                       "pool.task=delay:1,p:0.05")
                   .ok());
 
   constexpr int kClients = 6;

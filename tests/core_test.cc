@@ -19,35 +19,37 @@ enum class S { kIdle, kWorking, kDone };
 enum class E { kStart, kFinish };
 
 TEST(FsmTest, TransitionsRunCallbacksInOrder) {
-  Fsm<S, E> fsm(S::kIdle, "test");
   std::vector<int> trace;
-  fsm.AddTransition(S::kIdle, E::kStart, S::kWorking, [&]() {
+  TransitionTable<S, E> table("test");
+  table.Add(S::kIdle, E::kStart, S::kWorking, [&]() {
     trace.push_back(1);
     return Status::OK();
   });
-  fsm.AddTransition(S::kWorking, E::kFinish, S::kDone, [&]() {
+  table.Add(S::kWorking, E::kFinish, S::kDone, [&]() {
     trace.push_back(2);
     return Status::OK();
   });
+  Fsm<S, E> fsm(S::kIdle, &table);
   ASSERT_TRUE(fsm.Fire(E::kStart).ok());
   EXPECT_EQ(fsm.state(), S::kWorking);
   ASSERT_TRUE(fsm.Fire(E::kFinish).ok());
   EXPECT_EQ(fsm.state(), S::kDone);
   EXPECT_EQ(trace, (std::vector<int>{1, 2}));
-  EXPECT_EQ(fsm.history(), (std::vector<S>{S::kWorking, S::kDone}));
 }
 
 TEST(FsmTest, UndefinedTransitionIsProtocolError) {
-  Fsm<S, E> fsm(S::kIdle, "test");
+  TransitionTable<S, E> table("test");
+  Fsm<S, E> fsm(S::kIdle, &table);
   Status s = fsm.Fire(E::kFinish);
   EXPECT_EQ(s.code(), StatusCode::kProtocolError);
   EXPECT_EQ(fsm.state(), S::kIdle);
 }
 
 TEST(FsmTest, FailingCallbackKeepsSourceState) {
-  Fsm<S, E> fsm(S::kIdle, "test");
-  fsm.AddTransition(S::kIdle, E::kStart, S::kWorking,
-                    []() { return InternalError("boom"); });
+  TransitionTable<S, E> table("test");
+  table.Add(S::kIdle, E::kStart, S::kWorking,
+            []() { return InternalError("boom"); });
+  Fsm<S, E> fsm(S::kIdle, &table);
   EXPECT_FALSE(fsm.Fire(E::kStart).ok());
   EXPECT_EQ(fsm.state(), S::kIdle);  // not committed
 }

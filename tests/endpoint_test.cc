@@ -193,6 +193,51 @@ TEST_F(EndpointTest, PipelinedRequestsAreServedInOrder) {
   conn->Close();
 }
 
+TEST_F(EndpointTest, UnknownCompressionSchemeGetsErrorReply) {
+  // A query wrapped in the retired blocked layout (compression byte 2,
+  // one raw block) is refused with a structured error, and the connection
+  // keeps serving plain requests.
+  Result<TcpConnection> conn =
+      TcpConnection::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(conn->WriteAll(qipc::EncodeHandshake("scheme", "pw")).ok());
+  ASSERT_TRUE(conn->ReadExact(1).ok());
+  auto read_reply = [&]() -> Result<qipc::DecodedMessage> {
+    uint8_t header[8];
+    HQ_RETURN_IF_ERROR(conn->ReadExactInto(header, 8));
+    HQ_ASSIGN_OR_RETURN(uint32_t len, qipc::PeekMessageLength(header));
+    std::vector<uint8_t> whole(len);
+    std::memcpy(whole.data(), header, 8);
+    HQ_RETURN_IF_ERROR(conn->ReadExactInto(whole.data() + 8, len - 8));
+    return qipc::DecodeMessage(whole);
+  };
+
+  auto plain =
+      qipc::EncodeMessage(QValue::Chars("1+1"), qipc::MsgType::kSync);
+  ASSERT_TRUE(plain.ok());
+  const uint32_t body = static_cast<uint32_t>(plain->size() - 8);
+  std::vector<uint8_t> frame = {1, static_cast<uint8_t>(qipc::MsgType::kSync),
+                                2, 0};
+  for (uint32_t v : {12 + 8 + body, static_cast<uint32_t>(plain->size()),
+                     body, body}) {
+    for (int k = 0; k < 4; ++k) frame.push_back((v >> (8 * k)) & 0xFF);
+  }
+  frame.insert(frame.end(), plain->begin() + 8, plain->end());
+  ASSERT_TRUE(conn->WriteAll(frame).ok());
+  Result<qipc::DecodedMessage> refused = read_reply();
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  EXPECT_TRUE(refused->is_error);
+  EXPECT_NE(refused->error.find("compression"), std::string::npos)
+      << refused->error;
+
+  ASSERT_TRUE(conn->WriteAll(*plain).ok());
+  Result<qipc::DecodedMessage> answered = read_reply();
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  ASSERT_FALSE(answered->is_error) << answered->error;
+  EXPECT_EQ(answered->value.AsInt(), 2);
+  conn->Close();
+}
+
 /// The server's raw frames must equal an in-process encoding of the same
 /// request stream: one HyperQSession over a fresh identical backend, each
 /// success encoded with the contiguous qipc::EncodeMessage and each error

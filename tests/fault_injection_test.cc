@@ -184,8 +184,7 @@ TEST_F(FaultInjectionTest, EverySiteFailsCleanAndServerRecovers) {
     Result<QValue> r = client->Query("select Price from trades");
     // Either a structured error reply, a clean connection error, or —
     // for sites this path never touches (pgwire.*) or that degrade
-    // gracefully (backend.execute retries, compress.block falls back) —
-    // success. What is forbidden is a hang or a torn frame, which would
+    // gracefully (backend.execute retries) — success. What is forbidden is a hang or a torn frame, which would
     // fail this test's read loop or wedge the suite.
     if (!r.ok()) {
       EXPECT_FALSE(r.status().message().empty());

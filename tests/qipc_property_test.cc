@@ -296,6 +296,32 @@ TEST(QipcHostileFrames, HugeListCountsFailWithoutAllocating) {
   }
 }
 
+TEST(QipcHostileFrames, UnknownCompressionSchemesAreRefused) {
+  // A well-formed frame in the retired blocked layout: the 12-byte
+  // prelude, then one raw block [plain_len][enc_len == plain_len][payload].
+  // Scheme 1 is the only compression a kdb+ peer speaks, so this frame and
+  // every other compression byte but 0 and 1 must be refused.
+  auto plain = EncodeMessage(QValue::Long(42), MsgType::kResponse);
+  ASSERT_TRUE(plain.ok());
+  const uint32_t body = static_cast<uint32_t>(plain->size() - 8);
+  const uint32_t total = 12 + 8 + body;
+  std::vector<uint8_t> frame = {1, static_cast<uint8_t>(MsgType::kResponse),
+                                2, 0};
+  for (uint32_t v : {total, static_cast<uint32_t>(plain->size()), body,
+                     body}) {
+    for (int k = 0; k < 4; ++k) frame.push_back((v >> (8 * k)) & 0xFF);
+  }
+  frame.insert(frame.end(), plain->begin() + 8, plain->end());
+  ASSERT_EQ(frame.size(), total);
+  for (int scheme = 2; scheme < 256; ++scheme) {
+    frame[2] = static_cast<uint8_t>(scheme);
+    auto r = DecodeMessage(frame);
+    ASSERT_FALSE(r.ok()) << "scheme " << scheme;
+    EXPECT_EQ(r.status().code(), StatusCode::kProtocolError)
+        << "scheme " << scheme;
+  }
+}
+
 // -- Vectorized wire path ----------------------------------------------------
 
 TEST_P(QipcRoundTrip, BulkEncodeMatchesElementwiseBaseline) {
@@ -473,104 +499,6 @@ TEST_P(QipcRoundTrip, CompressionZeroRunMatchRegression) {
   auto restored = DecompressMessage(packed);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(*restored, *plain);
-}
-
-// -- Blocked (scheme 2) compression ------------------------------------------
-
-TEST_P(QipcRoundTrip, BlockCompressedRoundTrip) {
-  // Multi-block repetitive payload (~800KB plain = several 256KB blocks):
-  // must shrink, carry scheme byte 2, and decode to the same value.
-  size_t rows = 100000;
-  std::vector<int64_t> v(rows);
-  for (auto& x : v) x = static_cast<int64_t>(rng_.Below(4));
-  QValue table = QValue::MakeTableUnchecked(
-      {"v"}, {QValue::IntList(QType::kLong, std::move(v))});
-  auto plain = EncodeMessage(table, MsgType::kResponse);
-  ASSERT_TRUE(plain.ok());
-  ASSERT_GT(plain->size(), 2 * kCompressBlockSize);
-  auto packed = EncodeMessageCompressedBlocked(table, MsgType::kResponse);
-  ASSERT_TRUE(packed.ok());
-  EXPECT_TRUE(IsBlockCompressedMessage(*packed));
-  EXPECT_LT(packed->size(), plain->size());
-  auto decoded = DecodeMessage(*packed);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_TRUE(QValue::Match(table, decoded->value));
-  // The direct decompressor must reproduce the plain message exactly.
-  auto restored = DecompressMessageBlocked(*packed);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(*restored, *plain);
-}
-
-TEST_P(QipcRoundTrip, BlockCompressedIncompressibleStaysPlain) {
-  // High-entropy payload: raw-stored blocks plus framing can never beat
-  // the plain message, so the encoder must fall back to scheme 0.
-  size_t rows = 100000;
-  std::vector<double> v(rows);
-  for (auto& x : v) x = rng_.NextDouble();
-  QValue list = QValue::FloatList(QType::kFloat, std::move(v));
-  auto packed = EncodeMessageCompressedBlocked(list, MsgType::kResponse);
-  ASSERT_TRUE(packed.ok());
-  EXPECT_FALSE(IsBlockCompressedMessage(*packed));
-  EXPECT_EQ((*packed)[2], 0);
-  auto decoded = DecodeMessage(*packed);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(QValue::Match(list, decoded->value));
-}
-
-TEST_P(QipcRoundTrip, BlockCompressedThresholdBoundary) {
-  // Sub-threshold messages bypass blocking entirely and are encoded once.
-  for (long delta : {-2L, -1L, 0L, 1L, 2L}) {
-    size_t target = kMinCompressSize + static_cast<size_t>(delta);
-    QValue v = QValue::Chars(std::string(target - 14, 'r'));
-    auto plain = EncodeMessage(v, MsgType::kResponse);
-    ASSERT_TRUE(plain.ok());
-    ASSERT_EQ(plain->size(), target);
-    auto packed = EncodeMessageCompressedBlocked(v, MsgType::kResponse);
-    ASSERT_TRUE(packed.ok());
-    if (target >= kMinCompressSize) {
-      EXPECT_TRUE(IsBlockCompressedMessage(*packed));
-      EXPECT_LT(packed->size(), plain->size());
-    } else {
-      EXPECT_FALSE(IsBlockCompressedMessage(*packed));
-      EXPECT_EQ(*packed, *plain);
-    }
-    auto decoded = DecodeMessage(*packed);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_TRUE(QValue::Match(v, decoded->value));
-  }
-}
-
-TEST_P(QipcRoundTrip, BlockCompressedTruncationRejected) {
-  // Every strict prefix of a blocked message must fail cleanly: the frame
-  // headers and per-block streams are all bounds-checked.
-  QValue table = QValue::MakeTableUnchecked(
-      {"v"}, {QValue::IntList(QType::kLong,
-                              std::vector<int64_t>(100000, 7))});
-  auto packed = EncodeMessageCompressedBlocked(table, MsgType::kResponse);
-  ASSERT_TRUE(packed.ok());
-  ASSERT_TRUE(IsBlockCompressedMessage(*packed));
-  for (size_t cut = 12; cut < packed->size();
-       cut += 1 + rng_.Below(packed->size() / 40)) {
-    std::vector<uint8_t> prefix(packed->begin(), packed->begin() + cut);
-    auto r = DecompressMessageBlocked(prefix);
-    EXPECT_FALSE(r.ok()) << "prefix of " << cut << " bytes decoded";
-  }
-}
-
-TEST_P(QipcRoundTrip, BlockCompressedFuzzDoesNotCrash) {
-  QValue table = QValue::MakeTableUnchecked(
-      {"v"}, {QValue::IntList(QType::kLong,
-                              std::vector<int64_t>(100000, 7))});
-  auto packed = EncodeMessageCompressedBlocked(table, MsgType::kResponse);
-  ASSERT_TRUE(packed.ok());
-  ASSERT_TRUE(IsBlockCompressedMessage(*packed));
-  for (int k = 0; k < 50; ++k) {
-    std::vector<uint8_t> corrupted = *packed;
-    size_t pos = 8 + rng_.Below(corrupted.size() - 8);
-    corrupted[pos] ^= static_cast<uint8_t>(1 + rng_.Below(255));
-    auto r = DecodeMessage(corrupted);  // must not crash or overrun
-    (void)r;
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QipcRoundTrip,

@@ -156,12 +156,5 @@ TEST_F(WirePathTest, ConcurrentSessionsWithSingleStreamCompression) {
   RunConcurrentSessions(options);
 }
 
-TEST_F(WirePathTest, ConcurrentSessionsWithBlockedCompression) {
-  HyperQServer::Options options;
-  options.compress_responses = true;
-  options.block_compression = true;
-  RunConcurrentSessions(options);
-}
-
 }  // namespace
 }  // namespace hyperq
