@@ -10,7 +10,7 @@
 //    cache invalidation is what keeps the flushes from evicting the
 //    measured query's compiled kernel. Reports p99_us alongside the mean.
 // scripts/bench.sh gates BM_HybridFilterAgg/1 at <= 1.3x the static
-// baseline: the split execution (epoch pin + two partials + merge) must
+// baseline: the split execution (snapshot + two partials + merge) must
 // stay within noise distance of a plain table when one publisher runs.
 
 #include <benchmark/benchmark.h>

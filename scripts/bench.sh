@@ -103,7 +103,7 @@ awk -F': ' '
     }
   }' BENCH_kernel.json
 # Gate: a live tail must be nearly free for readers — the hybrid split
-# (epoch pin + historical/tail partials + merge) over the same rows, with
+# (snapshot + historical/tail partials + merge) over the same rows, with
 # one publisher sustaining ingest into another live table, must stay
 # within 1.3x of the plain bulk-loaded table's latency. Per-table kernel
 # invalidation is load-bearing here: if the publisher's flushes evicted

@@ -2,7 +2,6 @@
 #define HYPERQ_CORE_LIVE_STORE_H_
 
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "qval/qvalue.h"
@@ -31,15 +30,6 @@ class LiveStore {
   /// Flushes every live table; returns the first error (all tables are
   /// still attempted).
   virtual Status FlushAll() = 0;
-
-  /// True when `table` is ingest-backed (registered or has received upd).
-  virtual bool IsLive(const std::string& table) const = 0;
-
-  /// True when `table` currently has unflushed tail rows.
-  virtual bool HasTail(const std::string& table) const = 0;
-
-  /// Live table names, sorted.
-  virtual std::vector<std::string> LiveTables() const = 0;
 
   /// Per-table ingest counters as a Q table (columns: table, rows,
   /// batches, flushes, tail_rows, rows_flushed) for `.hyperq.ingestStats`.

@@ -63,16 +63,17 @@ HybridGateway::HybridGateway(sqldb::Database* db, IngestStore* store)
       session_(db->CreateSession()),
       merge_session_(merge_db_.CreateSession()) {}
 
-std::vector<std::string> HybridGateway::ReferencedLiveTables(
-    const std::string& sql) const {
-  std::vector<std::string> out;
+Result<std::vector<HybridGateway::LiveRead>>
+HybridGateway::ReferencedLiveTables(const std::string& sql) const {
+  std::vector<LiveRead> out;
   for (const std::string& name : store_->LiveTables()) {
     if (sql.find(name) == std::string::npos) continue;
-    if (!store_->HasTail(name)) continue;
     // A session temp table of the same name legitimately shadows the
     // shared one — the query is not about the live table at all.
     if (session_->temp_tables().count(name) != 0) continue;
-    out.push_back(name);
+    HQ_ASSIGN_OR_RETURN(IngestStore::TableSnapshot snap,
+                        store_->Snapshot(name));
+    if (snap.tail != nullptr) out.push_back({name, std::move(snap)});
   }
   return out;
 }
@@ -89,8 +90,9 @@ Result<sqldb::QueryResult> HybridGateway::Execute(const std::string& sql) {
   // flush-before-read keeps materialized variables complete. Substring
   // matching over-approximates the referenced set; a spurious flush is
   // harmless (it only moves rows across the boundary).
-  for (const std::string& name : ReferencedLiveTables(sql)) {
-    HQ_RETURN_IF_ERROR(store_->Flush(name));
+  HQ_ASSIGN_OR_RETURN(std::vector<LiveRead> live, ReferencedLiveTables(sql));
+  for (const LiveRead& read : live) {
+    HQ_RETURN_IF_ERROR(store_->Flush(read.table));
   }
   return db_->Execute(session_.get(), sql);
 }
@@ -101,31 +103,22 @@ Result<sqldb::QueryResult> HybridGateway::ExecuteTranslated(
       f.kind == FaultHit::Kind::kError) {
     return f.error;
   }
-  std::vector<std::string> live = ReferencedLiveTables(t.result_sql);
+  HQ_ASSIGN_OR_RETURN(std::vector<LiveRead> live,
+                      ReferencedLiveTables(t.result_sql));
   if (live.empty()) {
     HybridMetrics::Get().plain->Increment();
     return db_->Execute(session_.get(), t.result_sql);
   }
   if (live.size() == 1 && t.shard.mode != ShardMode::kNone &&
-      t.shard.table == live[0]) {
-    return SplitExecute(t);
+      t.shard.table == live[0].table) {
+    return SplitExecute(t, live[0]);
   }
   return MergedExecute(t, live);
 }
 
-Result<sqldb::QueryResult> HybridGateway::SplitExecute(const Translation& t) {
+Result<sqldb::QueryResult> HybridGateway::SplitExecute(const Translation& t,
+                                                       const LiveRead& live) {
   HybridMetrics& metrics = HybridMetrics::Get();
-  const std::string& table = t.shard.table;
-
-  // Pin the flush boundary for the whole split: while the pin is held a
-  // flush cannot move tail rows into the historical table, so the two
-  // partials partition the table exactly.
-  IngestStore::TailPin pin = store_->PinTail(table);
-  if (pin.table() == nullptr) {
-    // Tail drained between planning and execution: plain is exact.
-    metrics.plain->Increment();
-    return db_->Execute(session_.get(), t.result_sql);
-  }
   ScopedLatencyTimer timer(MetricsRegistry::Global(), metrics.split_us);
   const std::string& partial_sql =
       t.shard.partial_sql.empty() ? t.result_sql : t.shard.partial_sql;
@@ -144,6 +137,14 @@ Result<sqldb::QueryResult> HybridGateway::SplitExecute(const Translation& t) {
   }
   std::vector<sqldb::QueryResult> partials(2);  // historical, tail
   auto run_partial = [&](int part) -> Status {
+    // Each partial sees its part of the snapshot as a temp shadow under
+    // the live table's name, so both run the catalog table's compiled
+    // kernel (GuardOk) and a tail append recompiles nothing. The
+    // historical part is the catalog's own table, so a sort the kernel
+    // elided on its buffer stays elided.
+    ScopedShadows shadow(session_.get());
+    shadow.Add(live.table,
+               part == 0 ? live.snap.historical : live.snap.tail);
     Result<sqldb::QueryResult> r = db_->Execute(session_.get(), partial_sql);
     if (!r.ok()) {
       metrics.errors->Increment();
@@ -154,15 +155,7 @@ Result<sqldb::QueryResult> HybridGateway::SplitExecute(const Translation& t) {
     partials[part] = std::move(r).value();
     return Status::OK();
   };
-  {
-    // The tail partial sees the pinned tail as a temp shadow under the
-    // live table's name, so it runs the catalog table's compiled kernel
-    // (GuardOk) and a tail append recompiles nothing. The shadow is gone
-    // before the historical partial reads the unshadowed catalog.
-    ScopedShadows shadow(session_.get());
-    shadow.Add(table, pin.table());
-    HQ_RETURN_IF_ERROR(run_partial(1));
-  }
+  HQ_RETURN_IF_ERROR(run_partial(1));
   HQ_RETURN_IF_ERROR(run_partial(0));
 
   // Gather historical-then-tail into the merge engine's partials table.
@@ -179,20 +172,19 @@ Result<sqldb::QueryResult> HybridGateway::SplitExecute(const Translation& t) {
 }
 
 Result<sqldb::QueryResult> HybridGateway::MergedExecute(
-    const Translation& t, const std::vector<std::string>& live) {
+    const Translation& t, const std::vector<LiveRead>& live) {
   HybridMetrics& metrics = HybridMetrics::Get();
-  // One consistent snapshot per live table, shadowed into the main session
+  // Each snapshot's two parts concatenated, shadowed into the main session
   // so the query still resolves its materialized pipeline variables
   // (hq_temp_*).
   ScopedShadows shadows(session_.get());
-  for (const std::string& name : live) {
-    Result<std::shared_ptr<sqldb::StoredTable>> merged =
-        store_->MergedTable(name);
-    if (!merged.ok()) {
-      metrics.errors->Increment();
-      return merged.status();
-    }
-    shadows.Add(name, std::move(merged).value());
+  for (const LiveRead& read : live) {
+    const sqldb::StoredTable& hist = *read.snap.historical;
+    auto merged = std::make_shared<sqldb::StoredTable>(hist);
+    merged->data = sqldb::ConcatColumns(
+        hist.columns, {&hist.data, &read.snap.tail->data});
+    merged->row_count += read.snap.tail->row_count;
+    shadows.Add(read.table, std::move(merged));
   }
   Result<sqldb::QueryResult> r = db_->Execute(session_.get(), t.result_sql);
   if (!r.ok()) {
@@ -201,12 +193,6 @@ Result<sqldb::QueryResult> HybridGateway::MergedExecute(
   }
   metrics.merged->Increment();
   return r;
-}
-
-void HybridGateway::ForEachDatabase(
-    const std::function<void(sqldb::Database*)>& fn) {
-  fn(db_);
-  fn(&merge_db_);
 }
 
 }  // namespace ingest

@@ -18,22 +18,26 @@ namespace ingest {
 /// serves queries over tables whose rows live partly in the historical
 /// backend and partly in the IngestStore's in-memory tail. ShardInfo
 /// reports each live table as an unkeyed two-part shard, so the plan in
-/// Translation::shard splits it. Three paths, chosen per translated query:
+/// Translation::shard splits it. Each query takes one IngestStore snapshot
+/// per live table it references, and the split and merged paths read a
+/// table with tail rows only through its snapshot, so a concurrent flush
+/// can never double- or zero-count rows. Three paths, chosen per
+/// translated query:
 ///
-///   - plain: no referenced table has tail rows — execute as-is (tier-1
-///     behavior, including fused kernels).
+///   - plain: no snapshot has a tail — execute as-is (tier-1 behavior,
+///     including fused kernels).
 ///   - split: the plan splits the one live table — run the partial SQL
-///     over the pinned tail (shadowed into the session under the table's
-///     name), then over the historical catalog, and recombine with the
-///     merge SQL. The tail pin holds the table's flush epoch shared, so a
-///     concurrent flush can never double- or zero-count rows.
+///     over the snapshot's tail, then over its historical part (each
+///     shadowed into the session under the table's name), and recombine
+///     with the merge SQL.
 ///   - merged: every other shape (as-of joins spanning the flush boundary,
-///     windows, multi-table queries) — execute against one consistent
-///     historical+tail snapshot shadowed into the session, byte-identical
-///     to a bulk-loaded table by the order-column construction.
+///     windows, multi-table queries) — execute against the concatenation
+///     of each snapshot's two parts shadowed into the session,
+///     byte-identical to a bulk-loaded table by the order-column
+///     construction.
 ///
-/// Kernel-shaped reads on both shadowing paths still run on fused kernels:
-/// the kernel registry runs the catalog-compiled plan over a shadow whose
+/// Kernel-shaped reads on every shadow still run on fused kernels: the
+/// kernel registry runs the catalog-compiled plan over a shadow whose
 /// schema and storage classes match (GuardOk).
 class HybridGateway : public BackendGateway {
  public:
@@ -52,18 +56,24 @@ class HybridGateway : public BackendGateway {
   LiveStore* live_store() override { return store_; }
   sqldb::Database* database() override { return db_; }
   sqldb::Session* session() override { return session_.get(); }
-  void ForEachDatabase(
-      const std::function<void(sqldb::Database*)>& fn) override;
   std::string Describe() const override { return "hybrid(ingest+sqldb)"; }
 
  private:
-  /// Live tables with tail rows that `sql` references and the session does
-  /// not already shadow with a temp table.
-  std::vector<std::string> ReferencedLiveTables(const std::string& sql) const;
+  /// A live table a query reads, with the snapshot it reads it from.
+  struct LiveRead {
+    std::string table;
+    IngestStore::TableSnapshot snap;
+  };
 
-  Result<sqldb::QueryResult> SplitExecute(const Translation& t);
-  Result<sqldb::QueryResult> MergedExecute(
-      const Translation& t, const std::vector<std::string>& live);
+  /// Snapshots of the live tables with tail rows that `sql` references and
+  /// the session does not already shadow with a temp table.
+  Result<std::vector<LiveRead>> ReferencedLiveTables(
+      const std::string& sql) const;
+
+  Result<sqldb::QueryResult> SplitExecute(const Translation& t,
+                                          const LiveRead& live);
+  Result<sqldb::QueryResult> MergedExecute(const Translation& t,
+                                           const std::vector<LiveRead>& live);
 
   sqldb::Database* db_;
   IngestStore* store_;

@@ -1,7 +1,5 @@
 #include "ingest/ingest.h"
 
-#include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/fault.h"
@@ -72,45 +70,7 @@ QType EffectiveQType(const QValue& col) {
 }  // namespace
 
 IngestStore::IngestStore(sqldb::Database* db, IngestOptions options)
-    : db_(db), options_(options) {
-  if (options_.flush_interval_ms > 0) Start();
-}
-
-IngestStore::~IngestStore() { Stop(); }
-
-void IngestStore::Start() {
-  std::lock_guard<std::mutex> lock(flusher_mu_);
-  if (flusher_running_ || options_.flush_interval_ms <= 0) return;
-  flusher_stop_ = false;
-  flusher_running_ = true;
-  flusher_ = std::thread([this] { FlusherMain(); });
-}
-
-void IngestStore::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(flusher_mu_);
-    if (!flusher_running_) return;
-    flusher_stop_ = true;
-  }
-  flusher_cv_.notify_all();
-  flusher_.join();
-  std::lock_guard<std::mutex> lock(flusher_mu_);
-  flusher_running_ = false;
-}
-
-void IngestStore::FlusherMain() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(flusher_mu_);
-      flusher_cv_.wait_for(
-          lock, std::chrono::milliseconds(options_.flush_interval_ms),
-          [this] { return flusher_stop_ || flush_kicked_; });
-      if (flusher_stop_) return;
-      flush_kicked_ = false;
-    }
-    if (!FlushAll().ok()) IngestMetrics::Get().flush_errors->Increment();
-  }
-}
+    : db_(db), options_(options) {}
 
 IngestStore::LiveTable* IngestStore::Find(const std::string& table) const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -262,28 +222,14 @@ Result<size_t> IngestStore::Upd(const std::string& table,
   m.rows->Increment(rows);
   m.batches->Increment();
 
-  if (over_watermark) {
-    bool kicked = false;
-    {
-      std::lock_guard<std::mutex> lock(flusher_mu_);
-      if (flusher_running_) {
-        flush_kicked_ = true;
-        kicked = true;
-      }
-    }
-    if (kicked) {
-      flusher_cv_.notify_one();
-    } else if (!Flush(table).ok()) {
-      // Inline watermark flushes degrade transparently: the rows stay in
-      // the tail (still queryable) and a later flush retries.
-      m.flush_errors->Increment();
-    }
-  }
+  // Watermark flushes degrade transparently: a failed one leaves the rows
+  // in the tail (still queryable) and a later flush retries.
+  if (over_watermark && !Flush(table).ok()) m.flush_errors->Increment();
   return rows;
 }
 
 Status IngestStore::FlushLocked(const std::string& name, LiveTable* lt) {
-  // Caller holds lt->epoch_mu exclusively and lt->mu.
+  // Caller holds lt->mu: a Snapshot sees the rows on exactly one side.
   if (lt->segments.empty()) return Status::OK();
 
   // Before any mutation: an injected flush failure leaves the tail intact,
@@ -297,17 +243,13 @@ Status IngestStore::FlushLocked(const std::string& name, LiveTable* lt) {
   ScopedLatencyTimer timer(MetricsRegistry::Global(), m.flush_us);
 
   size_t total = 0;
-  for (const auto& seg : lt->segments) total += seg->rows;
-  std::vector<ColumnPtr> cols;
-  cols.reserve(lt->schema.size());
-  for (size_t c = 0; c < lt->schema.size(); ++c) {
-    ColumnPtr col = Column::Make(lt->schema[c].type);
-    col->Reserve(total);
-    for (const auto& seg : lt->segments) col->AppendColumn(*seg->cols[c]);
-    cols.push_back(std::move(col));
+  std::vector<const std::vector<ColumnPtr>*> parts;
+  for (const auto& seg : lt->segments) {
+    total += seg->rows;
+    parts.push_back(&seg->cols);
   }
-  HQ_RETURN_IF_ERROR(db_->catalog().AppendColumns(name, std::move(cols),
-                                                  total));
+  HQ_RETURN_IF_ERROR(db_->catalog().AppendColumns(
+      name, sqldb::ConcatColumns(lt->schema, parts), total));
   lt->segments.clear();
   lt->rows_flushed += total;
   lt->flushes += 1;
@@ -323,7 +265,6 @@ Status IngestStore::Flush(const std::string& table) {
   if (lt == nullptr) {
     return NotFound(StrCat("'", table, "' is not a live table"));
   }
-  std::unique_lock<std::shared_mutex> epoch(lt->epoch_mu);
   std::lock_guard<std::mutex> lock(lt->mu);
   return FlushLocked(table, lt);
 }
@@ -341,13 +282,6 @@ bool IngestStore::IsLive(const std::string& table) const {
   return Find(table) != nullptr;
 }
 
-bool IngestStore::HasTail(const std::string& table) const {
-  LiveTable* lt = Find(table);
-  if (lt == nullptr) return false;
-  std::lock_guard<std::mutex> lock(lt->mu);
-  return !lt->segments.empty();
-}
-
 std::vector<std::string> IngestStore::LiveTables() const {
   std::vector<std::string> out;
   std::lock_guard<std::mutex> lock(mu_);
@@ -356,79 +290,40 @@ std::vector<std::string> IngestStore::LiveTables() const {
   return out;
 }
 
-IngestStore::TailPin IngestStore::PinTail(const std::string& table) {
-  TailPin pin;
-  LiveTable* lt = Find(table);
-  if (lt == nullptr) return pin;
-  // Shared epoch hold: flushes (exclusive holders) are excluded for the
-  // pin's lifetime, so the historical rows and this tail snapshot stay a
-  // disjoint, complete partition of the table.
-  pin.lock_ = std::shared_lock<std::shared_mutex>(lt->epoch_mu);
-  std::lock_guard<std::mutex> lock(lt->mu);
-  if (lt->segments.empty()) return pin;
-  auto tail = std::make_shared<StoredTable>();
-  tail->name = table;
-  tail->columns = lt->schema;
-  tail->sort_keys = lt->sort_keys;
-  tail->key_columns = lt->key_columns;
-  if (lt->segments.size() == 1) {
-    tail->data = lt->segments[0]->cols;  // zero-copy: segments are immutable
-    tail->row_count = lt->segments[0]->rows;
-  } else {
-    size_t total = 0;
-    for (const auto& seg : lt->segments) total += seg->rows;
-    tail->data.reserve(lt->schema.size());
-    for (size_t c = 0; c < lt->schema.size(); ++c) {
-      ColumnPtr col = Column::Make(lt->schema[c].type);
-      col->Reserve(total);
-      for (const auto& seg : lt->segments) col->AppendColumn(*seg->cols[c]);
-      tail->data.push_back(std::move(col));
-    }
-    tail->row_count = total;
-  }
-  pin.table_ = std::move(tail);
-  return pin;
-}
-
-Result<std::shared_ptr<sqldb::StoredTable>> IngestStore::MergedTable(
-    const std::string& table) {
+Result<IngestStore::TableSnapshot> IngestStore::Snapshot(
+    const std::string& table) const {
   LiveTable* lt = Find(table);
   if (lt == nullptr) {
     return NotFound(StrCat("'", table, "' is not a live table"));
   }
-  // lt->mu alone is enough for atomicity: FlushLocked holds it across the
-  // catalog append AND the segment clear, so historical+segments pinned
-  // here is always exactly the full table, never double- or zero-counted.
-  // The copy runs after the lock is released so it never stalls upd or
-  // flush: segments are immutable, and a flush publishes a new catalog
-  // table rather than mutating the pinned one.
-  std::shared_ptr<StoredTable> hist;
+  // FlushLocked holds lt->mu across the catalog append and the segment
+  // clear, so the catalog table and segment list captured together here
+  // partition the table exactly. The tail is built after the lock is
+  // released so it never stalls upd or flush: segments are immutable, and
+  // a flush publishes a new catalog table rather than mutating this one.
+  TableSnapshot snap;
   std::vector<std::shared_ptr<const Segment>> segments;
   {
     std::lock_guard<std::mutex> lock(lt->mu);
-    HQ_ASSIGN_OR_RETURN(hist, db_->catalog().GetTable(table));
+    HQ_ASSIGN_OR_RETURN(snap.historical, db_->catalog().GetTable(table));
     segments = lt->segments;
   }
-  if (segments.empty()) return hist;
-  size_t tail_total = 0;
-  for (const auto& seg : segments) tail_total += seg->rows;
-  auto merged = std::make_shared<StoredTable>();
-  merged->name = table;
-  merged->columns = hist->columns;
-  merged->sort_keys = hist->sort_keys;
-  merged->key_columns = hist->key_columns;
-  merged->row_count = hist->row_count + tail_total;
-  merged->data.reserve(hist->columns.size());
-  for (size_t c = 0; c < hist->columns.size(); ++c) {
-    ColumnPtr col = Column::Make(hist->columns[c].type);
-    col->Reserve(merged->row_count);
-    if (c < hist->data.size() && hist->data[c]) {
-      col->AppendColumn(*hist->data[c]);
-    }
-    for (const auto& seg : segments) col->AppendColumn(*seg->cols[c]);
-    merged->data.push_back(std::move(col));
+  if (segments.empty()) return snap;
+  snap.tail = std::make_shared<StoredTable>();
+  snap.tail->name = table;
+  snap.tail->columns = lt->schema;
+  snap.tail->sort_keys = lt->sort_keys;
+  snap.tail->key_columns = lt->key_columns;
+  std::vector<const std::vector<ColumnPtr>*> parts;
+  for (const auto& seg : segments) {
+    snap.tail->row_count += seg->rows;
+    parts.push_back(&seg->cols);
   }
-  return merged;
+  // One segment is shared as-is (zero-copy: segments are immutable).
+  snap.tail->data = segments.size() == 1
+                        ? segments[0]->cols
+                        : sqldb::ConcatColumns(lt->schema, parts);
+  return snap;
 }
 
 IngestStore::TableStats IngestStore::Stats(const std::string& table) const {

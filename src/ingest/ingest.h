@@ -2,13 +2,10 @@
 #define HYPERQ_INGEST_INGEST_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -21,14 +18,10 @@ namespace ingest {
 
 /// Tuning knobs for the in-memory live tail (docs/INGEST.md).
 struct IngestOptions {
-  /// Watermarks: crossing either one triggers a flush of the table's tail
-  /// into the historical backend (inline when no background flusher runs,
-  /// otherwise the flusher is kicked).
+  /// Watermarks: the `upd` that crosses either one flushes the table's
+  /// tail into the historical backend inline, on the publisher's thread.
   size_t tail_max_rows = 100000;
   size_t tail_max_bytes = 32u << 20;
-  /// Background flush period; 0 disables the flusher thread (flushes then
-  /// happen inline at watermark crossings or via Flush/FlushAll).
-  int flush_interval_ms = 0;
 };
 
 /// The tickerplant-side store (docs/INGEST.md): per live table, an
@@ -39,16 +32,16 @@ struct IngestOptions {
 /// byte-identical to a single table bulk-loaded with the same data — the
 /// invariant every hybrid query plan is proven against.
 ///
-/// Locking: per table, `epoch_mu` (shared_mutex) serializes flushes
-/// against in-flight hybrid readers — a reader pins the flush boundary
-/// for the whole split execution by holding it shared (TailPin), so the
-/// historical part it scans and the tail it captured never overlap or
-/// leave a gap. `mu` guards the segment list and counters and is only
-/// ever held briefly. Order: epoch_mu before mu.
+/// Locking: one `mu` per table guards the segment list and counters.
+/// Flush holds it across the catalog append and the segment clear, and
+/// Snapshot captures the catalog table and the segments under it, so a
+/// snapshot is always an exact partition of the table. The store runs no
+/// thread of its own, and a flush never waits on a reader: readers hold
+/// only their snapshot, which no flush mutates (AppendColumns is
+/// copy-on-write and segments are immutable).
 class IngestStore : public LiveStore {
  public:
   explicit IngestStore(sqldb::Database* db, IngestOptions options = {});
-  ~IngestStore() override;
 
   IngestStore(const IngestStore&) = delete;
   IngestStore& operator=(const IngestStore&) = delete;
@@ -63,48 +56,22 @@ class IngestStore : public LiveStore {
   Result<size_t> Upd(const std::string& table, const QValue& data) override;
   Status Flush(const std::string& table) override;
   Status FlushAll() override;
-  bool IsLive(const std::string& table) const override;
-  bool HasTail(const std::string& table) const override;
-  std::vector<std::string> LiveTables() const override;
   QValue StatsTable() const override;
 
-  /// Starts/stops the background flusher (no-op when flush_interval_ms is
-  /// 0 or it is already running). The destructor stops it.
-  void Start();
-  void Stop();
+  /// True when `table` is ingest-backed (registered or has received upd).
+  bool IsLive(const std::string& table) const;
+  /// Live table names, sorted.
+  std::vector<std::string> LiveTables() const;
 
-  /// A pinned read snapshot of one table's tail: holds the table's epoch
-  /// lock shared, so no flush can move the boundary while the caller
-  /// executes the historical part against the catalog and the tail part
-  /// against table() — together they cover exactly the table's rows.
-  class TailPin {
-   public:
-    TailPin() = default;
-    TailPin(TailPin&&) = default;
-    TailPin& operator=(TailPin&&) = default;
-
-    /// The tail rows as a StoredTable in the live table's schema; null
-    /// when the tail was empty at pin time.
-    const std::shared_ptr<sqldb::StoredTable>& table() const {
-      return table_;
-    }
-
-   private:
-    friend class IngestStore;
-    std::shared_lock<std::shared_mutex> lock_;
-    std::shared_ptr<sqldb::StoredTable> table_;
+  /// One consistent read view of a live table: `historical` is the
+  /// catalog's own StoredTable and `tail` the unflushed rows in the same
+  /// schema (null when there are none). Together they are exactly the
+  /// table's rows at one instant, and no later upd or flush changes them.
+  struct TableSnapshot {
+    std::shared_ptr<sqldb::StoredTable> historical;
+    std::shared_ptr<sqldb::StoredTable> tail;
   };
-
-  /// Pins `table`'s tail for a hybrid split execution. For non-live
-  /// tables the pin is empty (null table, no lock).
-  TailPin PinTail(const std::string& table);
-
-  /// One consistent (historical + tail) snapshot of the table, built as a
-  /// fresh StoredTable — the merged-fallback execution path for query
-  /// shapes the split planner cannot decompose (as-of joins probing both
-  /// sides of the flush boundary, windows, ...). Atomic against flushes.
-  Result<std::shared_ptr<sqldb::StoredTable>> MergedTable(
-      const std::string& table);
+  Result<TableSnapshot> Snapshot(const std::string& table) const;
 
   struct TableStats {
     uint64_t rows_ingested = 0;
@@ -124,7 +91,6 @@ class IngestStore : public LiveStore {
   };
 
   struct LiveTable {
-    mutable std::shared_mutex epoch_mu;
     mutable std::mutex mu;
     std::vector<std::shared_ptr<const Segment>> segments;
     uint64_t next_seq = 0;
@@ -147,20 +113,12 @@ class IngestStore : public LiveStore {
   LiveTable* Find(const std::string& table) const;
   Status FlushLocked(const std::string& name, LiveTable* lt);
   void UpdateTailGauge(int64_t delta);
-  void FlusherMain();
 
   sqldb::Database* db_;
   IngestOptions options_;
   mutable std::mutex mu_;  ///< guards tables_ (map structure only)
   std::map<std::string, std::unique_ptr<LiveTable>> tables_;
   std::atomic<int64_t> total_tail_rows_{0};
-
-  std::mutex flusher_mu_;
-  std::condition_variable flusher_cv_;
-  std::thread flusher_;
-  bool flusher_running_ = false;
-  bool flusher_stop_ = false;
-  bool flush_kicked_ = false;
 };
 
 }  // namespace ingest

@@ -270,7 +270,6 @@ void ShardedGateway::ForEachDatabase(
     const std::function<void(sqldb::Database*)>& fn) {
   fn(backend_->fallback());
   for (int i = 0; i < backend_->num_shards(); ++i) fn(backend_->shard(i));
-  fn(&merge_db_);
 }
 
 }  // namespace shard

@@ -36,6 +36,26 @@ std::vector<Datum> StoredTable::RowAt(size_t row) const {
   return out;
 }
 
+std::vector<ColumnPtr> ConcatColumns(
+    const std::vector<TableColumn>& schema,
+    const std::vector<const std::vector<ColumnPtr>*>& parts) {
+  std::vector<ColumnPtr> out;
+  out.reserve(schema.size());
+  for (size_t c = 0; c < schema.size(); ++c) {
+    size_t rows = 0;
+    for (const auto* part : parts) {
+      if (c < part->size() && (*part)[c]) rows += (*part)[c]->size();
+    }
+    ColumnPtr col = Column::Make(schema[c].type);
+    col->Reserve(rows);
+    for (const auto* part : parts) {
+      if (c < part->size() && (*part)[c]) col->AppendColumn(*(*part)[c]);
+    }
+    out.push_back(std::move(col));
+  }
+  return out;
+}
+
 Status Catalog::CreateTable(StoredTable table, bool or_replace) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!or_replace && tables_.count(table.name) > 0) {

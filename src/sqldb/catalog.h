@@ -45,6 +45,15 @@ struct StoredTable {
   std::vector<Datum> RowAt(size_t row) const;
 };
 
+/// Concatenates column parts that share `schema`: column c of the result
+/// is a fresh buffer of type schema[c].type holding parts[0][c],
+/// parts[1][c], ... in order (a part without column c contributes no
+/// rows). The one place column parts become one table: the ingest tail,
+/// its flush, the hybrid merged snapshot and the partial gathers.
+std::vector<ColumnPtr> ConcatColumns(
+    const std::vector<TableColumn>& schema,
+    const std::vector<const std::vector<ColumnPtr>*>& parts);
+
 struct StoredView {
   std::string name;
   SelectPtr select;  ///< The defining query.

@@ -59,13 +59,12 @@ Result<QueryResult> Database::ExecuteOverParts(
   auto table = std::make_shared<StoredTable>();
   table->name = name;
   table->columns = parts[0].columns;
-  for (const QueryResult& p : parts) table->row_count += p.data.row_count;
-  for (size_t c = 0; c < table->columns.size(); ++c) {
-    ColumnPtr col = Column::Make(table->columns[c].type);
-    col->Reserve(table->row_count);
-    for (const QueryResult& p : parts) col->AppendColumn(*p.data.columns[c]);
-    table->data.push_back(std::move(col));
+  std::vector<const std::vector<ColumnPtr>*> cols;
+  for (const QueryResult& p : parts) {
+    table->row_count += p.data.row_count;
+    cols.push_back(&p.data.columns);
   }
+  table->data = ConcatColumns(table->columns, cols);
   session->temp_tables()[name] = std::move(table);
   Result<QueryResult> r = [&] {
     ScopedLatencyTimer timer(MetricsRegistry::Global(), exec_us);

@@ -423,7 +423,7 @@ TEST_F(ChaosSoakTest, IngestSoakKeepsAccountingAndReplaysByteIdentical) {
   // Live-ingest chaos: publisher clients sustain tickerplant `upd` traffic
   // over QIPC while query clients hammer the same tables, with the
   // ingest fault sites (and the usual QIPC-path ones) armed and the
-  // background flusher + row watermark racing every reader. Afterwards the
+  // row watermark's inline flushes racing every reader. Afterwards the
   // per-table accounting invariant must hold exactly — every row that was
   // acknowledged is either still in the tail or flushed — and the live
   // server's fault-free answers must be byte-identical to a fresh server
@@ -449,12 +449,10 @@ TEST_F(ChaosSoakTest, IngestSoakKeepsAccountingAndReplaysByteIdentical) {
   testing::MarketData feed = testing::GenerateMarketData(feed_opts);
 
   ingest::IngestOptions iopts;
-  iopts.tail_max_rows = 300;    // watermark flushes fire during the soak
-  iopts.flush_interval_ms = 20;  // and so does the background flusher
+  iopts.tail_max_rows = 300;  // watermark flushes fire during the soak
   ingest::IngestStore store(&live_db, iopts);
   ASSERT_TRUE(store.Register("trades").ok());
   ASSERT_TRUE(store.Register("quotes").ok());
-  store.Start();
 
   HyperQServer::Options opts;
   opts.default_deadline_ms = 500;
@@ -549,8 +547,8 @@ TEST_F(ChaosSoakTest, IngestSoakKeepsAccountingAndReplaysByteIdentical) {
           client = std::make_unique<QipcClient>(std::move(*c));
         }
         // Workload queries plus the ingest control surface: stats scrapes
-        // and explicit flushes race the publishers and the background
-        // flusher on purpose.
+        // and explicit flushes race the publishers' watermark flushes on
+        // purpose.
         uint64_t pick = rng.Below(12);
         const std::string q =
             pick == 0   ? ".hyperq.ingestStats[]"
@@ -580,8 +578,8 @@ TEST_F(ChaosSoakTest, IngestSoakKeepsAccountingAndReplaysByteIdentical) {
             0u);
 
   // The accounting invariant: every acknowledged row is either still in
-  // the tail or flushed — faults, watermark flushes, builtin flushes and
-  // the background flusher included.
+  // the tail or flushed — faults, watermark flushes and builtin flushes
+  // included.
   FaultInjector::Global().Clear();
   for (const std::string& table : {std::string("trades"), std::string("quotes")}) {
     ingest::IngestStore::TableStats s = store.Stats(table);
@@ -625,7 +623,6 @@ TEST_F(ChaosSoakTest, IngestSoakKeepsAccountingAndReplaysByteIdentical) {
   oracle_rc->conn.Close();
   oracle_server.Stop();
   server.Stop();
-  store.Stop();
   EXPECT_EQ(server.active_connections(), 0);
 }
 

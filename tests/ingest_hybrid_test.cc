@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -171,7 +173,7 @@ TEST_F(IngestHybridTest, TailAllByteIdentical) {
   LiveFixture live = MakeLive(data, 0, 0);
   Publish(live.store.get(), "trades", data.trades, 0, nt, 4);
   Publish(live.store.get(), "quotes", data.quotes, 0, nq, 4);
-  ASSERT_TRUE(live.store->HasTail("trades"));
+  ASSERT_GT(live.store->Stats("trades").tail_rows, 0u);
   ExpectCorpusByteIdentical(*oracle->session, live, "tail-all");
 }
 
@@ -188,7 +190,7 @@ TEST_F(IngestHybridTest, FlushedAllByteIdentical) {
   Publish(live.store.get(), "trades", data.trades, nt * 2 / 5, nt, 3);
   Publish(live.store.get(), "quotes", data.quotes, nq * 2 / 5, nq, 3);
   ASSERT_TRUE(live.store->FlushAll().ok());
-  ASSERT_FALSE(live.store->HasTail("trades"));
+  ASSERT_EQ(0u, live.store->Stats("trades").tail_rows);
   ExpectCorpusByteIdentical(*oracle->session, live, "flushed-all");
 }
 
@@ -208,7 +210,7 @@ TEST_F(IngestHybridTest, SplitStateByteIdentical) {
   ASSERT_TRUE(live.store->FlushAll().ok());
   Publish(live.store.get(), "trades", data.trades, nt * 3 / 4, nt, 2);
   Publish(live.store.get(), "quotes", data.quotes, nq * 3 / 4, nq, 2);
-  ASSERT_TRUE(live.store->HasTail("trades"));
+  ASSERT_GT(live.store->Stats("trades").tail_rows, 0u);
   ExpectCorpusByteIdentical(*oracle->session, live, "split");
 }
 
@@ -250,7 +252,7 @@ TEST_F(IngestHybridTest, MergedPathReadsRunOnKernels) {
   size_t nt = data.trades.Table().RowCount();
   LiveFixture live = MakeLive(data, nt / 2, data.quotes.Table().RowCount());
   Publish(live.store.get(), "trades", data.trades, nt / 2, nt, 3);
-  ASSERT_TRUE(live.store->HasTail("trades"));
+  ASSERT_GT(live.store->Stats("trades").tail_rows, 0u);
 
   const char* const templates[] = {
       // Ordered symbol-pinned select: the sort elided on the catalog's
@@ -376,6 +378,59 @@ TEST_F(IngestHybridTest, SplitTailWithOtherStorageRunsInterpreted) {
   EXPECT_EQ(CounterValue("ingest.hybrid_split"), split0 + 1);
   EXPECT_EQ(KernelRuns(), runs0 + 1)
       << "only the historical partial is kernel-served";
+}
+
+TEST_F(IngestHybridTest, FlushDoesNotWaitForInFlightSplitRead) {
+  // A split read holds only its snapshot, so a flush that lands while both
+  // partials are still running returns at once, and the read still
+  // answers from the rows it snapshotted. The armed kernel delay parks
+  // each partial inside TryExecuteSelect for 300 ms.
+  MarketData data = FixtureMarketData();
+  Result<BackendFixture> oracle = MakeBackend(data);
+  ASSERT_TRUE(oracle.ok());
+  size_t nt = data.trades.Table().RowCount();
+  LiveFixture live = MakeLive(data, nt / 2, 0);
+  Publish(live.store.get(), "trades", data.trades, nt / 2, nt, 2);
+
+  const std::string q = "exec sum Size from trades";
+  const std::string want = ResponseBytes(*oracle->session, q);
+  ASSERT_TRUE(live.session->Query(q).ok());  // translate and compile
+  ASSERT_TRUE(FaultInjector::Global().Arm("backend.kernel=delay:300").ok());
+
+  using Clock = std::chrono::steady_clock;
+  int64_t split0 = CounterValue("ingest.hybrid_split");
+  std::atomic<bool> read_done{false};
+  std::string got;
+  std::thread reader([&] {
+    got = ResponseBytes(*live.session, q);
+    read_done = true;
+  });
+  auto kernel_fires = [] {
+    for (const FaultInjector::SiteStats& s : FaultInjector::Global().Stats()) {
+      if (s.site == "backend.kernel") return s.fires;
+    }
+    return uint64_t{0};
+  };
+  // Flush once the read is parked in its first partial.
+  while (kernel_fires() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const Clock::time_point t0 = Clock::now();
+  Status flushed = live.store->Flush("trades");
+  const int64_t flush_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                               Clock::now() - t0)
+                               .count();
+  const bool read_done_at_flush = read_done;
+  reader.join();
+  FaultInjector::Global().Clear();
+
+  ASSERT_TRUE(flushed.ok()) << flushed.ToString();
+  EXPECT_FALSE(read_done_at_flush) << "the flush waited for the read";
+  EXPECT_LT(flush_ms, 200) << "the flush waited for the read";
+  EXPECT_EQ(0u, live.store->Stats("trades").tail_rows);
+  EXPECT_EQ(CounterValue("ingest.hybrid_split"), split0 + 1);
+  EXPECT_EQ(want, got);
 }
 
 TEST_F(IngestHybridTest, LiveTablePlansAsUnkeyedTwoPartShard) {
@@ -566,7 +621,7 @@ TEST_F(IngestHybridTest, FlushBuiltinAndIngestStatsOverSession) {
   EXPECT_TRUE(saw_trades_tail);
 
   ASSERT_TRUE(live.session->Query(".hyperq.flush[`trades]").ok());
-  EXPECT_FALSE(live.store->HasTail("trades"));
+  EXPECT_EQ(0u, live.store->Stats("trades").tail_rows);
   ASSERT_TRUE(live.session->Query(".hyperq.flush[]").ok());
 }
 
