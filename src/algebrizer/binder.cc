@@ -244,12 +244,6 @@ Result<QValue> Binder::BindConstant(const AstPtr& node) {
   switch (node->kind) {
     case AstKind::kLiteral:
       return node->literal;
-    case AstKind::kParam:
-      // The constant's value shapes the plan here (take counts, window
-      // sizes, ...): pin the slot so the cache entry only matches this
-      // exact value.
-      PinParam(*node);
-      return node->literal;
     case AstKind::kVarRef: {
       HQ_ASSIGN_OR_RETURN(VarBinding b, LookupVar(node->name));
       if (b.kind == VarBinding::Kind::kScalar) return b.scalar;
@@ -276,18 +270,19 @@ Result<VarBinding> Binder::LookupVar(const std::string& name) {
   return b;
 }
 
-void Binder::PinParam(const AstNode& node) {
-  if (trace_ != nullptr && node.param_slot >= 0) {
-    trace_->pinned_slots.push_back(node.param_slot);
+int Binder::SlotOf(const AstNode* node) const {
+  if (slots_ == nullptr) return -1;
+  for (size_t i = 0; i < slots_->size(); ++i) {
+    if ((*slots_)[i] == node) return static_cast<int>(i);
   }
+  return -1;
 }
 
 Result<std::vector<std::string>> Binder::SymbolListOf(const AstPtr& node,
                                                       const char* what) {
-  if (node->kind != AstKind::kLiteral && node->kind != AstKind::kParam) {
+  if (node->kind != AstKind::kLiteral) {
     return BindError(StrCat(what, " requires a literal symbol list"));
   }
-  if (node->kind == AstKind::kParam) PinParam(*node);
   const QValue& v = node->literal;
   if (v.is_atom() && v.type() == QType::kSymbol) {
     return std::vector<std::string>{v.AsSym()};
@@ -1109,9 +1104,7 @@ Result<ScalarPtr> Binder::BindScalar(const AstPtr& node,
                                      const XtraOp* input) {
   switch (node->kind) {
     case AstKind::kLiteral:
-      return MakeConst(node->literal);
-    case AstKind::kParam:
-      return xtra::MakeParamConst(node->literal, node->param_slot);
+      return MakeConst(node->literal, SlotOf(node.get()));
     case AstKind::kVarRef: {
       if (input != nullptr) {
         const XtraColumn* c = input->FindOutputByName(node->name);

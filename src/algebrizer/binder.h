@@ -27,15 +27,12 @@ struct BoundQuery {
 
 /// Side-channel the translation cache uses to learn what a binding run
 /// depended on: which names were resolved (and whether any came from a
-/// session/local scope rather than the catalog), which backend tables the
-/// query references, and which lifted parameters were consumed as
-/// structural values (take counts, window sizes, sort columns, casts) and
-/// must therefore be pinned to their exact values in the cache entry.
+/// session/local scope rather than the catalog) and which backend tables
+/// the query references.
 struct BindTrace {
   bool used_scope_var = false;
   std::vector<std::string> ref_names;   ///< names resolved through scopes
   std::vector<std::string> ref_tables;  ///< backend tables referenced
-  std::vector<int> pinned_slots;        ///< param slots read as values
 };
 
 /// The binding half of the Algebrizer (§3.2.2): resolves names through the
@@ -43,11 +40,20 @@ struct BindTrace {
 /// bottom-up, and maps Q operators to XTRA expressions. Purely functional
 /// over the AST: materialization decisions (assignments, function
 /// unrolling) are made by the Query Translator which drives the binder.
+///
+/// `slots` is the fingerprint's slot list (QueryFingerprint::slots), or
+/// null when the statement is not cached through the fingerprint tier. The
+/// XTRA constant bound from the literal node slots[i] carries param_slot i,
+/// which is all the serializer needs to write `$i+1` in the template. A
+/// slot whose value the binder consumes structurally (take counts, window
+/// sizes, sort columns) never reaches the serializer as a constant, so the
+/// cache pins it.
 class Binder {
  public:
   Binder(MetadataInterface* mdi, VariableScopes* scopes,
-         BindTrace* trace = nullptr)
-      : mdi_(mdi), scopes_(scopes), trace_(trace) {}
+         BindTrace* trace = nullptr,
+         const std::vector<const AstNode*>* slots = nullptr)
+      : mdi_(mdi), scopes_(scopes), trace_(trace), slots_(slots) {}
 
   /// Binds a table- or value-producing Q expression into XTRA.
   Result<BoundQuery> BindQuery(const AstPtr& node);
@@ -110,16 +116,16 @@ class Binder {
 
   /// Scope lookup recording the dependency into the trace (if any).
   Result<VarBinding> LookupVar(const std::string& name);
-  /// Reads a literal (or lifted-parameter) symbol list, pinning consumed
-  /// parameter slots.
+  /// Reads a literal symbol list.
   Result<std::vector<std::string>> SymbolListOf(const AstPtr& node,
                                                 const char* what);
-  /// Records that a lifted parameter's value was consumed structurally.
-  void PinParam(const AstNode& node);
+  /// The fingerprint slot `node` fills, or -1.
+  int SlotOf(const AstNode* node) const;
 
   MetadataInterface* mdi_;
   VariableScopes* scopes_;
   BindTrace* trace_;
+  const std::vector<const AstNode*>* slots_;
   int next_col_id_ = 1;
 };
 

@@ -33,6 +33,7 @@ struct XcMetrics {
   LatencyHistogram* bind_us;
   LatencyHistogram* xform_us;
   LatencyHistogram* serialize_us;
+  LatencyHistogram* cache_us;
   LatencyHistogram* translate_total_us;
   LatencyHistogram* execute_us;
   Counter* requests;
@@ -51,6 +52,7 @@ struct XcMetrics {
                            r.GetHistogram("translate.algebrize_us"),
                            r.GetHistogram("translate.xform_us"),
                            r.GetHistogram("translate.serialize_us"),
+                           r.GetHistogram("translate.cache_us"),
                            r.GetHistogram("translate.total_us"),
                            r.GetHistogram("backend.execute_us"),
                            r.GetCounter("xc.requests"),
@@ -128,6 +130,7 @@ Result<QValue> CrossCompiler::Process(const std::string& q_text,
       metrics.bind_us->Record(translation.timings.bind_us);
       metrics.xform_us->Record(translation.timings.xform_us);
       metrics.serialize_us->Record(translation.timings.serialize_us);
+      metrics.cache_us->Record(translation.timings.cache_us);
     }
     metrics.translate_total_us->Record(translation.timings.total_us());
   }

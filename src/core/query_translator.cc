@@ -64,6 +64,15 @@ ShardPlan ToShardPlan(ShardRewrite rewrite) {
 
 }  // namespace
 
+/// A single side-effect-free statement whose cold translation the cache
+/// keeps (exact tier, and the fingerprint tier on a fingerprint miss).
+struct CacheableStatement {
+  const std::string& q_text;
+  const QueryFingerprint& fp;
+  bool fp_miss;
+  const BindTrace& trace;
+};
+
 std::string QueryTranslator::NextTempName() {
   return StrCat("HQ_TEMP_", ++temp_counter_);
 }
@@ -103,170 +112,52 @@ Result<Translation> QueryTranslator::Translate(const std::string& q_text) {
     return InvalidArgument("empty q request");
   }
 
-  // Single side-effect-free statements go through the fingerprint tier.
-  bool exact_insertable = false;
-  bool fp_attempt_failed = false;
+  // A single side-effect-free statement is cached. On a fingerprint miss
+  // it binds with the fingerprint's slots, so the one serialization of its
+  // result query also writes the `$n` template.
   QueryFingerprint fp;
   if (cache_on && stmts.size() == 1 && !IsFunctionInvocation(stmts[0])) {
     fp = FingerprintProgram(stmts);
-    if (fp.cacheable) {
-      exact_insertable = true;  // definitely side-effect free
-      Translation hit;
-      TranslationCache::FpResult r =
-          cache_->Lookup(fp.hash, fp.text, fp.params, shadow, &hit);
-      if (r == TranslationCache::FpResult::kHit) {
-        hit.cache_hit = true;
-        hit.timings.parse_us = out.timings.parse_us;
-        CacheHitHistogram()->Record(MicrosSince(start));
-        return hit;
-      }
-      if (r == TranslationCache::FpResult::kMiss) {
-        Result<Translation> miss = TranslateFingerprintMiss(
-            q_text, stmts[0], fp, out.timings.parse_us);
-        // Errors fall through to the plain path below, which re-raises
-        // genuine user errors with the original (unparameterized) AST.
-        if (miss.ok()) return miss;
-        fp_attempt_failed = true;
-      }
+  }
+  bool fp_miss = false;
+  if (fp.cacheable) {
+    Translation hit;
+    TranslationCache::FpResult r =
+        cache_->Lookup(fp.hash, fp.text, fp.params, shadow, &hit);
+    if (r == TranslationCache::FpResult::kHit) {
+      hit.cache_hit = true;
+      hit.timings.parse_us = out.timings.parse_us;
+      CacheHitHistogram()->Record(MicrosSince(start));
+      return hit;
     }
+    fp_miss = r == TranslationCache::FpResult::kMiss;
   }
 
   BindTrace trace;
-  Binder binder(mdi_, scopes_, &trace);
-  bool produced_result = false;
+  Binder binder(mdi_, scopes_, &trace, fp_miss ? &fp.slots : nullptr);
+  const CacheableStatement cacheable{q_text, fp, fp_miss, trace};
   for (size_t i = 0; i < stmts.size(); ++i) {
     bool is_last = i + 1 == stmts.size();
     const AstPtr& stmt = stmts[i];
     if (stmt->kind == AstKind::kAssign ||
         stmt->kind == AstKind::kGlobalAssign) {
       HQ_RETURN_IF_ERROR(ProcessAssignment(stmt, &binder, &out));
-      produced_result = false;
       continue;
     }
-    if (stmt->kind == AstKind::kApply) {
-      // Possibly a user-function invocation to unroll.
-      const AstPtr& callee = stmt->child;
-      if (callee->kind == AstKind::kVarRef) {
-        Result<VarBinding> b = scopes_->Lookup(callee->name);
-        if (b.ok() && b->kind == VarBinding::Kind::kFunction) {
-          HQ_RETURN_IF_ERROR(
-              ProcessFunctionCall(*stmt, &binder, &out, &produced_result));
-          continue;
-        }
-      }
+    if (IsFunctionInvocation(stmt)) {
+      HQ_RETURN_IF_ERROR(ProcessFunctionCall(*stmt, &binder, &out));
+      continue;
     }
     // Intermediate non-assignment statements without side effects are only
     // translated when they are the last statement (their value is the
-    // response); earlier ones are skipped.
+    // response); earlier ones are skipped. A cacheable statement always
+    // ends here: the fingerprint walk rejects assignments, and function
+    // invocations are never fingerprinted.
     if (is_last) {
-      HQ_RETURN_IF_ERROR(EmitResultQuery(stmt, &binder, &out));
-      produced_result = true;
+      HQ_RETURN_IF_ERROR(EmitResultQuery(stmt, &binder, &out,
+                                         fp.cacheable ? &cacheable : nullptr));
     }
   }
-  // The exact tier can replay any side-effect-free result query whose
-  // binding never read a session/local variable's value.
-  if (exact_insertable && produced_result && out.setup_sql.empty() &&
-      !trace.used_scope_var) {
-    if (fp_attempt_failed) {
-      // The plain pipeline accepts this query but the parameterized one
-      // does not: stop re-attempting parameterization for the shape.
-      cache_->MarkUncacheable(fp.hash, fp.text,
-                              "parameterized translation failed");
-    }
-    cache_->InsertExact(q_text, out, trace.ref_tables, trace.ref_names);
-  }
-  (void)produced_result;
-  return out;
-}
-
-Result<Translation> QueryTranslator::TranslateFingerprintMiss(
-    const std::string& q_text, const AstPtr& stmt, const QueryFingerprint& fp,
-    double parse_us) {
-  Translation out;
-  out.timings.parse_us = parse_us;
-
-  AstPtr param_stmt = ParameterizeStatement(stmt);
-  BindTrace trace;
-  Binder binder(mdi_, scopes_, &trace);
-
-  BoundQuery bound;
-  {
-    StageTimer t(&out.timings.bind_us);
-    HQ_ASSIGN_OR_RETURN(bound, binder.BindQuery(param_stmt));
-  }
-  bool order_matters = bound.shape == ResultShape::kTable ||
-                       bound.shape == ResultShape::kList;
-  {
-    StageTimer t(&out.timings.xform_us);
-    Xformer xformer(options_.xformer);
-    HQ_RETURN_IF_ERROR(xformer.Transform(bound.root, order_matters));
-  }
-  {
-    StageTimer t(&out.timings.serialize_us);
-    Serializer concrete;
-    HQ_ASSIGN_OR_RETURN(out.result_sql, concrete.Serialize(bound.root));
-  }
-  out.shape = bound.shape;
-  out.key_columns = bound.key_columns;
-  PlanDistribution(bound.root, &out);
-
-  // Value-dependent bindings make the translation specific to this
-  // session's variables: return it, but never share it through the cache.
-  if (trace.used_scope_var) return out;
-
-  // Serialize the same tree again in parameterized mode to get the $n
-  // template (cold-path-only extra work, excluded from stage timings).
-  Serializer param_ser;
-  param_ser.EnableParamMode();
-  Result<std::string> sql_template = param_ser.Serialize(bound.root);
-  if (!sql_template.ok()) {
-    cache_->MarkUncacheable(fp.hash, fp.text,
-                            std::string(sql_template.status().message()));
-    return out;
-  }
-
-  // Every slot that did not surface as a placeholder had its value baked
-  // into the plan (structural pins, `in`-list expansion, constant folding):
-  // it must match exactly for the entry to be reused.
-  std::vector<bool> emitted(fp.params.size(), false);
-  for (int slot : param_ser.emitted_slots()) {
-    if (slot >= 0 && static_cast<size_t>(slot) < emitted.size()) {
-      emitted[slot] = true;
-    }
-  }
-  TranslationCache::Insertable entry;
-  entry.sql_template = std::move(*sql_template);
-  entry.shape = out.shape;
-  entry.key_columns = out.key_columns;
-  for (size_t i = 0; i < emitted.size(); ++i) {
-    if (!emitted[i]) entry.pinned_slots.push_back(static_cast<int>(i));
-  }
-  entry.ref_tables = trace.ref_tables;
-  entry.ref_names = trace.ref_names;
-
-  // Verify end-to-end before publishing: instantiating the template with
-  // the current literals must reproduce the concrete SQL byte-for-byte.
-  // This catches any path that bakes a parameter value we failed to pin
-  // (and pathological `$n` collisions inside string literals).
-  Result<std::vector<std::string>> rendered =
-      TranslationCache::RenderParams(fp.params);
-  if (!rendered.ok()) {
-    cache_->MarkUncacheable(fp.hash, fp.text,
-                            std::string(rendered.status().message()));
-    return out;
-  }
-  Result<std::string> replay =
-      TranslationCache::Instantiate(entry.sql_template, *rendered);
-  if (!replay.ok() || *replay != out.result_sql) {
-    cache_->MarkUncacheable(
-        fp.hash, fp.text,
-        replay.ok() ? "instantiated template diverges from concrete SQL"
-                    : std::string(replay.status().message()));
-    return out;
-  }
-
-  cache_->Insert(fp.hash, fp.text, *rendered, entry);
-  cache_->InsertExact(q_text, out, trace.ref_tables, trace.ref_names);
   return out;
 }
 
@@ -349,8 +240,8 @@ Status QueryTranslator::MaterializeQuery(const std::string& var_name,
 }
 
 Status QueryTranslator::ProcessFunctionCall(const AstNode& apply,
-                                            Binder* binder, Translation* out,
-                                            bool* produced_result) {
+                                            Binder* binder,
+                                            Translation* out) {
   HQ_ASSIGN_OR_RETURN(VarBinding fb, scopes_->Lookup(apply.child->name));
   const QLambda& lambda = fb.function.Lambda();
 
@@ -390,55 +281,30 @@ Status QueryTranslator::ProcessFunctionCall(const AstNode& apply,
 
   // Unroll the body: assignments materialize, the explicit return (or the
   // last statement) becomes the result query.
-  for (size_t i = 0; i < body->body.size(); ++i) {
+  Status s;
+  for (size_t i = 0; i < body->body.size() && s.ok(); ++i) {
     const AstPtr& stmt = body->body[i];
-    bool is_last = i + 1 == body->body.size();
-    if (stmt->kind == AstKind::kAssign) {
-      Status s = ProcessAssignment(stmt, binder, out);
-      if (!s.ok()) {
-        cleanup();
-        return s;
-      }
+    if (stmt->kind == AstKind::kAssign ||
+        stmt->kind == AstKind::kGlobalAssign) {
+      s = ProcessAssignment(stmt, binder, out);
       continue;
     }
-    if (stmt->kind == AstKind::kGlobalAssign) {
-      Status s = ProcessAssignment(stmt, binder, out);
-      if (!s.ok()) {
-        cleanup();
-        return s;
-      }
-      continue;
-    }
+    if (stmt->kind != AstKind::kReturn && i + 1 < body->body.size()) continue;
     const AstPtr& expr =
         stmt->kind == AstKind::kReturn ? stmt->child : stmt;
-    if (stmt->kind == AstKind::kReturn || is_last) {
-      // A function may end by calling another function: unroll recursively
-      // (§5: "unrolling a large class of Q user-defined functions").
-      if (expr->kind == AstKind::kApply &&
-          expr->child->kind == AstKind::kVarRef) {
-        Result<VarBinding> callee = scopes_->Lookup(expr->child->name);
-        if (callee.ok() && callee->kind == VarBinding::Kind::kFunction) {
-          Status s = ProcessFunctionCall(*expr, binder, out,
-                                         produced_result);
-          cleanup();
-          return s;
-        }
-      }
-      Status s = EmitResultQuery(expr, binder, out);
-      if (!s.ok()) {
-        cleanup();
-        return s;
-      }
-      *produced_result = true;
-      break;
-    }
+    // A function may end by calling another function: unroll recursively
+    // (§5: "unrolling a large class of Q user-defined functions").
+    s = IsFunctionInvocation(expr) ? ProcessFunctionCall(*expr, binder, out)
+                                   : EmitResultQuery(expr, binder, out);
+    break;
   }
   cleanup();
-  return Status::OK();
+  return s;
 }
 
 Status QueryTranslator::EmitResultQuery(const AstPtr& expr, Binder* binder,
-                                        Translation* out) {
+                                        Translation* out,
+                                        const CacheableStatement* cacheable) {
   BoundQuery bound;
   {
     StageTimer t(&out->timings.bind_us);
@@ -451,15 +317,82 @@ Status QueryTranslator::EmitResultQuery(const AstPtr& expr, Binder* binder,
     Xformer xformer(options_.xformer);
     HQ_RETURN_IF_ERROR(xformer.Transform(bound.root, order_matters));
   }
+  Serializer::Templated serialized;
   {
     StageTimer t(&out->timings.serialize_us);
     Serializer serializer;
-    HQ_ASSIGN_OR_RETURN(out->result_sql, serializer.Serialize(bound.root));
+    if (cacheable != nullptr && cacheable->fp_miss) {
+      HQ_ASSIGN_OR_RETURN(serialized,
+                          serializer.SerializeWithTemplate(bound.root));
+    } else {
+      HQ_ASSIGN_OR_RETURN(serialized.sql, serializer.Serialize(bound.root));
+    }
   }
+  out->result_sql = std::move(serialized.sql);
   out->shape = bound.shape;
   out->key_columns = bound.key_columns;
   PlanDistribution(bound.root, out);
+  if (cacheable != nullptr) {
+    StageTimer t(&out->timings.cache_us);
+    CacheResult(*cacheable, std::move(serialized), *out);
+  }
   return Status::OK();
+}
+
+void QueryTranslator::CacheResult(const CacheableStatement& c,
+                                  Serializer::Templated serialized,
+                                  const Translation& out) {
+  // Value-dependent bindings make the translation specific to this
+  // session's variables: never share it through the cache.
+  if (c.trace.used_scope_var) return;
+  cache_->InsertExact(c.q_text, out, c.trace.ref_tables, c.trace.ref_names);
+  if (!c.fp_miss) return;
+  const QueryFingerprint& fp = c.fp;
+  if (serialized.sql_template.empty()) {
+    cache_->MarkUncacheable(fp.hash, fp.text,
+                            "a name or literal holds a slot marker byte");
+    return;
+  }
+  // Verify end-to-end before publishing: instantiating the template with
+  // the current literals must reproduce the concrete SQL byte-for-byte.
+  // This catches any path that bakes a parameter value we failed to pin
+  // (and pathological `$n` collisions inside string literals).
+  Result<std::vector<std::string>> rendered =
+      TranslationCache::RenderParams(fp.params);
+  if (!rendered.ok()) {
+    cache_->MarkUncacheable(fp.hash, fp.text,
+                            std::string(rendered.status().message()));
+    return;
+  }
+  Result<std::string> replay =
+      TranslationCache::Instantiate(serialized.sql_template, *rendered);
+  if (!replay.ok() || *replay != out.result_sql) {
+    cache_->MarkUncacheable(
+        fp.hash, fp.text,
+        replay.ok() ? "instantiated template diverges from concrete SQL"
+                    : std::string(replay.status().message()));
+    return;
+  }
+
+  // Every slot that did not surface as a placeholder had its value baked
+  // into the plan (structural pins, `in`-list expansion, constant folding):
+  // it must match exactly for the entry to be reused.
+  std::vector<bool> emitted(fp.params.size(), false);
+  for (int slot : serialized.emitted_slots) {
+    if (slot >= 0 && static_cast<size_t>(slot) < emitted.size()) {
+      emitted[slot] = true;
+    }
+  }
+  TranslationCache::Insertable entry;
+  entry.sql_template = std::move(serialized.sql_template);
+  entry.shape = out.shape;
+  entry.key_columns = out.key_columns;
+  for (size_t i = 0; i < emitted.size(); ++i) {
+    if (!emitted[i]) entry.pinned_slots.push_back(static_cast<int>(i));
+  }
+  entry.ref_tables = c.trace.ref_tables;
+  entry.ref_names = c.trace.ref_names;
+  cache_->Insert(fp.hash, fp.text, *rendered, entry);
 }
 
 void QueryTranslator::PlanDistribution(const xtra::XtraPtr& root,

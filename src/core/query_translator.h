@@ -8,13 +8,14 @@
 #include "algebrizer/binder.h"
 #include "algebrizer/scopes.h"
 #include "common/status.h"
+#include "serializer/serializer.h"
 #include "xformer/shard_rewrite.h"
 #include "xformer/xformer.h"
 
 namespace hyperq {
 
 class TranslationCache;
-struct QueryFingerprint;
+struct CacheableStatement;
 
 /// How Q variable assignments are materialized in the backend (§4.3).
 enum class MaterializeMode {
@@ -27,9 +28,12 @@ struct StageTimings {
   double parse_us = 0;
   double bind_us = 0;       ///< algebrization (incl. metadata lookups)
   double xform_us = 0;      ///< optimization
-  double serialize_us = 0;
+  double serialize_us = 0;  ///< concrete SQL and, if cached, its template
+  /// Translation-cache work after a cold translation: rendering the
+  /// literals, the template check and the inserts.
+  double cache_us = 0;
   double total_us() const {
-    return parse_us + bind_us + xform_us + serialize_us;
+    return parse_us + bind_us + xform_us + serialize_us + cache_us;
   }
 };
 
@@ -101,27 +105,26 @@ class QueryTranslator {
   Status ProcessAssignment(const AstPtr& stmt, Binder* binder,
                            Translation* out);
   Status ProcessFunctionCall(const AstNode& apply, Binder* binder,
-                             Translation* out, bool* produced_result);
+                             Translation* out);
+  /// Binds, transforms, serializes and plans the result query. For a
+  /// cacheable statement it then runs the cache step (CacheResult).
   Status EmitResultQuery(const AstPtr& expr, Binder* binder,
-                         Translation* out);
+                         Translation* out,
+                         const CacheableStatement* cacheable = nullptr);
+  /// Inserts a cold translation into the exact tier and, on a fingerprint
+  /// miss, its template into the fingerprint tier once instantiating the
+  /// template with the current literals reproduces the concrete SQL
+  /// byte-for-byte; otherwise the fingerprint is marked uncacheable.
+  void CacheResult(const CacheableStatement& c,
+                   Serializer::Templated serialized, const Translation& out);
   /// Classifies the transformed tree against the distributable shapes
   /// (out->shard), serializing the plan's partial and merge SQL.
   void PlanDistribution(const xtra::XtraPtr& root, Translation* out);
   Status MaterializeQuery(const std::string& var_name, const AstPtr& expr,
                           Binder* binder, Translation* out);
 
-  /// Fingerprint-tier miss: re-binds the parameterized statement, emits
-  /// both the concrete SQL and the `$n` template, verifies the template
-  /// reproduces the concrete SQL, and populates the cache. Any failure
-  /// falls back to the plain path (marking the fingerprint uncacheable
-  /// when the parameterized pipeline itself broke).
-  Result<Translation> TranslateFingerprintMiss(const std::string& q_text,
-                                               const AstPtr& stmt,
-                                               const QueryFingerprint& fp,
-                                               double parse_us);
-
-  /// True for `f[...]` statements where f resolves to a stored function
-  /// (unrolling has side effects, so those bypass the cache).
+  /// True for `f[...]` statements where f resolves to a stored function:
+  /// those are unrolled, and (unrolling has side effects) never cached.
   bool IsFunctionInvocation(const AstPtr& stmt) const;
 
   std::string NextTempName();

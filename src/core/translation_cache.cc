@@ -4,7 +4,6 @@
 #include <cctype>
 
 #include "common/strings.h"
-#include "qlang/fingerprint.h"
 #include "serializer/serializer.h"
 
 namespace hyperq {
@@ -113,7 +112,7 @@ bool TranslationCache::LookupExact(const std::string& q_text,
                                    const ShadowFn& shadowed,
                                    Translation* out) {
   if (!enabled()) return false;
-  Shard& shard = ShardFor(FingerprintHash(q_text));
+  Shard& shard = ShardFor(Fnv1a(q_text));
   const uint64_t version = CurrentVersion();
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.exact.map.find(q_text);
@@ -142,7 +141,7 @@ void TranslationCache::InsertExact(const std::string& q_text,
                                    std::vector<std::string> ref_tables,
                                    std::vector<std::string> ref_names) {
   if (!enabled()) return;
-  Shard& shard = ShardFor(FingerprintHash(q_text));
+  Shard& shard = ShardFor(Fnv1a(q_text));
   const uint64_t version = CurrentVersion();
   std::lock_guard<std::mutex> lock(shard.mu);
   bool inserted = false;

@@ -19,13 +19,6 @@ AstPtr MakeLiteral(QValue v, SourceLoc loc) {
   return node;
 }
 
-AstPtr MakeParam(QValue v, int slot, SourceLoc loc) {
-  auto node = NewNode(AstKind::kParam, loc);
-  node->literal = std::move(v);
-  node->param_slot = slot;
-  return node;
-}
-
 AstPtr MakeVarRef(std::string name, SourceLoc loc) {
   auto node = NewNode(AstKind::kVarRef, loc);
   node->name = std::move(name);
@@ -112,9 +105,6 @@ std::string AstToString(const AstPtr& node) {
   switch (node->kind) {
     case AstKind::kLiteral:
       return StrCat("(lit ", node->literal.ToString(), ")");
-    case AstKind::kParam:
-      return StrCat("(param ", node->param_slot, " ",
-                    node->literal.ToString(), ")");
     case AstKind::kVarRef:
       return StrCat("(var ", node->name, ")");
     case AstKind::kFnRef:

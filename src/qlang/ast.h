@@ -31,7 +31,6 @@ enum class AstKind {
   kCond,         ///< $[c;t;f;...].
   kReturn,       ///< :expr inside a lambda body.
   kSeq,          ///< statement sequence (program / lambda body).
-  kParam,        ///< lifted literal parameter (translation-cache rewrite).
 };
 
 struct AstNode;
@@ -51,10 +50,8 @@ struct AstNode {
   AstKind kind;
   SourceLoc loc;
 
-  // kLiteral / kParam (a kParam keeps the literal's value so binding can
-  // still read it; param_slot says which fingerprint parameter it is).
+  // kLiteral
   QValue literal;
-  int param_slot = -1;
 
   // kVarRef / kFnRef: name or verb spelling; kAdverbed: adverb spelling.
   std::string name;
@@ -92,7 +89,6 @@ struct AstNode {
 
 /// Factory helpers (all return shared immutable nodes).
 AstPtr MakeLiteral(QValue v, SourceLoc loc);
-AstPtr MakeParam(QValue v, int slot, SourceLoc loc);
 AstPtr MakeVarRef(std::string name, SourceLoc loc);
 AstPtr MakeFnRef(std::string op, SourceLoc loc);
 AstPtr MakeAdverbed(std::string adverb, AstPtr fn, SourceLoc loc);

@@ -19,14 +19,13 @@ bool LiftableAtom(const AstNode& n, bool structural_pos) {
 // Fingerprint rendering
 // ---------------------------------------------------------------------------
 
-/// Renders the normalized structure of a statement into `out`, lifting
-/// literal atoms into `params`. The traversal order here defines the slot
-/// numbering; ParameterizeStatement below MUST visit nodes in the same
-/// order.
+/// Renders the normalized structure of a statement into `fp->text`,
+/// lifting literal atoms into `fp->params` and recording the node that
+/// filled each slot in `fp->slots`. The traversal order here defines the
+/// slot numbering.
 class FingerprintWriter {
  public:
-  FingerprintWriter(std::string* out, std::vector<QValue>* params)
-      : out_(out), params_(params) {}
+  explicit FingerprintWriter(QueryFingerprint* fp) : fp_(fp) {}
 
   bool ok() const { return ok_; }
   const std::string& reason() const { return reason_; }
@@ -34,7 +33,7 @@ class FingerprintWriter {
   void Visit(const AstPtr& node, bool structural_pos = false) {
     if (!ok_) return;
     if (!node) {
-      *out_ += "~";
+      fp_->text += "~";
       return;
     }
     const AstNode& n = *node;
@@ -43,16 +42,13 @@ class FingerprintWriter {
         if (LiftableAtom(n, structural_pos)) {
           // Value lifted; the type stays (types drive operator binding).
           Append("?", QTypeName(n.literal.type()));
-          params_->push_back(n.literal);
+          fp_->params.push_back(n.literal);
+          fp_->slots.push_back(&n);
         } else {
           Append("(lit:", QTypeName(n.literal.type()),
                  n.literal.is_atom() ? ":a:" : ":l:", n.literal.ToString(),
                  ")");
         }
-        return;
-      case AstKind::kParam:
-        // Fingerprinting an already-parameterized tree would double-lift.
-        Fail("unexpected kParam node");
         return;
       case AstKind::kVarRef:
         Append("(var:", n.name, ")");
@@ -172,7 +168,7 @@ class FingerprintWriter {
 
   template <typename... Args>
   void Append(const Args&... args) {
-    *out_ += StrCat(args...);
+    fp_->text += StrCat(args...);
   }
 
   void Fail(const char* why) {
@@ -180,140 +176,12 @@ class FingerprintWriter {
     ok_ = false;
   }
 
-  std::string* out_;
-  std::vector<QValue>* params_;
+  QueryFingerprint* fp_;
   bool ok_ = true;
   std::string reason_;
 };
 
-// ---------------------------------------------------------------------------
-// Parameterizing rewrite
-// ---------------------------------------------------------------------------
-
-/// Copy-on-write rewrite replacing lifted literals with kParam nodes. Slot
-/// assignment follows the identical traversal order as FingerprintWriter.
-class Parameterizer {
- public:
-  AstPtr Rewrite(const AstPtr& node, bool structural_pos = false) {
-    if (!node) return node;
-    const AstNode& n = *node;
-    switch (n.kind) {
-      case AstKind::kLiteral:
-        if (LiftableAtom(n, structural_pos)) {
-          return MakeParam(n.literal, next_slot_++, n.loc);
-        }
-        return node;
-      case AstKind::kAdverbed: {
-        AstPtr child = Rewrite(n.child);
-        return child == n.child ? node : Clone(n, [&](AstNode* c) {
-          c->child = std::move(child);
-        });
-      }
-      case AstKind::kDyad: {
-        AstPtr lhs = Rewrite(n.lhs);
-        AstPtr rhs = Rewrite(n.rhs);
-        if (lhs == n.lhs && rhs == n.rhs) return node;
-        return Clone(n, [&](AstNode* c) {
-          c->lhs = std::move(lhs);
-          c->rhs = std::move(rhs);
-        });
-      }
-      case AstKind::kApply: {
-        AstPtr child = Rewrite(n.child);
-        bool changed = child != n.child;
-        std::vector<AstPtr> args = RewriteAll(n.args, false, &changed);
-        if (!changed) return node;
-        return Clone(n, [&](AstNode* c) {
-          c->child = std::move(child);
-          c->args = std::move(args);
-        });
-      }
-      case AstKind::kCond:
-      case AstKind::kSeq: {
-        bool changed = false;
-        std::vector<AstPtr> args = RewriteAll(n.args, false, &changed);
-        if (!changed) return node;
-        return Clone(n, [&](AstNode* c) { c->args = std::move(args); });
-      }
-      case AstKind::kListLit: {
-        bool changed = false;
-        std::vector<AstPtr> args = RewriteAll(n.args, true, &changed);
-        if (!changed) return node;
-        return Clone(n, [&](AstNode* c) { c->args = std::move(args); });
-      }
-      case AstKind::kQuery: {
-        bool changed = false;
-        AstPtr limit;
-        if (n.query_limit) {
-          limit = Rewrite(n.query_limit);
-          changed |= limit != n.query_limit;
-        }
-        std::vector<NamedExpr> sel = RewriteNamed(n.select_list, &changed);
-        std::vector<NamedExpr> by = RewriteNamed(n.by_list, &changed);
-        std::vector<AstPtr> where = RewriteAll(n.where_list, false, &changed);
-        AstPtr from = Rewrite(n.from);
-        changed |= from != n.from;
-        if (!changed) return node;
-        return Clone(n, [&](AstNode* c) {
-          c->query_limit = std::move(limit);
-          c->select_list = std::move(sel);
-          c->by_list = std::move(by);
-          c->where_list = std::move(where);
-          c->from = std::move(from);
-        });
-      }
-      // Terminals and uncacheable kinds (the fingerprint pass rejected the
-      // latter before a rewrite is ever requested).
-      default:
-        return node;
-    }
-  }
-
- private:
-  template <typename Fn>
-  static AstPtr Clone(const AstNode& n, Fn mutate) {
-    auto copy = std::make_shared<AstNode>(n);
-    mutate(copy.get());
-    return copy;
-  }
-
-  std::vector<AstPtr> RewriteAll(const std::vector<AstPtr>& nodes,
-                                 bool structural_pos, bool* changed) {
-    std::vector<AstPtr> out;
-    out.reserve(nodes.size());
-    for (const auto& a : nodes) {
-      AstPtr r = Rewrite(a, structural_pos);
-      *changed |= r != a;
-      out.push_back(std::move(r));
-    }
-    return out;
-  }
-
-  std::vector<NamedExpr> RewriteNamed(const std::vector<NamedExpr>& exprs,
-                                      bool* changed) {
-    std::vector<NamedExpr> out;
-    out.reserve(exprs.size());
-    for (const auto& ne : exprs) {
-      AstPtr r = Rewrite(ne.expr);
-      *changed |= r != ne.expr;
-      out.push_back(NamedExpr{ne.name, std::move(r)});
-    }
-    return out;
-  }
-
-  int next_slot_ = 0;
-};
-
 }  // namespace
-
-uint64_t FingerprintHash(const std::string& text) {
-  uint64_t h = 1469598103934665603ULL;  // FNV offset basis
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ULL;  // FNV prime
-  }
-  return h;
-}
 
 QueryFingerprint FingerprintProgram(const std::vector<AstPtr>& stmts) {
   QueryFingerprint fp;
@@ -323,22 +191,18 @@ QueryFingerprint FingerprintProgram(const std::vector<AstPtr>& stmts) {
                                 "intermediate state";
     return fp;
   }
-  FingerprintWriter writer(&fp.text, &fp.params);
+  FingerprintWriter writer(&fp);
   writer.Visit(stmts[0]);
   if (!writer.ok()) {
     fp.text.clear();
     fp.params.clear();
+    fp.slots.clear();
     fp.reason = writer.reason();
     return fp;
   }
   fp.cacheable = true;
-  fp.hash = FingerprintHash(fp.text);
+  fp.hash = Fnv1a(fp.text);
   return fp;
-}
-
-AstPtr ParameterizeStatement(const AstPtr& stmt) {
-  Parameterizer p;
-  return p.Rewrite(stmt);
 }
 
 }  // namespace hyperq

@@ -28,11 +28,14 @@ namespace hyperq {
 ///   - the lifted atom's *type* is part of the structure (types drive
 ///     operator derivation), its *value* is not.
 ///
-/// A lifted value may still be consumed structurally downstream (take
-/// counts, select[n] limits, window sizes, cast targets, sort column
-/// names). The binder reports such slots, and the cache pins them: a
-/// cached entry only matches when the pinned slots carry the exact values
-/// it was built with.
+/// The same walk records which literal node filled each slot (`slots`).
+/// The binder tags the constant it makes for such a node with the slot,
+/// and the serializer renders tagged constants as `$n` in the template it
+/// writes beside the concrete SQL. A lifted value may still be consumed
+/// structurally downstream (take counts, select[n] limits, window sizes,
+/// cast targets, sort column names, `in` lists): its slot then never
+/// surfaces as `$n`, and the cache pins it, so a cached entry only matches
+/// when the pinned slots carry the exact values it was built with.
 struct QueryFingerprint {
   /// False when the statement can never be cached (assignments, function
   /// definitions, multi-statement programs, ...). `reason` says why.
@@ -48,23 +51,17 @@ struct QueryFingerprint {
   /// The lifted literal atoms, in canonical traversal order. Slot i
   /// corresponds to the `$i+1` placeholder in a cached SQL template.
   std::vector<QValue> params;
+  /// slots[i] is the literal node whose value is params[i]. The nodes
+  /// belong to the fingerprinted program and live as long as it does.
+  std::vector<const AstNode*> slots;
 };
 
 /// Fingerprints a parsed Q program. Programs with more than one statement
 /// or with side-effecting statements come back with cacheable=false (their
-/// text/params are left empty). The caller must additionally reject
+/// text/params/slots are left empty). The caller must additionally reject
 /// user-function invocations, which need scope knowledge qlang does not
 /// have.
 QueryFingerprint FingerprintProgram(const std::vector<AstPtr>& stmts);
-
-/// Rewrites a statement, replacing every lifted literal with a kParam node
-/// carrying its slot index. Traversal order matches FingerprintProgram, so
-/// slot i holds the i-th lifted literal. Returns the original pointer for
-/// subtrees without lifted literals.
-AstPtr ParameterizeStatement(const AstPtr& stmt);
-
-/// FNV-1a, exposed for the cache's text hashing.
-uint64_t FingerprintHash(const std::string& text);
 
 }  // namespace hyperq
 

@@ -19,15 +19,25 @@ namespace hyperq {
 class Serializer {
  public:
   /// Serializes the tree into one SELECT statement (no trailing ';').
+  /// Constants tagged with a fingerprint slot render by value, like every
+  /// other constant.
   Result<std::string> Serialize(const xtra::XtraPtr& root);
 
-  /// Parameterized rendering for the translation cache: constants tagged
-  /// with a param_slot render as `$slot+1` placeholders instead of their
-  /// values. Slots actually emitted as placeholders are recorded in
-  /// emitted_slots(); slots whose values were consumed inline anyway
-  /// (e.g. an `in` list expansion) are not.
-  void EnableParamMode() { param_mode_ = true; }
-  const std::vector<int>& emitted_slots() const { return emitted_slots_; }
+  /// One result query as the translation cache needs it: the concrete SQL
+  /// and its `$n` template, written by one walk.
+  struct Templated {
+    std::string sql;  ///< byte-identical to Serialize()
+    /// `sql` with every constant tagged with fingerprint slot i written as
+    /// `$i+1`. Empty when a literal or a name holds one of the bytes that
+    /// bracket slotted constants during the walk: no template can then be
+    /// split out, and `sql` is rendered again without brackets.
+    std::string sql_template;
+    /// Slots written as `$n`, in text order (a slot may repeat). A slot
+    /// whose value the plan consumed inline (an `in` list expansion, a
+    /// take count) is missing.
+    std::vector<int> emitted_slots;
+  };
+  Result<Templated> SerializeWithTemplate(const xtra::XtraPtr& root);
 
   /// Maps a Q type to the SQL type name used in casts and DDL.
   static const char* SqlTypeNameFor(QType type);
@@ -61,8 +71,9 @@ class Serializer {
       const std::map<xtra::ColId, std::string>& right_cols,
       const std::string& right_alias);
   int next_alias_ = 0;
-  bool param_mode_ = false;
-  std::vector<int> emitted_slots_;
+  /// While true, a slotted constant renders bracketed by marker bytes.
+  bool mark_slots_ = false;
+  bool marked_ = false;  ///< a bracketed constant was written
 };
 
 }  // namespace hyperq

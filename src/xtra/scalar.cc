@@ -5,22 +5,13 @@
 namespace hyperq {
 namespace xtra {
 
-ScalarPtr MakeConst(QValue v) {
+ScalarPtr MakeConst(QValue v, int param_slot) {
   auto e = std::make_shared<ScalarExpr>();
   e->kind = ScalarKind::kConst;
   e->type = v.type();
   e->nullable = v.IsNullAtom();
   e->value = std::move(v);
-  return e;
-}
-
-ScalarPtr MakeParamConst(QValue v, int slot) {
-  auto e = std::make_shared<ScalarExpr>();
-  e->kind = ScalarKind::kConst;
-  e->type = v.type();
-  e->nullable = v.IsNullAtom();
-  e->value = std::move(v);
-  e->param_slot = slot;
+  e->param_slot = param_slot;
   return e;
 }
 

@@ -49,9 +49,9 @@ struct ScalarExpr {
 
   // kConst
   QValue value;
-  /// >= 0 when this constant is a lifted translation-cache parameter: the
-  /// serializer's parameterized mode renders it as a `$slot+1` placeholder
-  /// instead of its value.
+  /// >= 0 when this constant was bound from the literal that fills this
+  /// fingerprint slot: the serializer's template renders it as the
+  /// `$slot+1` placeholder instead of its value.
   int param_slot = -1;
 
   // kColRef
@@ -80,9 +80,8 @@ struct ScalarExpr {
   bool nullable = true;
 };
 
-ScalarPtr MakeConst(QValue v);
-/// A constant tagged as translation-cache parameter `slot`.
-ScalarPtr MakeParamConst(QValue v, int slot);
+/// A constant; `param_slot` tags it with the fingerprint slot it fills.
+ScalarPtr MakeConst(QValue v, int param_slot = -1);
 ScalarPtr MakeColRef(ColId id, std::string name, QType type, bool nullable);
 ScalarPtr MakeFunc(std::string func, std::vector<ScalarPtr> args, QType type);
 ScalarPtr MakeAgg(std::string func, std::vector<ScalarPtr> args, QType type);

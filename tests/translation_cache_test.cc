@@ -1,18 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "algebrizer/binder.h"
 #include "common/metrics.h"
 #include "core/hyperq.h"
 #include "core/loader.h"
+#include "core/mdi.h"
 #include "core/translation_cache.h"
 #include "kdb/engine.h"
 #include "qlang/fingerprint.h"
 #include "qlang/parser.h"
+#include "serializer/serializer.h"
+#include "xformer/xformer.h"
 
 namespace hyperq {
 namespace {
@@ -76,18 +81,58 @@ TEST(FingerprintTest, SideEffectingStatementsAreUncacheable) {
       FingerprintOf("a: 1; select from trades").cacheable);  // multi-stmt
 }
 
-TEST(FingerprintTest, ParameterizeMatchesTraversalOrder) {
+// Slot i names the literal node whose value is params[i]. Binding with that
+// list and serializing once writes `$n` only for slots the plan did not
+// consume: the take count becomes LIMIT 2 and stays pinned, and the symbol
+// list stays structural.
+TEST(FingerprintTest, SlotListNamesTheLiteralBehindEachParam) {
   Result<std::vector<AstPtr>> stmts = Parser::ParseProgram(
-      "select Price + 1.5 from trades where Size > 100");
+      "2#select Price + 1.5 from trades where Size > 100, "
+      "Symbol in `GOOG`IBM");
   ASSERT_TRUE(stmts.ok());
   QueryFingerprint fp = FingerprintProgram(*stmts);
   ASSERT_TRUE(fp.cacheable);
-  ASSERT_EQ(fp.params.size(), 2u);
-  AstPtr rewritten = ParameterizeStatement((*stmts)[0]);
-  ASSERT_NE(rewritten, (*stmts)[0]);  // something was lifted
-  // Re-fingerprinting the original is stable.
-  QueryFingerprint fp2 = FingerprintProgram(*stmts);
-  EXPECT_EQ(fp.text, fp2.text);
+  ASSERT_EQ(fp.params.size(), 3u);
+  ASSERT_EQ(fp.slots.size(), fp.params.size());
+  for (size_t i = 0; i < fp.slots.size(); ++i) {
+    ASSERT_EQ(fp.slots[i]->kind, AstKind::kLiteral) << i;
+    EXPECT_TRUE(fp.slots[i]->literal == fp.params[i]) << i;
+  }
+  EXPECT_EQ(fp.slots[0], (*stmts)[0]->lhs.get());  // the take count
+  EXPECT_EQ(fp.params[0].AsInt(), 2);
+  EXPECT_DOUBLE_EQ(fp.params[1].AsFloat(), 1.5);
+  EXPECT_EQ(fp.params[2].AsInt(), 100);
+
+  kdb::Interpreter loader;
+  ASSERT_TRUE(loader
+                  .EvalText("trades: ([] Symbol:`GOOG`IBM; Price:1.0 2.0;"
+                            " Size:100 200)")
+                  .ok());
+  sqldb::Database db;
+  ASSERT_TRUE(LoadQTable(&db, "trades", *loader.GetGlobal("trades")).ok());
+  SqldbMetadata mdi(&db, nullptr);
+  VariableScopes scopes(&mdi);
+  Binder binder(&mdi, &scopes, nullptr, &fp.slots);
+  Result<BoundQuery> bound = binder.BindQuery((*stmts)[0]);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  ASSERT_TRUE(Xformer().Transform(bound->root, true).ok());
+  Result<Serializer::Templated> s =
+      Serializer().SerializeWithTemplate(bound->root);
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  // A constant may be written more than once (null-aware comparisons).
+  std::vector<int> emitted = s->emitted_slots;
+  std::sort(emitted.begin(), emitted.end());
+  emitted.erase(std::unique(emitted.begin(), emitted.end()), emitted.end());
+  EXPECT_EQ(emitted, (std::vector<int>{1, 2}));
+  EXPECT_EQ(s->sql_template.find("$1"), std::string::npos)
+      << s->sql_template;
+  EXPECT_NE(s->sql_template.find("$2"), std::string::npos);
+  EXPECT_NE(s->sql_template.find("$3"), std::string::npos);
+  EXPECT_NE(s->sql_template.find("'GOOG'::varchar"), std::string::npos);
+  // The concrete text is what a plain serialization writes.
+  Result<std::string> plain = Serializer().Serialize(bound->root);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(s->sql, *plain);
 }
 
 // ---------------------------------------------------------------------------
@@ -353,6 +398,74 @@ TEST_F(TranslationCacheTest, ScopeVariableReadsAreNeverShared) {
       hot_->Translate("select from trades where Price > lim");
   ASSERT_TRUE(t2.ok());
   EXPECT_NE(t->result_sql, t2->result_sql);
+}
+
+// A `$1` look-alike in a structural literal cannot be told apart from a
+// placeholder: the template check fails, the fingerprint is marked
+// uncacheable, and the statement is still answered with the cold SQL.
+// A byte the serializer brackets slotted constants with fails its split
+// the same way, in a structural literal, in a lifted one, and when the
+// literal spells a whole well-formed bracket.
+TEST_F(TranslationCacheTest, PlaceholderLookAlikesMarkTheFingerprintUncacheable) {
+  const std::string kQueries[] = {
+      "select from trades where Price > 100.0, Symbol like \"$1*\"",
+      "select from trades where Price > 100.0, Symbol like \"G\x01*\"",
+      std::string("select from trades where Price > 100.0, Symbol = \"") +
+          '\x02' + "\"",
+      "select from trades where Price > 100.0, "
+      "Symbol like \"\x01" "0\x02G*\x03\"",
+  };
+  for (const std::string& q : kQueries) {
+    Result<Translation> reference = cold_->Translate(q);
+    ASSERT_TRUE(reference.ok()) << q << ": "
+                                << reference.status().ToString();
+    uint64_t before = CounterValue("translation_cache.uncacheable");
+    Result<Translation> first = hot_->Translate(q);
+    ASSERT_TRUE(first.ok()) << q;
+    EXPECT_FALSE(first->cache_hit) << q;
+    EXPECT_EQ(first->result_sql, reference->result_sql) << q;
+    EXPECT_EQ(CounterValue("translation_cache.uncacheable"), before + 1) << q;
+    Result<Translation> repeat = hot_->Translate(q);
+    ASSERT_TRUE(repeat.ok()) << q;
+    EXPECT_EQ(repeat->result_sql, reference->result_sql) << q;
+    Result<QValue> hot_result = hot_->Query(q);
+    Result<QValue> cold_result = cold_->Query(q);
+    ASSERT_TRUE(hot_result.ok()) << q;
+    ASSERT_TRUE(cold_result.ok()) << q;
+    EXPECT_TRUE(*hot_result == *cold_result) << q;
+  }
+}
+
+// The cache step is its own stage: timed on a cold translation of a
+// cacheable statement, zero on every hit and with the cache disabled.
+TEST_F(TranslationCacheTest, CacheStageIsTimedOnlyOnMisses) {
+  Result<Translation> miss =
+      hot_->Translate("select from trades where Price > 100.0");
+  ASSERT_TRUE(miss.ok());
+  ASSERT_FALSE(miss->cache_hit);
+  EXPECT_GT(miss->timings.cache_us, 0.0);
+  EXPECT_DOUBLE_EQ(miss->timings.total_us(),
+                   miss->timings.parse_us + miss->timings.bind_us +
+                       miss->timings.xform_us + miss->timings.serialize_us +
+                       miss->timings.cache_us);
+
+  Result<Translation> exact =
+      hot_->Translate("select from trades where Price > 100.0");
+  ASSERT_TRUE(exact.ok());
+  ASSERT_TRUE(exact->cache_hit);
+  EXPECT_EQ(exact->timings.cache_us, 0.0);
+  EXPECT_EQ(exact->timings.total_us(), 0.0);
+
+  Result<Translation> fp_hit =
+      hot_->Translate("select from trades where Price > 300.0");
+  ASSERT_TRUE(fp_hit.ok());
+  ASSERT_TRUE(fp_hit->cache_hit);
+  EXPECT_EQ(fp_hit->timings.cache_us, 0.0);
+
+  Result<Translation> off =
+      cold_->Translate("select from trades where Price > 100.0");
+  ASSERT_TRUE(off.ok());
+  EXPECT_EQ(off->timings.cache_us, 0.0);
 }
 
 TEST_F(TranslationCacheTest, DisabledCacheNeverHits) {

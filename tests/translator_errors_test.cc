@@ -86,6 +86,38 @@ TEST_F(TranslatorErrorsTest, NonConstantFunctionArgExplained) {
       << s.ToString();
 }
 
+// The translation cache never changes an error: every query above fails
+// with the same code and message with the cache on and off, on its first
+// and on a repeated request.
+TEST_F(TranslatorErrorsTest, CacheDoesNotChangeAnyError) {
+  const char* kQueries[] = {
+      "select from ghost",
+      "select nope from t",
+      "select px from t where",
+      "select reciprocal px from t",
+      "select px, max px from t",
+      "X: 5; select from X",
+      "t lj t",
+      "aj[`sym; t]",
+      "f: {[a;b] a+b}; f[1;2;3]",
+      "f: {[S] :exec max px from t where sym=S}; f[t]",
+  };
+  HyperQSession::Options off;
+  off.translation_cache.enabled = false;
+  for (const char* q : kQueries) {
+    HyperQSession cached(&db_);
+    HyperQSession uncached(&db_, off);
+    for (int round = 0; round < 2; ++round) {
+      Result<QValue> on = cached.Query(q);
+      Result<QValue> reference = uncached.Query(q);
+      ASSERT_FALSE(on.ok()) << q;
+      ASSERT_FALSE(reference.ok()) << q;
+      EXPECT_EQ(on.status().code(), reference.status().code()) << q;
+      EXPECT_EQ(on.status().message(), reference.status().message()) << q;
+    }
+  }
+}
+
 TEST_F(TranslatorErrorsTest, ConnectionStateSurvivesErrors) {
   (void)Fails("select from ghost");
   (void)Fails("select nope from t");
