@@ -4,17 +4,14 @@
 namespace hyperq {
 
 /// Shared spellings for the helper constructs the cross-compiler plants in
-/// its emitted SQL, so downstream recognition (kernel canonicalization,
+/// its emitted SQL, so downstream recognition (the kernel's sort elision,
 /// result-leg column dropping) is an exact-name match against the same
 /// constants the serializer writes — recognition, not guessing.
 ///
 /// `kSqlOrdColName` is the implicit order column the loader appends to
 /// every Q table (ascending, never NULL) and the serializer orders final
-/// results by; `kSqlFinalWrapperAlias` is the alias of the outermost
-/// `SELECT * FROM (...) AS hq_final ORDER BY "ordcol"` wrapper that
-/// restores Q's ordered-list semantics.
+/// results by.
 inline constexpr char kSqlOrdColName[] = "ordcol";
-inline constexpr char kSqlFinalWrapperAlias[] = "hq_final";
 
 }  // namespace hyperq
 

@@ -13,21 +13,6 @@ namespace hyperq {
 
 namespace {
 
-class StageTimer {
- public:
-  explicit StageTimer(double* sink) : sink_(sink) {
-    start_ = std::chrono::steady_clock::now();
-  }
-  ~StageTimer() {
-    auto end = std::chrono::steady_clock::now();
-    *sink_ += std::chrono::duration<double, std::micro>(end - start_).count();
-  }
-
- private:
-  double* sink_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 /// Wall time of a cache hit, from request text to ready Translation.
 LatencyHistogram* CacheHitHistogram() {
   static LatencyHistogram* hist =
@@ -86,13 +71,23 @@ bool QueryTranslator::IsFunctionInvocation(const AstPtr& stmt) const {
   return b.ok() && b->kind == VarBinding::Kind::kFunction;
 }
 
+void QueryTranslator::Lap(double* stage) {
+  const auto now = std::chrono::steady_clock::now();
+  *stage += std::chrono::duration<double, std::micro>(now - lap_).count();
+  lap_ = now;
+}
+
 Result<Translation> QueryTranslator::Translate(const std::string& q_text) {
   const auto start = std::chrono::steady_clock::now();
+  lap_ = start;
   const bool cache_on = cache_ != nullptr && cache_->enabled();
   TranslationCache::ShadowFn shadow = [this](const std::string& name) {
     return scopes_->IsShadowed(name);
   };
 
+  // Every cache step of a translation that misses is charged to cache_us;
+  // a hit returns before anything is charged.
+  Translation out;
   if (cache_on) {
     Translation hit;
     if (cache_->LookupExact(q_text, shadow, &hit)) {
@@ -100,14 +95,12 @@ Result<Translation> QueryTranslator::Translate(const std::string& q_text) {
       CacheHitHistogram()->Record(MicrosSince(start));
       return hit;
     }
+    Lap(&out.timings.cache_us);
   }
 
-  Translation out;
   std::vector<AstPtr> stmts;
-  {
-    StageTimer t(&out.timings.parse_us);
-    HQ_ASSIGN_OR_RETURN(stmts, Parser::ParseProgram(q_text));
-  }
+  HQ_ASSIGN_OR_RETURN(stmts, Parser::ParseProgram(q_text));
+  Lap(&out.timings.parse_us);
   if (stmts.empty()) {
     return InvalidArgument("empty q request");
   }
@@ -116,21 +109,24 @@ Result<Translation> QueryTranslator::Translate(const std::string& q_text) {
   // it binds with the fingerprint's slots, so the one serialization of its
   // result query also writes the `$n` template.
   QueryFingerprint fp;
-  if (cache_on && stmts.size() == 1 && !IsFunctionInvocation(stmts[0])) {
-    fp = FingerprintProgram(stmts);
-  }
   bool fp_miss = false;
-  if (fp.cacheable) {
-    Translation hit;
-    TranslationCache::FpResult r =
-        cache_->Lookup(fp.hash, fp.text, fp.params, shadow, &hit);
-    if (r == TranslationCache::FpResult::kHit) {
-      hit.cache_hit = true;
-      hit.timings.parse_us = out.timings.parse_us;
-      CacheHitHistogram()->Record(MicrosSince(start));
-      return hit;
+  if (cache_on) {
+    if (stmts.size() == 1 && !IsFunctionInvocation(stmts[0])) {
+      fp = FingerprintProgram(stmts);
     }
-    fp_miss = r == TranslationCache::FpResult::kMiss;
+    if (fp.cacheable) {
+      Translation hit;
+      TranslationCache::FpResult r =
+          cache_->Lookup(fp.hash, fp.text, fp.params, shadow, &hit);
+      if (r == TranslationCache::FpResult::kHit) {
+        hit.cache_hit = true;
+        hit.timings.parse_us = out.timings.parse_us;
+        CacheHitHistogram()->Record(MicrosSince(start));
+        return hit;
+      }
+      fp_miss = r == TranslationCache::FpResult::kMiss;
+    }
+    Lap(&out.timings.cache_us);
   }
 
   BindTrace trace;
@@ -158,6 +154,8 @@ Result<Translation> QueryTranslator::Translate(const std::string& q_text) {
                                          fp.cacheable ? &cacheable : nullptr));
     }
   }
+  stmts.clear();
+  Lap(&out.timings.parse_us);  // freeing what parsing built
   return out;
 }
 
@@ -204,22 +202,15 @@ Status QueryTranslator::MaterializeQuery(const std::string& var_name,
                                          const AstPtr& expr, Binder* binder,
                                          Translation* out) {
   BoundQuery bound;
-  {
-    StageTimer t(&out->timings.bind_us);
-    HQ_ASSIGN_OR_RETURN(bound, binder->BindQuery(expr));
-  }
-  {
-    StageTimer t(&out->timings.xform_us);
-    Xformer xformer(options_.xformer);
-    HQ_RETURN_IF_ERROR(
-        xformer.Transform(bound.root, /*result_order_required=*/true));
-  }
+  HQ_ASSIGN_OR_RETURN(bound, binder->BindQuery(expr));
+  Lap(&out->timings.bind_us);
+  Xformer xformer(options_.xformer);
+  HQ_RETURN_IF_ERROR(
+      xformer.Transform(bound.root, /*result_order_required=*/true));
+  Lap(&out->timings.xform_us);
   std::string select_sql;
-  {
-    StageTimer t(&out->timings.serialize_us);
-    Serializer serializer;
-    HQ_ASSIGN_OR_RETURN(select_sql, serializer.Serialize(bound.root));
-  }
+  HQ_ASSIGN_OR_RETURN(select_sql, Serializer().Serialize(bound.root));
+  Lap(&out->timings.serialize_us);
 
   std::string temp = NextTempName();
   std::string quoted = Serializer::QuoteIdent(temp);
@@ -228,8 +219,10 @@ Status QueryTranslator::MaterializeQuery(const std::string& var_name,
           ? StrCat("CREATE TEMPORARY TABLE ", quoted, " AS ", select_sql)
           : StrCat("CREATE TEMPORARY VIEW ", quoted, " AS ", select_sql);
   // Eager materialization (§4.3): later statements algebrize against this
-  // object's metadata, so it must exist before we continue.
+  // object's metadata, so it must exist before we continue. Running the
+  // DDL is backend work, so it starts a new lap without charging a stage.
   HQ_RETURN_IF_ERROR(execute_backend_(ddl));
+  lap_ = std::chrono::steady_clock::now();
   out->setup_sql.push_back(std::move(ddl));
 
   VarBinding b;
@@ -248,10 +241,8 @@ Status QueryTranslator::ProcessFunctionCall(const AstNode& apply,
   // The function body is stored as text and re-algebrized on invocation
   // (§4.3).
   AstPtr body;
-  {
-    StageTimer t(&out->timings.parse_us);
-    HQ_ASSIGN_OR_RETURN(body, Parser::ParseExpression(lambda.source));
-  }
+  HQ_ASSIGN_OR_RETURN(body, Parser::ParseExpression(lambda.source));
+  Lap(&out->timings.parse_us);
   if (body->kind != AstKind::kLambda) {
     return InternalError("stored function text is not a lambda");
   }
@@ -306,35 +297,33 @@ Status QueryTranslator::EmitResultQuery(const AstPtr& expr, Binder* binder,
                                         Translation* out,
                                         const CacheableStatement* cacheable) {
   BoundQuery bound;
-  {
-    StageTimer t(&out->timings.bind_us);
-    HQ_ASSIGN_OR_RETURN(bound, binder->BindQuery(expr));
-  }
+  HQ_ASSIGN_OR_RETURN(bound, binder->BindQuery(expr));
+  Lap(&out->timings.bind_us);
   bool order_matters = bound.shape == ResultShape::kTable ||
                        bound.shape == ResultShape::kList;
-  {
-    StageTimer t(&out->timings.xform_us);
-    Xformer xformer(options_.xformer);
-    HQ_RETURN_IF_ERROR(xformer.Transform(bound.root, order_matters));
-  }
+  Xformer xformer(options_.xformer);
+  HQ_RETURN_IF_ERROR(xformer.Transform(bound.root, order_matters));
+  // Distribution is one more rewrite of the transformed tree.
+  ShardRewrite rewrite = PlanShardRewrite(bound.root, options_.shard_info);
+  Lap(&out->timings.xform_us);
   Serializer::Templated serialized;
-  {
-    StageTimer t(&out->timings.serialize_us);
-    Serializer serializer;
-    if (cacheable != nullptr && cacheable->fp_miss) {
-      HQ_ASSIGN_OR_RETURN(serialized,
-                          serializer.SerializeWithTemplate(bound.root));
-    } else {
-      HQ_ASSIGN_OR_RETURN(serialized.sql, serializer.Serialize(bound.root));
-    }
+  Serializer serializer;
+  if (cacheable != nullptr && cacheable->fp_miss) {
+    HQ_ASSIGN_OR_RETURN(serialized,
+                        serializer.SerializeWithTemplate(bound.root));
+  } else {
+    HQ_ASSIGN_OR_RETURN(serialized.sql, serializer.Serialize(bound.root));
   }
+  out->shard = ToShardPlan(std::move(rewrite));
+  Lap(&out->timings.serialize_us);
   out->result_sql = std::move(serialized.sql);
   out->shape = bound.shape;
-  out->key_columns = bound.key_columns;
-  PlanDistribution(bound.root, out);
+  out->key_columns = std::move(bound.key_columns);
+  bound = BoundQuery{};
+  Lap(&out->timings.bind_us);  // freeing what binding built
   if (cacheable != nullptr) {
-    StageTimer t(&out->timings.cache_us);
     CacheResult(*cacheable, std::move(serialized), *out);
+    Lap(&out->timings.cache_us);
   }
   return Status::OK();
 }
@@ -393,11 +382,6 @@ void QueryTranslator::CacheResult(const CacheableStatement& c,
   entry.ref_tables = c.trace.ref_tables;
   entry.ref_names = c.trace.ref_names;
   cache_->Insert(fp.hash, fp.text, *rendered, entry);
-}
-
-void QueryTranslator::PlanDistribution(const xtra::XtraPtr& root,
-                                       Translation* out) {
-  out->shard = ToShardPlan(PlanShardRewrite(root, options_.shard_info));
 }
 
 }  // namespace hyperq

@@ -1,6 +1,7 @@
 #ifndef HYPERQ_CORE_QUERY_TRANSLATOR_H_
 #define HYPERQ_CORE_QUERY_TRANSLATOR_H_
 
+#include <chrono>
 #include <functional>
 #include <string>
 #include <vector>
@@ -24,13 +25,18 @@ enum class MaterializeMode {
 };
 
 /// Wall-clock time spent in each translation stage, for Figures 6 and 7.
+/// The stages are consecutive laps of one clock, so they add up to the
+/// translation's wall time; a stage's time includes freeing what it built
+/// (the AST, the XTRA tree).
 struct StageTimings {
   double parse_us = 0;
-  double bind_us = 0;       ///< algebrization (incl. metadata lookups)
-  double xform_us = 0;      ///< optimization
-  double serialize_us = 0;  ///< concrete SQL and, if cached, its template
-  /// Translation-cache work after a cold translation: rendering the
-  /// literals, the template check and the inserts.
+  double bind_us = 0;  ///< algebrization (incl. metadata lookups)
+  double xform_us = 0;  ///< optimization, including the shard plan rewrite
+  /// Concrete SQL, if cached its template, and the shard plan's SQL.
+  double serialize_us = 0;
+  /// Translation-cache work of a translation that missed: the exact and
+  /// fingerprint lookups, the fingerprint walk, and after the cold
+  /// translation the literal rendering, the template check and the inserts.
   double cache_us = 0;
   double total_us() const {
     return parse_us + bind_us + xform_us + serialize_us + cache_us;
@@ -117,9 +123,10 @@ class QueryTranslator {
   /// byte-for-byte; otherwise the fingerprint is marked uncacheable.
   void CacheResult(const CacheableStatement& c,
                    Serializer::Templated serialized, const Translation& out);
-  /// Classifies the transformed tree against the distributable shapes
-  /// (out->shard), serializing the plan's partial and merge SQL.
-  void PlanDistribution(const xtra::XtraPtr& root, Translation* out);
+  /// Charges the time since the previous lap to `stage` and starts the
+  /// next lap. A translation's stages are consecutive laps of one clock
+  /// started by Translate, so they add up to the whole translation.
+  void Lap(double* stage);
   Status MaterializeQuery(const std::string& var_name, const AstPtr& expr,
                           Binder* binder, Translation* out);
 
@@ -135,6 +142,7 @@ class QueryTranslator {
   BackendExec execute_backend_;
   TranslationCache* cache_ = nullptr;
   int temp_counter_ = 0;
+  std::chrono::steady_clock::time_point lap_;
 };
 
 }  // namespace hyperq

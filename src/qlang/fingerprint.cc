@@ -1,5 +1,7 @@
 #include "qlang/fingerprint.h"
 
+#include <string_view>
+
 #include "common/strings.h"
 #include "qval/qtype.h"
 
@@ -166,9 +168,10 @@ class FingerprintWriter {
     }
   }
 
+  /// Appends string pieces straight into the fingerprint text.
   template <typename... Args>
   void Append(const Args&... args) {
-    fp_->text += StrCat(args...);
+    (fp_->text.append(std::string_view(args)), ...);
   }
 
   void Fail(const char* why) {

@@ -6,7 +6,6 @@
 #include <functional>
 #include <string_view>
 
-#include "common/sql_markers.h"
 #include "common/strings.h"
 #include "qval/temporal.h"
 
@@ -108,6 +107,10 @@ bool SplitMarked(std::string_view text, Serializer::Templated* out) {
   out->sql_template += rest;
   return true;
 }
+
+/// Alias of the one wrapper left: `SELECT * FROM (...) AS hq_final ORDER BY
+/// "ordcol"` restores q order over a root that cannot take an ORDER BY.
+constexpr char kFinalWrapperAlias[] = "hq_final";
 
 const char* WindowSqlName(const std::string& f) {
   if (f == "lag") return "LAG";
@@ -234,17 +237,7 @@ Result<std::string> Serializer::RenderConstant(const QValue& v) {
 }
 
 Result<std::string> Serializer::RenderScalar(
-    const ScalarPtr& e, const std::map<ColId, std::string>& cols,
-    const std::string& alias) {
-  return RenderScalarTwoSided(e, cols, alias, {}, "");
-}
-
-Result<std::string> Serializer::RenderScalarTwoSided(
-    const ScalarPtr& e, const std::map<ColId, std::string>& left_cols,
-    const std::string& left_alias,
-    const std::map<ColId, std::string>& right_cols,
-    const std::string& right_alias) {
-  // Local recursive rendering with a two-sided column resolver.
+    const ScalarPtr& e, const std::map<ColId, std::string>& cols) {
   std::function<Result<std::string>(const ScalarPtr&)> render =
       [&](const ScalarPtr& node) -> Result<std::string> {
     switch (node->kind) {
@@ -256,14 +249,8 @@ Result<std::string> Serializer::RenderScalarTwoSided(
                       kSlotClose);
       }
       case ScalarKind::kColRef: {
-        auto l = left_cols.find(node->col);
-        if (l != left_cols.end()) {
-          return StrCat(left_alias, ".", QuoteIdent(l->second));
-        }
-        auto r = right_cols.find(node->col);
-        if (r != right_cols.end()) {
-          return StrCat(right_alias, ".", QuoteIdent(r->second));
-        }
+        auto c = cols.find(node->col);
+        if (c != cols.end()) return c->second;
         return InternalError(StrCat("serializer: column id ", node->col,
                                     " ('", node->col_name,
                                     "') not found in scope"));
@@ -453,125 +440,184 @@ Result<std::string> Serializer::RenderScalarTwoSided(
   return render(e);
 }
 
-Result<Serializer::Rendered> Serializer::Render(const XtraPtr& op) {
+void Serializer::Block::Add(ColId id, std::string expr,
+                            const std::string& name) {
+  cols[id] = expr;
+  items.push_back(Item{id, std::move(expr), name});
+}
+
+const std::string* Serializer::Block::NameOf(ColId id) const {
+  for (const auto& it : items) {
+    if (it.id == id) return &it.name;
+  }
+  return nullptr;
+}
+
+bool Serializer::Block::Unique(const std::string& name) const {
+  int uses = 0;
+  for (const auto& it : items) uses += it.name == name ? 1 : 0;
+  return uses == 1;
+}
+
+bool Serializer::Block::Ordered() const {
+  return !order_by.empty() || limit >= 0 || offset > 0;
+}
+
+bool Serializer::Block::Open() const {
+  return union_all.empty() && !distinct && !aggregate && !window &&
+         !computed && !Ordered();
+}
+
+std::string Serializer::Block::Sql() const {
+  if (!union_all.empty()) return union_all;
+  std::string out = distinct ? "SELECT DISTINCT " : "SELECT ";
+  if (items.empty()) out += "*";
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += items[i].expr;
+    std::string name = QuoteIdent(items[i].name);
+    if (items[i].expr != name) {
+      out += " AS ";
+      out += name;
+    }
+  }
+  auto clause = [&out](const char* keyword, const std::string& body) {
+    if (body.empty()) return;
+    out += keyword;
+    out += body;
+  };
+  clause(" FROM ", from);
+  clause(" WHERE ", where);
+  clause(" GROUP BY ", Join(group_by, ", "));
+  clause(" ORDER BY ", Join(order_by, ", "));
+  if (limit >= 0) clause(" LIMIT ", std::to_string(limit));
+  if (offset > 0) clause(" OFFSET ", std::to_string(offset));
+  return out;
+}
+
+Serializer::Block Serializer::Derived(const Block& b) {
+  const std::string alias = StrCat("t", next_alias_++);
+  Block out;
+  out.from = StrCat("(", b.Sql(), ") AS ", alias);
+  for (const auto& it : b.items) {
+    out.Add(it.id, alias + "." + QuoteIdent(it.name), it.name);
+  }
+  return out;
+}
+
+namespace {
+
+bool Contains(const ScalarPtr& e, ScalarKind kind) {
+  if (e == nullptr) return false;
+  if (e->kind == kind) return true;
+  for (const auto& a : e->args) {
+    if (Contains(a, kind)) return true;
+  }
+  for (const auto& p : e->partition_by) {
+    if (Contains(p, kind)) return true;
+  }
+  for (const auto& o : e->order_by) {
+    if (Contains(o.first, kind)) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+Result<Serializer::Block> Serializer::Render(const XtraPtr& op) {
   switch (op->kind) {
     case XtraKind::kGet: {
-      Rendered out;
-      std::vector<std::string> cols;
+      Block out;
+      out.from = QuoteIdent(op->table);
       for (const auto& c : op->output) {
-        cols.push_back(QuoteIdent(c.name));
-        out.columns[c.id] = c.name;
+        out.Add(c.id, QuoteIdent(c.name), c.name);
       }
-      if (cols.empty()) cols.push_back("*");
-      out.sql = StrCat("SELECT ", Join(cols, ", "), " FROM ",
-                       QuoteIdent(op->table));
       return out;
     }
 
     case XtraKind::kFilter: {
-      HQ_ASSIGN_OR_RETURN(Rendered child, Render(op->children[0]));
-      std::string alias = StrCat("t", next_alias_++);
-      HQ_ASSIGN_OR_RETURN(
-          std::string pred,
-          RenderScalar(op->predicate, child.columns, alias));
-      Rendered out;
-      std::vector<std::string> cols;
-      for (const auto& c : op->output) {
-        cols.push_back(StrCat(alias, ".", QuoteIdent(child.columns[c.id]),
-                              " AS ", QuoteIdent(c.name)));
-        out.columns[c.id] = c.name;
-      }
-      out.sql = StrCat("SELECT ", Join(cols, ", "), " FROM (", child.sql,
-                       ") AS ", alias, " WHERE ", pred);
-      return out;
+      // Filter, Sort and Limit output their child's columns, so the items
+      // of the block they land in stay as they are.
+      HQ_ASSIGN_OR_RETURN(Block b, Render(op->children[0]));
+      if (!b.Open()) b = Derived(b);
+      HQ_ASSIGN_OR_RETURN(std::string pred,
+                          RenderScalar(op->predicate, b.cols));
+      b.where = b.where.empty() ? std::move(pred)
+                                : StrCat(b.where, " AND ", pred);
+      return b;
     }
 
     case XtraKind::kProject: {
-      Rendered child;
-      std::string alias;
-      bool has_child = !op->children.empty();
-      if (has_child) {
-        HQ_ASSIGN_OR_RETURN(child, Render(op->children[0]));
-        alias = StrCat("t", next_alias_++);
+      Block b;
+      bool rename = false;
+      if (!op->children.empty()) {
+        HQ_ASSIGN_OR_RETURN(b, Render(op->children[0]));
+        // A pure rename keeps the child's expressions, so it also merges
+        // over aggregates and windows.
+        rename = !op->distinct && b.union_all.empty() && !b.distinct &&
+                 !b.Ordered();
+        for (const auto& p : op->projections) {
+          rename = rename && p.expr->kind == ScalarKind::kColRef &&
+                   b.cols.count(p.expr->col) != 0;
+        }
+        if (!rename && !b.Open()) b = Derived(b);
       }
-      Rendered out;
-      std::vector<std::string> items;
+      std::map<ColId, std::string> scope = std::move(b.cols);
+      b.cols.clear();
+      b.items.clear();
       for (const auto& p : op->projections) {
-        HQ_ASSIGN_OR_RETURN(
-            std::string expr,
-            RenderScalar(p.expr, child.columns, alias));
-        items.push_back(StrCat(expr, " AS ", QuoteIdent(p.col.name)));
-        out.columns[p.col.id] = p.col.name;
+        HQ_ASSIGN_OR_RETURN(std::string expr, RenderScalar(p.expr, scope));
+        b.Add(p.col.id, std::move(expr), p.col.name);
+        b.aggregate = b.aggregate || Contains(p.expr, ScalarKind::kAgg);
+        b.window = b.window || Contains(p.expr, ScalarKind::kWindow);
+        b.computed = b.computed || p.expr->kind != ScalarKind::kColRef;
       }
-      out.sql = StrCat("SELECT ", op->distinct ? "DISTINCT " : "",
-                       Join(items, ", "));
-      if (has_child) {
-        out.sql += StrCat(" FROM (", child.sql, ") AS ", alias);
-      }
-      return out;
+      b.distinct = op->distinct;
+      return b;
     }
 
     case XtraKind::kJoin: {
-      HQ_ASSIGN_OR_RETURN(Rendered left, Render(op->children[0]));
-      HQ_ASSIGN_OR_RETURN(Rendered right, Render(op->children[1]));
-      std::string la = StrCat("t", next_alias_++);
-      std::string ra = StrCat("t", next_alias_++);
-      HQ_ASSIGN_OR_RETURN(
-          std::string cond,
-          RenderScalarTwoSided(op->predicate, left.columns, la,
-                               right.columns, ra));
-      Rendered out;
-      std::vector<std::string> cols;
-      for (const auto& c : op->output) {
-        std::string src;
-        auto l = left.columns.find(c.id);
-        if (l != left.columns.end()) {
-          src = StrCat(la, ".", QuoteIdent(l->second));
-        } else {
-          auto r = right.columns.find(c.id);
-          if (r == right.columns.end()) {
-            return InternalError(StrCat("join output column ", c.id,
-                                        " not produced by either child"));
-          }
-          src = StrCat(ra, ".", QuoteIdent(r->second));
-        }
-        cols.push_back(StrCat(src, " AS ", QuoteIdent(c.name)));
-        out.columns[c.id] = c.name;
-      }
+      HQ_ASSIGN_OR_RETURN(Block left, Render(op->children[0]));
+      HQ_ASSIGN_OR_RETURN(Block right, Render(op->children[1]));
+      Block l = Derived(left);
+      Block r = Derived(right);
+      std::map<ColId, std::string> scope = std::move(l.cols);
+      scope.insert(r.cols.begin(), r.cols.end());
+      HQ_ASSIGN_OR_RETURN(std::string cond,
+                          RenderScalar(op->predicate, scope));
       const char* join_kw = op->join_kind == xtra::XtraJoinKind::kLeftOuter
                                 ? "LEFT JOIN"
                                 : "JOIN";
-      out.sql = StrCat("SELECT ", Join(cols, ", "), " FROM (", left.sql,
-                       ") AS ", la, " ", join_kw, " (", right.sql, ") AS ",
-                       ra, " ON ", cond);
+      Block out;
+      out.from = StrCat(l.from, " ", join_kw, " ", r.from, " ON ", cond);
+      for (const auto& c : op->output) {
+        auto it = scope.find(c.id);
+        if (it == scope.end()) {
+          return InternalError(StrCat("join output column ", c.id,
+                                      " not produced by either child"));
+        }
+        out.Add(c.id, it->second, c.name);
+      }
       return out;
     }
 
     case XtraKind::kGroupAgg: {
-      HQ_ASSIGN_OR_RETURN(Rendered child, Render(op->children[0]));
-      std::string alias = StrCat("t", next_alias_++);
-      Rendered out;
-      std::vector<std::string> items;
-      std::vector<std::string> group_exprs;
+      HQ_ASSIGN_OR_RETURN(Block b, Render(op->children[0]));
+      if (!b.Open()) b = Derived(b);
+      std::map<ColId, std::string> scope = std::move(b.cols);
+      b.cols.clear();
+      b.items.clear();
       for (const auto& k : op->group_keys) {
-        HQ_ASSIGN_OR_RETURN(std::string expr,
-                            RenderScalar(k.expr, child.columns, alias));
-        items.push_back(StrCat(expr, " AS ", QuoteIdent(k.col.name)));
-        group_exprs.push_back(expr);
-        out.columns[k.col.id] = k.col.name;
+        HQ_ASSIGN_OR_RETURN(std::string expr, RenderScalar(k.expr, scope));
+        b.group_by.push_back(expr);
+        b.Add(k.col.id, std::move(expr), k.col.name);
       }
       for (const auto& a : op->projections) {
-        HQ_ASSIGN_OR_RETURN(std::string expr,
-                            RenderScalar(a.expr, child.columns, alias));
-        items.push_back(StrCat(expr, " AS ", QuoteIdent(a.col.name)));
-        out.columns[a.col.id] = a.col.name;
+        HQ_ASSIGN_OR_RETURN(std::string expr, RenderScalar(a.expr, scope));
+        b.Add(a.col.id, std::move(expr), a.col.name);
       }
-      out.sql = StrCat("SELECT ", Join(items, ", "), " FROM (", child.sql,
-                       ") AS ", alias);
-      if (!group_exprs.empty()) {
-        out.sql += StrCat(" GROUP BY ", Join(group_exprs, ", "));
-      }
-      return out;
+      b.aggregate = true;
+      return b;
     }
 
     case XtraKind::kSort:
@@ -586,44 +632,48 @@ Result<Serializer::Rendered> Serializer::Render(const XtraPtr& op) {
                                                           : nullptr);
       XtraPtr base = sort_node ? sort_node->children[0]
                                : op->children[0];
-      HQ_ASSIGN_OR_RETURN(Rendered child, Render(base));
-      std::string alias = StrCat("t", next_alias_++);
-      Rendered out;
-      std::vector<std::string> cols;
-      for (const auto& c : op->output) {
-        cols.push_back(StrCat(alias, ".", QuoteIdent(child.columns[c.id]),
-                              " AS ", QuoteIdent(c.name)));
-        out.columns[c.id] = c.name;
-      }
-      out.sql = StrCat("SELECT ", Join(cols, ", "), " FROM (", child.sql,
-                       ") AS ", alias);
-      if (sort_node) {
-        std::vector<std::string> keys;
-        for (const auto& k : sort_node->sort_keys) {
-          HQ_ASSIGN_OR_RETURN(std::string expr,
-                              RenderScalar(k.expr, child.columns, alias));
-          keys.push_back(StrCat(expr, k.ascending ? "" : " DESC"));
+      HQ_ASSIGN_OR_RETURN(Block b, Render(base));
+      const std::vector<xtra::XtraSortKey> no_keys;
+      const auto& keys = sort_node ? sort_node->sort_keys : no_keys;
+      // A key attaches by its output name, which must name one column.
+      auto key_name = [&b](const xtra::XtraSortKey& k) -> const std::string* {
+        if (k.expr->kind != ScalarKind::kColRef) return nullptr;
+        const std::string* name = b.NameOf(k.expr->col);
+        return name != nullptr && b.Unique(*name) ? name : nullptr;
+      };
+      bool attach = b.union_all.empty() && !b.Ordered();
+      for (const auto& k : keys) attach = attach && key_name(k) != nullptr;
+      if (!attach) b = Derived(b);
+      for (const auto& k : keys) {
+        std::string key;
+        if (const std::string* name = key_name(k)) {
+          key = QuoteIdent(*name);
+        } else {
+          HQ_ASSIGN_OR_RETURN(key, RenderScalar(k.expr, b.cols));
         }
-        out.sql += StrCat(" ORDER BY ", Join(keys, ", "));
+        b.order_by.push_back(StrCat(key, k.ascending ? "" : " DESC"));
       }
       if (limit != nullptr) {
-        if (limit->limit >= 0) out.sql += StrCat(" LIMIT ", limit->limit);
-        if (limit->offset > 0) out.sql += StrCat(" OFFSET ", limit->offset);
+        b.limit = limit->limit;
+        b.offset = limit->offset;
       }
-      return out;
+      return b;
     }
 
     case XtraKind::kUnionAll: {
-      HQ_ASSIGN_OR_RETURN(Rendered left, Render(op->children[0]));
-      HQ_ASSIGN_OR_RETURN(Rendered right, Render(op->children[1]));
-      Rendered out;
+      HQ_ASSIGN_OR_RETURN(Block left, Render(op->children[0]));
+      HQ_ASSIGN_OR_RETURN(Block right, Render(op->children[1]));
+      if (left.items.size() != op->output.size()) {
+        return InternalError("union output does not match its left child");
+      }
       // Positional union: expose the union's output ids under the left
       // child's column names.
+      Block out;
       for (size_t i = 0; i < op->output.size(); ++i) {
-        out.columns[op->output[i].id] =
-            left.columns[op->children[0]->output[i].id];
+        const std::string& name = left.items[i].name;
+        out.Add(op->output[i].id, QuoteIdent(name), name);
       }
-      out.sql = StrCat(left.sql, " UNION ALL ", right.sql);
+      out.union_all = StrCat(left.Sql(), " UNION ALL ", right.Sql());
       return out;
     }
   }
@@ -632,17 +682,23 @@ Result<Serializer::Rendered> Serializer::Render(const XtraPtr& op) {
 
 Result<std::string> Serializer::Serialize(const XtraPtr& root) {
   if (!root) return InvalidArgument("serializer: null XTRA tree");
-  HQ_ASSIGN_OR_RETURN(Rendered rendered, Render(root));
-  std::string sql = rendered.sql;
+  HQ_ASSIGN_OR_RETURN(Block b, Render(root));
   // Maintain Q's ordered-list semantics on the final result (§3.3): order
   // by the implicit order column unless the tree already ends in a sort or
   // the Xformer decided order is not required.
   if (root->order_required && root->kind != XtraKind::kSort &&
       root->kind != XtraKind::kLimit && root->ord_col != kNoCol) {
-    sql = StrCat("SELECT * FROM (", sql, ") AS ", kSqlFinalWrapperAlias,
-                 " ORDER BY ", QuoteIdent(rendered.columns[root->ord_col]));
+    const std::string* name = b.NameOf(root->ord_col);
+    if (name == nullptr) {
+      return InternalError("serializer: the order column is not an output");
+    }
+    if (!b.union_all.empty() || !b.Unique(*name)) {
+      return StrCat("SELECT * FROM (", b.Sql(), ") AS ", kFinalWrapperAlias,
+                    " ORDER BY ", QuoteIdent(*name));
+    }
+    b.order_by.push_back(QuoteIdent(*name));
   }
-  return sql;
+  return b.Sql();
 }
 
 Result<Serializer::Templated> Serializer::SerializeWithTemplate(

@@ -93,7 +93,55 @@ bool MarkReferencedColumns(const Expr& e, const Relation& rel,
   for (const auto& a : e.args) {
     if (a && !MarkReferencedColumns(*a, rel, mask)) return false;
   }
+  for (const auto& p : e.window.partition_by) {
+    if (p && !MarkReferencedColumns(*p, rel, mask)) return false;
+  }
+  for (const auto& o : e.window.order_by) {
+    if (o.expr && !MarkReferencedColumns(*o.expr, rel, mask)) return false;
+  }
   return true;
+}
+
+/// Drops the columns of the FROM relation that `stmt` never reads, so WHERE
+/// and grouping gather only what later clauses use: a flat SELECT over a
+/// wide table would otherwise copy every column. Keeps every column when a
+/// star selects them or a reference does not resolve, so errors are
+/// reported over the full relation.
+void DropUnreadColumns(const SelectStmt& stmt, Relation* rel) {
+  std::vector<uint8_t> mask(rel->cols.size(), 0);
+  std::vector<std::string> outputs;
+  for (const auto& item : stmt.items) {
+    if (item.expr->kind == ExprKind::kStar ||
+        !MarkReferencedColumns(*item.expr, *rel, &mask)) {
+      return;
+    }
+    outputs.push_back(OutputName(item));
+  }
+  for (const ExprPtr& e : {stmt.where, stmt.having}) {
+    if (e && !MarkReferencedColumns(*e, *rel, &mask)) return;
+  }
+  for (const auto& g : stmt.group_by) {
+    if (!MarkReferencedColumns(*g, *rel, &mask)) return;
+  }
+  for (const auto& o : stmt.order_by) {
+    // Unqualified output names sort the output, not this relation.
+    const Expr& e = *o.expr;
+    if (e.kind == ExprKind::kColRef && e.qualifier.empty() &&
+        std::find(outputs.begin(), outputs.end(), e.column) !=
+            outputs.end()) {
+      continue;
+    }
+    if (!MarkReferencedColumns(e, *rel, &mask)) return;
+  }
+  if (std::find(mask.begin(), mask.end(), 0) == mask.end()) return;
+  Relation narrow;
+  narrow.row_count = rel->row_count;
+  for (size_t c = 0; c < mask.size(); ++c) {
+    if (!mask[c]) continue;
+    narrow.cols.push_back(std::move(rel->cols[c]));
+    narrow.columns.push_back(std::move(rel->columns[c]));
+  }
+  *rel = std::move(narrow);
 }
 
 /// Evaluates a filter over rows [0, n) of ctx.rel, morsel-parallel when the
@@ -258,6 +306,7 @@ Result<Executor::CoreResult> Executor::ExecCore(const SelectStmt& stmt) {
   Relation input;
   if (stmt.from) {
     HQ_ASSIGN_OR_RETURN(input, EvalTableRef(*stmt.from));
+    DropUnreadColumns(stmt, &input);
   }
   HQ_RETURN_IF_ERROR(CancelIfExpired(deadline, "scan/join"));
   if (!stmt.from) {

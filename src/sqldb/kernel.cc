@@ -69,7 +69,7 @@ bool FoldLiteral(const Expr& e, Datum* out) {
   return false;
 }
 
-/// Builds the canonical fingerprint text. '\x01' separates fields; every
+/// Builds the fingerprint text. '\x01' separates fields; every
 /// construct is tagged, so two statements share text only when the kernel
 /// compiled for one is exactly the kernel for the other (modulo literal
 /// values, which live in `params`).
@@ -322,320 +322,15 @@ bool IsKernelAggregate(const Expr& e) {
   return e.args.size() == 1 && e.args[0]->kind == ExprKind::kColRef;
 }
 
-// ---------------------------------------------------------------------------
-// Canonicalization (subquery flattening)
-//
-// The serializer's emitted SQL wraps every operator in a rename shell —
-//   SELECT t0."C" AS "C", ... FROM (SELECT ...) AS t0 [WHERE ...]
-// — and the final result in `SELECT * FROM (...) AS hq_final ORDER BY
-// "ordcol"`. These wrappers compose projection/filter/order over an inner
-// query without changing row identity, so they flatten away before
-// fingerprinting: the kernel then sees the same flat scan shape a
-// hand-written query would produce. Flattening only ever REPLACES fields
-// of a private SelectStmt copy; shared Expr/TableRef subtrees are never
-// mutated (the kernel path reads them name-based, ignoring the resolution
-// memo).
-// ---------------------------------------------------------------------------
-
-/// Rewrites `e` so references to the subquery's output columns become the
-/// inner item expressions themselves. Returns nullptr when the expression
-/// references anything that is not an inner output column — the flatten
-/// then fails and the statement keeps its interpreted shape.
-ExprPtr SubstituteExpr(const ExprPtr& e, const std::string& alias,
-                       const std::unordered_map<std::string, ExprPtr>& map) {
-  if (e == nullptr) return nullptr;
-  switch (e->kind) {
-    case ExprKind::kConst:
-      return e;
-    case ExprKind::kColRef: {
-      if (!e->qualifier.empty() && e->qualifier != alias) return nullptr;
-      auto it = map.find(e->column);
-      return it == map.end() ? nullptr : it->second;
-    }
-    case ExprKind::kBinary:
-    case ExprKind::kUnary: {
-      auto out = std::make_shared<Expr>();
-      out->kind = e->kind;
-      out->op = e->op;
-      if (e->lhs != nullptr) {
-        out->lhs = SubstituteExpr(e->lhs, alias, map);
-        if (out->lhs == nullptr) return nullptr;
-      }
-      if (e->rhs != nullptr) {
-        out->rhs = SubstituteExpr(e->rhs, alias, map);
-        if (out->rhs == nullptr) return nullptr;
-      }
-      return out;
-    }
-    case ExprKind::kIsNull: {
-      auto out = std::make_shared<Expr>();
-      out->kind = e->kind;
-      out->negated = e->negated;
-      out->lhs = SubstituteExpr(e->lhs, alias, map);
-      return out->lhs == nullptr ? nullptr : out;
-    }
-    case ExprKind::kCast: {
-      auto out = std::make_shared<Expr>();
-      out->kind = e->kind;
-      out->cast_type = e->cast_type;
-      out->lhs = SubstituteExpr(e->lhs, alias, map);
-      return out->lhs == nullptr ? nullptr : out;
-    }
-    case ExprKind::kBetween: {
-      auto out = std::make_shared<Expr>();
-      out->kind = e->kind;
-      out->negated = e->negated;
-      out->lhs = SubstituteExpr(e->lhs, alias, map);
-      out->low = SubstituteExpr(e->low, alias, map);
-      out->high = SubstituteExpr(e->high, alias, map);
-      if (out->lhs == nullptr || out->low == nullptr ||
-          out->high == nullptr) {
-        return nullptr;
-      }
-      return out;
-    }
-    case ExprKind::kInList: {
-      auto out = std::make_shared<Expr>();
-      out->kind = e->kind;
-      out->negated = e->negated;
-      out->lhs = SubstituteExpr(e->lhs, alias, map);
-      if (out->lhs == nullptr) return nullptr;
-      out->args.reserve(e->args.size());
-      for (const ExprPtr& a : e->args) {
-        ExprPtr s = SubstituteExpr(a, alias, map);
-        if (s == nullptr) return nullptr;
-        out->args.push_back(std::move(s));
-      }
-      return out;
-    }
-    case ExprKind::kFuncCall: {
-      auto out = std::make_shared<Expr>();
-      out->kind = e->kind;
-      out->func_name = e->func_name;
-      out->distinct = e->distinct;
-      out->args.reserve(e->args.size());
-      for (const ExprPtr& a : e->args) {
-        if (a != nullptr && a->kind == ExprKind::kStar) {
-          out->args.push_back(a);  // COUNT(*): rows map 1:1 through a scan
-          continue;
-        }
-        ExprPtr s = SubstituteExpr(a, alias, map);
-        if (s == nullptr) return nullptr;
-        out->args.push_back(std::move(s));
-      }
-      return out;
-    }
-    default:
-      // kStar handled by the item loop; CASE/CAST/window shapes are not
-      // kernel material anyway, so there is no point flattening them.
-      return nullptr;
-  }
-}
-
-/// One flattening step over `cur` (whose FROM is a subquery). Two shapes:
-///  - plain inner scan (no aggregation): outer items/filters/group keys
-///    substitute the inner item expressions, and the WHERE clauses conjoin
-///    as `inner AND outer` so evaluation order is preserved;
-///  - aggregating inner: the outer must be a pure column rename/reorder
-///    (the serializer's kSort and hq_final shells); the inner query is
-///    kept and only output names, ORDER BY and LIMIT/OFFSET move in.
-/// ORDER BY keys are rewritten to unqualified references to output
-/// columns — never substituted to base expressions — so resolution keeps
-/// hitting the select list first, exactly like the interpreted
-/// ApplyOrderBy.
-bool TryFlattenOnce(SelectStmt* cur) {
-  // Pin the inner select: reassigning cur->from below must not free what
-  // `inner` still references.
-  const SelectPtr inner_keepalive = cur->from->subquery;
-  const SelectStmt& inner = *inner_keepalive;
-  const std::string alias = cur->from->alias;
-  if (inner.distinct || inner.having != nullptr || !inner.order_by.empty() ||
-      inner.limit != nullptr || inner.offset != nullptr ||
-      !inner.union_all.empty() || inner.from == nullptr ||
-      inner.items.empty()) {
-    return false;
-  }
-  bool inner_agg = !inner.group_by.empty();
-  for (const SelectItem& it : inner.items) {
-    if (it.expr == nullptr || it.expr->kind == ExprKind::kStar) return false;
-    std::vector<const Expr*> aggs;
-    CollectAggregates(it.expr, &aggs);
-    if (!aggs.empty()) inner_agg = true;
-  }
-  // Inner output names must be unique so references are unambiguous.
-  std::vector<std::string> names;
-  std::unordered_map<std::string, ExprPtr> by_name;
-  names.reserve(inner.items.size());
-  for (const SelectItem& it : inner.items) {
-    std::string n = OutputNameOf(it);
-    if (n.empty() || by_name.count(n) != 0) return false;
-    names.push_back(n);
-    by_name.emplace(std::move(n), it.expr);
-  }
-
-  std::vector<SelectItem> new_items;
-  // For plain-colref outer items, the inner column name they project —
-  // qualified ORDER BY keys resolve through this.
-  std::vector<std::string> item_src;
-  ExprPtr new_where;
-  std::vector<ExprPtr> new_group;
-  auto expand_star = [&](const Expr& star) {
-    if (!star.qualifier.empty() && star.qualifier != alias) return false;
-    for (size_t i = 0; i < inner.items.size(); ++i) {
-      SelectItem ni;
-      ni.expr = inner.items[i].expr;
-      ni.alias = names[i];  // preserve output names across the flatten
-      new_items.push_back(std::move(ni));
-      item_src.push_back(names[i]);
-    }
-    return true;
-  };
-  if (!inner_agg) {
-    for (const SelectItem& item : cur->items) {
-      const Expr& e = *item.expr;
-      if (e.kind == ExprKind::kStar) {
-        if (!expand_star(e)) return false;
-        continue;
-      }
-      ExprPtr sub = SubstituteExpr(item.expr, alias, by_name);
-      if (sub == nullptr) return false;
-      SelectItem ni;
-      ni.expr = std::move(sub);
-      ni.alias = OutputNameOf(item);
-      new_items.push_back(std::move(ni));
-      item_src.push_back(
-          (e.kind == ExprKind::kColRef &&
-           (e.qualifier.empty() || e.qualifier == alias))
-              ? e.column
-              : std::string());
-    }
-    if (cur->where != nullptr) {
-      ExprPtr w = SubstituteExpr(cur->where, alias, by_name);
-      if (w == nullptr) return false;
-      new_where = inner.where != nullptr
-                      ? MakeBinary("AND", inner.where, std::move(w))
-                      : std::move(w);
-    } else {
-      new_where = inner.where;
-    }
-    new_group.reserve(cur->group_by.size());
-    for (const ExprPtr& g : cur->group_by) {
-      ExprPtr sg = SubstituteExpr(g, alias, by_name);
-      if (sg == nullptr) return false;
-      new_group.push_back(std::move(sg));
-    }
-  } else {
-    // Aggregating inner: the outer may only rename/reorder columns. Any
-    // outer filter/group/dedup over aggregate output stays interpreted.
-    if (cur->where != nullptr || !cur->group_by.empty() ||
-        cur->having != nullptr || cur->distinct || !cur->union_all.empty()) {
-      return false;
-    }
-    for (const SelectItem& item : cur->items) {
-      const Expr& e = *item.expr;
-      if (e.kind == ExprKind::kStar) {
-        if (!expand_star(e)) return false;
-        continue;
-      }
-      if (e.kind != ExprKind::kColRef ||
-          (!e.qualifier.empty() && e.qualifier != alias)) {
-        return false;
-      }
-      auto it = by_name.find(e.column);
-      if (it == by_name.end()) return false;
-      SelectItem ni;
-      ni.expr = it->second;
-      ni.alias = OutputNameOf(item);
-      new_items.push_back(std::move(ni));
-      item_src.push_back(e.column);
-    }
-    new_where = inner.where;
-    new_group = inner.group_by;
-  }
-
-  // ORDER BY keys: ordinals keep their positions (stars expand in place to
-  // the same column count); unqualified names must still resolve in the
-  // select list; alias-qualified keys redirect to the output column that
-  // projects the same inner column.
-  std::vector<OrderItem> new_order;
-  new_order.reserve(cur->order_by.size());
-  auto first_by_alias = [&](const std::string& name) {
-    for (size_t i = 0; i < new_items.size(); ++i) {
-      if (new_items[i].alias == name) return static_cast<int>(i);
-    }
-    return -1;
-  };
-  for (const OrderItem& k : cur->order_by) {
-    if (k.expr == nullptr) return false;
-    const Expr& e = *k.expr;
-    OrderItem nk = k;
-    if (e.kind == ExprKind::kConst) {
-      new_order.push_back(std::move(nk));
-      continue;
-    }
-    if (e.kind != ExprKind::kColRef) return false;
-    if (e.qualifier.empty()) {
-      if (first_by_alias(e.column) < 0) return false;
-      new_order.push_back(std::move(nk));  // already canonical
-      continue;
-    }
-    if (e.qualifier != alias) return false;
-    int idx = -1;
-    for (size_t i = 0; i < item_src.size(); ++i) {
-      if (item_src[i] == e.column) {
-        idx = static_cast<int>(i);
-        break;
-      }
-    }
-    if (idx < 0) return false;
-    // The rewritten unqualified name must resolve back to this item (an
-    // earlier duplicate alias would shadow it).
-    if (first_by_alias(new_items[idx].alias) != idx) return false;
-    nk.expr = MakeColRef("", new_items[idx].alias);
-    new_order.push_back(std::move(nk));
-  }
-
-  TableRefPtr new_from = inner.from;
-  cur->items = std::move(new_items);
-  cur->from = std::move(new_from);
-  cur->where = std::move(new_where);
-  cur->group_by = std::move(new_group);
-  cur->order_by = std::move(new_order);
-  return true;
-}
-
-/// Flattens the serializer's standard wrappers off `stmt`. Returns the
-/// canonical statement when at least one level flattened, nullptr when the
-/// statement is not wrapper-composed (including "not a subquery FROM").
-SelectPtr CanonicalizeSelect(const SelectStmt& stmt) {
-  auto cur = std::make_shared<SelectStmt>(stmt);
-  bool changed = false;
-  // Depth-bounded: the serializer nests one shell per operator, and
-  // anything deeper than a handful of shells is not hot-query material.
-  for (int depth = 0; depth < 8; ++depth) {
-    if (cur->from == nullptr ||
-        cur->from->kind != TableRef::Kind::kSubquery ||
-        cur->from->subquery == nullptr) {
-      break;
-    }
-    if (!TryFlattenOnce(cur.get())) break;
-    changed = true;
-  }
-  return changed ? cur : nullptr;
-}
-
-}  // namespace
-
-namespace {
-
 KernelFingerprint RejectFp(const char* reason) {
   KernelFingerprint fp;
   fp.reject_reason = reason;
   return fp;
 }
 
-/// Fingerprints a (possibly canonicalized) flat statement.
-KernelFingerprint FingerprintFlat(const SelectStmt& stmt) {
+}  // namespace
+
+KernelFingerprint KernelFingerprintFor(const SelectStmt& stmt) {
   // Shapes with their own post-core machinery (dedup, unions, HAVING)
   // stay on the interpreted path.
   if (stmt.distinct) return RejectFp("distinct");
@@ -643,7 +338,7 @@ KernelFingerprint FingerprintFlat(const SelectStmt& stmt) {
   if (!stmt.union_all.empty()) return RejectFp("union");
   if (stmt.from == nullptr) return RejectFp("from");
   if (stmt.from->kind == TableRef::Kind::kSubquery) {
-    return RejectFp("subquery");  // canonicalization could not flatten it
+    return RejectFp("subquery");
   }
   if (stmt.from->kind == TableRef::Kind::kJoin) return RejectFp("join");
   if (stmt.from->name.empty() || stmt.items.empty()) {
@@ -754,20 +449,6 @@ KernelFingerprint FingerprintFlat(const SelectStmt& stmt) {
   b.fp.table = stmt.from->name;
   b.fp.hash = Fnv1a(b.fp.text);
   return b.fp;
-}
-
-}  // namespace
-
-KernelFingerprint KernelFingerprintFor(const SelectStmt& stmt) {
-  if (stmt.from != nullptr &&
-      stmt.from->kind == TableRef::Kind::kSubquery) {
-    SelectPtr canonical = CanonicalizeSelect(stmt);
-    if (canonical == nullptr) return RejectFp("subquery");
-    KernelFingerprint fp = FingerprintFlat(*canonical);
-    fp.canonical = std::move(canonical);
-    return fp;
-  }
-  return FingerprintFlat(stmt);
 }
 
 // ---------------------------------------------------------------------------

@@ -43,12 +43,12 @@ namespace sqldb {
 /// ownership of its error surface (e.g. data-dependent comparison type
 /// errors).
 
-/// A canonicalized statement identity for the kernel cache. `text` is a
-/// deterministic rendering of the SELECT with every literal replaced by a
-/// `$<class>` slot (classes: i = integral/bool/temporal, f = float,
-/// s = string, n = NULL); `params` carries the literal values of this
-/// instance in slot order. Statements that differ only in literal values of
-/// the same class share `text` — and therefore share one compiled kernel.
+/// A statement identity for the kernel cache. `text` is a deterministic
+/// rendering of the SELECT with every literal replaced by a `$<class>` slot
+/// (classes: i = integral/bool/temporal, f = float, s = string, n = NULL);
+/// `params` carries the literal values of this instance in slot order.
+/// Statements that differ only in literal values of the same class share
+/// `text` — and therefore share one compiled kernel.
 struct KernelFingerprint {
   bool supported = false;
   std::string text;
@@ -60,23 +60,16 @@ struct KernelFingerprint {
   /// a `kernel.reject.<reason>` counter by the registry. nullptr when
   /// supported.
   const char* reject_reason = nullptr;
-  /// When the serializer's standard wrappers were flattened away, the
-  /// canonical statement the fingerprint describes (Compile reads this
-  /// instead of the original). nullptr when the statement was already flat.
-  SelectPtr canonical;
 };
 
-/// Classifies and canonicalizes `stmt`. A pre-fingerprint pass flattens the
-/// serializer's standard wrappers — `SELECT ... FROM (SELECT ...) tN` rename/
-/// filter/order shells and the final `... AS hq_final ORDER BY "ordcol"`
-/// wrapper — into a flat single-table SELECT when the nesting is pure
-/// projection/filter/order composition. supported=false when the (canonical)
-/// statement still uses any construct outside the fused-kernel shape (joins,
-/// unflattenable subqueries, windows, DISTINCT, OR-filters, computed
-/// expressions, HAVING, UNION, non-colref group keys, unsupported
-/// aggregates, qualified/expression ORDER BY keys, non-constant LIMIT, ...).
-/// The walk is catalog-free: column existence and type-class checks happen
-/// at compile.
+/// Classifies `stmt`. The kernel takes one flat single-table SELECT; the
+/// serializer emits the translator's hot shapes in that form.
+/// supported=false when the statement uses any construct outside the
+/// fused-kernel shape (derived tables, joins, windows, DISTINCT,
+/// OR-filters, computed expressions, HAVING, UNION, non-colref group keys,
+/// unsupported aggregates, qualified/expression ORDER BY keys, non-constant
+/// LIMIT, ...). The walk is catalog-free: column existence and type-class
+/// checks happen at compile.
 KernelFingerprint KernelFingerprintFor(const SelectStmt& stmt);
 
 /// A compiled, type-specialized execution plan for one fingerprint against

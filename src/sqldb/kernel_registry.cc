@@ -98,9 +98,6 @@ std::optional<Result<Relation>> KernelRegistry::TryExecuteSelect(
     CountReject(fp.reject_reason);
     return std::nullopt;
   }
-  // Compile against the canonical (wrapper-flattened) statement when the
-  // fingerprint produced one; the fingerprint text already describes it.
-  const SelectStmt& cstmt = fp.canonical != nullptr ? *fp.canonical : stmt;
   // Resolve the name in the executor's lookup order (Executor::LookupNamed):
   // session temp table, catalog table, session temp view. Plans compile
   // against the catalog table, so a temp name with no catalog table behind
@@ -128,7 +125,7 @@ std::optional<Result<Relation>> KernelRegistry::TryExecuteSelect(
   // flush (or any DML) into table B must not force recompiles of table
   // A's hot kernels.
   const uint64_t version = catalog_->TableVersion(fp.table);
-  std::shared_ptr<const KernelPlan> plan = PlanFor(fp, cstmt, version);
+  std::shared_ptr<const KernelPlan> plan = PlanFor(fp, stmt, version);
   if (plan == nullptr) {
     fallbacks_->Increment();
     return std::nullopt;

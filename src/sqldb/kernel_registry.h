@@ -23,7 +23,7 @@ namespace sqldb {
 class Session;
 
 /// The second fingerprint-keyed cache (the first is the translation cache,
-/// src/core/translation_cache.h): maps a canonical SELECT fingerprint to a
+/// src/core/translation_cache.h): maps a SELECT fingerprint to a
 /// compiled KernelPlan, version-stamped against the owning catalog so any
 /// DDL/DML invalidates stale kernels on the next lookup. Unsupported
 /// shapes are negative-cached so repeated cold queries don't re-walk the

@@ -196,13 +196,11 @@ const char* const kSupportedQueries[] = {
     "SELECT sym FROM facts "
     "WHERE COALESCE((px > 10.5), ((10.5 IS NULL) AND (px IS NOT NULL)))",
     "SELECT sym FROM facts WHERE COALESCE((qty <= 500), (qty IS NULL))",
-    // --- v2 grammar: serializer rename/filter shells flatten away ---
-    "SELECT * FROM (SELECT sym, qty FROM facts WHERE qty > 10) t "
-    "WHERE qty < 5000",
-    "SELECT t0.\"sym\" AS \"sym\", t0.\"px\" AS \"px\" "
-    "FROM (SELECT \"sym\", \"px\" FROM \"facts\") AS t0 WHERE t0.\"px\" >= 0",
-    "SELECT sym, SUM(px) AS s FROM (SELECT sym, px FROM facts WHERE qty > 0) t "
-    "GROUP BY sym",
+    // --- v2 grammar: the serializer's merged blocks (stacked filters ANDed,
+    // quoted names, an aggregate over a filter) ---
+    "SELECT sym, qty FROM facts WHERE qty > 10 AND qty < 5000",
+    "SELECT \"sym\", \"px\" FROM \"facts\" WHERE \"px\" >= 0",
+    "SELECT sym, SUM(px) AS s FROM facts WHERE qty > 0 GROUP BY sym",
 };
 
 class KernelIdentity
@@ -519,40 +517,64 @@ class KernelWrapperExec : public KernelExec {
   }
 };
 
-/// The serializer's standard wrappers — rename/filter shells and the final
-/// `AS hq_final ORDER BY "ordcol"` shell — must flatten into kernel-shaped
-/// scans and replay hot from the cache, byte-identical at every thread
-/// count.
+/// The serializer's flat shapes — a filter merged into the scan, the final
+/// q-order attached to the block, a rename folded over an aggregate — run as
+/// kernel-shaped scans and replay hot from the cache, byte-identical at
+/// every thread count.
 TEST_F(KernelWrapperExec, TranslatorWrapperShapesRunOnTheKernel) {
   LoadOrdered(40000, 0.2, 41);
-  const char* const wrapped[] = {
-      // Final wrapper straight over the scan: the ORDER BY elides.
-      "SELECT * FROM (SELECT \"ordcol\", \"sym\" FROM \"qsrc\") AS hq_final "
+  const char* const flat[] = {
+      // Final order straight over the scan: the ORDER BY elides.
+      "SELECT \"ordcol\", \"sym\" FROM \"qsrc\" ORDER BY \"ordcol\"",
+      // Filter merged under the final order.
+      "SELECT \"ordcol\", \"px\" FROM \"qsrc\" WHERE \"px\" > 0 "
       "ORDER BY \"ordcol\"",
-      // Filter shell under the final wrapper.
-      "SELECT * FROM (SELECT t0.\"ordcol\" AS \"ordcol\", t0.\"px\" AS \"px\" "
-      "FROM (SELECT \"ordcol\", \"px\" FROM \"qsrc\") AS t0 "
-      "WHERE t0.\"px\" > 0) AS hq_final ORDER BY \"ordcol\"",
-      // Rename shell over an aggregate.
-      "SELECT t1.\"sym\" AS \"sym\", t1.\"n\" AS \"n\" "
-      "FROM (SELECT \"sym\", COUNT(*) AS \"n\" FROM \"qsrc\" "
-      "GROUP BY \"sym\") AS t1",
+      // Rename folded over an aggregate.
+      "SELECT \"sym\", COUNT(*) AS \"n\" FROM \"qsrc\" GROUP BY \"sym\"",
       // Limit over the elided scan order (early-exit path).
-      "SELECT * FROM (SELECT \"ordcol\", \"sym\" FROM \"qsrc\" "
-      "WHERE \"px\" IS NOT NULL) AS hq_final ORDER BY \"ordcol\" LIMIT 10",
+      "SELECT \"ordcol\", \"sym\" FROM \"qsrc\" WHERE \"px\" IS NOT NULL "
+      "ORDER BY \"ordcol\" LIMIT 10",
   };
   int64_t h0 = CounterValue("kernel.hits");
   for (int threads : {0, 4}) {
     WorkerPool::Shared().Resize(threads);
-    for (const char* sql : wrapped) {
+    for (const char* sql : flat) {
       Check(sql);
       Check(sql);  // hot second run
     }
   }
   WorkerPool::Shared().Resize(0);
-  // Every wrapped shape compiled to a kernel and replayed from the cache.
+  // Every flat shape compiled to a kernel and replayed from the cache.
   EXPECT_GE(CounterValue("kernel.hits") - h0,
-            static_cast<int64_t>(std::size(wrapped)));
+            static_cast<int64_t>(std::size(flat)));
+}
+
+/// Hand-nested SQL — derived tables the serializer no longer emits — runs
+/// on the interpreter, byte-identical, and counts as a genuine derived
+/// table.
+TEST_F(KernelWrapperExec, HandNestedSqlRunsInterpreted) {
+  LoadOrdered(40000, 0.2, 59);
+  const char* const nested[] = {
+      "SELECT * FROM (SELECT \"ordcol\", \"sym\" FROM \"qsrc\") AS hq_final "
+      "ORDER BY \"ordcol\"",
+      "SELECT * FROM (SELECT t0.\"ordcol\" AS \"ordcol\", t0.\"px\" AS \"px\" "
+      "FROM (SELECT \"ordcol\", \"px\" FROM \"qsrc\") AS t0 "
+      "WHERE t0.\"px\" > 0) AS hq_final ORDER BY \"ordcol\"",
+      "SELECT t1.\"sym\" AS \"sym\", t1.\"n\" AS \"n\" "
+      "FROM (SELECT \"sym\", COUNT(*) AS \"n\" FROM \"qsrc\" "
+      "GROUP BY \"sym\") AS t1",
+      "SELECT * FROM (SELECT sym, px FROM qsrc WHERE px > 10) t "
+      "WHERE px < 50",
+  };
+  int64_t h0 = CounterValue("kernel.hits");
+  int64_t r0 = CounterValue("kernel.reject.subquery");
+  for (const char* sql : nested) {
+    Check(sql);
+    Check(sql);
+  }
+  EXPECT_EQ(CounterValue("kernel.hits"), h0);
+  EXPECT_EQ(CounterValue("kernel.reject.subquery") - r0,
+            static_cast<int64_t>(2 * std::size(nested)));
 }
 
 /// A sort elided against verified column order must stop replaying when the
@@ -561,8 +583,7 @@ TEST_F(KernelWrapperExec, TranslatorWrapperShapesRunOnTheKernel) {
 TEST_F(KernelWrapperExec, ElidedOrderRecompilesAfterDataChange) {
   LoadOrdered(1000, 0.1, 43);
   const std::string q =
-      "SELECT * FROM (SELECT \"ordcol\", \"sym\" FROM \"qsrc\") AS hq_final "
-      "ORDER BY \"ordcol\"";
+      "SELECT \"ordcol\", \"sym\" FROM \"qsrc\" ORDER BY \"ordcol\"";
   Check(q);
   Check(q);
   // Append an out-of-order ordcol value: the elision precondition (sorted,
@@ -582,12 +603,11 @@ TEST_F(KernelWrapperExec, ElidedOrderRecompilesAfterDataChange) {
 TEST_F(KernelWrapperExec, ElidedSortOverSwappedBufferSorts) {
   LoadOrdered(40000, 0.1, 67);
   const char* const ordered[] = {
-      "SELECT * FROM (SELECT \"ordcol\", \"sym\" FROM \"qsrc\") AS hq_final "
-      "ORDER BY \"ordcol\"",
-      "SELECT * FROM (SELECT \"ordcol\", \"sym\" FROM \"qsrc\" "
-      "WHERE \"px\" IS NOT NULL) AS hq_final ORDER BY \"ordcol\" LIMIT 10",
-      "SELECT * FROM (SELECT \"ordcol\", \"px\" FROM \"qsrc\" "
-      "WHERE \"px\" > 0) AS hq_final ORDER BY \"ordcol\" LIMIT 5 OFFSET 3",
+      "SELECT \"ordcol\", \"sym\" FROM \"qsrc\" ORDER BY \"ordcol\"",
+      "SELECT \"ordcol\", \"sym\" FROM \"qsrc\" WHERE \"px\" IS NOT NULL "
+      "ORDER BY \"ordcol\" LIMIT 10",
+      "SELECT \"ordcol\", \"px\" FROM \"qsrc\" WHERE \"px\" > 0 "
+      "ORDER BY \"ordcol\" LIMIT 5 OFFSET 3",
       "SELECT \"ordcol\", \"sym\" FROM \"qsrc\" ORDER BY \"ordcol\" "
       "LIMIT 7 OFFSET 2",
   };

@@ -21,6 +21,14 @@ class SerializerTest : public ::testing::Test {
                         "09:30:01.000)")
             .ok());
     ASSERT_TRUE(LoadQTable(&db_, "t", *loader.GetGlobal("t")).ok());
+    ASSERT_TRUE(loader
+                    .EvalText("trades: ([] Sym:`S1`S2`S3; Price:10.0 20.0 "
+                              "30.0; Size:5 50 500)")
+                    .ok());
+    ASSERT_TRUE(
+        LoadQTable(&db_, "trades", *loader.GetGlobal("trades")).ok());
+    ASSERT_TRUE(loader.EvalText("d: ([sym:`a`b] w:3 4)").ok());
+    ASSERT_TRUE(LoadQTable(&db_, "d", *loader.GetGlobal("d")).ok());
     mdi_ = std::make_unique<SqldbMetadata>(&db_, nullptr);
     scopes_ = std::make_unique<VariableScopes>(mdi_.get());
   }
@@ -129,6 +137,104 @@ TEST_F(SerializerTest, LimitMergesWithSort) {
 TEST_F(SerializerTest, NullConstantsAreTyped) {
   std::string sql = Sql("update gap: 0N from t");
   EXPECT_NE(sql.find("CAST(NULL AS bigint)"), std::string::npos) << sql;
+}
+
+TEST_F(SerializerTest, PerfbenchTemplatesAreOneBlock) {
+  // The hot dashboard and live ingest shapes: each single-table template
+  // is one SELECT block, with no derived table.
+  const std::pair<const char*, const char*> cases[] = {
+      {"select Sym, Price, Size from trades where Price>100.5",
+       "SELECT \"Sym\", \"Price\", \"Size\", \"ordcol\" FROM \"trades\" WHERE "
+       "COALESCE((\"Price\" > 100.5), ((100.5 IS NULL) AND (\"Price\" IS NOT "
+       "NULL))) ORDER BY \"ordcol\""},
+      {"select from trades where Sym=`S1",
+       "SELECT \"Sym\", \"Price\", \"Size\", \"ordcol\" FROM \"trades\" WHERE "
+       "(\"Sym\" IS NOT DISTINCT FROM 'S1'::varchar) ORDER BY \"ordcol\""},
+      {"select Sym, Price from trades where Sym in `S1`S2`S3",
+       "SELECT \"Sym\", \"Price\", \"ordcol\" FROM \"trades\" WHERE (\"Sym\" "
+       "IN ('S1'::varchar, 'S2'::varchar, 'S3'::varchar)) ORDER BY \"ordcol\""},
+      {"select s: sum Price, n: count Price by Sym from trades where Size>50",
+       "SELECT \"Sym\", SUM(\"Price\") AS \"s\", COUNT(*) AS \"n\" FROM "
+       "\"trades\" WHERE COALESCE((\"Size\" > 50), ((50 IS NULL) AND "
+       "(\"Size\" IS NOT NULL))) GROUP BY \"Sym\" ORDER BY \"Sym\""},
+      {"exec avg Price from trades where Sym=`S2",
+       "SELECT AVG(\"Price\") AS \"Price\" FROM \"trades\" WHERE (\"Sym\" IS "
+       "NOT DISTINCT FROM 'S2'::varchar)"},
+      {"select Sym, chg: deltas Price from trades where Sym=`S1",
+       "SELECT \"Sym\", (\"Price\" - COALESCE(LAG(\"Price\") OVER (ORDER BY "
+       "\"ordcol\"), 0)) AS \"chg\", \"ordcol\" FROM \"trades\" WHERE "
+       "(\"Sym\" IS NOT DISTINCT FROM 'S1'::varchar) ORDER BY \"ordcol\""},
+  };
+  for (const auto& [q, want] : cases) {
+    std::string sql = Sql(q);
+    EXPECT_EQ(sql, want) << q;
+    EXPECT_EQ(sql.find("FROM ("), std::string::npos) << q;
+  }
+}
+
+TEST_F(SerializerTest, StackedFiltersAndOneWhere) {
+  EXPECT_EQ(Sql("select from t where px>1.0, sym=`a"),
+            "SELECT \"sym\", \"px\", \"ts\", \"ordcol\" FROM \"t\" WHERE "
+            "COALESCE((\"px\" > 1.0), ((1.0 IS NULL) AND (\"px\" IS NOT "
+            "NULL))) AND (\"sym\" IS NOT DISTINCT FROM 'a'::varchar) ORDER BY "
+            "\"ordcol\"");
+}
+
+TEST_F(SerializerTest, FilterOverLimitKeepsDerivedTable) {
+  // WHERE would otherwise run before the LIMIT it must follow.
+  EXPECT_EQ(Sql("select from (2#t) where px>1.0"),
+            "SELECT t0.\"sym\" AS \"sym\", t0.\"px\" AS \"px\", t0.\"ts\" AS "
+            "\"ts\", t0.\"ordcol\" AS \"ordcol\" FROM (SELECT \"sym\", "
+            "\"px\", \"ts\", \"ordcol\" FROM \"t\" ORDER BY \"ordcol\" LIMIT "
+            "2) AS t0 WHERE COALESCE((t0.\"px\" > 1.0), ((1.0 IS NULL) AND "
+            "(t0.\"px\" IS NOT NULL))) ORDER BY \"ordcol\"");
+}
+
+TEST_F(SerializerTest, FilterOverAggregateKeepsDerivedTable) {
+  // WHERE over an aggregate output is not a WHERE over its input.
+  EXPECT_EQ(Sql("select from (select mx: max px by sym from t) where mx>1.0"),
+            "SELECT t0.\"sym\" AS \"sym\", t0.\"mx\" AS \"mx\" FROM (SELECT "
+            "\"sym\", MAX(\"px\") AS \"mx\" FROM \"t\" GROUP BY \"sym\" ORDER "
+            "BY \"sym\") AS t0 WHERE COALESCE((t0.\"mx\" > 1.0), ((1.0 IS "
+            "NULL) AND (t0.\"mx\" IS NOT NULL)))");
+}
+
+TEST_F(SerializerTest, FilterOverComputedColumnKeepsDerivedTable) {
+  // Only plain column references substitute into a merged block.
+  EXPECT_EQ(Sql("select from (update r: 2*px from t) where r>1.0"),
+            "SELECT t0.\"sym\" AS \"sym\", t0.\"px\" AS \"px\", t0.\"ts\" AS "
+            "\"ts\", t0.\"ordcol\" AS \"ordcol\", t0.\"r\" AS \"r\" FROM "
+            "(SELECT \"sym\", \"px\", \"ts\", \"ordcol\", (2 * \"px\") AS "
+            "\"r\" FROM \"t\") AS t0 WHERE COALESCE((t0.\"r\" > 1.0), ((1.0 "
+            "IS NULL) AND (t0.\"r\" IS NOT NULL))) ORDER BY \"ordcol\"");
+}
+
+TEST_F(SerializerTest, JoinInputsStayDerivedTables) {
+  EXPECT_EQ(Sql("select sym, w from t lj d"),
+            "SELECT t0.\"sym\" AS \"sym\", t1.\"w\" AS \"w\", t0.\"ordcol\" "
+            "AS \"ordcol\" FROM (SELECT \"sym\", \"ordcol\" FROM \"t\") AS t0 "
+            "LEFT JOIN (SELECT \"sym\", \"w\" FROM \"d\") AS t1 ON "
+            "(t0.\"sym\" IS NOT DISTINCT FROM t1.\"sym\") ORDER BY \"ordcol\"");
+}
+
+TEST_F(SerializerTest, FinalOrderOverUnionAllKeepsOneWrapper) {
+  // A UNION ALL block cannot take the q-order ORDER BY itself.
+  auto scan = [](xtra::ColId first) {
+    return xtra::MakeGet("t",
+                         {{first, "sym", QType::kSymbol, true},
+                          {first + 1, "ordcol", QType::kLong, false}},
+                         first + 1);
+  };
+  xtra::XtraPtr left = scan(1);
+  xtra::XtraPtr u = xtra::MakeUnionAll(left, scan(3), left->output);
+  u->ord_col = 2;
+  Serializer serializer;
+  Result<std::string> sql = serializer.Serialize(u);
+  ASSERT_TRUE(sql.ok()) << sql.status().ToString();
+  EXPECT_EQ(*sql,
+            "SELECT * FROM (SELECT \"sym\", \"ordcol\" FROM \"t\" UNION "
+            "ALL SELECT \"sym\", \"ordcol\" FROM \"t\") AS hq_final ORDER "
+            "BY \"ordcol\"");
 }
 
 }  // namespace

@@ -433,6 +433,31 @@ TEST_F(SqlDbTest, UnknownColumnErrorIsVerbose) {
   EXPECT_NE(s.message().find("symbol"), std::string::npos);  // lists columns
 }
 
+TEST_F(SqlDbTest, ClausesSeeColumnsTheSelectListLeavesOut) {
+  // The executor drops FROM columns no clause reads; WHERE, window
+  // PARTITION BY/ORDER BY, HAVING and ORDER BY keys still read theirs.
+  QueryResult win = Run(
+      "SELECT symbol, SUM(size) OVER (PARTITION BY symbol ORDER BY ts) AS run "
+      "FROM trades WHERE price > 100 ORDER BY run");
+  ASSERT_EQ(win.rows.size(), 4u);
+  const char* syms[] = {"GOOG", "IBM", "GOOG", "IBM"};
+  const int64_t runs[] = {100, 200, 250, 320};
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(win.rows[i][0].AsString(), syms[i]) << i;
+    EXPECT_EQ(win.rows[i][1].AsInt(), runs[i]) << i;
+  }
+  QueryResult having = Run(
+      "SELECT symbol FROM trades GROUP BY symbol HAVING SUM(size) > 250 "
+      "ORDER BY symbol");
+  ASSERT_EQ(having.rows.size(), 2u);
+  EXPECT_EQ(having.rows[0][0].AsString(), "IBM");
+  EXPECT_EQ(having.rows[1][0].AsString(), "MSFT");
+  // An unresolved reference keeps every column, so the error still lists
+  // the columns no clause reads.
+  Status s = RunErr("SELECT symbol FROM trades WHERE price > 1 ORDER BY nope");
+  EXPECT_NE(s.message().find("size"), std::string::npos) << s.ToString();
+}
+
 TEST_F(SqlDbTest, UnknownTableError) {
   Status s = RunErr("SELECT * FROM nosuchtable");
   EXPECT_EQ(s.code(), StatusCode::kNotFound);
