@@ -1,11 +1,11 @@
 // The translation cache's hot path: per-query translation latency with the
 // cache off (full parse/bind/xform/serialize), on a cache miss (the cache
-// cleared before every call: the cold pipeline plus the `$n` template and
-// the cache inserts, the path ad-hoc traffic takes), hot on the exact-text
-// tier (replay, no parse) and hot on the fingerprint tier (parse + literal
-// splice into the cached SQL template). The acceptance bar is a >=5x
-// reduction hot vs cold; `--json=FILE` writes the evidence as an artifact
-// (scripts/bench.sh commits it as BENCH_translation.json).
+// cleared before every call: the cold pipeline plus the lookup and the
+// insert, the path ad-hoc traffic takes) and hot (replay of the cached
+// text, no parse). The acceptance bar is a >=5x reduction hot vs cold;
+// `--json=FILE` writes the evidence, stamped with the host's CPU count and
+// build type, as an artifact (scripts/bench.sh commits it as
+// BENCH_translation.json).
 
 #include <algorithm>
 #include <chrono>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "bench/workload.h"
-#include "common/strings.h"
 #include "core/hyperq.h"
 
 namespace hyperq {
@@ -47,23 +46,6 @@ double MeasureUs(HyperQSession* session, const std::string& q, int iters,
     best = std::min(best, elapsed);
   }
   return best;
-}
-
-/// Query shapes whose literal is rotated per call: every call presents new
-/// query text, so only the fingerprint tier (not the exact-text tier) can
-/// serve it.
-std::string ShapeWithLiteral(int shape, int k) {
-  std::string lit = StrCat("0.", 100 + (k % 797));
-  switch (shape % 3) {
-    case 0:
-      return StrCat("select sym, f0, f1 from wide_facts where f0 > ", lit);
-    case 1:
-      return StrCat("select a: sum f0, b: max f1 by sym from wide_facts "
-                    "where f1 > ",
-                    lit);
-    default:
-      return StrCat("exec sum f0 from wide_facts where f0 > ", lit);
-  }
 }
 
 int Run(const std::string& json_path, int iters, bool smoke) {
@@ -119,52 +101,12 @@ int Run(const std::string& json_path, int iters, bool smoke) {
                 miss_us, exact_us, cold_us / exact_us);
   }
 
-  // Fingerprint tier: the literal changes every call, so the exact tier
-  // never matches and each hit pays parse + fingerprint + splice.
-  double sum_fp_cold = 0;
-  double sum_fp_hot = 0;
-  int fp_shapes = 3;
-  for (int s = 0; s < fp_shapes; ++s) {
-    // Warm the fingerprint entry (first value of the rotation).
-    auto w = hot.Translate(ShapeWithLiteral(s, 0));
-    if (!w.ok()) {
-      std::fprintf(stderr, "fingerprint warmup failed\n");
-      return 1;
-    }
-    double cold_us = 1e18;
-    double hot_us = 1e18;
-    for (int it = 0; it < iters; ++it) {
-      std::string qc = ShapeWithLiteral(s, it + 1);
-      double start = NowUs();
-      auto c = cold.Translate(qc);
-      cold_us = std::min(cold_us, NowUs() - start);
-      std::string qh = ShapeWithLiteral(s, iters + it + 1);
-      start = NowUs();
-      auto h = hot.Translate(qh);
-      hot_us = std::min(hot_us, NowUs() - start);
-      if (!c.ok() || !h.ok()) {
-        std::fprintf(stderr, "fingerprint measurement failed\n");
-        return 1;
-      }
-      if (!h->cache_hit) {
-        std::fprintf(stderr, "expected a fingerprint hit for: %s\n",
-                     qh.c_str());
-        return 1;
-      }
-    }
-    std::printf("fp%-3d %12.1f %14.1f %9.1fx   (literal rotated per call)\n",
-                s + 1, cold_us, hot_us, cold_us / hot_us);
-    sum_fp_cold += cold_us;
-    sum_fp_hot += hot_us;
-  }
-
   double speedup_exact = sum_cold / sum_exact;
-  double speedup_fp = sum_fp_cold / sum_fp_hot;
   std::printf(
       "\naggregate: cold %.1fus/query, miss %.1fus/query, hot-exact "
-      "%.1fus/query (speedup %.1fx); fingerprint tier speedup %.1fx\n",
+      "%.1fus/query (speedup %.1fx)\n",
       sum_cold / queries.size(), sum_miss / queries.size(),
-      sum_exact / queries.size(), speedup_exact, speedup_fp);
+      sum_exact / queries.size(), speedup_exact);
   std::printf("acceptance bar: >=5x hot vs cold — %s\n",
               speedup_exact >= 5.0 ? "PASS" : "FAIL");
 
@@ -175,8 +117,10 @@ int Run(const std::string& json_path, int iters, bool smoke) {
       return 1;
     }
     std::fprintf(f, "{\n  \"name\": \"translation_cache_hot_path\",\n");
-    std::fprintf(f, "  \"num_cpus\": %u,\n  \"smoke\": %s,\n",
-                 std::thread::hardware_concurrency(),
+    std::fprintf(f,
+                 "  \"num_cpus\": %u,\n  \"build_type\": \"%s\",\n"
+                 "  \"smoke\": %s,\n",
+                 std::thread::hardware_concurrency(), HQ_BUILD_TYPE,
                  smoke ? "true" : "false");
     std::fprintf(f, "  \"iterations\": %d,\n  \"queries\": [\n", iters);
     for (size_t i = 0; i < per_query_cold.size(); ++i) {
@@ -193,10 +137,9 @@ int Run(const std::string& json_path, int iters, bool smoke) {
                  "  \"avg_miss_us\": %.1f,\n"
                  "  \"avg_hot_exact_us\": %.1f,\n"
                  "  \"speedup_exact\": %.1f,\n"
-                 "  \"speedup_fingerprint\": %.1f,\n"
                  "  \"acceptance_5x\": %s\n}\n",
                  sum_cold / queries.size(), sum_miss / queries.size(),
-                 sum_exact / queries.size(), speedup_exact, speedup_fp,
+                 sum_exact / queries.size(), speedup_exact,
                  speedup_exact >= 5.0 ? "true" : "false");
     std::fclose(f);
     std::printf("wrote %s\n", json_path.c_str());

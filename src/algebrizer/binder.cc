@@ -270,14 +270,6 @@ Result<VarBinding> Binder::LookupVar(const std::string& name) {
   return b;
 }
 
-int Binder::SlotOf(const AstNode* node) const {
-  if (slots_ == nullptr) return -1;
-  for (size_t i = 0; i < slots_->size(); ++i) {
-    if ((*slots_)[i] == node) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 Result<std::vector<std::string>> Binder::SymbolListOf(const AstPtr& node,
                                                       const char* what) {
   if (node->kind != AstKind::kLiteral) {
@@ -1104,7 +1096,7 @@ Result<ScalarPtr> Binder::BindScalar(const AstPtr& node,
                                      const XtraOp* input) {
   switch (node->kind) {
     case AstKind::kLiteral:
-      return MakeConst(node->literal, SlotOf(node.get()));
+      return MakeConst(node->literal);
     case AstKind::kVarRef: {
       if (input != nullptr) {
         const XtraColumn* c = input->FindOutputByName(node->name);

@@ -40,20 +40,11 @@ struct BindTrace {
 /// bottom-up, and maps Q operators to XTRA expressions. Purely functional
 /// over the AST: materialization decisions (assignments, function
 /// unrolling) are made by the Query Translator which drives the binder.
-///
-/// `slots` is the fingerprint's slot list (QueryFingerprint::slots), or
-/// null when the statement is not cached through the fingerprint tier. The
-/// XTRA constant bound from the literal node slots[i] carries param_slot i,
-/// which is all the serializer needs to write `$i+1` in the template. A
-/// slot whose value the binder consumes structurally (take counts, window
-/// sizes, sort columns) never reaches the serializer as a constant, so the
-/// cache pins it.
 class Binder {
  public:
   Binder(MetadataInterface* mdi, VariableScopes* scopes,
-         BindTrace* trace = nullptr,
-         const std::vector<const AstNode*>* slots = nullptr)
-      : mdi_(mdi), scopes_(scopes), trace_(trace), slots_(slots) {}
+         BindTrace* trace = nullptr)
+      : mdi_(mdi), scopes_(scopes), trace_(trace) {}
 
   /// Binds a table- or value-producing Q expression into XTRA.
   Result<BoundQuery> BindQuery(const AstPtr& node);
@@ -119,13 +110,10 @@ class Binder {
   /// Reads a literal symbol list.
   Result<std::vector<std::string>> SymbolListOf(const AstPtr& node,
                                                 const char* what);
-  /// The fingerprint slot `node` fills, or -1.
-  int SlotOf(const AstNode* node) const;
 
   MetadataInterface* mdi_;
   VariableScopes* scopes_;
   BindTrace* trace_;
-  const std::vector<const AstNode*>* slots_;
   int next_col_id_ = 1;
 };
 

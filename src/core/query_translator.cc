@@ -5,7 +5,6 @@
 #include "common/metrics.h"
 #include "common/strings.h"
 #include "core/translation_cache.h"
-#include "qlang/fingerprint.h"
 #include "qlang/parser.h"
 #include "serializer/serializer.h"
 
@@ -48,15 +47,6 @@ ShardPlan ToShardPlan(ShardRewrite rewrite) {
 }
 
 }  // namespace
-
-/// A single side-effect-free statement whose cold translation the cache
-/// keeps (exact tier, and the fingerprint tier on a fingerprint miss).
-struct CacheableStatement {
-  const std::string& q_text;
-  const QueryFingerprint& fp;
-  bool fp_miss;
-  const BindTrace& trace;
-};
 
 std::string QueryTranslator::NextTempName() {
   return StrCat("HQ_TEMP_", ++temp_counter_);
@@ -105,33 +95,8 @@ Result<Translation> QueryTranslator::Translate(const std::string& q_text) {
     return InvalidArgument("empty q request");
   }
 
-  // A single side-effect-free statement is cached. On a fingerprint miss
-  // it binds with the fingerprint's slots, so the one serialization of its
-  // result query also writes the `$n` template.
-  QueryFingerprint fp;
-  bool fp_miss = false;
-  if (cache_on) {
-    if (stmts.size() == 1 && !IsFunctionInvocation(stmts[0])) {
-      fp = FingerprintProgram(stmts);
-    }
-    if (fp.cacheable) {
-      Translation hit;
-      TranslationCache::FpResult r =
-          cache_->Lookup(fp.hash, fp.text, fp.params, shadow, &hit);
-      if (r == TranslationCache::FpResult::kHit) {
-        hit.cache_hit = true;
-        hit.timings.parse_us = out.timings.parse_us;
-        CacheHitHistogram()->Record(MicrosSince(start));
-        return hit;
-      }
-      fp_miss = r == TranslationCache::FpResult::kMiss;
-    }
-    Lap(&out.timings.cache_us);
-  }
-
   BindTrace trace;
-  Binder binder(mdi_, scopes_, &trace, fp_miss ? &fp.slots : nullptr);
-  const CacheableStatement cacheable{q_text, fp, fp_miss, trace};
+  Binder binder(mdi_, scopes_, &trace);
   for (size_t i = 0; i < stmts.size(); ++i) {
     bool is_last = i + 1 == stmts.size();
     const AstPtr& stmt = stmts[i];
@@ -146,12 +111,16 @@ Result<Translation> QueryTranslator::Translate(const std::string& q_text) {
     }
     // Intermediate non-assignment statements without side effects are only
     // translated when they are the last statement (their value is the
-    // response); earlier ones are skipped. A cacheable statement always
-    // ends here: the fingerprint walk rejects assignments, and function
-    // invocations are never fingerprinted.
-    if (is_last) {
-      HQ_RETURN_IF_ERROR(EmitResultQuery(stmt, &binder, &out,
-                                         fp.cacheable ? &cacheable : nullptr));
+    // response); earlier ones are skipped.
+    if (!is_last) continue;
+    HQ_RETURN_IF_ERROR(EmitResultQuery(stmt, &binder, &out));
+    // A lone statement's translation depends on its text, the catalog and
+    // the names it resolved, so the cache can replay it, shard plan
+    // included. One that read a session or local variable is specific to
+    // this session's values and is never shared.
+    if (cache_on && stmts.size() == 1 && !trace.used_scope_var) {
+      cache_->InsertExact(q_text, out, trace.ref_tables, trace.ref_names);
+      Lap(&out.timings.cache_us);
     }
   }
   stmts.clear();
@@ -294,8 +263,7 @@ Status QueryTranslator::ProcessFunctionCall(const AstNode& apply,
 }
 
 Status QueryTranslator::EmitResultQuery(const AstPtr& expr, Binder* binder,
-                                        Translation* out,
-                                        const CacheableStatement* cacheable) {
+                                        Translation* out) {
   BoundQuery bound;
   HQ_ASSIGN_OR_RETURN(bound, binder->BindQuery(expr));
   Lap(&out->timings.bind_us);
@@ -306,82 +274,14 @@ Status QueryTranslator::EmitResultQuery(const AstPtr& expr, Binder* binder,
   // Distribution is one more rewrite of the transformed tree.
   ShardRewrite rewrite = PlanShardRewrite(bound.root, options_.shard_info);
   Lap(&out->timings.xform_us);
-  Serializer::Templated serialized;
-  Serializer serializer;
-  if (cacheable != nullptr && cacheable->fp_miss) {
-    HQ_ASSIGN_OR_RETURN(serialized,
-                        serializer.SerializeWithTemplate(bound.root));
-  } else {
-    HQ_ASSIGN_OR_RETURN(serialized.sql, serializer.Serialize(bound.root));
-  }
+  HQ_ASSIGN_OR_RETURN(out->result_sql, Serializer().Serialize(bound.root));
   out->shard = ToShardPlan(std::move(rewrite));
   Lap(&out->timings.serialize_us);
-  out->result_sql = std::move(serialized.sql);
   out->shape = bound.shape;
   out->key_columns = std::move(bound.key_columns);
   bound = BoundQuery{};
   Lap(&out->timings.bind_us);  // freeing what binding built
-  if (cacheable != nullptr) {
-    CacheResult(*cacheable, std::move(serialized), *out);
-    Lap(&out->timings.cache_us);
-  }
   return Status::OK();
-}
-
-void QueryTranslator::CacheResult(const CacheableStatement& c,
-                                  Serializer::Templated serialized,
-                                  const Translation& out) {
-  // Value-dependent bindings make the translation specific to this
-  // session's variables: never share it through the cache.
-  if (c.trace.used_scope_var) return;
-  cache_->InsertExact(c.q_text, out, c.trace.ref_tables, c.trace.ref_names);
-  if (!c.fp_miss) return;
-  const QueryFingerprint& fp = c.fp;
-  if (serialized.sql_template.empty()) {
-    cache_->MarkUncacheable(fp.hash, fp.text,
-                            "a name or literal holds a slot marker byte");
-    return;
-  }
-  // Verify end-to-end before publishing: instantiating the template with
-  // the current literals must reproduce the concrete SQL byte-for-byte.
-  // This catches any path that bakes a parameter value we failed to pin
-  // (and pathological `$n` collisions inside string literals).
-  Result<std::vector<std::string>> rendered =
-      TranslationCache::RenderParams(fp.params);
-  if (!rendered.ok()) {
-    cache_->MarkUncacheable(fp.hash, fp.text,
-                            std::string(rendered.status().message()));
-    return;
-  }
-  Result<std::string> replay =
-      TranslationCache::Instantiate(serialized.sql_template, *rendered);
-  if (!replay.ok() || *replay != out.result_sql) {
-    cache_->MarkUncacheable(
-        fp.hash, fp.text,
-        replay.ok() ? "instantiated template diverges from concrete SQL"
-                    : std::string(replay.status().message()));
-    return;
-  }
-
-  // Every slot that did not surface as a placeholder had its value baked
-  // into the plan (structural pins, `in`-list expansion, constant folding):
-  // it must match exactly for the entry to be reused.
-  std::vector<bool> emitted(fp.params.size(), false);
-  for (int slot : serialized.emitted_slots) {
-    if (slot >= 0 && static_cast<size_t>(slot) < emitted.size()) {
-      emitted[slot] = true;
-    }
-  }
-  TranslationCache::Insertable entry;
-  entry.sql_template = std::move(serialized.sql_template);
-  entry.shape = out.shape;
-  entry.key_columns = out.key_columns;
-  for (size_t i = 0; i < emitted.size(); ++i) {
-    if (!emitted[i]) entry.pinned_slots.push_back(static_cast<int>(i));
-  }
-  entry.ref_tables = c.trace.ref_tables;
-  entry.ref_names = c.trace.ref_names;
-  cache_->Insert(fp.hash, fp.text, *rendered, entry);
 }
 
 }  // namespace hyperq

@@ -9,14 +9,12 @@
 #include "algebrizer/binder.h"
 #include "algebrizer/scopes.h"
 #include "common/status.h"
-#include "serializer/serializer.h"
 #include "xformer/shard_rewrite.h"
 #include "xformer/xformer.h"
 
 namespace hyperq {
 
 class TranslationCache;
-struct CacheableStatement;
 
 /// How Q variable assignments are materialized in the backend (§4.3).
 enum class MaterializeMode {
@@ -32,11 +30,9 @@ struct StageTimings {
   double parse_us = 0;
   double bind_us = 0;  ///< algebrization (incl. metadata lookups)
   double xform_us = 0;  ///< optimization, including the shard plan rewrite
-  /// Concrete SQL, if cached its template, and the shard plan's SQL.
-  double serialize_us = 0;
-  /// Translation-cache work of a translation that missed: the exact and
-  /// fingerprint lookups, the fingerprint walk, and after the cold
-  /// translation the literal rendering, the template check and the inserts.
+  double serialize_us = 0;  ///< result SQL and the shard plan's SQL
+  /// Translation-cache work of a translation that missed: the lookup and,
+  /// after the cold translation, the insert.
   double cache_us = 0;
   double total_us() const {
     return parse_us + bind_us + xform_us + serialize_us + cache_us;
@@ -69,8 +65,7 @@ struct Translation {
   ShardPlan shard;
   StageTimings timings;
   /// True when the translation was served from the translation cache; the
-  /// per-stage timings above are then zero (or parse-only for a
-  /// fingerprint-tier hit).
+  /// per-stage timings above are then zero.
   bool cache_hit = false;
 };
 
@@ -112,17 +107,9 @@ class QueryTranslator {
                            Translation* out);
   Status ProcessFunctionCall(const AstNode& apply, Binder* binder,
                              Translation* out);
-  /// Binds, transforms, serializes and plans the result query. For a
-  /// cacheable statement it then runs the cache step (CacheResult).
+  /// Binds, transforms, serializes and plans the result query.
   Status EmitResultQuery(const AstPtr& expr, Binder* binder,
-                         Translation* out,
-                         const CacheableStatement* cacheable = nullptr);
-  /// Inserts a cold translation into the exact tier and, on a fingerprint
-  /// miss, its template into the fingerprint tier once instantiating the
-  /// template with the current literals reproduces the concrete SQL
-  /// byte-for-byte; otherwise the fingerprint is marked uncacheable.
-  void CacheResult(const CacheableStatement& c,
-                   Serializer::Templated serialized, const Translation& out);
+                         Translation* out);
   /// Charges the time since the previous lap to `stage` and starts the
   /// next lap. A translation's stages are consecutive laps of one clock
   /// started by Translate, so they add up to the whole translation.

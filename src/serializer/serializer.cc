@@ -1,10 +1,8 @@
 #include "serializer/serializer.h"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <functional>
-#include <string_view>
 
 #include "common/strings.h"
 #include "qval/temporal.h"
@@ -35,77 +33,6 @@ const char* AggSqlName(const std::string& f) {
   if (f == "first") return "FIRST";
   if (f == "last") return "LAST";
   return nullptr;
-}
-
-// While a template is being written, a slotted constant renders as
-//   kSlotOpen <slot digits> kSlotValue <concrete text> kSlotClose
-// and one pass over the result splits it into the concrete SQL and the
-// `$n` template.
-constexpr char kSlotOpen = '\x01';
-constexpr char kSlotValue = '\x02';
-constexpr char kSlotClose = '\x03';
-
-bool IsSlotMarker(char c) {
-  return c == kSlotOpen || c == kSlotValue || c == kSlotClose;
-}
-
-/// Splits marked text into `out`. Every byte that comes from a name or a
-/// value sits inside a quoted identifier or literal, and marker bytes are
-/// only ever written outside one; a marker byte inside quotes is therefore
-/// user data, and the split fails.
-bool SplitMarked(std::string_view text, Serializer::Templated* out) {
-  out->sql.reserve(text.size());
-  out->sql_template.reserve(text.size());
-  size_t copied = 0;  // text[0, copied) is already in the outputs
-  char quote = 0;     // the open quote character, if any
-  int slot = -1;      // >= 0 between kSlotValue and kSlotClose
-  for (size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (quote != 0) {
-      if (c == quote) {
-        // A doubled quote is an escaped quote character.
-        if (i + 1 < text.size() && text[i + 1] == quote) {
-          ++i;
-        } else {
-          quote = 0;
-        }
-      } else if (IsSlotMarker(c)) {
-        return false;
-      }
-      continue;
-    }
-    if (c == '\'' || c == '"') {
-      quote = c;
-      continue;
-    }
-    if (c == kSlotOpen && slot < 0) {
-      std::string_view plain = text.substr(copied, i - copied);
-      out->sql += plain;
-      out->sql_template += plain;
-      const char* digits = text.data() + i + 1;
-      const char* end = text.data() + text.size();
-      auto [value, ec] = std::from_chars(digits, end, slot);
-      if (ec != std::errc() || value == end || *value != kSlotValue ||
-          slot < 0) {
-        return false;
-      }
-      i = value - text.data();
-      copied = i + 1;
-    } else if (c == kSlotClose && slot >= 0) {
-      out->sql += text.substr(copied, i - copied);
-      out->sql_template += StrCat("$", slot + 1);
-      out->emitted_slots.push_back(slot);
-      slot = -1;
-      copied = i + 1;
-    } else if (IsSlotMarker(c)) {
-      return false;
-    }
-  }
-  if (quote != 0 || slot >= 0) return false;
-  std::string_view rest = text.substr(copied);
-  out->sql += rest;
-  out->sql_template += rest;
-  return true;
 }
 
 /// Alias of the one wrapper left: `SELECT * FROM (...) AS hq_final ORDER BY
@@ -242,11 +169,7 @@ Result<std::string> Serializer::RenderScalar(
       [&](const ScalarPtr& node) -> Result<std::string> {
     switch (node->kind) {
       case ScalarKind::kConst: {
-        HQ_ASSIGN_OR_RETURN(std::string text, RenderConstant(node->value));
-        if (!mark_slots_ || node->param_slot < 0) return text;
-        marked_ = true;
-        return StrCat(kSlotOpen, node->param_slot, kSlotValue, text,
-                      kSlotClose);
+        return RenderConstant(node->value);
       }
       case ScalarKind::kColRef: {
         auto c = cols.find(node->col);
@@ -614,6 +537,13 @@ Result<Serializer::Block> Serializer::Render(const XtraPtr& op) {
       }
       for (const auto& a : op->projections) {
         HQ_ASSIGN_OR_RETURN(std::string expr, RenderScalar(a.expr, scope));
+        if (op->group_keys.empty() && a.expr->kind == ScalarKind::kAgg &&
+            a.expr->func == "sum") {
+          // q sums no rows to 0 where SQL SUM is NULL; a group always has
+          // a row, so only the ungrouped sum needs the typed zero.
+          expr = StrCat("COALESCE(", expr,
+                        IsFloatBacked(a.expr->type) ? ", 0.0)" : ", 0)");
+        }
         b.Add(a.col.id, std::move(expr), a.col.name);
       }
       b.aggregate = true;
@@ -699,28 +629,6 @@ Result<std::string> Serializer::Serialize(const XtraPtr& root) {
     b.order_by.push_back(QuoteIdent(*name));
   }
   return b.Sql();
-}
-
-Result<Serializer::Templated> Serializer::SerializeWithTemplate(
-    const XtraPtr& root) {
-  const int first_alias = next_alias_;
-  mark_slots_ = true;
-  marked_ = false;
-  Result<std::string> marked = Serialize(root);
-  mark_slots_ = false;
-  HQ_RETURN_IF_ERROR(marked.status());
-  Templated out;
-  if (!marked_) {
-    out.sql = std::move(*marked);
-    out.sql_template = out.sql;
-    return out;
-  }
-  if (SplitMarked(*marked, &out)) return out;
-  // A name or literal holds a marker byte: render the concrete text
-  // plainly.
-  next_alias_ = first_alias;
-  HQ_ASSIGN_OR_RETURN(std::string sql, Serialize(root));
-  return Templated{std::move(sql), {}, {}};
 }
 
 }  // namespace hyperq

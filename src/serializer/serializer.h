@@ -33,31 +33,12 @@ namespace hyperq {
 class Serializer {
  public:
   /// Serializes the tree into one SELECT statement (no trailing ';').
-  /// Constants tagged with a fingerprint slot render by value, like every
-  /// other constant.
   Result<std::string> Serialize(const xtra::XtraPtr& root);
-
-  /// One result query as the translation cache needs it: the concrete SQL
-  /// and its `$n` template, written by one walk.
-  struct Templated {
-    std::string sql;  ///< byte-identical to Serialize()
-    /// `sql` with every constant tagged with fingerprint slot i written as
-    /// `$i+1`. Empty when a literal or a name holds one of the bytes that
-    /// bracket slotted constants during the walk: no template can then be
-    /// split out, and `sql` is rendered again without brackets.
-    std::string sql_template;
-    /// Slots written as `$n`, in text order (a slot may repeat). A slot
-    /// whose value the plan consumed inline (an `in` list expansion, a
-    /// take count) is missing.
-    std::vector<int> emitted_slots;
-  };
-  Result<Templated> SerializeWithTemplate(const xtra::XtraPtr& root);
 
   /// Maps a Q type to the SQL type name used in casts and DDL.
   static const char* SqlTypeNameFor(QType type);
 
-  /// Renders a constant atom as a SQL literal (the translation cache uses
-  /// this to splice lifted literals back into a cached statement).
+  /// Renders a constant atom as a SQL literal.
   static Result<std::string> RenderConstant(const QValue& v);
 
   /// Quotes an identifier for the generated SQL.
@@ -107,9 +88,6 @@ class Serializer {
       const xtra::ScalarPtr& e,
       const std::map<xtra::ColId, std::string>& cols);
   int next_alias_ = 0;
-  /// While true, a slotted constant renders bracketed by marker bytes.
-  bool mark_slots_ = false;
-  bool marked_ = false;  ///< a bracketed constant was written
 };
 
 }  // namespace hyperq

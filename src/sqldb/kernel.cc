@@ -1,6 +1,7 @@
 #include "sqldb/kernel.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -322,6 +323,27 @@ bool IsKernelAggregate(const Expr& e) {
   return e.args.size() == 1 && e.args[0]->kind == ExprKind::kColRef;
 }
 
+/// The aggregate call of a kernel-runnable aggregate item: the item
+/// itself, or the call under `COALESCE(<call>, <zero>)`, the serializer's
+/// spelling of an ungrouped q `sum` (0 over no rows). The zero goes to
+/// `if_null`, which stays NULL for a bare call.
+const Expr* KernelAggregateOf(const Expr& e, Datum* if_null) {
+  *if_null = Datum::Null();
+  if (IsKernelAggregate(e)) return &e;
+  if (e.kind != ExprKind::kFuncCall || e.func_name != "coalesce" ||
+      e.args.size() != 2 || !IsKernelAggregate(*e.args[0]) ||
+      !FoldLiteral(*e.args[1], if_null) || if_null->is_null()) {
+    return nullptr;
+  }
+  const Datum& z = *if_null;
+  const bool zero =
+      z.type() == SqlType::kReal || z.type() == SqlType::kDouble
+          ? z.AsDouble() == 0 && !std::signbit(z.AsDouble())
+          : IsIntegralType(z.type()) && z.type() != SqlType::kBoolean &&
+                z.AsInt() == 0;
+  return zero ? e.args[0].get() : nullptr;
+}
+
 KernelFingerprint RejectFp(const char* reason) {
   KernelFingerprint fp;
   fp.reject_reason = reason;
@@ -361,14 +383,20 @@ KernelFingerprint KernelFingerprintFor(const SelectStmt& stmt) {
       has_star = true;
       b.Tag("i:s");
       b.Field(e.qualifier);
-    } else if (IsKernelAggregate(e)) {
+    } else if (Datum if_null;
+               const Expr* agg = KernelAggregateOf(e, &if_null)) {
       has_agg = true;
       b.Tag("i:a");
-      b.Field(e.func_name);
-      if (e.args.size() == 1 && e.args[0]->kind == ExprKind::kColRef) {
-        b.Col(*e.args[0]);
+      b.Field(agg->func_name);
+      if (agg->args.size() == 1 && agg->args[0]->kind == ExprKind::kColRef) {
+        b.Col(*agg->args[0]);
       } else {
         b.Tag("*\x01");
+      }
+      // A zero fallback is part of the shape; only its type varies.
+      if (!if_null.is_null()) {
+        b.Tag("z");
+        b.Field(std::to_string(static_cast<int>(if_null.type())));
       }
     } else {
       return RejectFp("expr");
@@ -730,16 +758,17 @@ Result<std::shared_ptr<const KernelPlan>> KernelPlan::Compile(
     } else {
       has_agg = true;
       it.is_agg = true;
-      it.agg.call = item.expr;
-      if (e.args.size() == 1 && e.args[0]->kind == ExprKind::kColRef) {
-        it.agg.col = ResolveCol(*e.args[0], plan->schema_, alias);
+      const Expr& call = *KernelAggregateOf(e, &it.agg.if_null);
+      it.agg.call = &call == &e ? item.expr : e.args[0];
+      if (call.args.size() == 1 && call.args[0]->kind == ExprKind::kColRef) {
+        it.agg.col = ResolveCol(*call.args[0], plan->schema_, alias);
         if (it.agg.col < 0) {
           return Unsupported("kernel: unresolved aggregate column");
         }
         if (plan->storages_[it.agg.col] == Column::Storage::kString &&
-            !(e.func_name == "count" || e.func_name == "min" ||
-              e.func_name == "max" || e.func_name == "first" ||
-              e.func_name == "last")) {
+            !(call.func_name == "count" || call.func_name == "min" ||
+              call.func_name == "max" || call.func_name == "first" ||
+              call.func_name == "last")) {
           // Numeric reductions over strings funnel through the collected
           // row path; leave those to the interpreter.
           return Unsupported("kernel: numeric aggregate over strings");
@@ -1373,7 +1402,9 @@ Result<Relation> KernelPlan::ExecuteGrouped(
           std::vector<Datum> vals,
           ReduceGroups(*item.agg.call, arg, members, par_aggs, dl));
       auto c = std::make_shared<Column>();
-      for (const Datum& v : vals) c->Append(v);
+      for (const Datum& v : vals) {
+        c->Append(v.is_null() ? item.agg.if_null : v);
+      }
       col = std::move(c);
     }
     out.cols.push_back(

@@ -32,8 +32,8 @@ namespace sqldb {
 /// intermediate SelVector or gathered relation), and the shared reducer runs
 /// straight off the stored column buffers.
 /// Plans are cached in the per-database KernelRegistry keyed by a statement
-/// fingerprint with literals lifted to `$k` slots, so the PR 2 parameterized
-/// translation tier shares one kernel across literal variants.
+/// fingerprint with literals lifted to `$k` slots, so statements that differ
+/// only in literal values share one kernel.
 ///
 /// Everything a kernel produces is byte-identical to the interpreted
 /// executor, including the PR 3 determinism rules: morsel-ordered merges,
@@ -135,6 +135,9 @@ class KernelPlan {
     /// reducer, so every accumulator is the interpreter's by construction.
     ExprPtr call;
     int col = -1;         ///< argument column; -1 for count(*)
+    /// What a NULL result becomes: the zero of `COALESCE(SUM(x), 0)`,
+    /// or NULL for a bare aggregate.
+    Datum if_null;
   };
 
   /// One output column: either a plain column reference (group key or

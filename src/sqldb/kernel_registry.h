@@ -22,7 +22,7 @@ namespace sqldb {
 
 class Session;
 
-/// The second fingerprint-keyed cache (the first is the translation cache,
+/// The backend's plan cache (the front end's is the translation cache,
 /// src/core/translation_cache.h): maps a SELECT fingerprint to a
 /// compiled KernelPlan, version-stamped against the owning catalog so any
 /// DDL/DML invalidates stale kernels on the next lookup. Unsupported

@@ -5,13 +5,12 @@
 namespace hyperq {
 namespace xtra {
 
-ScalarPtr MakeConst(QValue v, int param_slot) {
+ScalarPtr MakeConst(QValue v) {
   auto e = std::make_shared<ScalarExpr>();
   e->kind = ScalarKind::kConst;
   e->type = v.type();
   e->nullable = v.IsNullAtom();
   e->value = std::move(v);
-  e->param_slot = param_slot;
   return e;
 }
 

@@ -49,10 +49,6 @@ struct ScalarExpr {
 
   // kConst
   QValue value;
-  /// >= 0 when this constant was bound from the literal that fills this
-  /// fingerprint slot: the serializer's template renders it as the
-  /// `$slot+1` placeholder instead of its value.
-  int param_slot = -1;
 
   // kColRef
   ColId col = kNoCol;
@@ -80,8 +76,7 @@ struct ScalarExpr {
   bool nullable = true;
 };
 
-/// A constant; `param_slot` tags it with the fingerprint slot it fills.
-ScalarPtr MakeConst(QValue v, int param_slot = -1);
+ScalarPtr MakeConst(QValue v);
 ScalarPtr MakeColRef(ColId id, std::string name, QType type, bool nullable);
 ScalarPtr MakeFunc(std::string func, std::vector<ScalarPtr> args, QType type);
 ScalarPtr MakeAgg(std::string func, std::vector<ScalarPtr> args, QType type);

@@ -243,9 +243,10 @@ TEST_F(IngestHybridTest, SplitAndMergedPathsActuallyTaken) {
 TEST_F(IngestHybridTest, MergedPathReadsRunOnKernels) {
   // The merged path shadows a historical+tail snapshot into the session as
   // a temp table; the kernel registry resolves the shadow and runs the
-  // plan compiled against the catalog table over the snapshot. Reads whose
-  // literal varies hit the fingerprint translation tier, which carries no
-  // hybrid plan, so they take the merged path.
+  // plan compiled against the catalog table over the snapshot. Every
+  // translation carries its hybrid plan, cached or cold, so the
+  // symbol-pinned selects split; the grouped float sum and the float avg
+  // cannot split and take the merged path.
   MarketData data = FixtureMarketData();
   Result<BackendFixture> oracle = MakeBackend(data);
   ASSERT_TRUE(oracle.ok());
@@ -254,28 +255,36 @@ TEST_F(IngestHybridTest, MergedPathReadsRunOnKernels) {
   Publish(live.store.get(), "trades", data.trades, nt / 2, nt, 3);
   ASSERT_GT(live.store->Stats("trades").tail_rows, 0u);
 
-  const char* const templates[] = {
-      // Ordered symbol-pinned select: the sort elided on the catalog's
-      // ordcol runs on the snapshot's copy of it.
-      "select from trades where Symbol=`%s",
-      "select Symbol, Price from trades where Symbol=`%s",
+  struct Template {
+    const char* text;
+    bool splits;
+  };
+  const Template templates[] = {
+      {"select from trades where Symbol=`%s", true},
+      {"select Symbol, Price from trades where Symbol=`%s", true},
       // Grouped float sum (not two-phase decomposable).
-      "select s: sum Price, c: count Price by Symbol from trades "
-      "where Symbol<>`%s",
-      "exec avg Price from trades where Symbol=`%s",
+      {"select s: sum Price, c: count Price by Symbol from trades "
+       "where Symbol<>`%s",
+       false},
+      {"exec avg Price from trades where Symbol=`%s", false},
   };
   const char* const syms[] = {"AAPL", "MSFT", "IBM", "GOOG"};
-  for (const char* tmpl : templates) {
+  for (const Template& tmpl : templates) {
     for (const char* sym : syms) {
       char q[256];
-      std::snprintf(q, sizeof(q), tmpl, sym);
+      std::snprintf(q, sizeof(q), tmpl.text, sym);
       SCOPED_TRACE(q);
       // The oracle shares the process-wide counters; run it first.
       std::string want = ResponseBytes(*oracle->session, q);
+      int64_t split0 = CounterValue("ingest.hybrid_split");
       int64_t merged0 = CounterValue("ingest.hybrid_merged");
       int64_t hits0 = CounterValue("kernel.hits");
       EXPECT_EQ(want, ResponseBytes(*live.session, q));
-      if (sym == syms[0]) continue;  // cold translation, kernel compile
+      if (tmpl.splits) {
+        EXPECT_EQ(CounterValue("ingest.hybrid_split"), split0 + 1);
+        continue;
+      }
+      if (sym == syms[0]) continue;  // kernel compile
       EXPECT_EQ(CounterValue("ingest.hybrid_merged"), merged0 + 1);
       EXPECT_GT(CounterValue("kernel.hits"), hits0)
           << "merged-path read must be kernel-served";

@@ -201,6 +201,10 @@ const char* const kSupportedQueries[] = {
     "SELECT sym, qty FROM facts WHERE qty > 10 AND qty < 5000",
     "SELECT \"sym\", \"px\" FROM \"facts\" WHERE \"px\" >= 0",
     "SELECT sym, SUM(px) AS s FROM facts WHERE qty > 0 GROUP BY sym",
+    // --- the translator's ungrouped q `sum`: 0 over no rows ---
+    "SELECT COALESCE(SUM(qty), 0) AS s FROM facts WHERE qty > 99999999",
+    "SELECT COALESCE(SUM(px), 0.0) AS s, COUNT(*) FROM facts "
+    "WHERE sym = 'S1'",
 };
 
 class KernelIdentity
@@ -247,6 +251,8 @@ TEST_F(KernelExec, UnsupportedShapesFallBackWithIdenticalResults) {
       "SELECT sym FROM facts ORDER BY px + 1",
       "SELECT sym FROM facts LIMIT 1 + 2",
       "SELECT sym FROM facts WHERE qty IN (1, px)",
+      "SELECT COALESCE(SUM(qty), 1) FROM facts WHERE qty > 99999999",
+      "SELECT COALESCE(SUM(px), -0.0) FROM facts WHERE qty > 99999999",
   };
   for (const char* sql : unsupported) Check(sql);
   EXPECT_GE(CounterValue("kernel.fallbacks") - f0,

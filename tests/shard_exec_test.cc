@@ -86,6 +86,9 @@ TEST_F(ShardExecTest, TwoPhaseAggregatesByteIdentical) {
           "exec avg Size from trades",
           "exec min Size from trades where Size > 500",
           "exec max Size from trades",
+          // q sums no rows to 0, on every shard and in the merge.
+          "exec sum Size from trades where Size < 0",
+          "select s: sum Size, c: count Size from trades where Symbol=`NOPE",
           // min/max stay exact on float columns too (order-insensitive).
           "select lo: min Price, hi: max Price by Symbol from trades",
       });

@@ -234,14 +234,11 @@ class SideBySideFuzz : public ::testing::TestWithParam<uint64_t> {
         return q;
       }
       case 3: {  // scalar aggregate
-        // `sum` stays out of the scalar-exec shapes: q sums an empty list
-        // to 0 while SQL SUM over no rows is NULL, so a filter that
-        // matches nothing (Symbol=`NOPE) is an oracle disagreement — a
-        // translator gap independent of kernel coverage. Grouped sums are
-        // fine (an empty group never materializes a row).
-        static const char* kExecAggs[] = {"avg", "min",   "max",
-                                          "count", "first", "last"};
-        return StrCat("exec ", kExecAggs[rng_.Below(6)], " ", RandomColumn(),
+        // `sum` over a filter that matches nothing (Symbol=`NOPE) is 0 in
+        // q; the translator spells it COALESCE(SUM(x), 0).
+        static const char* kExecAggs[] = {"avg",   "min",  "max", "count",
+                                          "first", "last", "sum"};
+        return StrCat("exec ", kExecAggs[rng_.Below(7)], " ", RandomColumn(),
                       " from trades where ", RandomKernelCondition());
       }
       case 4:  // sort + take
@@ -326,7 +323,7 @@ TEST_P(SideBySideFuzz, RandomQueriesAgree) {
 }
 
 /// Every query runs twice: the second run is served by the translation
-/// cache (exact or fingerprint tier) and must produce byte-identical SQL
+/// cache and must produce byte-identical SQL
 /// and identical results. Single statements only — pipelines materialize
 /// HQ_TEMP_<n> variables whose generated names legitimately differ between
 /// runs.
@@ -355,8 +352,8 @@ TEST_P(SideBySideFuzz, HotCacheResultsMatchColdResults) {
       << "the repeat runs never hit the translation cache";
 }
 
-/// Same double-run shape, but watching the *kernel* cache (the second
-/// fingerprint-keyed cache): the repeat run of every kernel-supported
+/// Same double-run shape, but watching the *kernel* cache (keyed by a
+/// fingerprint of the SQL): the repeat run of every kernel-supported
 /// translated query must be served by a compiled plan, and the hot result
 /// must stay byte-identical to the cold interpreted-or-kernel one.
 TEST_P(SideBySideFuzz, HotKernelResultsMatchColdResults) {
