@@ -86,8 +86,10 @@ awk -F': ' '
   }' BENCH_kernel.json
 # Gate: the end-to-end translated-Q hot corpus (Q text -> cross-compiler
 # -> backend, serializer wrappers included) must be served by compiled
-# kernels at >= 80% — the canonicalizer flattening the serializer's
-# standard shells is what keeps this from collapsing toward 0.
+# kernels at >= 80%. The serializer emits each hot shape as one flat
+# SELECT block with plain literal filters, which is the kernel's grammar
+# as written; a derived table or a new predicate spelling would collapse
+# this toward 0.
 awk -F': ' '
   /"name": "BM_TranslatedQKernel\/1"/ { want = 1 }
   want && /"kernel_hit_rate"/ { rate = $2 + 0; want = 0; seen = 1 }

@@ -15,11 +15,14 @@
 #                  standalone with the canonical CI seed so a failure
 #                  reproduces with: HYPERQ_SOAK_SEED=42 HYPERQ_SOAK_MS=1500
 #
-#   --kernel-coverage  builds and runs ONLY the fused-kernel coverage sweep
-#                  (the KernelCoverageOnTranslatedHotCorpus fuzz battery):
-#                  translator-emitted hot SELECTs must be served by
-#                  compiled kernels at >= 80% or the run fails. Fast
-#                  standalone check for kernel-grammar regressions.
+#   --kernel-coverage  builds and runs ONLY the fused-kernel grammar checks:
+#                  the KernelCoverageOnTranslatedHotCorpus fuzz battery
+#                  (translator-emitted hot SELECTs must be served by
+#                  compiled kernels at >= 80% or the run fails), then the
+#                  kernel_exec_test byte-identity sweep over the supported
+#                  shapes (KernelIdentity) and the fallback check over the
+#                  unsupported ones (UnsupportedShapes). Fast standalone
+#                  check for kernel-grammar regressions.
 #
 #   --oversubscribe  builds and runs ONLY the oversubscription stress gate:
 #                  2 x nproc concurrent copies of each of the worker pool,
@@ -50,10 +53,14 @@ done
 if [[ "$KERNEL_COVERAGE" == 1 ]]; then
   echo "==> kernel-coverage: configure + build"
   cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS" --target side_by_side_fuzz_test >/dev/null
+  cmake --build build -j "$JOBS" \
+    --target side_by_side_fuzz_test kernel_exec_test >/dev/null
   echo "==> kernel-coverage: translated hot-corpus sweep (floor: 80%)"
   ./build/tests/side_by_side_fuzz_test \
     --gtest_filter='*KernelCoverageOnTranslatedHotCorpus*'
+  echo "==> kernel-coverage: kernel vs interpreter on the grammar's shapes"
+  ./build/tests/kernel_exec_test \
+    --gtest_filter='*KernelIdentity*:*UnsupportedShapes*'
   echo "==> kernel-coverage: green"
   exit 0
 fi

@@ -164,7 +164,8 @@ Result<std::string> Serializer::RenderConstant(const QValue& v) {
 }
 
 Result<std::string> Serializer::RenderScalar(
-    const ScalarPtr& e, const std::map<ColId, std::string>& cols) {
+    const ScalarPtr& e, const std::map<ColId, std::string>& cols,
+    bool zero_sums) {
   std::function<Result<std::string>(const ScalarPtr&)> render =
       [&](const ScalarPtr& node) -> Result<std::string> {
     switch (node->kind) {
@@ -211,8 +212,13 @@ Result<std::string> Serializer::RenderScalar(
           HQ_ASSIGN_OR_RETURN(std::string s, render(a));
           args.push_back(std::move(s));
         }
-        return StrCat(name, "(", node->distinct ? "DISTINCT " : "",
-                      Join(args, ", "), ")");
+        std::string out = StrCat(name, "(", node->distinct ? "DISTINCT " : "",
+                                 Join(args, ", "), ")");
+        if (zero_sums && node->func == "sum") {
+          return StrCat("COALESCE(", out,
+                        IsFloatBacked(node->type) ? ", 0.0)" : ", 0)");
+        }
+        return out;
       }
       case ScalarKind::kWindow: {
         const char* name = WindowSqlName(node->func);
@@ -334,6 +340,7 @@ Result<std::string> Serializer::RenderScalar(
         if (f == "or") return infix("OR");
         if (f == "not") return StrCat("(NOT ", a[0], ")");
         if (f == "isnull") return StrCat("(", a[0], " IS NULL)");
+        if (f == "notnull") return StrCat("(", a[0], " IS NOT NULL)");
         if (f == "least") return call("LEAST");
         if (f == "greatest") return call("GREATEST");
         if (f == "coalesce") return call("COALESCE");
@@ -536,14 +543,9 @@ Result<Serializer::Block> Serializer::Render(const XtraPtr& op) {
         b.Add(k.col.id, std::move(expr), k.col.name);
       }
       for (const auto& a : op->projections) {
-        HQ_ASSIGN_OR_RETURN(std::string expr, RenderScalar(a.expr, scope));
-        if (op->group_keys.empty() && a.expr->kind == ScalarKind::kAgg &&
-            a.expr->func == "sum") {
-          // q sums no rows to 0 where SQL SUM is NULL; a group always has
-          // a row, so only the ungrouped sum needs the typed zero.
-          expr = StrCat("COALESCE(", expr,
-                        IsFloatBacked(a.expr->type) ? ", 0.0)" : ", 0)");
-        }
+        HQ_ASSIGN_OR_RETURN(
+            std::string expr,
+            RenderScalar(a.expr, scope, op->group_keys.empty()));
         b.Add(a.col.id, std::move(expr), a.col.name);
       }
       b.aggregate = true;

@@ -84,9 +84,13 @@ class Serializer {
   Result<Block> Render(const xtra::XtraPtr& op);
   /// Closes `b` into a derived table: a new open block selects its columns.
   Block Derived(const Block& b);
+  /// `zero_sums` spells every `sum` as a typed `COALESCE(SUM(x), 0)`: q
+  /// sums no rows to 0 where SQL SUM is NULL, which an ungrouped
+  /// aggregate meets (a group always has a row).
   Result<std::string> RenderScalar(
       const xtra::ScalarPtr& e,
-      const std::map<xtra::ColId, std::string>& cols);
+      const std::map<xtra::ColId, std::string>& cols,
+      bool zero_sums = false);
   int next_alias_ = 0;
 };
 

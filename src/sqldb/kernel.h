@@ -65,8 +65,9 @@ struct KernelFingerprint {
 /// Classifies `stmt`. The kernel takes one flat single-table SELECT; the
 /// serializer emits the translator's hot shapes in that form.
 /// supported=false when the statement uses any construct outside the
-/// fused-kernel shape (derived tables, joins, windows, DISTINCT,
-/// OR-filters, computed expressions, HAVING, UNION, non-colref group keys,
+/// fused-kernel shape (derived tables, joins, windows, DISTINCT, OR-filters
+/// other than `OR col IS NULL`, computed expressions, HAVING, UNION,
+/// non-colref group keys,
 /// unsupported aggregates, qualified/expression ORDER BY keys, non-constant
 /// LIMIT, ...). The walk is catalog-free: column existence and type-class
 /// checks happen at compile.
@@ -90,33 +91,25 @@ class KernelPlan {
 
   struct Pred {
     enum class Kind : uint8_t {
-      kCmp,
+      kCmp,     ///< col op literal [OR col IS NULL]
       kIsNull,
       kBetween,
-      kDistinct,     ///< col IS [NOT] DISTINCT FROM literal
-      kCoalesceCmp,  ///< COALESCE(cmp(col, literal), fallback) null-aware cmp
-      kInList,       ///< col [NOT] IN (<literal list>)
+      kInList,  ///< col [NOT] IN (<literal list>)
     };
     Kind kind = Kind::kCmp;
     int col = 0;
-    /// kCmp/kCoalesceCmp operator index: 0 '=', 1 '<>', 2 '<', 3 '>',
-    /// 4 '<=', 5 '>=' (literal normalized to the right-hand side).
+    /// kCmp operator index: 0 '=', 1 '<>', 2 '<', 3 '>', 4 '<=', 5 '>='
+    /// (literal normalized to the right-hand side).
     int op = 0;
-    bool negated = false;  ///< IS NOT NULL / NOT BETWEEN / IS DISTINCT / NOT IN
-    CmpMode mode = CmpMode::kNever;     ///< kCmp/kCoalesceCmp/kDistinct
+    /// kCmp: a NULL cell passes, `((col op lit) OR (col IS NULL))`.
+    bool pass_null = false;
+    bool negated = false;  ///< IS NOT NULL / NOT BETWEEN / NOT IN
+    CmpMode mode = CmpMode::kNever;     ///< kCmp
     CmpMode lo_mode = CmpMode::kNever;  ///< kBetween: lo vs value
     CmpMode hi_mode = CmpMode::kNever;  ///< kBetween: value vs hi
     int p0 = -1;  ///< param slot (kCmp literal / kBetween lo); kInList: index
                   ///< into in_lists_
     int p1 = -1;  ///< param slot (kBetween hi)
-    bool lit_null = false;  ///< kDistinct/kCoalesceCmp: literal is NULL
-    /// kCoalesceCmp: compile-time tri-state value of the fallback expression
-    /// (+1 TRUE / 0 FALSE / -1 NULL — a row passes only on TRUE), evaluated
-    /// under "column IS NULL" and "column IS NOT NULL" respectively. The
-    /// fallback runs when the comparison is NULL: for a NULL literal on
-    /// every row, otherwise only on NULL column cells.
-    int8_t fb_col_null = 0;
-    int8_t fb_col_notnull = 0;
   };
 
   /// Literal membership list for one kInList predicate. Per-item compare

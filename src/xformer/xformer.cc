@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "common/strings.h"
 
@@ -21,24 +23,71 @@ using xtra::XtraPtr;
 
 namespace {
 
+bool IsNumeric(QType t) {
+  return (IsIntegralBacked(t) || IsFloatBacked(t)) && !IsTemporal(t);
+}
+
+/// The plain WHERE spelling of a nullable comparison between an operand
+/// and a constant atom, or nullptr when it has none. A filter keeps a row
+/// only when its predicate is TRUE, so NULL may stand in for FALSE: with a
+/// non-null literal `=`, `>` and `>=` need no null handling, and `<`, `<=`
+/// and `<>` (which hold for a null operand, q ordering null first) add
+/// `OR x IS NULL`. A null literal leaves only the operand's nullness.
+/// Equality is folded only between numbers or within one q type: across
+/// types q and IS [NOT] DISTINCT FROM say "unequal" where `=` errors.
+ScalarPtr PlainLiteralComparison(const ScalarExpr& cmp) {
+  static const std::map<std::string, std::string> kFlipped = {
+      {"eq", "eq"}, {"ne", "ne"}, {"lt", "gt"},
+      {"gt", "lt"}, {"le", "ge"}, {"ge", "le"},
+  };
+  ScalarPtr x = cmp.args[0];
+  ScalarPtr lit = cmp.args[1];
+  std::string op = cmp.func;
+  if (lit->kind != ScalarKind::kConst) {
+    std::swap(x, lit);
+    op = kFlipped.at(op);
+  }
+  if (lit->kind != ScalarKind::kConst || !lit->value.is_atom()) return nullptr;
+  ScalarPtr isnull = xtra::MakeFunc("isnull", {x}, QType::kBool);
+  if (lit->value.IsNullAtom()) {
+    if (op == "lt" || op == "ge") {
+      return xtra::MakeConst(QValue::Bool(op == "ge"));
+    }
+    if (op == "eq" || op == "le") return isnull;
+    return xtra::MakeFunc("notnull", {x}, QType::kBool);
+  }
+  if ((op == "eq" || op == "ne") && x->type != lit->type &&
+      !(IsNumeric(x->type) && IsNumeric(lit->type))) {
+    return nullptr;
+  }
+  ScalarPtr plain = xtra::MakeFunc(op, {x, lit}, QType::kBool);
+  if (op == "eq" || op == "gt" || op == "ge") return plain;
+  return xtra::MakeFunc("or", {plain, isnull}, QType::kBool);
+}
+
 /// Rewrites comparisons to null-aware forms when either operand can be
 /// NULL; this imposes Q's 2-valued logic on the SQL backend (§3.3
 /// Correctness). Equality maps to IS [NOT] DISTINCT FROM; the ordered
 /// comparisons map to *_ind spellings that treat null as the smallest
 /// value, matching q's total order (0n < x for every non-null x).
-ScalarPtr RewriteNullSemantics(const ScalarPtr& e, bool* changed) {
+/// `filter` marks a filter predicate's positive positions (the predicate
+/// itself and through and/or), where a literal comparison takes its plain
+/// form instead.
+ScalarPtr RewriteNullSemantics(const ScalarPtr& e, bool filter,
+                               bool* changed) {
   if (!e) return e;
   auto copy = std::make_shared<ScalarExpr>(*e);
+  const bool positive = filter && copy->kind == ScalarKind::kFunc &&
+                        (copy->func == "and" || copy->func == "or");
   bool child_changed = false;
   for (auto& a : copy->args) {
-    ScalarPtr na = RewriteNullSemantics(a, &child_changed);
-    a = na;
+    a = RewriteNullSemantics(a, positive, &child_changed);
   }
   for (auto& p : copy->partition_by) {
-    p = RewriteNullSemantics(p, &child_changed);
+    p = RewriteNullSemantics(p, false, &child_changed);
   }
   for (auto& [o, asc] : copy->order_by) {
-    o = RewriteNullSemantics(o, &child_changed);
+    o = RewriteNullSemantics(o, false, &child_changed);
   }
   bool self = false;
   if (copy->kind == ScalarKind::kFunc) {
@@ -51,6 +100,11 @@ ScalarPtr RewriteNullSemantics(const ScalarPtr& e, bool* changed) {
       bool nullable = false;
       for (const auto& a : copy->args) nullable |= a->nullable;
       if (nullable) {
+        ScalarPtr plain = filter ? PlainLiteralComparison(*copy) : nullptr;
+        if (plain) {
+          *changed = true;
+          return plain;
+        }
         copy->func = it->second;
         self = true;
       }
@@ -95,16 +149,17 @@ Status Xformer::ApplyNullSemantics(const XtraPtr& op) {
   if (!op) return Status::OK();
   bool changed = false;
   if (op->predicate) {
-    op->predicate = RewriteNullSemantics(op->predicate, &changed);
+    op->predicate = RewriteNullSemantics(
+        op->predicate, op->kind == XtraKind::kFilter, &changed);
   }
   for (auto& p : op->projections) {
-    p.expr = RewriteNullSemantics(p.expr, &changed);
+    p.expr = RewriteNullSemantics(p.expr, false, &changed);
   }
   for (auto& k : op->group_keys) {
-    k.expr = RewriteNullSemantics(k.expr, &changed);
+    k.expr = RewriteNullSemantics(k.expr, false, &changed);
   }
   for (auto& s : op->sort_keys) {
-    s.expr = RewriteNullSemantics(s.expr, &changed);
+    s.expr = RewriteNullSemantics(s.expr, false, &changed);
   }
   if (changed) applied_rules_.push_back("null_semantics");
   for (const auto& c : op->children) {

@@ -12,7 +12,9 @@ namespace hyperq {
 /// The Xformer (§3.3) rewrites XTRA expressions before serialization. The
 /// three rule classes from the paper:
 ///  - Correctness: Q's 2-valued null logic is imposed on SQL by replacing
-///    strict equality with IS NOT DISTINCT FROM.
+///    strict equality with IS NOT DISTINCT FROM (and ordered comparisons
+///    with null-first forms), except where a filter compares with a
+///    literal: there plain SQL already keeps exactly q's rows.
 ///  - Transparency: Q ordering semantics are maintained by propagating an
 ///    order-requirement property; operators whose parents are order-
 ///    insensitive (e.g. scalar aggregation) drop their ordering.

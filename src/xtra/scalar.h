@@ -34,7 +34,7 @@ using ScalarPtr = std::shared_ptr<const ScalarExpr>;
 ///   "add","sub","mul","fdiv" (q % is float division), "idiv","mod","xbar"
 ///   "eq","ne","lt","gt","le","ge"       plain comparisons
 ///   "eq_ind","ne_ind"                   null-safe (2VL) comparisons (§3.3)
-///   "and","or","not","isnull","least","greatest"
+///   "and","or","not","isnull","notnull","least","greatest"
 ///   "in" (args[0] tested against args[1..])
 ///   "between" (args: x, lo, hi), "like"
 ///   "neg","abs","sqrt","exp","log","floor","ceiling","signum"

@@ -188,14 +188,20 @@ const char* const kSupportedQueries[] = {
     "SELECT qty FROM facts WHERE qty IN (100, NULL, 200)",
     "SELECT qty FROM facts WHERE qty NOT IN (100, NULL)",
     "SELECT sym FROM facts WHERE px IN (0.5, 1, 'x')",
-    // --- v2 grammar: null-aware comparisons (translator-emitted forms) ---
-    "SELECT sym FROM facts WHERE sym IS NOT DISTINCT FROM 'S1'",
-    "SELECT sym FROM facts WHERE px IS DISTINCT FROM NULL",
-    "SELECT qty FROM facts WHERE qty IS DISTINCT FROM 7",
-    "SELECT sym FROM facts WHERE COALESCE((qty < 100), (qty IS NULL))",
-    "SELECT sym FROM facts "
-    "WHERE COALESCE((px > 10.5), ((10.5 IS NULL) AND (px IS NOT NULL)))",
-    "SELECT sym FROM facts WHERE COALESCE((qty <= 500), (qty IS NULL))",
+    // --- the translator's filter comparisons that hold for a null cell
+    // (q orders null first): `((col op lit) OR (col IS NULL))` ---
+    "SELECT sym FROM facts WHERE ((qty < 100) OR (qty IS NULL))",
+    "SELECT sym FROM facts WHERE ((qty <= 500) OR (qty IS NULL))",
+    "SELECT sym FROM facts WHERE ((qty <> 7) OR (qty IS NULL))",
+    "SELECT sym FROM facts WHERE ((px < 10.5) OR (px IS NULL))",
+    "SELECT qty FROM facts WHERE ((px <= 500) OR (px IS NULL)) AND qty > 10",
+    "SELECT qty FROM facts WHERE ((px <> 0.5) OR (px IS NULL))",
+    "SELECT qty FROM facts WHERE ((sym < 'S3') OR (sym IS NULL))",
+    "SELECT sym, COUNT(*) FROM facts "
+    "WHERE ((sym <= 'S2') OR (sym IS NULL)) GROUP BY sym",
+    "SELECT qty FROM facts WHERE ((sym <> 'S1') OR (sym IS NULL))",
+    "SELECT sym FROM facts WHERE ((100 > qty) OR (qty IS NULL))",
+    "SELECT sym FROM facts WHERE ((qty < NULL) OR (qty IS NULL))",
     // --- v2 grammar: the serializer's merged blocks (stacked filters ANDed,
     // quoted names, an aggregate over a filter) ---
     "SELECT sym, qty FROM facts WHERE qty > 10 AND qty < 5000",
@@ -253,6 +259,18 @@ TEST_F(KernelExec, UnsupportedShapesFallBackWithIdenticalResults) {
       "SELECT sym FROM facts WHERE qty IN (1, px)",
       "SELECT COALESCE(SUM(qty), 1) FROM facts WHERE qty > 99999999",
       "SELECT COALESCE(SUM(px), -0.0) FROM facts WHERE qty > 99999999",
+      // Null-aware comparisons the translator now emits only outside a
+      // filter's positive positions.
+      "SELECT sym FROM facts WHERE sym IS NOT DISTINCT FROM 'S1'",
+      "SELECT sym FROM facts WHERE px IS DISTINCT FROM NULL",
+      "SELECT qty FROM facts WHERE qty IS DISTINCT FROM 7",
+      "SELECT sym FROM facts WHERE COALESCE((qty < 100), (qty IS NULL))",
+      "SELECT sym FROM facts "
+      "WHERE COALESCE((px > 10.5), ((10.5 IS NULL) AND (px IS NOT NULL)))",
+      "SELECT sym FROM facts WHERE COALESCE((qty <= 500), (qty IS NULL))",
+      // OR passes null cells only of the compared column.
+      "SELECT sym FROM facts WHERE ((qty < 100) OR (px IS NULL))",
+      "SELECT sym FROM facts WHERE ((qty < 100) OR (qty IS NOT NULL))",
   };
   for (const char* sql : unsupported) Check(sql);
   EXPECT_GE(CounterValue("kernel.fallbacks") - f0,

@@ -145,25 +145,23 @@ TEST_F(SerializerTest, PerfbenchTemplatesAreOneBlock) {
   const std::pair<const char*, const char*> cases[] = {
       {"select Sym, Price, Size from trades where Price>100.5",
        "SELECT \"Sym\", \"Price\", \"Size\", \"ordcol\" FROM \"trades\" WHERE "
-       "COALESCE((\"Price\" > 100.5), ((100.5 IS NULL) AND (\"Price\" IS NOT "
-       "NULL))) ORDER BY \"ordcol\""},
+       "(\"Price\" > 100.5) ORDER BY \"ordcol\""},
       {"select from trades where Sym=`S1",
        "SELECT \"Sym\", \"Price\", \"Size\", \"ordcol\" FROM \"trades\" WHERE "
-       "(\"Sym\" IS NOT DISTINCT FROM 'S1'::varchar) ORDER BY \"ordcol\""},
+       "(\"Sym\" = 'S1'::varchar) ORDER BY \"ordcol\""},
       {"select Sym, Price from trades where Sym in `S1`S2`S3",
        "SELECT \"Sym\", \"Price\", \"ordcol\" FROM \"trades\" WHERE (\"Sym\" "
        "IN ('S1'::varchar, 'S2'::varchar, 'S3'::varchar)) ORDER BY \"ordcol\""},
       {"select s: sum Price, n: count Price by Sym from trades where Size>50",
        "SELECT \"Sym\", SUM(\"Price\") AS \"s\", COUNT(*) AS \"n\" FROM "
-       "\"trades\" WHERE COALESCE((\"Size\" > 50), ((50 IS NULL) AND "
-       "(\"Size\" IS NOT NULL))) GROUP BY \"Sym\" ORDER BY \"Sym\""},
+       "\"trades\" WHERE (\"Size\" > 50) GROUP BY \"Sym\" ORDER BY \"Sym\""},
       {"exec avg Price from trades where Sym=`S2",
-       "SELECT AVG(\"Price\") AS \"Price\" FROM \"trades\" WHERE (\"Sym\" IS "
-       "NOT DISTINCT FROM 'S2'::varchar)"},
+       "SELECT AVG(\"Price\") AS \"Price\" FROM \"trades\" WHERE (\"Sym\" = "
+       "'S2'::varchar)"},
       {"select Sym, chg: deltas Price from trades where Sym=`S1",
        "SELECT \"Sym\", (\"Price\" - COALESCE(LAG(\"Price\") OVER (ORDER BY "
        "\"ordcol\"), 0)) AS \"chg\", \"ordcol\" FROM \"trades\" WHERE "
-       "(\"Sym\" IS NOT DISTINCT FROM 'S1'::varchar) ORDER BY \"ordcol\""},
+       "(\"Sym\" = 'S1'::varchar) ORDER BY \"ordcol\""},
   };
   for (const auto& [q, want] : cases) {
     std::string sql = Sql(q);
@@ -175,8 +173,7 @@ TEST_F(SerializerTest, PerfbenchTemplatesAreOneBlock) {
 TEST_F(SerializerTest, StackedFiltersAndOneWhere) {
   EXPECT_EQ(Sql("select from t where px>1.0, sym=`a"),
             "SELECT \"sym\", \"px\", \"ts\", \"ordcol\" FROM \"t\" WHERE "
-            "COALESCE((\"px\" > 1.0), ((1.0 IS NULL) AND (\"px\" IS NOT "
-            "NULL))) AND (\"sym\" IS NOT DISTINCT FROM 'a'::varchar) ORDER BY "
+            "(\"px\" > 1.0) AND (\"sym\" = 'a'::varchar) ORDER BY "
             "\"ordcol\"");
 }
 
@@ -186,8 +183,7 @@ TEST_F(SerializerTest, FilterOverLimitKeepsDerivedTable) {
             "SELECT t0.\"sym\" AS \"sym\", t0.\"px\" AS \"px\", t0.\"ts\" AS "
             "\"ts\", t0.\"ordcol\" AS \"ordcol\" FROM (SELECT \"sym\", "
             "\"px\", \"ts\", \"ordcol\" FROM \"t\" ORDER BY \"ordcol\" LIMIT "
-            "2) AS t0 WHERE COALESCE((t0.\"px\" > 1.0), ((1.0 IS NULL) AND "
-            "(t0.\"px\" IS NOT NULL))) ORDER BY \"ordcol\"");
+            "2) AS t0 WHERE (t0.\"px\" > 1.0) ORDER BY \"ordcol\"");
 }
 
 TEST_F(SerializerTest, FilterOverAggregateKeepsDerivedTable) {
@@ -195,8 +191,7 @@ TEST_F(SerializerTest, FilterOverAggregateKeepsDerivedTable) {
   EXPECT_EQ(Sql("select from (select mx: max px by sym from t) where mx>1.0"),
             "SELECT t0.\"sym\" AS \"sym\", t0.\"mx\" AS \"mx\" FROM (SELECT "
             "\"sym\", MAX(\"px\") AS \"mx\" FROM \"t\" GROUP BY \"sym\" ORDER "
-            "BY \"sym\") AS t0 WHERE COALESCE((t0.\"mx\" > 1.0), ((1.0 IS "
-            "NULL) AND (t0.\"mx\" IS NOT NULL)))");
+            "BY \"sym\") AS t0 WHERE (t0.\"mx\" > 1.0)");
 }
 
 TEST_F(SerializerTest, FilterOverComputedColumnKeepsDerivedTable) {
@@ -205,8 +200,8 @@ TEST_F(SerializerTest, FilterOverComputedColumnKeepsDerivedTable) {
             "SELECT t0.\"sym\" AS \"sym\", t0.\"px\" AS \"px\", t0.\"ts\" AS "
             "\"ts\", t0.\"ordcol\" AS \"ordcol\", t0.\"r\" AS \"r\" FROM "
             "(SELECT \"sym\", \"px\", \"ts\", \"ordcol\", (2 * \"px\") AS "
-            "\"r\" FROM \"t\") AS t0 WHERE COALESCE((t0.\"r\" > 1.0), ((1.0 "
-            "IS NULL) AND (t0.\"r\" IS NOT NULL))) ORDER BY \"ordcol\"");
+            "\"r\" FROM \"t\") AS t0 WHERE (t0.\"r\" > 1.0) ORDER BY "
+            "\"ordcol\"");
 }
 
 TEST_F(SerializerTest, JoinInputsStayDerivedTables) {

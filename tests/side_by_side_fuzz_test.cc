@@ -71,20 +71,39 @@ class SideBySideFuzz : public ::testing::TestWithParam<uint64_t> {
     }
   }
 
+  /// `col op lit` or `lit op col`. One literal in four is the column
+  /// type's null, which q orders below every value.
+  std::string RandomLiteralCmp(const char* col, const std::string& lit,
+                               const char* null) {
+    const std::string l = rng_.Below(4) == 0 ? null : lit;
+    return rng_.Below(4) == 0 ? StrCat(l, RandomCmp(), col)
+                              : StrCat(col, RandomCmp(), l);
+  }
+
+  std::string RandomPriceCmp() {
+    return RandomLiteralCmp("Price", StrCat(80 + rng_.Below(100), ".0"),
+                            "0n");
+  }
+
+  std::string RandomSymbolEq() {
+    return StrCat("Symbol=", rng_.Below(6) == 0 ? "`" : RandomSymbolLit());
+  }
+
   std::string RandomCondition() {
-    switch (rng_.Below(5)) {
+    switch (rng_.Below(6)) {
       case 0:
-        return StrCat("Price", RandomCmp(),
-                      StrCat(80 + rng_.Below(100), ".0"));
+        return RandomPriceCmp();
       case 1:
-        return StrCat("Symbol=", RandomSymbolLit());
+        return RandomSymbolEq();
       case 2:
         return StrCat("Symbol in ", RandomSymbolLit(), RandomSymbolLit());
       case 3:
         return StrCat("Size within ", 100 * rng_.Below(20), " ",
                       2000 + 100 * rng_.Below(30));
+      case 4:
+        return StrCat("not ", RandomCondition());
       default:
-        return StrCat("Size", RandomCmp(), StrCat(rng_.Below(5000)));
+        return RandomLiteralCmp("Size", StrCat(rng_.Below(5000)), "0N");
     }
   }
 
@@ -111,9 +130,13 @@ class SideBySideFuzz : public ::testing::TestWithParam<uint64_t> {
         if (rng_.Below(2) == 0) q += StrCat(" where ", RandomCondition());
         return q;
       }
-      case 2:  // scalar aggregate
-        return StrCat("exec ", RandomAgg(), " from trades where ",
-                      RandomCondition());
+      case 2:  // scalar aggregate, bare or inside an expression
+        return StrCat("exec ",
+                      rng_.Below(3) == 0
+                          ? StrCat("2*sum ", rng_.Below(2) == 0 ? "Size"
+                                                                : "Price")
+                          : RandomAgg(),
+                      " from trades where ", RandomCondition());
       case 3: {  // update
         if (rng_.Below(2) == 0) {
           return StrCat("update v: ", RandomScalarExpr(),
@@ -203,10 +226,9 @@ class SideBySideFuzz : public ::testing::TestWithParam<uint64_t> {
   std::string RandomKernelCondition() {
     switch (rng_.Below(4)) {
       case 0:
-        return StrCat("Price", RandomCmp(),
-                      StrCat(80 + rng_.Below(100), ".0"));
+        return RandomPriceCmp();
       case 1:
-        return StrCat("Symbol=", RandomSymbolLit());
+        return RandomSymbolEq();
       case 2:
         return StrCat("Symbol in ", RandomSymbolLit(), RandomSymbolLit());
       default:

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "testing/market_data.h"
 #include "testing/side_by_side.h"
 
@@ -205,6 +206,89 @@ TEST_F(SideBySideTest, BatchRunReportsOnlyFailures) {
   };
   auto failures = harness_.RunAll(queries);
   EXPECT_TRUE(failures.empty());
+}
+
+/// Null cells against every comparison: a symbol, a long, a float and a
+/// timestamp column, each holding nulls, compared with `= <> < <= > >=`
+/// against a non-null and a null literal of the column's type, the literal
+/// on either side. Each comparison runs in every position a predicate can
+/// take: the only or second `where` condition, under `not`, inside `|` and
+/// `&`, as a projected boolean, and as the condition of an update and a
+/// delete. q orders null below every value and compares it two-valued;
+/// the translated SQL must agree in all of these.
+void RunNullCellBattery(SideBySideHarness* h) {
+  ASSERT_TRUE(h->DefineTable(
+                   "nt",
+                   "([] Id: 1 2 3 4 5 6 7 8;"
+                   " Symbol: `A``B`C``B`A`C;"
+                   " Size: 10 0N 20 30 0N 20 5 40;"
+                   " Price: 1.5 2.5 0n 3.5 2.5 0n 0.5 4.5;"
+                   " Time: 2026.01.01D10:00:00.000000001 0Np"
+                   " 2026.01.01D10:00:00.000000002 0Np"
+                   " 2026.01.01D10:00:00.000000003"
+                   " 2026.01.01D10:00:00.000000002 0Np"
+                   " 2026.01.01D10:00:00.000000001)")
+                  .ok());
+  struct Operand {
+    const char* column;
+    const char* value;
+    const char* null;
+  };
+  const Operand operands[] = {
+      {"Symbol", "`B", "`"},
+      {"Size", "20", "0N"},
+      {"Price", "2.5", "0n"},
+      {"Time", "2026.01.01D10:00:00.000000002", "0Np"},
+  };
+  const char* ops[] = {"=", "<>", "<", "<=", ">", ">="};
+  // `C` is replaced by the comparison.
+  const std::string positions[] = {
+      "select from nt where C",
+      "select from nt where Id>1, C",
+      "select from nt where not C",
+      "select from nt where (C)|Id=1",
+      "select from nt where (C)&Id>1",
+      "select Id, b: C from nt",
+      "update Id: 0 from nt where C",
+      "delete from nt where C",
+  };
+  int runs = 0;
+  for (const Operand& o : operands) {
+    for (const char* lit : {o.value, o.null}) {
+      for (const char* op : ops) {
+        // Parentheses keep a leading null symbol from swallowing the
+        // operator.
+        const std::string comparisons[] = {
+            StrCat(o.column, op, lit),
+            StrCat("(", lit, ")", op, o.column),
+        };
+        for (const std::string& cmp : comparisons) {
+          for (const std::string& pos : positions) {
+            std::string q = pos;
+            q.replace(q.find('C'), 1, cmp);
+            SideBySideHarness::Comparison c = h->Run(q);
+            ++runs;
+            EXPECT_TRUE(c.match && !c.both_failed)
+                << "query: " << q << "\nkdb:    " << c.kdb_result.ToString()
+                << "\nhyperq: " << c.hyperq_result.ToString()
+                << "\nkdb err: " << c.kdb_error
+                << "\nhq err:  " << c.hyperq_error << "\nsql: " << c.sql;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 4 * 2 * 6 * 2 * 8);
+}
+
+TEST(SideBySideNullCellTest, SingleBackend) {
+  SideBySideHarness h;
+  RunNullCellBattery(&h);
+}
+
+TEST(SideBySideNullCellTest, FourShards) {
+  SideBySideHarness h(4);
+  RunNullCellBattery(&h);
 }
 
 TEST(MarketDataTest, GeneratorShapeAndDeterminism) {

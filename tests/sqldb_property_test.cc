@@ -479,9 +479,9 @@ TEST_P(NullAwareBatchProperty, HashJoinMatchesCrossJoinFilter) {
                             "WHERE ", kNanOn)),
                  kNanOn);
   EXPECT_EQ(nan_hashed.data.row_count, 3u);
-  // The fused kernel's null-safe and IN predicates follow the same rule.
+  // The fused kernel's equality and IN predicates follow the same rule.
   Counter* hits = MetricsRegistry::Global().GetCounter("kernel.hits");
-  for (const char* sql : {"SELECT id FROM na WHERE v IS NOT DISTINCT FROM "
+  for (const char* sql : {"SELECT id FROM na WHERE v = "
                           "CAST('NaN' AS double precision)",
                           "SELECT id FROM na WHERE v IN "
                           "(CAST('NaN' AS double precision), 2.0)"}) {

@@ -74,8 +74,15 @@ TEST_F(TranslatorTest, SelectPreservesRowOrder) {
 TEST_F(TranslatorTest, WhereWithNullSafeEquality) {
   QValue t = Query("select Price from trades where Symbol=`GOOG");
   EXPECT_EQ(t.Count(), 2u);
-  // The correctness transformation (§3.3) rewrote '=' to
-  // IS NOT DISTINCT FROM.
+  // A filter keeps only TRUE rows, so against a non-null literal the
+  // correctness transformation (§3.3) leaves a plain '='.
+  EXPECT_NE(session_->last_sql().find("(\"Symbol\" = 'GOOG'::varchar)"),
+            std::string::npos)
+      << session_->last_sql();
+  // A projected comparison must say false for a null cell: there '=' is
+  // rewritten to IS NOT DISTINCT FROM.
+  t = Query("select b: Symbol=`GOOG from trades");
+  EXPECT_EQ(t.Count(), 5u);
   EXPECT_NE(session_->last_sql().find("IS NOT DISTINCT FROM"),
             std::string::npos)
       << session_->last_sql();

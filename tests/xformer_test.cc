@@ -71,16 +71,48 @@ class XformerTest : public ::testing::Test {
 };
 
 TEST_F(XformerTest, NullSemanticsRuleRewritesEquality) {
+  // A projected comparison yields a boolean per row, null cells included.
   Xformer::Options on;
-  std::string sql = SerializeWith("select from t where sym=`a", on);
+  std::string sql = SerializeWith("select b: sym=`a from t", on);
   EXPECT_NE(sql.find("IS NOT DISTINCT FROM"), std::string::npos) << sql;
   EXPECT_EQ(sql.find(" = "), std::string::npos) << sql;
 
   Xformer::Options off;
   off.null_semantics = false;
-  std::string plain = SerializeWith("select from t where sym=`a", off);
+  std::string plain = SerializeWith("select b: sym=`a from t", off);
   EXPECT_EQ(plain.find("IS NOT DISTINCT FROM"), std::string::npos) << plain;
   EXPECT_NE(plain.find("="), std::string::npos);
+}
+
+TEST_F(XformerTest, NullSemanticsKeepsFiltersPlain) {
+  // A filter keeps only TRUE rows, so a NULL verdict may stand for FALSE:
+  // against a literal, `=`, `>` and `>=` stay plain, and `<`, `<=` and
+  // `<>` only add the null cells q orders first.
+  Xformer::Options on;
+  std::string sql = SerializeWith("select from t where sym=`a", on);
+  EXPECT_NE(sql.find("WHERE (\"sym\" = 'a'::varchar)"), std::string::npos)
+      << sql;
+  sql = SerializeWith("select from t where px>1.5, 2<qty", on);
+  EXPECT_NE(sql.find("WHERE (\"px\" > 1.5) AND (\"qty\" > 2)"),
+            std::string::npos)
+      << sql;
+  sql = SerializeWith("select from t where (px<1.5)|sym<>`a", on);
+  EXPECT_NE(sql.find("WHERE (((\"px\" < 1.5) OR (\"px\" IS NULL)) OR "
+                     "((\"sym\" <> 'a'::varchar) OR (\"sym\" IS NULL)))"),
+            std::string::npos)
+      << sql;
+  // A null literal leaves only the operand's nullness.
+  sql = SerializeWith("select from t where qty>0N", on);
+  EXPECT_NE(sql.find("WHERE (\"qty\" IS NOT NULL)"), std::string::npos)
+      << sql;
+  // Under `not` a NULL verdict would turn TRUE: the null-aware form stays.
+  sql = SerializeWith("select from t where not sym=`a", on);
+  EXPECT_NE(sql.find("(NOT (\"sym\" IS NOT DISTINCT FROM 'a'::varchar))"),
+            std::string::npos)
+      << sql;
+  // Across q types `=` would raise an error where q says "unequal".
+  sql = SerializeWith("select from t where sym=\"a\"", on);
+  EXPECT_EQ(sql.find(" = "), std::string::npos) << sql;
 }
 
 TEST_F(XformerTest, NullSemanticsLeavesNonNullableAlone) {
@@ -144,7 +176,7 @@ TEST_F(XformerTest, OrderElisionDisabledKeepsOrdcolAlive) {
 }
 
 TEST_F(XformerTest, AppliedRulesAreReported) {
-  BoundQuery bound = Bind("select from t where sym=`a");
+  BoundQuery bound = Bind("select b: sym=`a from t");
   Xformer xformer{Xformer::Options{}};
   ASSERT_TRUE(xformer.Transform(bound.root, true).ok());
   const auto& rules = xformer.applied_rules();
