@@ -29,7 +29,7 @@ class WireMetadata : public MetadataInterface {
   WireMetadata(pgwire::PgWireClient* client, MetadataInterface* direct)
       : client_(client), direct_(direct) {}
 
-  Result<TableMetadata> LookupTable(const std::string& name) override {
+  Result<TableMetadataPtr> LookupTable(const std::string& name) override {
     // The catalog round trip the cache is designed to avoid.
     HQ_RETURN_IF_ERROR(
         client_->Query("SELECT * FROM \"" + name + "\" LIMIT 0").status());

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/workload.h"
@@ -33,7 +34,7 @@ struct Fig6Row {
   double pct;
 };
 
-int RunFig6(const std::string& json_path, int iters) {
+int RunFig6(const std::string& json_path, int iters, bool smoke) {
   sqldb::Database db;
   Status load = LoadAnalyticalWorkload(&db, WorkloadOptions{});
   if (!load.ok()) {
@@ -110,6 +111,11 @@ int RunFig6(const std::string& json_path, int iters) {
       return 1;
     }
     std::fprintf(f, "{\n  \"name\": \"fig6_translation_overhead\",\n");
+    std::fprintf(f,
+                 "  \"num_cpus\": %u,\n  \"build_type\": \"%s\",\n"
+                 "  \"smoke\": %s,\n",
+                 std::thread::hardware_concurrency(), HQ_BUILD_TYPE,
+                 smoke ? "true" : "false");
     std::fprintf(f, "  \"iterations\": %d,\n  \"queries\": [\n", iters);
     for (size_t i = 0; i < rows.size(); ++i) {
       std::fprintf(f,
@@ -135,12 +141,14 @@ int RunFig6(const std::string& json_path, int iters) {
 int main(int argc, char** argv) {
   std::string json_path;
   int iters = 3;
+  bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     if (a.rfind("--json=", 0) == 0) {
       json_path = a.substr(7);
     } else if (a == "--smoke") {
       iters = 1;
+      smoke = true;
     } else if (a.rfind("--iters=", 0) == 0) {
       iters = std::max(1, std::atoi(a.c_str() + 8));
     } else {
@@ -150,5 +158,5 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  return hyperq::bench::RunFig6(json_path, iters);
+  return hyperq::bench::RunFig6(json_path, iters, smoke);
 }

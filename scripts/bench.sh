@@ -4,15 +4,18 @@
 # BENCH_backend.json, BENCH_kernel.json, BENCH_wire.json,
 # BENCH_shard.json, BENCH_endpoint.json). The translation-cache bench
 # exits non-zero if the hot path is not at least 5x faster than cold
-# translation, the wire bench exits non-zero if bulk encode is not at
-# least 4x faster than the element-wise baseline, and this script exits
-# non-zero if the routed 4-shard filter+agg is not at least 2x faster than
-# 1 shard, if the fused-kernel filter+agg is not at least 2x faster than
-# the interpreted executor at 1 and 4 threads, or if the C10K endpoint
-# bench shows the idle fleet taxing active clients (p99 latency above the
-# idle-free baseline), an idle connection refused on a full run, or more
-# than 8 KiB of server RSS per idle connection, so it doubles as a perf
-# gate.
+# translation or if the three-table joins q10, q18 or q19 translate cold
+# in more than 8x the mean of the one-table q1-q5 (translation must not
+# grow with table width), the wire bench exits non-zero if bulk encode is
+# not at least 4x faster than the element-wise baseline, and this script
+# exits non-zero if the routed 4-shard filter+agg is not at least 2x faster
+# than 1 shard, if the fused-kernel filter+agg is not at least 2x faster
+# than the interpreted executor at 1 and 4 threads (the 4-thread pair is
+# skipped, with a SKIP line, on hosts with fewer than 4 CPUs), or if the
+# C10K endpoint bench shows the idle fleet taxing active clients (p99
+# latency above the idle-free baseline), an idle connection refused on a
+# full run, or more than 8 KiB of server RSS per idle connection, so it
+# doubles as a perf gate.
 #
 # Usage: scripts/bench.sh [--smoke]
 set -euo pipefail
@@ -62,8 +65,10 @@ grep -c '"name": "BM_' BENCH_backend.json
 grep -c '"name": "BM_' BENCH_kernel.json
 grep -o '"encode_speedup": [0-9.]*' BENCH_wire.json
 # Gate: the fused filter+agg kernel must beat the interpreted columnar
-# executor by at least 2x on the hot shape at 1 and at 4 threads.
-awk -F': ' '
+# executor by at least 2x on the hot shape at 1 and at 4 threads. A host
+# with fewer than 4 CPUs cannot run 4 threads in parallel, so there the
+# 4-thread pair is skipped, not passed.
+awk -v ncpu="$JOBS" -F': ' '
   /"name": "BM_KernelFilterAggregate\/1"/ { wantk1 = 1 }
   wantk1 && /"real_time"/ { k1 = $2 + 0; wantk1 = 0 }
   /"name": "BM_KernelFilterAggregate\/4"/ { wantk4 = 1 }
@@ -73,13 +78,19 @@ awk -F': ' '
   /"name": "BM_InterpFilterAggregate\/4"/ { wanti4 = 1 }
   wanti4 && /"real_time"/ { i4 = $2 + 0; wanti4 = 0 }
   END {
-    if (k1 <= 0 || k4 <= 0 || i1 <= 0 || i4 <= 0) {
+    if (k1 <= 0 || i1 <= 0 || (ncpu >= 4 && (k4 <= 0 || i4 <= 0))) {
       print "kernel bench: filter+agg timings missing from BENCH_kernel.json"
       exit 1
     }
-    printf "fused kernel filter+agg speedup: %.2fx @1, %.2fx @4\n", \
-      i1 / k1, i4 / k4
-    if (i1 / k1 < 2.0 || i4 / k4 < 2.0) {
+    printf "fused kernel filter+agg speedup: %.2fx @1\n", i1 / k1
+    fail = i1 / k1 < 2.0
+    if (ncpu < 4) {
+      printf "SKIP: filter+agg @4 threads needs 4 CPUs, host has %d\n", ncpu
+    } else {
+      printf "fused kernel filter+agg speedup: %.2fx @4\n", i4 / k4
+      fail = fail || i4 / k4 < 2.0
+    }
+    if (fail) {
       print "FAIL: fused-kernel filter+agg speedup below 2x"
       exit 1
     }

@@ -4,7 +4,11 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 
+#include "common/metrics.h"
 #include "common/strings.h"
 
 namespace hyperq {
@@ -73,6 +77,48 @@ ScalarPtr Conjoin(std::vector<ScalarPtr> conds) {
     acc = acc ? MakeFunc("and", {acc, c}, QType::kBool) : c;
   }
   return acc;
+}
+
+/// Output columns by name, the first of a repeated name winning as in
+/// XtraOp::FindOutputByName. Built once per join, so matching one side's
+/// names against the other's is linear in their widths.
+using OutputIndex = std::unordered_map<std::string_view, const XtraColumn*>;
+
+OutputIndex IndexOutputs(const XtraOp& op) {
+  OutputIndex index;
+  index.reserve(op.output.size());
+  for (const auto& c : op.output) index.emplace(c.name, &c);
+  return index;
+}
+
+const XtraColumn* FindIn(const OutputIndex& index, const std::string& name) {
+  auto it = index.find(name);
+  return it == index.end() ? nullptr : it->second;
+}
+
+/// Appends every name a kVarRef below `node` mentions, nested templates
+/// included: a superset of the columns binding `node` can read.
+void CollectNames(const AstPtr& node, std::vector<std::string>* out) {
+  if (!node) return;
+  if (node->kind == AstKind::kVarRef) out->push_back(node->name);
+  CollectNames(node->lhs, out);
+  CollectNames(node->rhs, out);
+  CollectNames(node->child, out);
+  for (const auto& a : node->args) CollectNames(a, out);
+  for (const auto& ne : node->select_list) CollectNames(ne.expr, out);
+  for (const auto& ne : node->by_list) CollectNames(ne.expr, out);
+  for (const auto& w : node->where_list) CollectNames(w, out);
+  CollectNames(node->from, out);
+}
+
+/// `visible` plus `more`, kept in `storage`; null (every column) stays null.
+const std::vector<std::string>* Plus(const std::vector<std::string>* visible,
+                                     const std::vector<std::string>& more,
+                                     std::vector<std::string>* storage) {
+  if (visible == nullptr) return nullptr;
+  *storage = *visible;
+  storage->insert(storage->end(), more.begin(), more.end());
+  return storage;
 }
 
 bool IsAggName(const std::string& name) {
@@ -148,8 +194,32 @@ QType DeriveFuncType(const std::string& func,
 // ---------------------------------------------------------------------------
 
 Result<BoundQuery> Binder::BindQuery(const AstPtr& node) {
+  const int first_id = next_col_id_;
+  BindTrace before;
+  if (trace_ != nullptr) before = *trace_;
+  Result<BoundQuery> out = BindQueryOnce(node);
+  if (out.ok()) return out;
+  // A narrowed scan lacks the columns an error lists as available: re-bind
+  // at full width so a failure reads as the catalog does.
+  next_col_id_ = first_id;
+  if (trace_ != nullptr) *trace_ = std::move(before);
+  narrow_ = false;
+  out = BindQueryOnce(node);
+  narrow_ = true;
+  if (out.ok()) {
+    // Both binds must agree, so a statement only the full width binds is a
+    // narrowing defect: count it where tests and operators can see it.
+    if (trace_ != nullptr) ++trace_->narrow_misses;
+    static Counter* misses =
+        MetricsRegistry::Global().GetCounter("translate.narrow_misses");
+    misses->Increment();
+  }
+  return out;
+}
+
+Result<BoundQuery> Binder::BindQueryOnce(const AstPtr& node) {
   if (node->kind == AstKind::kQuery) {
-    HQ_ASSIGN_OR_RETURN(XtraPtr root, BindQueryTemplate(*node));
+    HQ_ASSIGN_OR_RETURN(XtraPtr root, BindQueryTemplate(*node, nullptr));
     BoundQuery out;
     out.root = std::move(root);
     switch (node->query_kind) {
@@ -200,7 +270,9 @@ Result<BoundQuery> Binder::BindQuery(const AstPtr& node) {
       (node->child->kind == AstKind::kVarRef ||
        node->child->kind == AstKind::kFnRef) &&
       (node->child->name == "count" || node->child->name == "#")) {
-    Result<XtraPtr> table = BindTableExpr(node->args[0]);
+    const Names none;
+    Result<XtraPtr> table =
+        BindTableExpr(node->args[0], narrow_ ? &none : nullptr);
     if (table.ok()) {
       XtraColumn col{NextId(), "count", QType::kLong, false};
       std::vector<NamedScalar> aggs;
@@ -290,7 +362,40 @@ Result<std::vector<std::string>> Binder::SymbolListOf(const AstPtr& node,
 // Table expressions
 // ---------------------------------------------------------------------------
 
-Result<XtraPtr> Binder::BindTableExpr(const AstPtr& node) {
+XtraPtr Binder::BindScan(const TableMetadata& meta, const Names* visible) {
+  // Ids are reserved for the whole width, so a narrowed scan numbers its
+  // columns as a full one does and later ids do not shift.
+  const ColId first = next_col_id_;
+  next_col_id_ += static_cast<int>(meta.columns.size()) + 1;
+  std::vector<size_t> picked;
+  if (visible == nullptr) {
+    picked.resize(meta.columns.size());
+    for (size_t i = 0; i < picked.size(); ++i) picked[i] = i;
+  } else {
+    for (const auto& name : *visible) {
+      int i = meta.ColumnIndex(name);
+      if (i >= 0) picked.push_back(static_cast<size_t>(i));
+    }
+    std::sort(picked.begin(), picked.end());
+    picked.erase(std::unique(picked.begin(), picked.end()), picked.end());
+  }
+  std::vector<XtraColumn> cols;
+  cols.reserve(picked.size() + 1);
+  for (size_t i : picked) {
+    const ColumnMetadata& c = meta.columns[i];
+    cols.push_back(
+        XtraColumn{first + static_cast<ColId>(i), c.name, c.type, true});
+  }
+  ColId ord = kNoCol;
+  if (meta.has_ordcol) {
+    ord = first + static_cast<ColId>(meta.columns.size());
+    cols.push_back(XtraColumn{ord, kOrdColName, QType::kLong, false});
+  }
+  return xtra::MakeGet(meta.name, std::move(cols), ord);
+}
+
+Result<XtraPtr> Binder::BindTableExpr(const AstPtr& node,
+                                      const Names* visible) {
   switch (node->kind) {
     case AstKind::kVarRef: {
       HQ_ASSIGN_OR_RETURN(VarBinding b, LookupVar(node->name));
@@ -302,29 +407,22 @@ Result<XtraPtr> Binder::BindTableExpr(const AstPtr& node) {
                                     : "function",
                                 ")"));
       }
-      HQ_ASSIGN_OR_RETURN(TableMetadata meta, mdi_->LookupTable(b.table));
-      std::vector<XtraColumn> cols;
-      cols.reserve(meta.columns.size() + 1);
-      for (const auto& c : meta.columns) {
-        cols.push_back(XtraColumn{NextId(), c.name, c.type, true});
-      }
-      ColId ord = kNoCol;
-      if (meta.has_ordcol) {
-        ord = NextId();
-        cols.push_back(XtraColumn{ord, kOrdColName, QType::kLong, false});
-      }
-      return xtra::MakeGet(meta.name, std::move(cols), ord);
+      HQ_ASSIGN_OR_RETURN(TableMetadataPtr meta, mdi_->LookupTable(b.table));
+      return BindScan(*meta, visible);
     }
     case AstKind::kQuery:
-      return BindQueryTemplate(*node);
+      return BindQueryTemplate(*node, visible);
     case AstKind::kApply: {
       const AstPtr& callee = node->child;
       if (callee->kind == AstKind::kVarRef ||
           callee->kind == AstKind::kFnRef) {
         const std::string& name = callee->name;
-        if (name == "aj" || name == "aj0") return BindAsOfJoin(*node);
-        if (name == "ej") return BindEquiJoinCall(*node);
+        if (name == "aj" || name == "aj0") {
+          return BindAsOfJoin(*node, visible);
+        }
+        if (name == "ej") return BindEquiJoinCall(*node, visible);
         if (name == "distinct" && node->args.size() == 1) {
+          // Every column decides which rows are distinct: bind them all.
           HQ_ASSIGN_OR_RETURN(XtraPtr child, BindTableExpr(node->args[0]));
           XtraPtr proj = child;
           // DISTINCT over all columns except the order column.
@@ -349,23 +447,24 @@ Result<XtraPtr> Binder::BindTableExpr(const AstPtr& node) {
     case AstKind::kDyad: {
       const std::string& op = node->name;
       if (op == "lj" || op == "ij") {
-        return BindKeyedJoin(op, node->lhs, node->rhs);
+        return BindKeyedJoin(op, node->lhs, node->rhs, visible);
       }
       if (op == "uj" || op == ",") {
-        return BindUnionJoin(node->lhs, node->rhs);
+        return BindUnionJoin(node->lhs, node->rhs, visible);
       }
       if (op == "xasc" || op == "xdesc") {
-        return BindSortTable(op, node->lhs, node->rhs);
+        return BindSortTable(op, node->lhs, node->rhs, visible);
       }
-      if (op == "#") return BindTake(node->lhs, node->rhs);
+      if (op == "#") return BindTake(node->lhs, node->rhs, visible);
       if (op == "xkey") {
-        HQ_ASSIGN_OR_RETURN(KeyedTable kt, BindKeyedTable(
-            std::const_pointer_cast<const AstNode>(node)));
-        return kt.op;
+        HQ_ASSIGN_OR_RETURN(KeyedInput in, ResolveKeyedInput(node));
+        Names seen;
+        return BindKeyedInput(node, in, Plus(visible, in.keys, &seen));
       }
       if (op == "!") {
         // n!t keys the first n columns; 0!t unkeys. Keys are binder-level
-        // metadata — the relational shape is unchanged.
+        // metadata — the relational shape is unchanged. Keys count
+        // columns by position, so the input keeps them all.
         Result<QValue> n = BindConstant(node->lhs);
         if (n.ok() && n->is_atom() && IsIntegralBacked(n->type())) {
           return BindTableExpr(node->rhs);
@@ -374,6 +473,7 @@ Result<XtraPtr> Binder::BindTableExpr(const AstPtr& node) {
             "dyadic '!' over tables requires an integer key count");
       }
       if (op == "xcol") {
+        // Renames by position: the input keeps every column.
         HQ_ASSIGN_OR_RETURN(std::vector<std::string> names,
                             SymbolListOf(node->lhs, "xcol"));
         HQ_ASSIGN_OR_RETURN(XtraPtr child, BindTableExpr(node->rhs));
@@ -398,27 +498,23 @@ Result<XtraPtr> Binder::BindTableExpr(const AstPtr& node) {
   }
 }
 
-Result<Binder::KeyedTable> Binder::BindKeyedTable(const AstPtr& node) {
+Result<Binder::KeyedInput> Binder::ResolveKeyedInput(const AstPtr& node) {
   if (node->kind == AstKind::kDyad && node->name == "xkey") {
     HQ_ASSIGN_OR_RETURN(std::vector<std::string> keys,
                         SymbolListOf(node->lhs, "xkey"));
-    HQ_ASSIGN_OR_RETURN(XtraPtr op, BindTableExpr(node->rhs));
-    for (const auto& k : keys) {
-      HQ_RETURN_IF_ERROR(FindCol(*op, k, "xkey").status());
-    }
-    return KeyedTable{std::move(op), std::move(keys)};
+    return KeyedInput{std::move(keys), nullptr};
   }
   if (node->kind == AstKind::kVarRef) {
     HQ_ASSIGN_OR_RETURN(VarBinding b, LookupVar(node->name));
     if (b.kind == VarBinding::Kind::kRelation) {
-      HQ_ASSIGN_OR_RETURN(TableMetadata meta, mdi_->LookupTable(b.table));
-      if (meta.key_columns.empty()) {
+      HQ_ASSIGN_OR_RETURN(TableMetadataPtr meta, mdi_->LookupTable(b.table));
+      if (meta->key_columns.empty()) {
         return BindError(StrCat("table '", node->name,
                                 "' is not keyed; lj/ij require a keyed "
                                 "right input"));
       }
-      HQ_ASSIGN_OR_RETURN(XtraPtr op, BindTableExpr(node));
-      return KeyedTable{std::move(op), meta.key_columns};
+      std::vector<std::string> keys = meta->key_columns;
+      return KeyedInput{std::move(keys), std::move(meta)};
     }
   }
   return BindError(
@@ -426,15 +522,29 @@ Result<Binder::KeyedTable> Binder::BindKeyedTable(const AstPtr& node) {
       "columns or an explicit `k xkey t`)");
 }
 
-Result<XtraPtr> Binder::BindAsOfJoin(const AstNode& apply) {
+Result<XtraPtr> Binder::BindKeyedInput(const AstPtr& node,
+                                       const KeyedInput& in,
+                                       const Names* visible) {
+  if (in.meta) return BindScan(*in.meta, visible);
+  HQ_ASSIGN_OR_RETURN(XtraPtr op, BindTableExpr(node->rhs, visible));
+  for (const auto& k : in.keys) {
+    HQ_RETURN_IF_ERROR(FindCol(*op, k, "xkey").status());
+  }
+  return op;
+}
+
+Result<XtraPtr> Binder::BindAsOfJoin(const AstNode& apply,
+                                     const Names* visible) {
   if (apply.args.size() != 3) {
     return BindError("aj[cols; t1; t2] takes exactly 3 arguments");
   }
   HQ_ASSIGN_OR_RETURN(std::vector<std::string> names,
                       SymbolListOf(apply.args[0], "aj"));
   if (names.empty()) return BindError("aj: no join columns given");
-  HQ_ASSIGN_OR_RETURN(XtraPtr left, BindTableExpr(apply.args[1]));
-  HQ_ASSIGN_OR_RETURN(XtraPtr right, BindTableExpr(apply.args[2]));
+  Names seen;
+  visible = Plus(visible, names, &seen);
+  HQ_ASSIGN_OR_RETURN(XtraPtr left, BindTableExpr(apply.args[1], visible));
+  HQ_ASSIGN_OR_RETURN(XtraPtr right, BindTableExpr(apply.args[2], visible));
 
   std::string time_name = names.back();
   std::vector<std::string> key_names(names.begin(), names.end() - 1);
@@ -486,10 +596,12 @@ Result<XtraPtr> Binder::BindAsOfJoin(const AstNode& apply) {
   // Output: left columns, with right non-key columns overwriting same-named
   // ones (q aj semantics) and new right columns appended.
   std::set<std::string> join_cols(names.begin(), names.end());
+  const OutputIndex left_names = IndexOutputs(*left);
+  const OutputIndex right_names = IndexOutputs(*right);
   std::vector<XtraColumn> output;
   for (const auto& lc : left->output) {
     if (join_cols.count(lc.name) == 0 && lc.name != kOrdColName) {
-      const XtraColumn* rc = right->FindOutputByName(lc.name);
+      const XtraColumn* rc = FindIn(right_names, lc.name);
       if (rc != nullptr) {
         XtraColumn col = *rc;
         col.nullable = true;  // unmatched rows yield NULL
@@ -501,7 +613,7 @@ Result<XtraPtr> Binder::BindAsOfJoin(const AstNode& apply) {
   }
   for (const auto& rc : right->output) {
     if (join_cols.count(rc.name) > 0 || rc.name == kOrdColName) continue;
-    if (left->FindOutputByName(rc.name) != nullptr) continue;  // handled
+    if (FindIn(left_names, rc.name) != nullptr) continue;  // handled
     XtraColumn col = rc;
     col.nullable = true;
     output.push_back(col);
@@ -511,15 +623,18 @@ Result<XtraPtr> Binder::BindAsOfJoin(const AstNode& apply) {
                         Conjoin(std::move(conds)), std::move(output));
 }
 
-Result<XtraPtr> Binder::BindEquiJoinCall(const AstNode& apply) {
+Result<XtraPtr> Binder::BindEquiJoinCall(const AstNode& apply,
+                                         const Names* visible) {
   if (apply.args.size() != 3) {
     return BindError("ej[cols; t1; t2] takes exactly 3 arguments");
   }
   HQ_ASSIGN_OR_RETURN(std::vector<std::string> names,
                       SymbolListOf(apply.args[0], "ej"));
   if (names.empty()) return BindError("ej: no join columns given");
-  HQ_ASSIGN_OR_RETURN(XtraPtr left, BindTableExpr(apply.args[1]));
-  HQ_ASSIGN_OR_RETURN(XtraPtr right, BindTableExpr(apply.args[2]));
+  Names seen;
+  visible = Plus(visible, names, &seen);
+  HQ_ASSIGN_OR_RETURN(XtraPtr left, BindTableExpr(apply.args[1], visible));
+  HQ_ASSIGN_OR_RETURN(XtraPtr right, BindTableExpr(apply.args[2], visible));
 
   std::vector<ScalarPtr> conds;
   for (const auto& k : names) {
@@ -532,10 +647,12 @@ Result<XtraPtr> Binder::BindEquiJoinCall(const AstNode& apply) {
   // Inner join, all matches; right non-key columns overwrite same-named
   // left columns (q ej semantics), new right columns are appended.
   std::set<std::string> key_set(names.begin(), names.end());
+  const OutputIndex left_names = IndexOutputs(*left);
+  const OutputIndex right_names = IndexOutputs(*right);
   std::vector<XtraColumn> output;
   for (const auto& lc : left->output) {
     if (key_set.count(lc.name) == 0 && lc.name != kOrdColName) {
-      const XtraColumn* rc = right->FindOutputByName(lc.name);
+      const XtraColumn* rc = FindIn(right_names, lc.name);
       if (rc != nullptr) {
         output.push_back(*rc);
         continue;
@@ -545,7 +662,7 @@ Result<XtraPtr> Binder::BindEquiJoinCall(const AstNode& apply) {
   }
   for (const auto& rc : right->output) {
     if (key_set.count(rc.name) > 0 || rc.name == kOrdColName) continue;
-    if (left->FindOutputByName(rc.name) != nullptr) continue;
+    if (FindIn(left_names, rc.name) != nullptr) continue;
     output.push_back(rc);
   }
   return xtra::MakeJoin(XtraJoinKind::kInner, left, right,
@@ -554,22 +671,31 @@ Result<XtraPtr> Binder::BindEquiJoinCall(const AstNode& apply) {
 
 Result<XtraPtr> Binder::BindKeyedJoin(const std::string& op,
                                       const AstPtr& left_ast,
-                                      const AstPtr& right_ast) {
-  HQ_ASSIGN_OR_RETURN(XtraPtr left, BindTableExpr(left_ast));
-  HQ_ASSIGN_OR_RETURN(KeyedTable right, BindKeyedTable(right_ast));
+                                      const AstPtr& right_ast,
+                                      const Names* visible) {
+  // Both sides also bind the right input's keys. A right input that does
+  // not resolve reports after the left side binds, as it always has.
+  Result<KeyedInput> keyed = ResolveKeyedInput(right_ast);
+  Names seen;
+  if (keyed.ok()) visible = Plus(visible, keyed->keys, &seen);
+  HQ_ASSIGN_OR_RETURN(XtraPtr left, BindTableExpr(left_ast, visible));
+  HQ_RETURN_IF_ERROR(keyed.status());
+  HQ_ASSIGN_OR_RETURN(XtraPtr right,
+                      BindKeyedInput(right_ast, *keyed, visible));
+  const std::vector<std::string>& keys = keyed->keys;
 
   // Add a match marker so lj can keep the left value on unmatched rows.
   std::vector<NamedScalar> right_proj;
-  for (const auto& c : right.op->output) {
+  for (const auto& c : right->output) {
     right_proj.push_back(NamedScalar{c, ColRefOf(c)});
   }
   XtraColumn match_col{NextId(), "hq_match", QType::kBool, false};
   right_proj.push_back(
       NamedScalar{match_col, MakeConst(QValue::Bool(true))});
-  XtraPtr right_ext = xtra::MakeProject(right.op, std::move(right_proj));
+  XtraPtr right_ext = xtra::MakeProject(right, std::move(right_proj));
 
   std::vector<ScalarPtr> conds;
-  for (const auto& k : right.keys) {
+  for (const auto& k : keys) {
     HQ_ASSIGN_OR_RETURN(XtraColumn lc, FindCol(*left, k, op.c_str()));
     HQ_ASSIGN_OR_RETURN(XtraColumn rc, FindCol(*right_ext, k, op.c_str()));
     conds.push_back(
@@ -577,7 +703,7 @@ Result<XtraPtr> Binder::BindKeyedJoin(const std::string& op,
   }
 
   bool is_lj = op == "lj";
-  std::set<std::string> key_set(right.keys.begin(), right.keys.end());
+  std::set<std::string> key_set(keys.begin(), keys.end());
 
   // Build the join with full child outputs, then project the q-visible
   // columns (overwrite semantics).
@@ -590,10 +716,12 @@ Result<XtraPtr> Binder::BindKeyedJoin(const std::string& op,
       is_lj ? XtraJoinKind::kLeftOuter : XtraJoinKind::kInner, left,
       right_ext, Conjoin(std::move(conds)), join_out);
 
+  const OutputIndex left_names = IndexOutputs(*left);
+  const OutputIndex right_names = IndexOutputs(*right);
   std::vector<NamedScalar> projections;
   for (const auto& lc : left->output) {
     if (key_set.count(lc.name) == 0 && lc.name != kOrdColName) {
-      const XtraColumn* rc = right.op->FindOutputByName(lc.name);
+      const XtraColumn* rc = FindIn(right_names, lc.name);
       if (rc != nullptr) {
         // Overwrite: matched rows take the right value, unmatched (lj only)
         // keep the left value.
@@ -620,9 +748,9 @@ Result<XtraPtr> Binder::BindKeyedJoin(const std::string& op,
     }
     projections.push_back(NamedScalar{lc, ColRefOf(lc)});
   }
-  for (const auto& rc : right.op->output) {
+  for (const auto& rc : right->output) {
     if (key_set.count(rc.name) > 0 || rc.name == kOrdColName) continue;
-    if (left->FindOutputByName(rc.name) != nullptr) continue;
+    if (FindIn(left_names, rc.name) != nullptr) continue;
     XtraColumn col = rc;
     col.nullable = true;
     projections.push_back(NamedScalar{col, ColRefOf(rc)});
@@ -631,9 +759,10 @@ Result<XtraPtr> Binder::BindKeyedJoin(const std::string& op,
 }
 
 Result<XtraPtr> Binder::BindUnionJoin(const AstPtr& left_ast,
-                                      const AstPtr& right_ast) {
-  HQ_ASSIGN_OR_RETURN(XtraPtr left, BindTableExpr(left_ast));
-  HQ_ASSIGN_OR_RETURN(XtraPtr right, BindTableExpr(right_ast));
+                                      const AstPtr& right_ast,
+                                      const Names* visible) {
+  HQ_ASSIGN_OR_RETURN(XtraPtr left, BindTableExpr(left_ast, visible));
+  HQ_ASSIGN_OR_RETURN(XtraPtr right, BindTableExpr(right_ast, visible));
 
   // Union column set: left columns then right-only columns.
   struct OutCol {
@@ -641,23 +770,24 @@ Result<XtraPtr> Binder::BindUnionJoin(const AstPtr& left_ast,
     QType type;
   };
   std::vector<OutCol> names;
+  std::unordered_set<std::string_view> present;
   for (const auto& c : left->output) {
     if (c.name == kOrdColName) continue;
     names.push_back({c.name, c.type});
+    present.insert(c.name);
   }
   for (const auto& c : right->output) {
-    if (c.name == kOrdColName) continue;
-    bool present = false;
-    for (const auto& n : names) present |= n.name == c.name;
-    if (!present) names.push_back({c.name, c.type});
+    if (c.name == kOrdColName || !present.insert(c.name).second) continue;
+    names.push_back({c.name, c.type});
   }
 
   // Align both sides: missing columns become typed NULLs; a source tag and
   // the original ordcol preserve q's append order.
   auto align = [&](const XtraPtr& side, int tag) -> Result<XtraPtr> {
+    const OutputIndex side_names = IndexOutputs(*side);
     std::vector<NamedScalar> projections;
     for (const auto& n : names) {
-      const XtraColumn* c = side->FindOutputByName(n.name);
+      const XtraColumn* c = FindIn(side_names, n.name);
       XtraColumn col{NextId(), n.name, n.type, true};
       if (c != nullptr) {
         projections.push_back(NamedScalar{col, ColRefOf(*c)});
@@ -705,10 +835,13 @@ Result<XtraPtr> Binder::BindUnionJoin(const AstPtr& left_ast,
 
 Result<XtraPtr> Binder::BindSortTable(const std::string& op,
                                       const AstPtr& cols,
-                                      const AstPtr& table) {
+                                      const AstPtr& table,
+                                      const Names* visible) {
   HQ_ASSIGN_OR_RETURN(std::vector<std::string> names,
                       SymbolListOf(cols, op.c_str()));
-  HQ_ASSIGN_OR_RETURN(XtraPtr child, BindTableExpr(table));
+  Names seen;
+  HQ_ASSIGN_OR_RETURN(XtraPtr child,
+                      BindTableExpr(table, Plus(visible, names, &seen)));
   std::vector<XtraSortKey> keys;
   for (const auto& n : names) {
     HQ_ASSIGN_OR_RETURN(XtraColumn c, FindCol(*child, n, op.c_str()));
@@ -717,12 +850,13 @@ Result<XtraPtr> Binder::BindSortTable(const std::string& op,
   return xtra::MakeSort(std::move(child), std::move(keys));
 }
 
-Result<XtraPtr> Binder::BindTake(const AstPtr& count, const AstPtr& table) {
+Result<XtraPtr> Binder::BindTake(const AstPtr& count, const AstPtr& table,
+                                 const Names* visible) {
   HQ_ASSIGN_OR_RETURN(QValue n, BindConstant(count));
   if (!n.is_atom() || !IsIntegralBacked(n.type())) {
     return BindError("take (#) over a table requires an integer count");
   }
-  HQ_ASSIGN_OR_RETURN(XtraPtr child, BindTableExpr(table));
+  HQ_ASSIGN_OR_RETURN(XtraPtr child, BindTableExpr(table, visible));
   int64_t cnt = n.AsInt();
   // A child that already defines an order (xasc/xdesc) takes rows in that
   // order; no ordcol resort needed.
@@ -751,8 +885,26 @@ Result<XtraPtr> Binder::BindTake(const AstPtr& count, const AstPtr& table) {
 // Query template
 // ---------------------------------------------------------------------------
 
-Result<XtraPtr> Binder::BindQueryTemplate(const AstNode& node) {
-  HQ_ASSIGN_OR_RETURN(XtraPtr from, BindTableExpr(node.from));
+Result<XtraPtr> Binder::BindQueryTemplate(const AstNode& node,
+                                          const Names* visible) {
+  // A select or exec with a column list reads only the names its select,
+  // by and where lists mention. Without one, every column of its input can
+  // reach the caller, who sees `visible`. update and delete rewrite whole
+  // rows, so their input keeps every column.
+  Names seen;
+  const Names* from_visible = nullptr;
+  if (narrow_ &&
+      (node.query_kind == QueryKind::kSelect ||
+       node.query_kind == QueryKind::kExec) &&
+      (!node.select_list.empty() || visible != nullptr)) {
+    if (node.select_list.empty()) seen = *visible;
+    for (const auto& ne : node.select_list) CollectNames(ne.expr, &seen);
+    for (const auto& ne : node.by_list) CollectNames(ne.expr, &seen);
+    for (const auto& w : node.where_list) CollectNames(w, &seen);
+    if (!node.query_order_col.empty()) seen.push_back(node.query_order_col);
+    from_visible = &seen;
+  }
+  HQ_ASSIGN_OR_RETURN(XtraPtr from, BindTableExpr(node.from, from_visible));
 
   // where: sequential conditions become chained filters. Window functions
   // inside a condition (the fby idiom) are not legal in SQL WHERE clauses,
@@ -890,18 +1042,20 @@ Result<XtraPtr> Binder::BindQueryTemplate(const AstNode& node) {
       HQ_ASSIGN_OR_RETURN(val, to_window(val));
       new_cols.emplace_back(name, std::move(val));
     }
+    std::unordered_set<std::string_view> replaced;
     for (const auto& c : src->output) {
       auto it = std::find_if(new_cols.begin(), new_cols.end(),
                              [&](const auto& p) { return p.first == c.name; });
       if (it == new_cols.end()) {
         projections.push_back(NamedScalar{c, ColRefOf(c)});
       } else {
+        replaced.insert(c.name);
         XtraColumn col{NextId(), c.name, it->second->type, true};
         projections.push_back(NamedScalar{col, it->second});
       }
     }
     for (auto& [name, val] : new_cols) {
-      if (src->FindOutputByName(name) != nullptr) continue;
+      if (replaced.count(name) > 0) continue;
       XtraColumn col{NextId(), name, val->type, true};
       projections.push_back(NamedScalar{col, std::move(val)});
     }
@@ -921,7 +1075,6 @@ Result<XtraPtr> Binder::BindQueryTemplate(const AstNode& node) {
       pred = Conjoin(std::move(conds));
     }
     std::vector<NamedScalar> projections;
-    std::set<std::string> updated;
     std::vector<std::pair<std::string, ScalarPtr>> new_cols;
     for (size_t i = 0; i < node.select_list.size(); ++i) {
       const NamedExpr& ne = node.select_list[i];
@@ -929,9 +1082,9 @@ Result<XtraPtr> Binder::BindQueryTemplate(const AstNode& node) {
                              ? InferName(ne.expr, static_cast<int>(i))
                              : ne.name;
       HQ_ASSIGN_OR_RETURN(ScalarPtr val, BindScalar(ne.expr, src.get()));
-      updated.insert(name);
       new_cols.emplace_back(name, std::move(val));
     }
+    std::unordered_set<std::string_view> replaced;
     for (const auto& c : src->output) {
       auto it = std::find_if(new_cols.begin(), new_cols.end(),
                              [&](const auto& p) { return p.first == c.name; });
@@ -939,6 +1092,7 @@ Result<XtraPtr> Binder::BindQueryTemplate(const AstNode& node) {
         projections.push_back(NamedScalar{c, ColRefOf(c)});
         continue;
       }
+      replaced.insert(c.name);
       ScalarPtr val = it->second;
       if (pred) {
         auto cse = std::make_shared<ScalarExpr>();
@@ -954,7 +1108,7 @@ Result<XtraPtr> Binder::BindQueryTemplate(const AstNode& node) {
     }
     // Genuinely new columns.
     for (auto& [name, val] : new_cols) {
-      if (src->FindOutputByName(name) != nullptr) continue;
+      if (replaced.count(name) > 0) continue;
       ScalarPtr v = val;
       if (pred) {
         auto cse = std::make_shared<ScalarExpr>();

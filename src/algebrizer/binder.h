@@ -33,6 +33,10 @@ struct BindTrace {
   bool used_scope_var = false;
   std::vector<std::string> ref_names;   ///< names resolved through scopes
   std::vector<std::string> ref_tables;  ///< backend tables referenced
+  /// Statements whose narrowed bind failed but whose full-width re-bind
+  /// succeeded (also counted as `translate.narrow_misses`). Always 0 unless
+  /// narrowing dropped a column a statement reads.
+  int narrow_misses = 0;
 };
 
 /// The binding half of the Algebrizer (§3.2.2): resolves names through the
@@ -57,35 +61,57 @@ class Binder {
  private:
   friend class BinderTestPeer;
 
+  /// Column names a statement can see. A superset is always safe: a scan
+  /// binds the visible names it has plus its order column. A null
+  /// `Names*` means every column (the scan stays as wide as the table).
+  using Names = std::vector<std::string>;
+
   /// Table-producing expressions: query templates, table variables, joins,
-  /// sorts, take/drop.
-  Result<xtra::XtraPtr> BindTableExpr(const AstPtr& node);
+  /// sorts, take/drop. Scans bind only the `visible` columns.
+  Result<xtra::XtraPtr> BindTableExpr(const AstPtr& node,
+                                      const Names* visible = nullptr);
+  /// A Get over `meta` holding the visible columns in catalog order.
+  xtra::XtraPtr BindScan(const TableMetadata& meta, const Names* visible);
+  /// BindQuery with scans narrowed (`narrow_`) or at full width.
+  Result<BoundQuery> BindQueryOnce(const AstPtr& node);
 
   /// Scalar expressions over the columns of `input` (may be null for
   /// constant-only contexts).
   Result<xtra::ScalarPtr> BindScalar(const AstPtr& node,
                                      const xtra::XtraOp* input);
 
-  Result<xtra::XtraPtr> BindQueryTemplate(const AstNode& node);
-  Result<xtra::XtraPtr> BindAsOfJoin(const AstNode& apply);
-  Result<xtra::XtraPtr> BindEquiJoinCall(const AstNode& apply);
+  Result<xtra::XtraPtr> BindQueryTemplate(const AstNode& node,
+                                          const Names* visible);
+  Result<xtra::XtraPtr> BindAsOfJoin(const AstNode& apply,
+                                     const Names* visible);
+  Result<xtra::XtraPtr> BindEquiJoinCall(const AstNode& apply,
+                                         const Names* visible);
   Result<xtra::XtraPtr> BindKeyedJoin(const std::string& op,
                                       const AstPtr& left,
-                                      const AstPtr& right);
+                                      const AstPtr& right,
+                                      const Names* visible);
   Result<xtra::XtraPtr> BindUnionJoin(const AstPtr& left,
-                                      const AstPtr& right);
+                                      const AstPtr& right,
+                                      const Names* visible);
   Result<xtra::XtraPtr> BindSortTable(const std::string& op,
                                       const AstPtr& cols,
-                                      const AstPtr& table);
-  Result<xtra::XtraPtr> BindTake(const AstPtr& count, const AstPtr& table);
+                                      const AstPtr& table,
+                                      const Names* visible);
+  Result<xtra::XtraPtr> BindTake(const AstPtr& count, const AstPtr& table,
+                                 const Names* visible);
 
-  /// Resolves a table expression that must be keyed (for lj/ij): returns
-  /// the tree and its key column names.
-  struct KeyedTable {
-    xtra::XtraPtr op;
+  /// A table expression that must be keyed (the right input of lj/ij, or
+  /// `k xkey t`), resolved to its key names without binding it. A keyed
+  /// table variable also carries the metadata its scan binds from.
+  struct KeyedInput {
     std::vector<std::string> keys;
+    TableMetadataPtr meta;  ///< null for `k xkey t`
   };
-  Result<KeyedTable> BindKeyedTable(const AstPtr& node);
+  Result<KeyedInput> ResolveKeyedInput(const AstPtr& node);
+  /// Binds a resolved keyed input; `visible` already holds its keys.
+  Result<xtra::XtraPtr> BindKeyedInput(const AstPtr& node,
+                                       const KeyedInput& in,
+                                       const Names* visible);
 
   Result<xtra::ScalarPtr> BindDyadScalar(const AstNode& node,
                                          const xtra::XtraOp* input);
@@ -115,6 +141,9 @@ class Binder {
   VariableScopes* scopes_;
   BindTrace* trace_;
   int next_col_id_ = 1;
+  /// Column-list statements narrow their scans; off for the full-width
+  /// re-bind that words a failure.
+  bool narrow_ = true;
 };
 
 /// True when the expression tree contains an aggregate node.

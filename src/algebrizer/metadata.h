@@ -1,7 +1,10 @@
 #ifndef HYPERQ_ALGEBRIZER_METADATA_H_
 #define HYPERQ_ALGEBRIZER_METADATA_H_
 
+#include <memory>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/sql_markers.h"
@@ -24,19 +27,35 @@ struct ColumnMetadata {
 /// Interface (PG catalog lookups in the paper, §3.2.3). Keys and sort order
 /// feed the binder's property derivation (keyed tables for lj, ordering).
 struct TableMetadata {
+  /// Indexes `columns` by name once, here, so every producer gets the
+  /// binder's by-name lookup without a scan of the width.
+  TableMetadata(std::string table_name, std::vector<ColumnMetadata> cols)
+      : name(std::move(table_name)), columns(std::move(cols)) {
+    column_index_.reserve(columns.size());
+    for (size_t i = 0; i < columns.size(); ++i) {
+      column_index_.emplace(columns[i].name, i);
+    }
+  }
+
   std::string name;
-  std::vector<ColumnMetadata> columns;  ///< excludes the ordcol
+  const std::vector<ColumnMetadata> columns;  ///< excludes the ordcol
   std::vector<std::string> key_columns;
   std::vector<std::string> sort_keys;
   bool has_ordcol = false;
 
-  const ColumnMetadata* FindColumn(const std::string& col) const {
-    for (const auto& c : columns) {
-      if (c.name == col) return &c;
-    }
-    return nullptr;
+  /// Position of `col` in `columns`, or -1.
+  int ColumnIndex(const std::string& col) const {
+    auto it = column_index_.find(col);
+    return it == column_index_.end() ? -1 : static_cast<int>(it->second);
   }
+
+ private:
+  std::unordered_map<std::string, size_t> column_index_;
 };
+
+/// Metadata is immutable once loaded: the cache hands out one shared copy
+/// per table instead of copying every column per reference.
+using TableMetadataPtr = std::shared_ptr<const TableMetadata>;
 
 /// The MDI: resolves server-scope variables to backend catalog objects.
 /// Implementations: the direct sqldb-backed MDI and the caching decorator
@@ -45,7 +64,7 @@ class MetadataInterface {
  public:
   virtual ~MetadataInterface() = default;
 
-  virtual Result<TableMetadata> LookupTable(const std::string& name) = 0;
+  virtual Result<TableMetadataPtr> LookupTable(const std::string& name) = 0;
   virtual bool HasTable(const std::string& name) = 0;
 };
 

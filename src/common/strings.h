@@ -1,10 +1,12 @@
 #ifndef HYPERQ_COMMON_STRINGS_H_
 #define HYPERQ_COMMON_STRINGS_H_
 
+#include <charconv>
 #include <cstdint>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace hyperq {
@@ -39,13 +41,43 @@ inline uint64_t Fnv1a(std::string_view bytes) {
   return h;
 }
 
-/// Concatenates stream-formattable arguments into one string. Used for
-/// building error messages: StrCat("unknown column '", name, "'").
+namespace strings_internal {
+
+/// Appends one StrCat argument as `std::ostream <<` would print it:
+/// strings and characters are copied, integers written by std::to_chars,
+/// and anything else (floating point, enums with an operator<<) still
+/// goes through a stream, so the text is the same either way.
+template <typename T>
+void AppendPiece(std::string* out, const T& v) {
+  if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+    out->append(std::string_view(v));
+  } else if constexpr (std::is_same_v<T, char>) {
+    out->push_back(v);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    out->push_back(v ? '1' : '0');
+  } else if constexpr (std::is_integral_v<T> && sizeof(T) > 1 &&
+                       !std::is_same_v<T, wchar_t> &&
+                       !std::is_same_v<T, char16_t> &&
+                       !std::is_same_v<T, char32_t>) {
+    char buf[24];
+    auto end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+    out->append(buf, end);
+  } else {
+    std::ostringstream os;
+    os << v;
+    out->append(os.str());
+  }
+}
+
+}  // namespace strings_internal
+
+/// Concatenates stream-formattable arguments into one string, appending
+/// into a single buffer: StrCat("unknown column '", name, "'").
 template <typename... Args>
 std::string StrCat(const Args&... args) {
-  std::ostringstream os;
-  (os << ... << args);
-  return os.str();
+  std::string out;
+  (strings_internal::AppendPiece(&out, args), ...);
+  return out;
 }
 
 }  // namespace hyperq

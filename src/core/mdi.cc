@@ -66,7 +66,30 @@ sqldb::SqlType SqlTypeFromQType(QType type) {
   }
 }
 
-Result<TableMetadata> SqldbMetadata::LookupTable(const std::string& name) {
+namespace {
+
+/// Metadata for a relation with these backend columns; the ordcol is
+/// recorded as a flag, not as a column.
+template <typename SqlColumns>
+std::shared_ptr<TableMetadata> MetadataFromColumns(
+    const std::string& name, const SqlColumns& sql_columns) {
+  std::vector<ColumnMetadata> columns;
+  bool has_ordcol = false;
+  for (const auto& c : sql_columns) {
+    if (c.name == kOrdColName) {
+      has_ordcol = true;
+      continue;
+    }
+    columns.push_back(ColumnMetadata{c.name, QTypeFromSqlType(c.type)});
+  }
+  auto meta = std::make_shared<TableMetadata>(name, std::move(columns));
+  meta->has_ordcol = has_ordcol;
+  return meta;
+}
+
+}  // namespace
+
+Result<TableMetadataPtr> SqldbMetadata::LookupTable(const std::string& name) {
   std::shared_ptr<sqldb::StoredTable> table;
   if (session_ != nullptr) {
     auto it = session_->temp_tables().find(name);
@@ -81,17 +104,7 @@ Result<TableMetadata> SqldbMetadata::LookupTable(const std::string& name) {
     auto r = db_->Execute(
         session_, StrCat("SELECT * FROM \"", name, "\" LIMIT 0"));
     if (!r.ok()) return r.status();
-    TableMetadata meta;
-    meta.name = name;
-    for (const auto& c : r->columns) {
-      if (c.name == kOrdColName) {
-        meta.has_ordcol = true;
-        continue;
-      }
-      meta.columns.push_back(
-          ColumnMetadata{c.name, QTypeFromSqlType(c.type)});
-    }
-    return meta;
+    return TableMetadataPtr(MetadataFromColumns(name, r->columns));
   }
   if (!table) {
     auto r = db_->catalog().GetTable(name);
@@ -101,18 +114,10 @@ Result<TableMetadata> SqldbMetadata::LookupTable(const std::string& name) {
     }
     table = std::move(r).value();
   }
-  TableMetadata meta;
-  meta.name = name;
-  for (const auto& c : table->columns) {
-    if (c.name == kOrdColName) {
-      meta.has_ordcol = true;
-      continue;
-    }
-    meta.columns.push_back(ColumnMetadata{c.name, QTypeFromSqlType(c.type)});
-  }
-  meta.key_columns = table->key_columns;
-  meta.sort_keys = table->sort_keys;
-  return meta;
+  auto meta = MetadataFromColumns(name, table->columns);
+  meta->key_columns = table->key_columns;
+  meta->sort_keys = table->sort_keys;
+  return TableMetadataPtr(std::move(meta));
 }
 
 bool SqldbMetadata::HasTable(const std::string& name) {

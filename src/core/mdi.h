@@ -19,7 +19,7 @@ class SqldbMetadata : public MetadataInterface {
   SqldbMetadata(sqldb::Database* db, sqldb::Session* session)
       : db_(db), session_(session) {}
 
-  Result<TableMetadata> LookupTable(const std::string& name) override;
+  Result<TableMetadataPtr> LookupTable(const std::string& name) override;
   bool HasTable(const std::string& name) override;
 
   /// Catalog version for cache invalidation.

@@ -19,7 +19,7 @@ void MetadataCache::MaybeFlushOnVersionChange() {
   }
 }
 
-Result<TableMetadata> MetadataCache::LookupTable(const std::string& name) {
+Result<TableMetadataPtr> MetadataCache::LookupTable(const std::string& name) {
   ++stats_.lookups;
   if (!options_.enabled) {
     ++stats_.misses;
@@ -35,7 +35,7 @@ Result<TableMetadata> MetadataCache::LookupTable(const std::string& name) {
   }
   ++stats_.misses;
   misses_metric_->Increment();
-  HQ_ASSIGN_OR_RETURN(TableMetadata meta, inner_->LookupTable(name));
+  HQ_ASSIGN_OR_RETURN(TableMetadataPtr meta, inner_->LookupTable(name));
   cache_[name] = Entry{meta, std::chrono::steady_clock::now()};
   return meta;
 }

@@ -54,7 +54,7 @@ class MetadataCache : public MetadataInterface {
     listener_ = std::move(listener);
   }
 
-  Result<TableMetadata> LookupTable(const std::string& name) override;
+  Result<TableMetadataPtr> LookupTable(const std::string& name) override;
   bool HasTable(const std::string& name) override;
 
   void Invalidate();
@@ -63,7 +63,7 @@ class MetadataCache : public MetadataInterface {
 
  private:
   struct Entry {
-    TableMetadata meta;
+    TableMetadataPtr meta;
     std::chrono::steady_clock::time_point loaded_at;
   };
 

@@ -145,9 +145,20 @@ bool MatchLitCmp(const Expr& e, LitCmp* out) {
   return true;
 }
 
+/// A constant FALSE conjunct, as a filter against a null literal folds to
+/// (`x < 0n`): no row passes.
+bool IsFalseLiteral(const Expr& e) {
+  return e.kind == ExprKind::kConst && e.datum.type() == SqlType::kBoolean &&
+         !e.datum.is_null() && !e.datum.AsBool();
+}
+
 bool WalkWhere(const Expr& e, FpBuilder* b) {
   if (e.kind == ExprKind::kBinary && e.op == "AND") {
     return WalkWhere(*e.lhs, b) && WalkWhere(*e.rhs, b);
+  }
+  if (IsFalseLiteral(e)) {
+    b->Tag("p:F");
+    return true;
   }
   LitCmp c;
   if (MatchLitCmp(e, &c)) {
@@ -450,7 +461,9 @@ Status CompileWhere(const Expr& e, CompileCtx* ctx) {
   }
   KernelPlan::Pred p;
   LitCmp c;
-  if (MatchLitCmp(e, &c)) {
+  if (IsFalseLiteral(e)) {
+    p.kind = KernelPlan::Pred::Kind::kFalse;
+  } else if (MatchLitCmp(e, &c)) {
     p.kind = KernelPlan::Pred::Kind::kCmp;
     p.op = c.op;
     p.pass_null = c.pass_null;
@@ -837,9 +850,15 @@ void KeepByNullness(const ColView& c, bool keep_null, bool first, size_t lo,
 void ApplyPred(const BoundPred& bp, const std::vector<ColView>& cols,
                bool first, size_t lo, size_t hi, SelVector* sel) {
   const Pred& p = bp.p;
+  if (p.kind == Pred::Kind::kFalse) {  // reads no column
+    sel->clear();
+    return;
+  }
   const ColView& c = cols[p.col];
   const uint8_t* nulls = c.nulls;
   switch (p.kind) {
+    case Pred::Kind::kFalse:  // cleared above
+      return;
     case Pred::Kind::kIsNull:
       KeepByNullness(c, /*keep_null=*/!p.negated, first, lo, hi, sel);
       return;

@@ -95,6 +95,7 @@ class KernelPlan {
       kIsNull,
       kBetween,
       kInList,  ///< col [NOT] IN (<literal list>)
+      kFalse,   ///< constant FALSE: no row passes
     };
     Kind kind = Kind::kCmp;
     int col = 0;

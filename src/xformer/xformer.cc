@@ -115,6 +115,21 @@ ScalarPtr RewriteNullSemantics(const ScalarPtr& e, bool filter,
   return copy;
 }
 
+/// `e` without its constant TRUE conjuncts (a null literal's `>=` folds to
+/// one); nullptr when nothing is left to test.
+ScalarPtr DropTrueConjuncts(const ScalarPtr& e) {
+  if (e->kind == ScalarKind::kConst && e->value.is_atom() &&
+      e->value.type() == QType::kBool && e->value.AsInt() != 0) {
+    return nullptr;
+  }
+  if (e->kind != ScalarKind::kFunc || e->func != "and") return e;
+  ScalarPtr lhs = DropTrueConjuncts(e->args[0]);
+  ScalarPtr rhs = DropTrueConjuncts(e->args[1]);
+  if (!lhs || !rhs) return lhs ? lhs : rhs;
+  if (lhs == e->args[0] && rhs == e->args[1]) return e;
+  return xtra::MakeFunc("and", {lhs, rhs}, QType::kBool);
+}
+
 void CollectRefsOf(const XtraOp& op, std::vector<ColId>* out) {
   CollectColumnRefs(op.predicate, out);
   for (const auto& p : op.projections) CollectColumnRefs(p.expr, out);
@@ -149,8 +164,15 @@ Status Xformer::ApplyNullSemantics(const XtraPtr& op) {
   if (!op) return Status::OK();
   bool changed = false;
   if (op->predicate) {
-    op->predicate = RewriteNullSemantics(
-        op->predicate, op->kind == XtraKind::kFilter, &changed);
+    const bool filter = op->kind == XtraKind::kFilter;
+    op->predicate = RewriteNullSemantics(op->predicate, filter, &changed);
+    if (filter) op->predicate = DropTrueConjuncts(op->predicate);
+    if (!op->predicate) {
+      // Every row passes: the filter becomes its input.
+      *op = XtraOp(*op->children[0]);
+      applied_rules_.push_back("null_semantics");
+      return ApplyNullSemantics(op);
+    }
   }
   for (auto& p : op->projections) {
     p.expr = RewriteNullSemantics(p.expr, false, &changed);
@@ -235,10 +257,10 @@ Status Xformer::PruneColumns(const XtraPtr& op,
     case XtraKind::kProject:
     case XtraKind::kGroupAgg: {
       // Keep required projections (group keys always stay: they define the
-      // grouping semantics).
+      // grouping semantics, as every column of a DISTINCT defines its rows).
       std::vector<NamedScalar> kept;
       for (const auto& p : op->projections) {
-        if (req.count(p.col.id) > 0) kept.push_back(p);
+        if (op->distinct || req.count(p.col.id) > 0) kept.push_back(p);
       }
       op->projections = std::move(kept);
       op->output.clear();

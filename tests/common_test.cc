@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
+
 #include "common/bytes.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -83,6 +86,25 @@ TEST(StringsTest, StripAndAffix) {
   EXPECT_TRUE(StartsWith("select 1", "select"));
   EXPECT_TRUE(EndsWith("trades.csv", ".csv"));
   EXPECT_FALSE(StartsWith("sel", "select"));
+}
+
+TEST(StringsTest, StrCatFormatsAsAStreamWould) {
+  auto streamed = [](const auto&... args) {
+    std::ostringstream os;
+    (os << ... << args);
+    return os.str();
+  };
+  const std::string s = "str";
+  const std::string_view v = "view";
+  const int64_t lo = INT64_MIN;
+  const uint64_t hi = UINT64_MAX;
+  const int8_t i8 = 65;
+  const uint8_t u8 = 66;
+  EXPECT_EQ(StrCat(s, v, 'c', true, false, -7, 0, lo, hi, size_t{42}),
+            streamed(s, v, 'c', true, false, -7, 0, lo, hi, size_t{42}));
+  EXPECT_EQ(StrCat(i8, u8, short{-3}, 1.0 / 3, 2.5f, 1e300),
+            streamed(i8, u8, short{-3}, 1.0 / 3, 2.5f, 1e300));
+  EXPECT_EQ(StrCat(), "");
 }
 
 TEST(StringsTest, StrCatMixesTypes) {

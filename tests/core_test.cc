@@ -60,13 +60,11 @@ TEST(FsmTest, FailingCallbackKeepsSourceState) {
 
 class CountingMdi : public MetadataInterface {
  public:
-  Result<TableMetadata> LookupTable(const std::string& name) override {
+  Result<TableMetadataPtr> LookupTable(const std::string& name) override {
     ++lookups;
     if (name == "missing") return NotFound("missing");
-    TableMetadata meta;
-    meta.name = name;
-    meta.columns.push_back(ColumnMetadata{"a", QType::kLong});
-    return meta;
+    return TableMetadataPtr(std::make_shared<TableMetadata>(
+        name, std::vector<ColumnMetadata>{{"a", QType::kLong}}));
   }
   bool HasTable(const std::string& name) override {
     // Only these names exist in the "server catalog".

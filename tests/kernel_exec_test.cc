@@ -211,6 +211,10 @@ const char* const kSupportedQueries[] = {
     "SELECT COALESCE(SUM(qty), 0) AS s FROM facts WHERE qty > 99999999",
     "SELECT COALESCE(SUM(px), 0.0) AS s, COUNT(*) FROM facts "
     "WHERE sym = 'S1'",
+    // --- a filter against a null literal that folds to FALSE ---
+    "SELECT COUNT(*), AVG(px) FROM facts WHERE FALSE",
+    "SELECT sym FROM facts WHERE qty > 10 AND FALSE",
+    "SELECT sym, COUNT(*) FROM facts WHERE FALSE GROUP BY sym",
 };
 
 class KernelIdentity

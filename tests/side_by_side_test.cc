@@ -291,6 +291,87 @@ TEST(SideBySideNullCellTest, FourShards) {
   RunNullCellBattery(&h);
 }
 
+/// A 66-column fact table `w`, a keyed `k` sharing ten of its column
+/// names, and a quote table `qt` sharing one. The binder scans only the
+/// columns a statement with a column list references, so these cover join
+/// sides that share referenced and unreferenced names, and the shapes that
+/// must keep every column (distinct, xcol, a select without a list).
+TEST(SideBySideWideTableTest, NarrowedScansAgree) {
+  SideBySideHarness h;
+  const int rows = 8;
+  const char* syms[] = {"A", "B", "C", "A", "B", "C", "A", "A"};
+  auto sym_list = [&](int n) {
+    std::string out;
+    for (int r = 0; r < n; ++r) out += StrCat("`", syms[r]);
+    return out;
+  };
+  // Rows 0 and 7 are identical apart from their position, so distinct
+  // over every column keeps 7 rows, while c0 alone holds 4 values.
+  auto value = [](int col, int r) {
+    if (r == 7) r = 0;
+    return col == 0 ? r % 4 : (col * 7 + r * 3) % 11;
+  };
+  auto floats = [&](int col, int n) {
+    std::string out;
+    for (int r = 0; r < n; ++r) {
+      out += StrCat(r == 0 ? "" : " ", value(col, r), ".5");
+    }
+    return out;
+  };
+  std::string w = StrCat("([] sym: ", sym_list(rows),
+                         "; t: 09:30:00.000 09:30:01.000 09:30:02.000 "
+                         "09:30:03.000 09:30:04.000 09:30:05.000 "
+                         "09:30:06.000 09:30:00.000");
+  for (int c = 0; c < 64; ++c) w += StrCat("; c", c, ": ", floats(c, rows));
+  w += ")";
+  ASSERT_TRUE(h.DefineTable("w", w).ok());
+  std::string k = "([sym: `A`B`C]";
+  for (int c = 0; c < 10; ++c) {
+    k += StrCat(c == 0 ? " " : "; ", "c", c, ": ", floats(c + 40, 3));
+  }
+  for (int c = 0; c < 4; ++c) k += StrCat("; d", c, ": ", floats(c, 3));
+  k += ")";
+  ASSERT_TRUE(h.DefineTable("k", k).ok());
+  ASSERT_TRUE(h.DefineTable("qt",
+                            "([] sym: `A`B`A`C; t: 09:29:59.000 09:30:01.500 "
+                            "09:30:02.500 09:30:03.000; c5: 1.5 2.5 3.5 4.5; "
+                            "e0: 10 20 30 40)")
+                  .ok());
+  const char* queries[] = {
+      // lj: the sides share a referenced name (c1) ...
+      "select sym, c1, d0 from w lj k",
+      "select s: sum c1 by sym from w lj k",
+      // ... or only unreferenced ones (c0..c9 against c20, d1).
+      "select sym, c20, d1 from w lj k",
+      "select c3, d2 from (select from w where c0>2) lj k",
+      "select sym, c63 from w ij k",
+      // Whole-row shapes.
+      "select from w lj k",
+      "select c0 from distinct w",
+      "select n: count c0 from distinct w",
+      "select b, c2 from `a`b xcol w",
+      "select c1 from update c1: 2*c1 from w where c0>1",
+      "select c2 from delete from w where c3>4",
+      // aj, ej, sorts, take and counts.
+      "select sym, t, c5, e0 from aj[`sym`t; w; qt]",
+      "aj[`sym`t; select sym, t, c4 from w; qt]",
+      "select sym, c2, d3 from ej[`sym; w; 0!k]",
+      "select from `c6 xdesc w",
+      "select c8 from 3#w",
+      "count w",
+      "exec max c9 from w where sym=`A",
+      "select c10, c11 from w uj w",
+  };
+  for (const char* q : queries) {
+    SideBySideHarness::Comparison c = h.Run(q);
+    EXPECT_TRUE(c.match && !c.both_failed)
+        << "query: " << q << "\nkdb:    " << c.kdb_result.ToString()
+        << "\nhyperq: " << c.hyperq_result.ToString()
+        << "\nkdb err: " << c.kdb_error << "\nhq err:  " << c.hyperq_error
+        << "\nsql: " << c.sql;
+  }
+}
+
 TEST(MarketDataTest, GeneratorShapeAndDeterminism) {
   MarketDataOptions opts;
   opts.trades_per_symbol = 10;

@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
+#include "algebrizer/binder.h"
+#include "bench/workload.h"
 #include "core/hyperq.h"
+#include "core/loader.h"
+#include "core/mdi.h"
 #include "kdb/engine.h"
+#include "qlang/parser.h"
 
 namespace hyperq {
 namespace {
@@ -331,6 +339,133 @@ TEST_F(TranslatorTest, SideBySideAgainstKdb) {
         << "\nhyperq: " << actual.ToString()
         << "\nsql: " << session_->last_sql();
   }
+}
+
+/// The binder's scans over the 500-column analytical catalog: a statement
+/// with a column list binds only the columns it references, plus join and
+/// sort keys and the order column; wherever every column can reach the
+/// reply or decide the rows, the scan stays as wide as the table.
+class NarrowBindTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    bench::WorkloadOptions small;  // full width, few rows
+    small.fact_rows = small.dim_rows = small.event_rows = 4;
+    ASSERT_TRUE(bench::LoadAnalyticalWorkload(&db_, small).ok());
+  }
+
+  Result<BoundQuery> Bind(const std::string& q, BindTrace* trace) {
+    SqldbMetadata mdi(&db_, nullptr);
+    VariableScopes scopes(&mdi);
+    Binder binder(&mdi, &scopes, trace);
+    HQ_ASSIGN_OR_RETURN(AstPtr ast, Parser::ParseExpression(q));
+    return binder.BindQuery(ast);
+  }
+
+  /// "table: col,col,..." for every Get of the bound (untransformed) tree,
+  /// in tree order.
+  std::vector<std::string> Scans(const std::string& q) {
+    auto bound = Bind(q, nullptr);
+    EXPECT_TRUE(bound.ok()) << q << ": " << bound.status().ToString();
+    std::vector<std::string> out;
+    if (!bound.ok()) return out;
+    std::function<void(const xtra::XtraPtr&)> walk =
+        [&](const xtra::XtraPtr& op) {
+          if (op->kind == xtra::XtraKind::kGet) {
+            std::string s = op->table + ":";
+            for (const auto& c : op->output) s += " " + c.name;
+            out.push_back(s);
+          }
+          for (const auto& c : op->children) walk(c);
+        };
+    walk(bound->root);
+    return out;
+  }
+
+  /// The widths of every Get in the bound tree.
+  std::vector<size_t> ScanWidths(const std::string& q) {
+    std::vector<size_t> widths;
+    for (const std::string& s : Scans(q)) {
+      widths.push_back(static_cast<size_t>(
+          std::count(s.begin(), s.end(), ' ')));
+    }
+    return widths;
+  }
+
+  sqldb::Database db_;
+};
+
+TEST_F(NarrowBindTest, ThreeTableJoinBindsOnlyReferencedColumns) {
+  // q10 of the analytical workload.
+  EXPECT_EQ(Scans(bench::AnalyticalQueries()[9]),
+            (std::vector<std::string>{"wide_facts: sym f0 ordcol",
+                                      "wide_dims: sym d0 ordcol",
+                                      "wide_dims2: sym g0 ordcol"}));
+  // An aj binds its keys and time column; xasc its sort column.
+  EXPECT_EQ(Scans("select sym, e0 from aj[`sym`t; wide_facts; wide_events]"),
+            (std::vector<std::string>{"wide_facts: sym t ordcol",
+                                      "wide_events: sym t e0 ordcol"}));
+  EXPECT_EQ(Scans("select f1 from `f2 xasc wide_facts"),
+            (std::vector<std::string>{"wide_facts: f1 f2 ordcol"}));
+  // A select without a column list under one that has it sees what its
+  // caller sees, plus its own where names.
+  EXPECT_EQ(Scans("select d1 from (select from wide_facts where f3>0.5) lj "
+                  "wide_dims"),
+            (std::vector<std::string>{"wide_facts: sym f3 ordcol",
+                                      "wide_dims: sym d1 ordcol"}));
+}
+
+TEST_F(NarrowBindTest, WholeRowShapesBindEveryColumn) {
+  const size_t width = 501;  // 500 columns and the order column
+  using W = std::vector<size_t>;
+  EXPECT_EQ(ScanWidths("select from wide_facts"), W{width});
+  EXPECT_EQ(ScanWidths("wide_facts"), W{width});
+  EXPECT_EQ(ScanWidths("update f1: 2*f0 from wide_facts where f2>0.5"),
+            W{width});
+  EXPECT_EQ(ScanWidths("delete from wide_facts where f0>0.5"), W{width});
+  EXPECT_EQ(ScanWidths("select f0 from distinct wide_facts"), W{width});
+  EXPECT_EQ(ScanWidths("select a from `a`b xcol wide_facts"), W{width});
+  EXPECT_EQ(ScanWidths("select f0 from 1!wide_facts"), W{width});
+  EXPECT_EQ(ScanWidths("wide_facts uj wide_events"), (W{width, width}));
+}
+
+TEST_F(NarrowBindTest, NoBenchmarkStatementNeedsTheFullWidthRebind) {
+  // perfbench's dashboard and live templates read a 3-column `trades`.
+  ASSERT_TRUE(LoadQTable(&db_, "trades",
+                         QValue::MakeTableUnchecked(
+                             {"Sym", "Price", "Size"},
+                             {QValue::Syms({"S1", "S2"}),
+                              QValue::FloatList(QType::kFloat, {1.5, 2.5}),
+                              QValue::IntList(QType::kLong, {10, 20})}))
+                  .ok());
+  std::vector<std::string> corpus = bench::AnalyticalQueries();
+  corpus.insert(
+      corpus.end(),
+      {"select Sym, Price, Size from trades where Price>951.0",
+       "select from trades where Sym=`S1",
+       "select Sym, Price from trades where Sym in `S1`S2`S3",
+       "select s: sum Price, n: count Price by Sym from trades where Size>1000",
+       "exec avg Price from trades where Sym=`S2",
+       "select Sym, chg: deltas Price from trades where Sym=`S1"});
+  for (const std::string& q : corpus) {
+    BindTrace trace;
+    auto bound = Bind(q, &trace);
+    ASSERT_TRUE(bound.ok()) << q << ": " << bound.status().ToString();
+    EXPECT_EQ(trace.narrow_misses, 0) << q;
+  }
+  // A statement that fails at both widths is an error, not a miss.
+  BindTrace trace;
+  EXPECT_FALSE(Bind("select nosuch from wide_facts", &trace).ok());
+  EXPECT_EQ(trace.narrow_misses, 0);
+}
+
+TEST_F(NarrowBindTest, ErrorsListTheCatalogNotTheNarrowedScan) {
+  HyperQSession session(&db_);
+  auto r = session.Translate(
+      "select sym, f0 from wide_facts lj `nosuch xkey wide_dims");
+  ASSERT_FALSE(r.ok());
+  // The full re-bind words the failure: every catalog column is listed.
+  EXPECT_NE(r.status().message().find("d497"), std::string::npos)
+      << r.status().ToString();
 }
 
 }  // namespace

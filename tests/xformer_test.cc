@@ -105,6 +105,18 @@ TEST_F(XformerTest, NullSemanticsKeepsFiltersPlain) {
   sql = SerializeWith("select from t where qty>0N", on);
   EXPECT_NE(sql.find("WHERE (\"qty\" IS NOT NULL)"), std::string::npos)
       << sql;
+  // `<` against a null literal holds for no row, `>=` for every row: the
+  // filter empties or goes away.
+  sql = SerializeWith("select from t where qty<0N", on);
+  EXPECT_NE(sql.find("WHERE FALSE"), std::string::npos) << sql;
+  sql = SerializeWith("select from t where px>1.5, qty>=0N", on);
+  EXPECT_NE(sql.find("WHERE (\"px\" > 1.5) ORDER BY"), std::string::npos)
+      << sql;
+  sql = SerializeWith("select from t where (qty>=0N)&px>1.5", on);
+  EXPECT_NE(sql.find("WHERE (\"px\" > 1.5) ORDER BY"), std::string::npos)
+      << sql;
+  sql = SerializeWith("select px from t where qty>=0N", on);
+  EXPECT_EQ(sql.find("WHERE"), std::string::npos) << sql;
   // Under `not` a NULL verdict would turn TRUE: the null-aware form stays.
   sql = SerializeWith("select from t where not sym=`a", on);
   EXPECT_NE(sql.find("(NOT (\"sym\" IS NOT DISTINCT FROM 'a'::varchar))"),
@@ -129,16 +141,23 @@ TEST_F(XformerTest, NullSemanticsLeavesNonNullableAlone) {
 }
 
 TEST_F(XformerTest, ColumnPruningDropsUnusedWideColumns) {
+  // A column list narrows the scan at bind time; pruning then drops the
+  // order column an aggregate does not need.
   Xformer::Options on;
-  std::string pruned = ScanColumns("select mx: max px by sym from t", on);
-  EXPECT_EQ(pruned.find("extra1"), std::string::npos) << pruned;
-  EXPECT_EQ(pruned.find("extra2"), std::string::npos) << pruned;
-
   Xformer::Options off;
   off.column_pruning = false;
-  std::string unpruned =
-      ScanColumns("select mx: max px by sym from t", off);
+  EXPECT_EQ(ScanColumns("select mx: max px by sym from t", off),
+            "sym,px,ordcol,");
+  EXPECT_EQ(ScanColumns("select mx: max px by sym from t", on), "sym,px,");
+
+  // xcol renames by position, so its scan binds every column: there
+  // pruning is what drops the unused ones.
+  const std::string renamed =
+      "select mx: max px by sym from `sym`px`qty`e1`e2 xcol t";
+  std::string unpruned = ScanColumns(renamed, off);
   EXPECT_NE(unpruned.find("extra1"), std::string::npos) << unpruned;
+  std::string pruned = ScanColumns(renamed, on);
+  EXPECT_EQ(pruned, "sym,px,") << pruned;
 }
 
 TEST_F(XformerTest, PruningKeepsPredicateColumns) {
