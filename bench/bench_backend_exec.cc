@@ -80,7 +80,7 @@ Database& Fixture() {
     // This bench measures the interpreted columnar executor; the fused
     // kernel tier has its own bench (bench_kernel_exec) that compares
     // against these numbers.
-    d->kernel_registry().set_enabled(false);
+    d->set_kernel_enabled(false);
     return d;
   }();
   return *db;

@@ -7,6 +7,8 @@
 //   --json[=FILE]  emit JSON — to stdout, or to FILE while keeping the
 //                  console table on stdout
 //   --smoke        minimal per-benchmark run time (CI smoke mode)
+// The JSON context carries the host stamp: google-benchmark's num_cpus
+// plus this build's `build_type` and whether the run was a `smoke` run.
 
 #include <benchmark/benchmark.h>
 
@@ -16,8 +18,10 @@
 namespace hyperq {
 namespace bench {
 
-inline void RewriteBenchArgs(int argc, char** argv,
+/// Rewrites the convenience flags; returns whether `--smoke` was given.
+inline bool RewriteBenchArgs(int argc, char** argv,
                              std::vector<std::string>* out) {
+  bool smoke = false;
   out->push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
@@ -28,10 +32,12 @@ inline void RewriteBenchArgs(int argc, char** argv,
       out->push_back("--benchmark_out_format=json");
     } else if (a == "--smoke") {
       out->push_back("--benchmark_min_time=0.01");
+      smoke = true;
     } else {
       out->push_back(std::move(a));
     }
   }
+  return smoke;
 }
 
 }  // namespace bench
@@ -40,11 +46,14 @@ inline void RewriteBenchArgs(int argc, char** argv,
 #define HQ_BENCH_MAIN()                                                     \
   int main(int argc, char** argv) {                                         \
     std::vector<std::string> rewritten;                                     \
-    hyperq::bench::RewriteBenchArgs(argc, argv, &rewritten);                \
+    const bool smoke =                                                      \
+        hyperq::bench::RewriteBenchArgs(argc, argv, &rewritten);            \
     std::vector<char*> args;                                                \
     for (std::string& a : rewritten) args.push_back(a.data());              \
     int n = static_cast<int>(args.size());                                  \
     ::benchmark::Initialize(&n, args.data());                               \
+    ::benchmark::AddCustomContext("build_type", HQ_BUILD_TYPE);             \
+    ::benchmark::AddCustomContext("smoke", smoke ? "true" : "false");       \
     if (::benchmark::ReportUnrecognizedArguments(n, args.data())) return 1; \
     ::benchmark::RunSpecifiedBenchmarks();                                  \
     ::benchmark::Shutdown();                                                \

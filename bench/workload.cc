@@ -62,7 +62,6 @@ StoredTable BuildWide(const std::string& name, const char* prefix,
                                            std::move(ord)));
   t.row_count = rows;
   if (keyed) t.key_columns = {"sym"};
-  t.sort_keys = {kOrdColName};
   return t;
 }
 

@@ -43,7 +43,7 @@ echo "==> bench: figure 6 translation overhead"
 echo "==> bench: backend executor (columnar + morsel parallelism)"
 ./build/bench/bench_backend_exec --json=BENCH_backend.json "${SMOKE[@]}"
 
-echo "==> bench: fused-kernel execution (fingerprint-keyed kernel cache)"
+echo "==> bench: fused-kernel execution (one compile per statement)"
 ./build/bench/bench_kernel_exec --json=BENCH_kernel.json "${SMOKE[@]}"
 
 echo "==> bench: wire path (vectorized encode + scatter egress)"
@@ -116,22 +116,22 @@ awk -F': ' '
     }
   }' BENCH_kernel.json
 # Gate: a live tail must be nearly free for readers — the hybrid split
-# (snapshot + historical/tail partials + merge) over the same rows, with
-# one publisher sustaining ingest into another live table, must stay
-# within 1.3x of the plain bulk-loaded table's latency. Per-table kernel
-# invalidation is load-bearing here: if the publisher's flushes evicted
-# the measured query's compiled kernel, this gate would blow past 1.3x.
+# (snapshot + historical/tail partials + merge, each compiled against the
+# part it reads) over the same rows, with one publisher sustaining ingest
+# into another live table, must stay within 1.3x of the plain bulk-loaded
+# table's latency. Single runs of this pair swing 0.7-2.1x on a shared
+# host, so the gate compares the medians of repeated runs.
 awk -F': ' '
-  /"name": "BM_StaticFilterAgg"/ { wants = 1 }
+  /"name": "BM_StaticFilterAgg\/repeats:[0-9]+_median"/ { wants = 1 }
   wants && /"real_time"/ { s = $2 + 0; wants = 0 }
-  /"name": "BM_HybridFilterAgg\/1"/ { wanth = 1 }
+  /"name": "BM_HybridFilterAgg\/1\/repeats:[0-9]+_median"/ { wanth = 1 }
   wanth && /"real_time"/ { h = $2 + 0; wanth = 0 }
   END {
     if (s <= 0 || h <= 0) {
-      print "ingest bench: static/hybrid timings missing from BENCH_ingest.json"
+      print "ingest bench: static/hybrid medians missing from BENCH_ingest.json"
       exit 1
     }
-    printf "hybrid filter+agg at 1 publisher: %.2fx static baseline\n", h / s
+    printf "hybrid filter+agg at 1 publisher: %.2fx static baseline (medians)\n", h / s
     if (h > s * 1.3) {
       print "FAIL: hybrid query latency above 1.3x the static table at 1 publisher"
       exit 1

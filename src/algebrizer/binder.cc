@@ -130,6 +130,71 @@ bool IsAggName(const std::string& name) {
   return false;
 }
 
+/// True when `op` delivers its rows sorted by keys other than its order
+/// column ascending: a sort, seen through the filters, limits and
+/// projections that keep their input's order.
+bool SortedByOtherKeys(const XtraOp& op) {
+  const XtraOp* cur = &op;
+  while (cur->kind == XtraKind::kFilter || cur->kind == XtraKind::kLimit ||
+         cur->kind == XtraKind::kProject) {
+    cur = cur->children[0].get();
+  }
+  if (cur->kind != XtraKind::kSort || cur->sort_keys.empty()) return false;
+  const XtraSortKey& k = cur->sort_keys[0];
+  return !(k.ascending && k.expr->kind == ScalarKind::kColRef &&
+           k.expr->col == cur->ord_col);
+}
+
+bool ContainsWindow(const ScalarPtr& e) {
+  if (!e) return false;
+  if (e->kind == ScalarKind::kWindow) return true;
+  for (const auto& a : e->args) {
+    if (ContainsWindow(a)) return true;
+  }
+  return false;
+}
+
+/// `tree`, a sort under filters, with the filters moved below the sort
+/// (a filter commutes with a stable sort); nullptr for any other shape.
+XtraPtr FiltersBelowSort(const XtraPtr& tree) {
+  if (tree->kind == XtraKind::kSort) return tree;
+  if (tree->kind != XtraKind::kFilter) return nullptr;
+  XtraPtr sort = FiltersBelowSort(tree->children[0]);
+  if (!sort) return nullptr;
+  return xtra::MakeSort(xtra::MakeFilter(sort->children[0], tree->predicate),
+                        sort->sort_keys);
+}
+
+/// The last n rows of `tree` in its own order, when `tree` is a sort seen
+/// through per-row projections and filters: the sort's keys are flipped,
+/// the first n rows kept and the order restored under the projections.
+/// nullptr for any other shape.
+XtraPtr SortedTail(const XtraPtr& tree, int64_t n) {
+  switch (tree->kind) {
+    case XtraKind::kProject: {
+      for (const NamedScalar& p : tree->projections) {
+        if (ContainsWindow(p.expr)) return nullptr;
+      }
+      XtraPtr tail = SortedTail(tree->children[0], n);
+      return tail ? xtra::MakeProject(std::move(tail), tree->projections)
+                  : nullptr;
+    }
+    case XtraKind::kFilter: {
+      XtraPtr sort = FiltersBelowSort(tree);
+      return sort ? SortedTail(sort, n) : nullptr;
+    }
+    case XtraKind::kSort: {
+      std::vector<XtraSortKey> rev = tree->sort_keys;
+      for (auto& k : rev) k.ascending = !k.ascending;
+      XtraPtr flipped = xtra::MakeSort(tree->children[0], std::move(rev));
+      return xtra::MakeSort(xtra::MakeLimit(std::move(flipped), n, 0),
+                            tree->sort_keys);
+    }
+    default:
+      return nullptr;
+  }
+}
+
 }  // namespace
 
 bool ContainsAggregate(const ScalarPtr& e) {
@@ -858,15 +923,16 @@ Result<XtraPtr> Binder::BindTake(const AstPtr& count, const AstPtr& table,
   }
   HQ_ASSIGN_OR_RETURN(XtraPtr child, BindTableExpr(table, visible));
   int64_t cnt = n.AsInt();
-  // A child that already defines an order (xasc/xdesc) takes rows in that
-  // order; no ordcol resort needed.
-  if (child->kind == XtraKind::kSort && cnt >= 0) {
-    return xtra::MakeLimit(std::move(child), cnt, 0);
+  // A child that already defines an order (xasc/xdesc, also under a
+  // select) takes rows in that order; no ordcol resort needed.
+  if (child->kind == XtraKind::kSort || SortedByOtherKeys(*child)) {
+    if (cnt >= 0) return xtra::MakeLimit(std::move(child), cnt, 0);
+    if (XtraPtr tail = SortedTail(child, -cnt)) return tail;
   }
   if (child->ord_col == kNoCol) {
     return BindError(
         "take (#) requires the table to carry an implicit order column "
-        "(ordcol); it was loaded without one");
+        "(ordcol) or an explicit ordering");
   }
   const XtraColumn* oc = child->FindOutput(child->ord_col);
   if (cnt >= 0) {
@@ -909,12 +975,23 @@ Result<XtraPtr> Binder::BindQueryTemplate(const AstNode& node,
   // where: sequential conditions become chained filters. Window functions
   // inside a condition (the fby idiom) are not legal in SQL WHERE clauses,
   // so they are first materialized as helper columns of a projection.
+  // update and delete … where rewrite rows of the unfiltered table instead:
+  // their conditions, bound once over it, become one per-column CASE or
+  // one negated filter below.
+  const bool row_rewrite =
+      node.query_kind == QueryKind::kUpdate ||
+      (node.query_kind == QueryKind::kDelete && node.delete_cols.empty());
+  std::vector<ScalarPtr> conds;
   for (const auto& cond : node.where_list) {
     HQ_ASSIGN_OR_RETURN(ScalarPtr pred, BindScalar(cond, from.get()));
     if (ContainsAggregate(pred)) {
       return Unsupported(
           "aggregates in where clauses are not yet translatable (use fby "
           "for per-group comparisons)");
+    }
+    if (row_rewrite) {
+      conds.push_back(std::move(pred));
+      continue;
     }
     std::vector<ScalarPtr> windows;
     std::function<void(const ScalarPtr&)> collect =
@@ -969,33 +1046,26 @@ Result<XtraPtr> Binder::BindQueryTemplate(const AstNode& node,
       }
       return xtra::MakeProject(std::move(from), std::move(projections));
     }
-    // delete-where: the filters above selected the doomed rows; instead we
-    // rebuild as NOT(conjunction) over the unfiltered source.
-    if (node.where_list.empty()) {
+    // delete-where: keep the rows where the conjunction is not true.
+    if (conds.empty()) {
       return Unsupported("delete without where or columns is not supported");
-    }
-    HQ_ASSIGN_OR_RETURN(XtraPtr src, BindTableExpr(node.from));
-    std::vector<ScalarPtr> conds;
-    for (const auto& cond : node.where_list) {
-      HQ_ASSIGN_OR_RETURN(ScalarPtr pred, BindScalar(cond, src.get()));
-      conds.push_back(std::move(pred));
     }
     ScalarPtr keep =
         MakeFunc("not", {Conjoin(std::move(conds))}, QType::kBool);
-    return xtra::MakeFilter(std::move(src), std::move(keep));
+    return xtra::MakeFilter(std::move(from), std::move(keep));
   }
 
   if (node.query_kind == QueryKind::kUpdate && !node.by_list.empty()) {
     // Grouped update: aggregates become window functions partitioned by
     // the by-expressions (each group's aggregate is broadcast across its
     // rows — §3.3's window-function injection applied to update).
-    if (!node.where_list.empty()) {
+    if (!conds.empty()) {
       return Unsupported(
           "update ... by with a where clause is not yet translatable "
           "(partitions over the filtered subset have no direct window "
           "equivalent)");
     }
-    HQ_ASSIGN_OR_RETURN(XtraPtr src, BindTableExpr(node.from));
+    XtraPtr src = std::move(from);
     std::vector<ScalarPtr> partition;
     for (const auto& ne : node.by_list) {
       HQ_ASSIGN_OR_RETURN(ScalarPtr key, BindScalar(ne.expr, src.get()));
@@ -1063,17 +1133,10 @@ Result<XtraPtr> Binder::BindQueryTemplate(const AstNode& node,
   }
 
   if (node.query_kind == QueryKind::kUpdate) {
-    // Re-bind over the unfiltered source; where becomes per-column CASE.
-    HQ_ASSIGN_OR_RETURN(XtraPtr src, BindTableExpr(node.from));
+    // The where clause becomes a per-column CASE.
+    XtraPtr src = std::move(from);
     ScalarPtr pred;
-    if (!node.where_list.empty()) {
-      std::vector<ScalarPtr> conds;
-      for (const auto& cond : node.where_list) {
-        HQ_ASSIGN_OR_RETURN(ScalarPtr p, BindScalar(cond, src.get()));
-        conds.push_back(std::move(p));
-      }
-      pred = Conjoin(std::move(conds));
-    }
+    if (!conds.empty()) pred = Conjoin(std::move(conds));
     std::vector<NamedScalar> projections;
     std::vector<std::pair<std::string, ScalarPtr>> new_cols;
     for (size_t i = 0; i < node.select_list.size(); ++i) {
@@ -1148,13 +1211,8 @@ Result<XtraPtr> Binder::BindQueryTemplate(const AstNode& node,
       return xtra::MakeLimit(std::move(tree), n, 0);
     }
     // Negative limit: last n rows — reverse the order, limit, restore.
-    if (tree->kind == XtraKind::kSort) {
-      std::vector<XtraSortKey> fwd = tree->sort_keys;
-      std::vector<XtraSortKey> rev = fwd;
-      for (auto& k : rev) k.ascending = !k.ascending;
-      XtraPtr flipped = xtra::MakeSort(tree->children[0], rev);
-      XtraPtr limited = xtra::MakeLimit(std::move(flipped), -n, 0);
-      return xtra::MakeSort(std::move(limited), fwd);
+    if (tree->kind == XtraKind::kSort || SortedByOtherKeys(*tree)) {
+      if (XtraPtr tail = SortedTail(tree, -n)) return tail;
     }
     if (tree->ord_col == kNoCol) {
       return BindError(
@@ -1234,8 +1292,10 @@ Result<XtraPtr> Binder::BindQueryTemplate(const AstNode& node,
   }
 
   // Per-row projection: pass the implicit order column through so the
-  // Xformer can maintain Q ordering (§3.3).
-  if (from->ord_col != kNoCol) {
+  // Xformer can maintain Q ordering (§3.3). Over rows sorted by other
+  // keys (xasc/xdesc) the projection keeps its input's order instead: a
+  // final order by the order column would undo the sort.
+  if (from->ord_col != kNoCol && !SortedByOtherKeys(*from)) {
     const XtraColumn* oc = from->FindOutput(from->ord_col);
     exprs.push_back(NamedScalar{*oc, ColRefOf(*oc)});
   }

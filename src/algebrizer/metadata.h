@@ -40,7 +40,6 @@ struct TableMetadata {
   std::string name;
   const std::vector<ColumnMetadata> columns;  ///< excludes the ordcol
   std::vector<std::string> key_columns;
-  std::vector<std::string> sort_keys;
   bool has_ordcol = false;
 
   /// Position of `col` in `columns`, or -1.

@@ -110,19 +110,15 @@ std::optional<Result<QValue>> HyperQSession::TryBuiltin(
   }
   if (name == ".hyperq.cacheClear") {
     tcache_->Clear();
-    // One source of truth for invalidation: clearing translations also
-    // drops every compiled kernel on every reachable backend.
-    gateway_->ForEachDatabase(
-        [](sqldb::Database* db) { db->kernel_registry().Clear(); });
     return Result<QValue>(QValue());
   }
-  // Runtime control over the fused-kernel cache (docs/PERFORMANCE.md):
-  // benches and byte-identity sweeps pin it off to measure/exercise the
+  // Runtime control over the fused kernels (docs/PERFORMANCE.md): benches
+  // and byte-identity sweeps pin them off to measure/exercise the
   // interpreted executor.
   if (name == ".hyperq.kernelEnable" || name == ".hyperq.kernelDisable") {
     const bool on = name == ".hyperq.kernelEnable";
     gateway_->ForEachDatabase(
-        [on](sqldb::Database* db) { db->kernel_registry().set_enabled(on); });
+        [on](sqldb::Database* db) { db->set_kernel_enabled(on); });
     return Result<QValue>(QValue());
   }
   // Runtime fault-injection control (docs/ROBUSTNESS.md). Faults are

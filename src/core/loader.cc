@@ -108,7 +108,6 @@ Status LoadQTable(sqldb::Database* db, const std::string& name,
   } else if (table_value.IsKeyedTable()) {
     stored.key_columns = table_value.Dict().keys->Table().names;
   }
-  stored.sort_keys = {kOrdColName};
   return db->CreateAndLoad(std::move(stored));
 }
 

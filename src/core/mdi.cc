@@ -116,7 +116,6 @@ Result<TableMetadataPtr> SqldbMetadata::LookupTable(const std::string& name) {
   }
   auto meta = MetadataFromColumns(name, table->columns);
   meta->key_columns = table->key_columns;
-  meta->sort_keys = table->sort_keys;
   return TableMetadataPtr(std::move(meta));
 }
 

@@ -138,10 +138,8 @@ Result<sqldb::QueryResult> HybridGateway::SplitExecute(const Translation& t,
   std::vector<sqldb::QueryResult> partials(2);  // historical, tail
   auto run_partial = [&](int part) -> Status {
     // Each partial sees its part of the snapshot as a temp shadow under
-    // the live table's name, so both run the catalog table's compiled
-    // kernel (GuardOk) and a tail append recompiles nothing. The
-    // historical part is the catalog's own table, so a sort the kernel
-    // elided on its buffer stays elided.
+    // the live table's name, and a kernel-shaped partial compiles against
+    // that part.
     ScopedShadows shadow(session_.get());
     shadow.Add(live.table,
                part == 0 ? live.snap.historical : live.snap.tail);

@@ -36,9 +36,9 @@ namespace ingest {
 ///     byte-identical to a bulk-loaded table by the order-column
 ///     construction.
 ///
-/// Kernel-shaped reads on every shadow still run on fused kernels: the
-/// kernel registry runs the catalog-compiled plan over a shadow whose
-/// schema and storage classes match (GuardOk).
+/// Kernel-shaped reads on every shadow still run on fused kernels: each
+/// SELECT compiles against the table its name resolves to, which here is
+/// the shadow itself.
 class HybridGateway : public BackendGateway {
  public:
   /// Non-owning: the store outlives the gateway and is shared by every

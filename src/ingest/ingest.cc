@@ -92,7 +92,6 @@ Result<IngestStore::LiveTable*> IngestStore::GetOrRegister(
     HQ_ASSIGN_OR_RETURN(std::shared_ptr<StoredTable> hist,
                         db_->catalog().GetTable(table));
     lt->schema = hist->columns;
-    lt->sort_keys = hist->sort_keys;
     lt->key_columns = hist->key_columns;
     lt->next_ord = static_cast<int64_t>(hist->row_count);
     if (lt->schema.empty() ||
@@ -120,11 +119,9 @@ Result<IngestStore::LiveTable*> IngestStore::GetOrRegister(
     }
     stored.columns.push_back(
         sqldb::TableColumn{kOrdColName, SqlType::kBigInt});
-    stored.sort_keys = {kOrdColName};
     stored.EnsureColumns();
     HQ_RETURN_IF_ERROR(db_->CreateAndLoad(stored));
     lt->schema = std::move(stored.columns);
-    lt->sort_keys = std::move(stored.sort_keys);
     lt->next_ord = 0;
   }
 
@@ -312,7 +309,6 @@ Result<IngestStore::TableSnapshot> IngestStore::Snapshot(
   snap.tail = std::make_shared<StoredTable>();
   snap.tail->name = table;
   snap.tail->columns = lt->schema;
-  snap.tail->sort_keys = lt->sort_keys;
   snap.tail->key_columns = lt->key_columns;
   std::vector<const std::vector<ColumnPtr>*> parts;
   for (const auto& seg : segments) {

@@ -102,7 +102,6 @@ class IngestStore : public LiveStore {
     size_t tail_rows = 0;
     size_t tail_bytes = 0;
     std::vector<sqldb::TableColumn> schema;  ///< includes ordcol (last)
-    std::vector<std::string> sort_keys;
     std::vector<std::string> key_columns;
   };
 

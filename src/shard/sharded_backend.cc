@@ -106,9 +106,8 @@ Status ShardedBackend::LoadQTablePartitioned(
     sqldb::StoredTable st;
     st.name = name;
     st.columns = stored->columns;
-    // Gathering ascending row indices preserves any declared sort order
-    // (and per-shard ordcol ascending); keys stay unique within a shard.
-    st.sort_keys = stored->sort_keys;
+    // Gathering ascending row indices keeps each shard's ordcol ascending;
+    // keys stay unique within a shard.
     st.key_columns = stored->key_columns;
     st.row_count = sel[s].size();
     st.data.reserve(stored->data.size());

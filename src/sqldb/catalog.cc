@@ -68,7 +68,6 @@ Status Catalog::CreateTable(StoredTable table, bool or_replace) {
   std::string name = table.name;
   tables_[name] = std::make_shared<StoredTable>(std::move(table));
   ++version_;
-  table_versions_[name] = ++table_stamp_;
   return Status::OK();
 }
 
@@ -79,7 +78,6 @@ Status Catalog::DropTable(const std::string& name, bool if_exists) {
     return NotFound(StrCat("table '", name, "' does not exist"));
   }
   ++version_;
-  table_versions_[name] = ++table_stamp_;
   return Status::OK();
 }
 
@@ -158,7 +156,6 @@ Status Catalog::AppendRows(const std::string& name,
   for (const auto& r : rows) updated->AppendRow(r);
   it->second = std::move(updated);
   ++version_;
-  table_versions_[name] = ++table_stamp_;
   return Status::OK();
 }
 
@@ -193,19 +190,12 @@ Status Catalog::AppendColumns(const std::string& name,
   }
   updated->row_count += rows;
   it->second = std::move(updated);
-  table_versions_[name] = ++table_stamp_;
   return Status::OK();
 }
 
 uint64_t Catalog::version() const {
   std::lock_guard<std::mutex> lock(mu_);
   return version_;
-}
-
-uint64_t Catalog::TableVersion(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = table_versions_.find(name);
-  return it == table_versions_.end() ? 0 : it->second;
 }
 
 }  // namespace sqldb

@@ -30,9 +30,6 @@ struct StoredTable {
   /// Column data, index-aligned with `columns`.
   std::vector<ColumnPtr> data;
   size_t row_count = 0;
-  /// Declared sort order (column names), advisory metadata exposed through
-  /// the metadata interface for the binder's property derivation.
-  std::vector<std::string> sort_keys;
   /// Declared key columns (advisory, used by the binder for keyed tables).
   std::vector<std::string> key_columns;
 
@@ -84,11 +81,9 @@ class Catalog {
   /// Appends whole column batches to an existing table — the ingest flush
   /// path. `cols` must be index-aligned with the table's schema and all of
   /// length `rows`. Copy-on-write like AppendRows, so readers holding the
-  /// previous StoredTable snapshot are never disturbed. Bumps only the
-  /// table's own version (see TableVersion), not the global one: a data
-  /// flush invalidates the flushed table's compiled kernels but leaves
-  /// every other table's caches — and the schema-dependent translation
-  /// tier — untouched.
+  /// previous StoredTable snapshot are never disturbed. Leaves the global
+  /// version alone: a data flush changes no schema, so the
+  /// schema-dependent translation cache stays valid.
   Status AppendColumns(const std::string& name, std::vector<ColumnPtr> cols,
                        size_t rows);
 
@@ -96,22 +91,11 @@ class Catalog {
   /// metadata cache uses it for invalidation (§6).
   uint64_t version() const;
 
-  /// Per-table version: bumped whenever `name` itself is created, dropped,
-  /// or mutated (AppendRow/AppendRows/AppendColumns). The kernel registry
-  /// stamps compiled plans with this, so flushing one table cannot evict
-  /// another table's hot kernels. Returns 0 for unknown tables.
-  uint64_t TableVersion(const std::string& name) const;
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<StoredTable>> tables_;
   std::map<std::string, StoredView> views_;
   uint64_t version_ = 0;
-  /// Monotonic stamp source for table_versions_; advances on every table
-  /// mutation (including flushes that leave `version_` alone) so a stamp
-  /// comparison never aliases across distinct states of one table.
-  uint64_t table_stamp_ = 0;
-  std::map<std::string, uint64_t> table_versions_;
 };
 
 }  // namespace sqldb

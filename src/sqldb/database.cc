@@ -4,6 +4,7 @@
 #include "common/strings.h"
 #include "sqldb/eval.h"
 #include "sqldb/exec.h"
+#include "sqldb/kernel.h"
 #include "sqldb/sql_parser.h"
 
 namespace hyperq {
@@ -38,6 +39,8 @@ Status CoerceRow(const std::vector<TableColumn>& columns,
 }
 
 }  // namespace
+
+Database::Database() { RegisterKernelMetrics(); }
 
 Result<QueryResult> Database::Execute(Session* session,
                                       const std::string& sql) {
@@ -79,11 +82,13 @@ Result<QueryResult> Database::ExecuteStatement(Session* session,
   Executor executor(&catalog_, session);
   switch (stmt.kind) {
     case SqlStatement::Kind::kSelect: {
-      // Hot shapes run through the fused-kernel cache; anything it
-      // declines (nullopt) falls back to the interpreted executor.
-      if (auto kr = kernels_.TryExecuteSelect(*stmt.select, session)) {
-        if (!kr->ok()) return kr->status();
-        return FromRelation(*std::move(*kr));
+      // Hot shapes run on a fused kernel; anything it declines (nullopt)
+      // falls back to the interpreted executor.
+      if (kernel_enabled()) {
+        if (auto kr = TryKernelSelect(*stmt.select, catalog_, session)) {
+          if (!kr->ok()) return kr->status();
+          return FromRelation(*std::move(*kr));
+        }
       }
       HQ_ASSIGN_OR_RETURN(Relation rel, executor.ExecuteSelect(*stmt.select));
       return FromRelation(std::move(rel));

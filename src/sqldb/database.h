@@ -1,13 +1,13 @@
 #ifndef HYPERQ_SQLDB_DATABASE_H_
 #define HYPERQ_SQLDB_DATABASE_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "sqldb/catalog.h"
-#include "sqldb/kernel_registry.h"
 #include "sqldb/relation.h"
 #include "sqldb/session.h"
 
@@ -140,7 +140,7 @@ struct QueryResult {
 /// dialect and (via protocol/pgwire) the same wire protocol.
 class Database {
  public:
-  Database() = default;
+  Database();
 
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
@@ -148,8 +148,15 @@ class Database {
   Catalog& catalog() { return catalog_; }
   const Catalog& catalog() const { return catalog_; }
 
-  /// The fused-kernel plan cache for hot SELECT shapes (sqldb/kernel.h).
-  KernelRegistry& kernel_registry() { return kernels_; }
+  /// Whether SELECTs try a fused kernel (sqldb/kernel.h) before the
+  /// interpreted executor. On by default; tests and benches switch it off
+  /// to use the interpreter as the reference.
+  void set_kernel_enabled(bool enabled) {
+    kernel_enabled_.store(enabled, std::memory_order_relaxed);
+  }
+  bool kernel_enabled() const {
+    return kernel_enabled_.load(std::memory_order_relaxed);
+  }
 
   std::unique_ptr<Session> CreateSession() {
     return std::make_unique<Session>();
@@ -179,7 +186,7 @@ class Database {
 
  private:
   Catalog catalog_;
-  KernelRegistry kernels_{&catalog_};
+  std::atomic<bool> kernel_enabled_{true};
 };
 
 }  // namespace sqldb

@@ -537,8 +537,9 @@ Status Executor::ApplyOrderBy(const SelectStmt& stmt, CoreResult* core) {
     keys.push_back({static_cast<int>(k), stmt.order_by[k].ascending,
                     stmt.order_by[k].nulls_first});
   }
-  SelVector sel = SortPermutation(key_cols, keys, n);
-  core->output = core->output.GatherRows(sel.data(), sel.size());
+  if (auto sel = SortPermutation(key_cols, keys, n)) {
+    core->output = core->output.GatherRows(sel->data(), sel->size());
+  }
   return Status::OK();
 }
 

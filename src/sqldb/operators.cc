@@ -1,6 +1,7 @@
 #include "sqldb/operators.h"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 #include "sqldb/eval.h"
@@ -101,11 +102,14 @@ Result<std::vector<Datum>> ReduceGroups(const Expr& agg, const Column* arg,
   return out;
 }
 
-SelVector SortPermutation(const std::vector<ColumnPtr>& cols,
-                          const std::vector<SortKey>& keys, size_t n) {
-  SelVector order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+namespace {
+
+/// The ORDER BY comparator over `keys`: true when row a sorts before row b.
+struct KeyLess {
+  const std::vector<ColumnPtr>& cols;
+  const std::vector<SortKey>& keys;
+
+  bool operator()(uint32_t a, uint32_t b) const {
     for (const SortKey& k : keys) {
       const Column& col = *cols[k.col];
       bool xn = col.IsNull(a), yn = col.IsNull(b);
@@ -117,7 +121,38 @@ SelVector SortPermutation(const std::vector<ColumnPtr>& cols,
       if (cmp != 0) return k.ascending ? cmp < 0 : cmp > 0;
     }
     return false;
-  });
+  }
+};
+
+}  // namespace
+
+bool InKeyOrder(const std::vector<ColumnPtr>& cols,
+                const std::vector<SortKey>& keys, size_t n) {
+  if (n < 2 || keys.empty()) return true;
+  if (keys.size() == 1 &&
+      cols[keys[0].col]->storage() == Column::Storage::kInt &&
+      NullBytesOf(*cols[keys[0].col]) == nullptr) {
+    // KeyLess(r, r - 1) for one NULL-free integer key, typed.
+    const int64_t* v = cols[keys[0].col]->ints();
+    return keys[0].ascending ? std::is_sorted(v, v + n)
+                             : std::is_sorted(v, v + n, std::greater<>());
+  }
+  const KeyLess less{cols, keys};
+  for (size_t r = 1; r < n; ++r) {
+    if (less(static_cast<uint32_t>(r), static_cast<uint32_t>(r - 1))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::optional<SelVector> SortPermutation(const std::vector<ColumnPtr>& cols,
+                                         const std::vector<SortKey>& keys,
+                                         size_t n) {
+  if (InKeyOrder(cols, keys, n)) return std::nullopt;
+  SelVector order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), KeyLess{cols, keys});
   return order;
 }
 

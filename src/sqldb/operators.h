@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -358,11 +359,21 @@ struct SortKey {
   bool nulls_first = false;
 };
 
-/// The stable permutation of rows [0, n) of `cols` under `keys`: NULLs
-/// placed by nulls_first, cells ordered by CompareCells, ties kept in row
-/// order.
-SelVector SortPermutation(const std::vector<ColumnPtr>& cols,
-                          const std::vector<SortKey>& keys, size_t n);
+/// Whether rows [0, n) of `cols` are already in `keys` order (ties
+/// allowed): NULLs placed by nulls_first, cells ordered by CompareCells.
+/// A single ascending or descending key over a NULL-free integer column
+/// is checked without the per-cell dispatch.
+bool InKeyOrder(const std::vector<ColumnPtr>& cols,
+                const std::vector<SortKey>& keys, size_t n);
+
+/// The stable permutation of rows [0, n) of `cols` under `keys`, with ties
+/// kept in row order; nullopt when the rows are already in key order
+/// (InKeyOrder), where that permutation is the identity and callers skip
+/// the sort and the gather. This is the one sort elision both executors
+/// share.
+std::optional<SelVector> SortPermutation(const std::vector<ColumnPtr>& cols,
+                                         const std::vector<SortKey>& keys,
+                                         size_t n);
 
 /// The output column type: the first row's value refines the statically
 /// inferred type.

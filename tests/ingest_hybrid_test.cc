@@ -38,8 +38,7 @@ int64_t CounterValue(const char* name) {
       MetricsRegistry::Global().GetCounter(name)->value());
 }
 
-/// Fused-kernel executions so far (kernel.hits counts plan lookups, which
-/// include plans GuardOk then declines).
+/// Fused-kernel executions so far (one `kernel.exec_us` sample per run).
 int64_t KernelRuns() {
   return static_cast<int64_t>(
       MetricsRegistry::Global().GetHistogram("kernel.exec_us")->count());
@@ -242,8 +241,8 @@ TEST_F(IngestHybridTest, SplitAndMergedPathsActuallyTaken) {
 
 TEST_F(IngestHybridTest, MergedPathReadsRunOnKernels) {
   // The merged path shadows a historical+tail snapshot into the session as
-  // a temp table; the kernel registry resolves the shadow and runs the
-  // plan compiled against the catalog table over the snapshot. Every
+  // a temp table; the kernel resolves the shadow and compiles against the
+  // snapshot. Every
   // translation carries its hybrid plan, cached or cold, so the
   // symbol-pinned selects split; the grouped float sum and the float avg
   // cannot split and take the merged path.
@@ -284,7 +283,6 @@ TEST_F(IngestHybridTest, MergedPathReadsRunOnKernels) {
         EXPECT_EQ(CounterValue("ingest.hybrid_split"), split0 + 1);
         continue;
       }
-      if (sym == syms[0]) continue;  // kernel compile
       EXPECT_EQ(CounterValue("ingest.hybrid_merged"), merged0 + 1);
       EXPECT_GT(CounterValue("kernel.hits"), hits0)
           << "merged-path read must be kernel-served";
@@ -293,22 +291,20 @@ TEST_F(IngestHybridTest, MergedPathReadsRunOnKernels) {
 }
 
 TEST_F(IngestHybridTest, FlushOfOneTableLeavesOtherTablesKernelsHot) {
-  // The per-table invalidation regression (Catalog::TableVersion): a flush
-  // into trades must not evict or re-stamp the hot compiled kernel serving
-  // quotes. With global-version stamping this test fails: every flush
-  // forced a kernel.misses recompile of every table.
+  // A flush into trades leaves the reads of quotes on the kernel, with one
+  // compile per read before and after it, and the same answer.
   MarketData data = FixtureMarketData();
   size_t nq = data.quotes.Table().RowCount();
   LiveFixture live = MakeLive(data, 0, nq);
   const std::string hot = "select Symbol, Bid from quotes where Bid > 0.0";
 
-  ASSERT_TRUE(live.session->Query(hot).ok());  // compile (miss)
-  ASSERT_TRUE(live.session->Query(hot).ok());  // hit
+  const std::string before = ResponseBytes(*live.session, hot);
   int64_t hits0 = CounterValue("kernel.hits");
   int64_t misses0 = CounterValue("kernel.misses");
-  ASSERT_TRUE(live.session->Query(hot).ok());
-  ASSERT_GT(CounterValue("kernel.hits"), hits0) << "query must be kernel-hot";
-  ASSERT_EQ(CounterValue("kernel.misses"), misses0);
+  ASSERT_EQ(before, ResponseBytes(*live.session, hot));
+  ASSERT_EQ(CounterValue("kernel.hits"), hits0 + 1)
+      << "query must be kernel-served";
+  ASSERT_EQ(CounterValue("kernel.misses"), misses0 + 1);
 
   // Ingest + flush into the *other* table.
   Publish(live.store.get(), "trades", data.trades, 0,
@@ -317,18 +313,19 @@ TEST_F(IngestHybridTest, FlushOfOneTableLeavesOtherTablesKernelsHot) {
 
   int64_t hits1 = CounterValue("kernel.hits");
   int64_t misses1 = CounterValue("kernel.misses");
-  ASSERT_TRUE(live.session->Query(hot).ok());
-  EXPECT_GT(CounterValue("kernel.hits"), hits1)
-      << "quotes kernel must survive a trades flush";
-  EXPECT_EQ(CounterValue("kernel.misses"), misses1)
-      << "a trades flush must not recompile the quotes kernel";
+  EXPECT_EQ(before, ResponseBytes(*live.session, hot));
+  EXPECT_EQ(CounterValue("kernel.hits"), hits1 + 1)
+      << "quotes reads must stay on the kernel after a trades flush";
+  EXPECT_EQ(CounterValue("kernel.misses"), misses1 + 1);
 }
 
-TEST_F(IngestHybridTest, SplitPartialsShareOneCatalogKernelAcrossTailAppends) {
-  // Both split partials run the catalog table's one compiled kernel: the
-  // tail partial over the pinned tail shadowed into the session under the
-  // live table's name. A tail append changes the shadow, not the catalog
-  // table, so it recompiles nothing.
+TEST_F(IngestHybridTest, SplitPartialsRunOnKernelsAcrossTailAppends) {
+  // Both split partials run on kernels, each compiled against its part of
+  // the snapshot: the tail partial against the tail shadowed into the
+  // session under the live table's name, the historical one against the
+  // historical part (the catalog's own table). The merge over the two
+  // partial results, a session temp table of its own, runs on a kernel
+  // too. After a tail append the answer is still the bulk-loaded table's.
   MarketData data = FixtureMarketData();
   Result<BackendFixture> oracle = MakeBackend(data);
   ASSERT_TRUE(oracle.ok());
@@ -349,17 +346,18 @@ TEST_F(IngestHybridTest, SplitPartialsShareOneCatalogKernelAcrossTailAppends) {
   int64_t runs0 = KernelRuns();
   EXPECT_EQ(want, ResponseBytes(*live.session, q));
   EXPECT_EQ(CounterValue("ingest.hybrid_split"), split0 + 1);
-  EXPECT_EQ(CounterValue("kernel.hits"), hits0 + 2);
-  EXPECT_EQ(KernelRuns(), runs0 + 2) << "both partials must be kernel-served";
-  EXPECT_EQ(CounterValue("kernel.misses"), misses0)
-      << "a tail append must not recompile";
+  EXPECT_EQ(CounterValue("kernel.hits"), hits0 + 3);
+  EXPECT_EQ(KernelRuns(), runs0 + 3)
+      << "both partials and the merge must be kernel-served";
+  EXPECT_EQ(CounterValue("kernel.misses"), misses0 + 3)
+      << "one compile per partial and one for the merge";
 }
 
-TEST_F(IngestHybridTest, SplitTailWithOtherStorageRunsInterpreted) {
+TEST_F(IngestHybridTest, SplitTailWithOtherStorageRunsOnTheKernel) {
   // An all-NULL historical column loads with empty storage while the tail
-  // holds typed cells, so GuardOk rejects the tail shadow: the tail partial
-  // runs interpreted, the historical one on the kernel, and the answer is
-  // the bulk-loaded table's.
+  // holds typed cells. Each partial compiles against its own storage, so
+  // both run on the kernel (and so does the merge over their results), and
+  // the answer is the bulk-loaded table's.
   const double kNull = std::nan("");
   QValue table = QValue::MakeTableUnchecked(
       {"Symbol", "Size", "Px"},
@@ -379,14 +377,14 @@ TEST_F(IngestHybridTest, SplitTailWithOtherStorageRunsInterpreted) {
   Publish(live.store.get(), "px", table, 4, 8, 1);
 
   const std::string q = "exec sum Size from px";
-  ASSERT_TRUE(live.session->Query(q).ok());  // compile
+  ASSERT_TRUE(live.session->Query(q).ok());  // cold translation
   std::string want = ResponseBytes(oracle, q);
   int64_t split0 = CounterValue("ingest.hybrid_split");
   int64_t runs0 = KernelRuns();
   EXPECT_EQ(want, ResponseBytes(*live.session, q));
   EXPECT_EQ(CounterValue("ingest.hybrid_split"), split0 + 1);
-  EXPECT_EQ(KernelRuns(), runs0 + 1)
-      << "only the historical partial is kernel-served";
+  EXPECT_EQ(KernelRuns(), runs0 + 3)
+      << "both partials and the merge must be kernel-served";
 }
 
 TEST_F(IngestHybridTest, FlushDoesNotWaitForInFlightSplitRead) {

@@ -1,7 +1,8 @@
 // Fused-kernel execution battery (src/sqldb/kernel.h): byte-identity of
 // kernel results against the interpreted executor across null patterns,
-// empty/all-filtered/skewed/parallel-sized tables, cache hit/invalidation
-// semantics, fault-site fallback, and deadline behavior.
+// empty/all-filtered/skewed/parallel-sized tables, per-statement compiles
+// against the table each statement reads, fault-site fallback, and
+// deadline behavior.
 
 #include <cmath>
 #include <cstring>
@@ -131,7 +132,7 @@ class KernelExec : public ::testing::Test {
     StoredTable t = MakeTable(spec, seed);
     ASSERT_TRUE(kdb_.CreateAndLoad(t).ok());
     ASSERT_TRUE(idb_.CreateAndLoad(std::move(t)).ok());
-    idb_.kernel_registry().set_enabled(false);
+    idb_.set_kernel_enabled(false);
     ksession_ = kdb_.CreateSession();
     isession_ = idb_.CreateSession();
   }
@@ -236,10 +237,10 @@ TEST_P(KernelIdentity, ByteIdenticalToInterpreter) {
   int64_t h0 = CounterValue("kernel.hits");
   int64_t m0 = CounterValue("kernel.misses");
   for (const char* sql : kSupportedQueries) Check(sql);
-  // Second pass: every supported shape must now replay from the cache.
+  // Second pass: every run compiles its own plan again.
   for (const char* sql : kSupportedQueries) Check(sql);
-  EXPECT_GT(CounterValue("kernel.misses"), m0) << "kernel path never ran";
-  EXPECT_GT(CounterValue("kernel.hits"), h0) << "kernel cache never hit";
+  EXPECT_GT(CounterValue("kernel.misses"), m0) << "kernel never compiled";
+  EXPECT_GT(CounterValue("kernel.hits"), h0) << "kernel never ran";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -294,21 +295,22 @@ TEST_F(KernelExec, DataDependentTypeErrorsStayOnInterpretedPath) {
   Check("SELECT qty FROM facts WHERE qty BETWEEN NULL AND 100");
 }
 
-TEST_F(KernelExec, ParameterizedVariantsShareOneKernel) {
+TEST_F(KernelExec, EveryRunCompilesItsOwnPlan) {
   Load({200, 0.1, 4, false}, 3);
+  // Statements that differ only in a literal, and a repeat of the same
+  // text, each compile one plan with their literals bound in and run it:
+  // nothing is kept between statements.
   const std::string q1 = "SELECT sym, SUM(px) FROM facts WHERE qty > 100 "
                          "GROUP BY sym";
   const std::string q2 = "SELECT sym, SUM(px) FROM facts WHERE qty > 2500 "
                          "GROUP BY sym";
-  size_t s0 = kdb_.kernel_registry().size();
-  Check(q1);
-  EXPECT_EQ(kdb_.kernel_registry().size(), s0 + 1);
-  int64_t h0 = CounterValue("kernel.hits");
-  int64_t m0 = CounterValue("kernel.misses");
-  Check(q2);  // same fingerprint text, different literal
-  EXPECT_EQ(kdb_.kernel_registry().size(), s0 + 1);
-  EXPECT_EQ(CounterValue("kernel.hits"), h0 + 1);
-  EXPECT_EQ(CounterValue("kernel.misses"), m0);
+  for (const std::string& q : {q1, q2, q1}) {
+    int64_t h0 = CounterValue("kernel.hits");
+    int64_t m0 = CounterValue("kernel.misses");
+    Check(q);
+    EXPECT_EQ(CounterValue("kernel.hits"), h0 + 1) << q;
+    EXPECT_EQ(CounterValue("kernel.misses"), m0 + 1) << q;
+  }
 }
 
 TEST_F(KernelExec, StaleKernelAfterSchemaChangeRecompiles) {
@@ -317,8 +319,8 @@ TEST_F(KernelExec, StaleKernelAfterSchemaChangeRecompiles) {
                         "sym";
   Check(q);
   // Same statement text, new schema underneath: qty is now a double and
-  // the column order moved. A stale kernel would read the wrong buffers;
-  // the catalog version stamp must force a recompile.
+  // the column order moved. The plan compiles against the table the
+  // statement reads, so it reads the new buffers.
   for (Database* db : {&kdb_, &idb_}) {
     Session* s = (db == &kdb_ ? ksession_ : isession_).get();
     ASSERT_TRUE(db->Execute(s, "DROP TABLE facts").ok());
@@ -342,8 +344,8 @@ TEST_F(KernelExec, SessionTempTablesShadowTheKernelTable) {
   Load({100, 0.0, 4, false}, 9);
   Check("SELECT COUNT(*) FROM facts");
   // A session temp table named `facts` must shadow the catalog table on
-  // both paths; its schema differs from the one the kernel was compiled
-  // against, so GuardOk sends it to the interpreter.
+  // both paths, though its schema differs: the kernel compiles against the
+  // shadow itself.
   for (Database* db : {&kdb_, &idb_}) {
     Session* s = (db == &kdb_ ? ksession_ : isession_).get();
     ASSERT_TRUE(db->Execute(s, "CREATE TEMP TABLE facts (sym varchar)").ok());
@@ -362,39 +364,52 @@ void ShadowBoth(Session* ks, Session* is, const std::string& name,
 
 TEST_F(KernelExec, SameSchemaTempTableShadowRunsOnTheKernel) {
   Load({2000, 0.2, 8, true}, 47);
-  // A same-schema temp table over different rows: the registry resolves
-  // the shadow like the executor does and runs the catalog-compiled plan
-  // over the shadow's buffers.
+  // A same-schema temp table over different rows: the kernel resolves the
+  // shadow like the executor does and compiles against its buffers. The
+  // second shadow declares the same schema, but its px column is all NULL
+  // (empty storage): it compiles against that storage too.
   StoredTable shadow = MakeTable({3000, 0.1, 5, true}, 48);
-  ShadowBoth(ksession_.get(), isession_.get(), "facts", shadow);
-  int64_t h0 = CounterValue("kernel.hits");
-  int64_t m0 = CounterValue("kernel.misses");
-  int64_t f0 = CounterValue("kernel.fallbacks");
-  for (const char* sql : kSupportedQueries) Check(sql);
-  for (const char* sql : kSupportedQueries) Check(sql);
-  EXPECT_GT(CounterValue("kernel.misses"), m0) << "kernel path never ran";
-  EXPECT_GE(CounterValue("kernel.hits") - h0,
-            static_cast<int64_t>(std::size(kSupportedQueries)))
-      << "shadowed reads must replay from the kernel cache";
-  EXPECT_EQ(CounterValue("kernel.fallbacks"), f0);
+  StoredTable all_null_px = MakeTable({400, 0.1, 4, false}, 54);
+  all_null_px.data[1] = Column::Constant(Datum::Null(), all_null_px.row_count);
+  for (const StoredTable* t : {&shadow, &all_null_px}) {
+    ShadowBoth(ksession_.get(), isession_.get(), "facts", *t);
+    int64_t h0 = CounterValue("kernel.hits");
+    int64_t m0 = CounterValue("kernel.misses");
+    int64_t f0 = CounterValue("kernel.fallbacks");
+    for (const char* sql : kSupportedQueries) Check(sql);
+    for (const char* sql : kSupportedQueries) Check(sql);
+    EXPECT_GT(CounterValue("kernel.misses"), m0) << "kernel never compiled";
+    EXPECT_EQ(CounterValue("kernel.hits") - h0,
+              static_cast<int64_t>(2 * std::size(kSupportedQueries)))
+        << "every shadowed read must run on the kernel";
+    EXPECT_EQ(CounterValue("kernel.fallbacks"), f0);
+  }
 }
 
 TEST_F(KernelExec, ShadowWithDifferentStorageClassFallsBack) {
   Load({500, 0.1, 4, false}, 53);
   const std::string q = "SELECT sym, SUM(px) FROM facts WHERE qty > 0 "
                         "GROUP BY sym";
-  Check(q);  // compiled against the catalog's float px buffer
-  // Same declared schema, but px is all NULL (kEmpty storage): the plan's
-  // storage-class facts do not hold for this table.
+  Check(q);  // the catalog's float px buffer runs on the kernel
+  // Same declared schema, but px holds mixed cells (doubles and integers):
+  // a storage class no kernel reads, so the statement compiles to a
+  // rejection and the interpreter answers.
   StoredTable shadow = MakeTable({400, 0.1, 4, false}, 54);
-  shadow.data[1] = Column::Constant(Datum::Null(), shadow.row_count);
+  std::vector<Datum> mixed;
+  for (size_t r = 0; r < shadow.row_count; ++r) {
+    mixed.push_back(r % 3 == 0 ? Datum::BigInt(static_cast<int64_t>(r))
+                               : shadow.data[1]->At(r));
+  }
+  shadow.data[1] = Column::FromDatums(std::move(mixed));
+  ASSERT_EQ(shadow.data[1]->storage(), Column::Storage::kMixed);
   ShadowBoth(ksession_.get(), isession_.get(), "facts", shadow);
   int64_t h0 = CounterValue("kernel.hits");
   int64_t f0 = CounterValue("kernel.fallbacks");
+  int64_t c0 = CounterValue("kernel.reject.compile");
   Check(q);
   EXPECT_EQ(CounterValue("kernel.fallbacks"), f0 + 1);
-  // The plan itself was found (a cache hit); GuardOk turned it down.
-  EXPECT_EQ(CounterValue("kernel.hits"), h0 + 1);
+  EXPECT_EQ(CounterValue("kernel.reject.compile"), c0 + 1);
+  EXPECT_EQ(CounterValue("kernel.hits"), h0);
 }
 
 TEST_F(KernelExec, TempViewStepsAside) {
@@ -415,50 +430,39 @@ TEST_F(KernelExec, TempViewStepsAside) {
   EXPECT_EQ(CounterValue("kernel.reject.compile"), c0);
 }
 
-TEST_F(KernelExec, TempOnlyNameStepsAsideWithoutCompiling) {
+TEST_F(KernelExec, TempOnlyTableRunsOnTheKernel) {
   Load({300, 0.1, 4, false}, 61);
   // A temp table with no catalog table of that name (eager-materialized
-  // pipeline variables, the shard/hybrid partials table): there is no
-  // catalog schema to compile against, so no compile is attempted.
+  // pipeline variables, the shard/hybrid partials table) is a table like
+  // any other: each statement compiles against it.
   ShadowBoth(ksession_.get(), isession_.get(), "scratch",
              MakeTable({200, 0.1, 4, false}, 62));
+  int64_t h0 = CounterValue("kernel.hits");
   int64_t m0 = CounterValue("kernel.misses");
-  int64_t c0 = CounterValue("kernel.reject.compile");
   int64_t f0 = CounterValue("kernel.fallbacks");
   Check("SELECT sym, SUM(px) FROM scratch GROUP BY sym");
   Check("SELECT sym, SUM(px) FROM scratch GROUP BY sym");
-  EXPECT_EQ(CounterValue("kernel.fallbacks"), f0 + 2);
-  EXPECT_EQ(CounterValue("kernel.misses"), m0);
-  EXPECT_EQ(CounterValue("kernel.reject.compile"), c0);
-}
-
-TEST_F(KernelExec, ClearDropsCompiledPlans) {
-  Load({100, 0.0, 4, false}, 13);
-  Check("SELECT COUNT(*) FROM facts");
-  EXPECT_GT(kdb_.kernel_registry().size(), 0u);
-  kdb_.kernel_registry().Clear();
-  EXPECT_EQ(kdb_.kernel_registry().size(), 0u);
-  int64_t m0 = CounterValue("kernel.misses");
-  Check("SELECT COUNT(*) FROM facts");  // recompiles
-  EXPECT_EQ(CounterValue("kernel.misses"), m0 + 1);
+  EXPECT_EQ(CounterValue("kernel.hits"), h0 + 2);
+  EXPECT_EQ(CounterValue("kernel.misses"), m0 + 2);
+  EXPECT_EQ(CounterValue("kernel.fallbacks"), f0);
 }
 
 TEST_F(KernelExec, DisabledRegistryNeverRuns) {
   Load({100, 0.0, 4, false}, 17);
-  kdb_.kernel_registry().set_enabled(false);
+  kdb_.set_kernel_enabled(false);
   int64_t h0 = CounterValue("kernel.hits");
   int64_t m0 = CounterValue("kernel.misses");
   Check("SELECT COUNT(*) FROM facts");
   EXPECT_EQ(CounterValue("kernel.hits"), h0);
   EXPECT_EQ(CounterValue("kernel.misses"), m0);
-  kdb_.kernel_registry().set_enabled(true);
+  kdb_.set_kernel_enabled(true);
 }
 
 TEST_F(KernelExec, ArmedFaultFallsBackToInterpreter) {
   Load({500, 0.1, 4, false}, 19);
   const std::string q = "SELECT sym, SUM(px) FROM facts WHERE qty > 0 "
                         "GROUP BY sym";
-  Check(q);  // compile + cache while faults are disarmed
+  Check(q);  // on the kernel while faults are disarmed
 
   ASSERT_TRUE(FaultInjector::Global().Arm("backend.kernel=error,once").ok());
   int64_t f0 = CounterValue("kernel.fallbacks");
@@ -536,10 +540,9 @@ class KernelWrapperExec : public KernelExec {
               Column::FromFloats(SqlType::kDouble, std::move(px),
                                  std::move(px_nulls))};
     t.row_count = rows;
-    t.sort_keys = {"ordcol"};
     ASSERT_TRUE(kdb_.CreateAndLoad(t).ok());
     ASSERT_TRUE(idb_.CreateAndLoad(std::move(t)).ok());
-    idb_.kernel_registry().set_enabled(false);
+    idb_.set_kernel_enabled(false);
     ksession_ = kdb_.CreateSession();
     isession_ = idb_.CreateSession();
   }
@@ -547,8 +550,7 @@ class KernelWrapperExec : public KernelExec {
 
 /// The serializer's flat shapes — a filter merged into the scan, the final
 /// q-order attached to the block, a rename folded over an aggregate — run as
-/// kernel-shaped scans and replay hot from the cache, byte-identical at
-/// every thread count.
+/// kernel-shaped scans, byte-identical at every thread count.
 TEST_F(KernelWrapperExec, TranslatorWrapperShapesRunOnTheKernel) {
   LoadOrdered(40000, 0.2, 41);
   const char* const flat[] = {
@@ -572,7 +574,7 @@ TEST_F(KernelWrapperExec, TranslatorWrapperShapesRunOnTheKernel) {
     }
   }
   WorkerPool::Shared().Resize(0);
-  // Every flat shape compiled to a kernel and replayed from the cache.
+  // Every flat shape ran on a kernel.
   EXPECT_GE(CounterValue("kernel.hits") - h0,
             static_cast<int64_t>(std::size(flat)));
 }
@@ -605,17 +607,16 @@ TEST_F(KernelWrapperExec, HandNestedSqlRunsInterpreted) {
             static_cast<int64_t>(2 * std::size(nested)));
 }
 
-/// A sort elided against verified column order must stop replaying when the
-/// data underneath changes (the catalog version bump forces a recompile,
-/// and GuardOk pins the exact column buffer).
+/// A sort skipped because the rows were already in order must be done
+/// once the data underneath changes.
 TEST_F(KernelWrapperExec, ElidedOrderRecompilesAfterDataChange) {
   LoadOrdered(1000, 0.1, 43);
   const std::string q =
       "SELECT \"ordcol\", \"sym\" FROM \"qsrc\" ORDER BY \"ordcol\"";
   Check(q);
   Check(q);
-  // Append an out-of-order ordcol value: the elision precondition (sorted,
-  // NULL-free) no longer holds, so the recompiled plan must really sort.
+  // Append an out-of-order ordcol value: the rows are no longer in key
+  // order, so the sort must really run.
   for (Database* db : {&kdb_, &idb_}) {
     Session* s = (db == &kdb_ ? ksession_ : isession_).get();
     ASSERT_TRUE(
@@ -625,9 +626,9 @@ TEST_F(KernelWrapperExec, ElidedOrderRecompilesAfterDataChange) {
   Check(q);
 }
 
-/// The elided sort is proven for one buffer only. A same-schema shadow
-/// whose ordcol is out of order runs the same cached plan, which must sort
-/// (and must not take the LIMIT early exit, which assumes scan order).
+/// Sort elision is decided over the rows a statement actually reads. A
+/// same-schema shadow whose ordcol is out of order must be sorted (and must
+/// not take the LIMIT early exit, which assumes scan order).
 TEST_F(KernelWrapperExec, ElidedSortOverSwappedBufferSorts) {
   LoadOrdered(40000, 0.1, 67);
   const char* const ordered[] = {
@@ -666,23 +667,28 @@ TEST_F(KernelWrapperExec, ElidedSortOverSwappedBufferSorts) {
             static_cast<int64_t>(2 * std::size(ordered)));
   EXPECT_EQ(CounterValue("kernel.fallbacks"), f0);
 
-  // Dropping the shadow puts the verified buffer back under the same
-  // plans, and the elision with it.
+  // Dropping the shadow puts the sorted catalog buffer back under the
+  // statements, and the elision with it.
   ksession_->temp_tables().erase("qsrc");
   isession_->temp_tables().erase("qsrc");
   for (const char* sql : ordered) Check(sql);
 }
 
-TEST_F(KernelExec, NegativeCacheEntryIsNotRecompiled) {
+TEST_F(KernelExec, CompileRejectIsCountedOnEveryRun) {
   Load({100, 0.0, 4, false}, 31);
-  // Fingerprint-supported but compile-rejected (string column vs integer
-  // literal): lands in the cache as a negative entry.
+  // In the kernel grammar, but the table does not fit it (string column
+  // vs integer literal): every run compiles, is rejected and falls back,
+  // with the interpreter's answer (here its type error).
   const std::string q = "SELECT sym FROM facts WHERE sym > 5";
-  int64_t m0 = CounterValue("kernel.misses");
-  Check(q);
-  EXPECT_EQ(CounterValue("kernel.misses"), m0 + 1);
-  Check(q);  // negative-cache hit: no recompile
-  EXPECT_EQ(CounterValue("kernel.misses"), m0 + 1);
+  for (int run = 1; run <= 2; ++run) {
+    int64_t m0 = CounterValue("kernel.misses");
+    int64_t c0 = CounterValue("kernel.reject.compile");
+    int64_t f0 = CounterValue("kernel.fallbacks");
+    Check(q);
+    EXPECT_EQ(CounterValue("kernel.misses"), m0 + 1) << "run " << run;
+    EXPECT_EQ(CounterValue("kernel.reject.compile"), c0 + 1) << "run " << run;
+    EXPECT_EQ(CounterValue("kernel.fallbacks"), f0 + 1) << "run " << run;
+  }
 }
 
 TEST_F(KernelExec, RejectReasonsAreCounted) {
@@ -700,14 +706,25 @@ TEST_F(KernelExec, RejectReasonsAreCounted) {
   EXPECT_EQ(CounterValue("kernel.reject.expr"), e0 + 1);
   EXPECT_EQ(CounterValue("kernel.reject.join"), j0 + 1);
   EXPECT_EQ(CounterValue("kernel.reject.order_by"), o0 + 1);
-  // Compile-time rejection (shape fingerprints fine, types don't line up)
-  // is labeled separately, and only the compile itself counts — the
-  // negative-cache replay does not.
+  // A rejection by the table (the shape is in the grammar, the types do
+  // not line up) is labeled separately, once per run.
   int64_t c0 = CounterValue("kernel.reject.compile");
   Check("SELECT qty FROM facts WHERE qty = 'S1'");
   EXPECT_EQ(CounterValue("kernel.reject.compile"), c0 + 1);
   Check("SELECT qty FROM facts WHERE qty = 'S1'");
-  EXPECT_EQ(CounterValue("kernel.reject.compile"), c0 + 1);
+  EXPECT_EQ(CounterValue("kernel.reject.compile"), c0 + 2);
+  // A statement outside the grammar is labeled by its grammar construct
+  // even when an earlier item misfits the table, and compiles nothing.
+  int64_t m0 = CounterValue("kernel.misses");
+  int64_t p0 = CounterValue("kernel.reject.predicate");
+  Check("SELECT qty FROM facts WHERE qty = 'S1' ORDER BY px + 1");
+  Check("SELECT nosuch, UPPER(sym) FROM facts");
+  Check("SELECT qty FROM facts WHERE qty = 'S1' AND UPPER(sym) = 'S1'");
+  EXPECT_EQ(CounterValue("kernel.reject.order_by"), o0 + 2);
+  EXPECT_EQ(CounterValue("kernel.reject.expr"), e0 + 2);
+  EXPECT_EQ(CounterValue("kernel.reject.predicate"), p0 + 1);
+  EXPECT_EQ(CounterValue("kernel.reject.compile"), c0 + 2);
+  EXPECT_EQ(CounterValue("kernel.misses"), m0);
 }
 
 }  // namespace

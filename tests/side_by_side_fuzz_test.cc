@@ -374,10 +374,10 @@ TEST_P(SideBySideFuzz, HotCacheResultsMatchColdResults) {
       << "the repeat runs never hit the translation cache";
 }
 
-/// Same double-run shape, but watching the *kernel* cache (keyed by a
-/// fingerprint of the SQL): the repeat run of every kernel-supported
-/// translated query must be served by a compiled plan, and the hot result
-/// must stay byte-identical to the cold interpreted-or-kernel one.
+/// Same double-run shape, but watching the *kernel* tier: every
+/// kernel-supported translated query must be served by a compiled plan on
+/// both runs, and the hot result must stay byte-identical to the cold
+/// interpreted-or-kernel one.
 TEST_P(SideBySideFuzz, HotKernelResultsMatchColdResults) {
   MetricsRegistry& reg = MetricsRegistry::Global();
   uint64_t hits0 = reg.GetCounter("kernel.hits")->value();
@@ -402,10 +402,10 @@ TEST_P(SideBySideFuzz, HotKernelResultsMatchColdResults) {
   uint64_t misses = reg.GetCounter("kernel.misses")->value() - misses0;
   uint64_t fallbacks =
       reg.GetCounter("kernel.fallbacks")->value() - fallbacks0;
-  // The registry must have been consulted for every SELECT, and any shape
-  // it compiled (a miss) ran twice — so the repeat must have hit.
+  // The kernel tier must have been consulted for every SELECT, and any
+  // shape it compiled (a miss) ran on the compiled plan.
   EXPECT_GT(hits + misses + fallbacks, 0u)
-      << "kernel registry never consulted";
+      << "kernel tier never consulted";
   if (misses > 0) {
     EXPECT_GT(hits, 0u) << "compiled kernels never served the repeat runs";
   }

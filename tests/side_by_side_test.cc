@@ -356,7 +356,15 @@ TEST(SideBySideWideTableTest, NarrowedScansAgree) {
       "select sym, t, c5, e0 from aj[`sym`t; w; qt]",
       "aj[`sym`t; select sym, t, c4 from w; qt]",
       "select sym, c2, d3 from ej[`sym; w; 0!k]",
-      "select from `c6 xdesc w",
+      "select c7 from `c6 xdesc w",
+      "select c7 from `c6 xasc w",
+      "select[3] c7 from `c6 xdesc w",
+      "select[-3] c7 from `c6 xdesc w",
+      "3#select c7 from `c6 xdesc w",
+      "-3#select c7 from `c6 xdesc w",
+      "-3#`c6 xasc w",
+      "select[-2] c7 from `c6 xdesc w where c0>0",
+      "2#select from `c6 xdesc w where c0>0",
       "select c8 from 3#w",
       "count w",
       "exec max c9 from w where sym=`A",

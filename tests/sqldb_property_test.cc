@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -418,9 +420,9 @@ TEST_P(NullAwareBatchProperty, KernelGroupByMatchesInterpreter) {
     int64_t h0 = hits->value();
     QueryResult kernel = RunAtPoolSizes(sql);
     ASSERT_GT(hits->value(), h0) << "kernel did not take: " << sql;
-    db_.kernel_registry().set_enabled(false);
+    db_.set_kernel_enabled(false);
     QueryResult interpreted = RunAtPoolSizes(sql);
-    db_.kernel_registry().set_enabled(true);
+    db_.set_kernel_enabled(true);
     ExpectSameData(kernel, interpreted, sql);
   }
 }
@@ -489,9 +491,9 @@ TEST_P(NullAwareBatchProperty, HashJoinMatchesCrossJoinFilter) {
     int64_t h0 = hits->value();
     QueryResult kernel = Run(sql);
     EXPECT_GT(hits->value(), h0) << "kernel did not take: " << sql;
-    db_.kernel_registry().set_enabled(false);
+    db_.set_kernel_enabled(false);
     ExpectSameData(kernel, Run(sql), sql);
-    db_.kernel_registry().set_enabled(true);
+    db_.set_kernel_enabled(true);
     EXPECT_EQ(kernel.data.row_count, 1u) << sql;
   }
 }
@@ -645,7 +647,122 @@ TEST_P(AsOfJoinResidual, UnresolvableResidualColumnKeepsItsError) {
   ExpectSameData(unreached, reference, "unreached unresolvable branch");
 }
 
+/// SortPermutation's presorted shortcut against std::stable_sort with an
+/// independent comparator (Datum::Compare per cell), over random keys and
+/// inputs arranged sorted, almost sorted, reversed or at random.
+class SortPermutationProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SortPermutationProperty, PresortedShortcutMatchesStableSort) {
+  hyperq::testing::Rng rng(GetParam());
+  int shortcuts = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t n = rng.Below(4) == 0 ? rng.Below(4) : 2 + rng.Below(200);
+    const double null_rate = rng.Below(3) * 0.2;  // 0, 0.2 or 0.4
+    const size_t nkeys = 1 + rng.Below(3);
+    // Random columns over small domains, so ties are common.
+    std::vector<ColumnPtr> cols;
+    std::vector<SortKey> keys;
+    for (size_t k = 0; k < nkeys; ++k) {
+      std::vector<uint8_t> nulls(n, 0);
+      bool any_null = false;
+      for (uint8_t& b : nulls) {
+        b = rng.NextDouble() < null_rate;
+        any_null = any_null || b;
+      }
+      if (!any_null) nulls.clear();  // the typed no-null path
+      switch (rng.Below(3)) {
+        case 0: {
+          std::vector<int64_t> v(n);
+          for (int64_t& x : v) x = static_cast<int64_t>(rng.Below(6)) - 2;
+          cols.push_back(Column::FromInts(SqlType::kBigInt, v, nulls));
+          break;
+        }
+        case 1: {
+          std::vector<double> v(n);
+          for (double& x : v) x = static_cast<double>(rng.Below(5)) * 0.5;
+          cols.push_back(Column::FromFloats(SqlType::kDouble, v, nulls));
+          break;
+        }
+        default: {
+          std::vector<std::string> v(n);
+          for (std::string& x : v) x = StrCat("s", rng.Below(4));
+          cols.push_back(Column::FromStrings(SqlType::kVarchar, v, nulls));
+          break;
+        }
+      }
+      keys.push_back({static_cast<int>(k), rng.Below(2) == 0,
+                      rng.Below(2) == 0});
+    }
+    auto less = [&](const std::vector<ColumnPtr>& c, uint32_t a,
+                    uint32_t b) {
+      for (const SortKey& k : keys) {
+        const Datum x = c[k.col]->At(a), y = c[k.col]->At(b);
+        if (x.is_null() || y.is_null()) {
+          if (x.is_null() == y.is_null()) continue;
+          return x.is_null() == k.nulls_first;
+        }
+        const int cmp = Datum::Compare(x, y);
+        if (cmp != 0) return k.ascending ? cmp < 0 : cmp > 0;
+      }
+      return false;
+    };
+    auto stable_order = [&](const std::vector<ColumnPtr>& c) {
+      SelVector order(n);
+      for (size_t r = 0; r < n; ++r) order[r] = static_cast<uint32_t>(r);
+      std::stable_sort(order.begin(), order.end(),
+                       [&](uint32_t a, uint32_t b) { return less(c, a, b); });
+      return order;
+    };
+    auto gather = [&](const SelVector& order) {
+      std::vector<ColumnPtr> out;
+      for (const ColumnPtr& c : cols) {
+        out.push_back(c->Gather(order.data(), order.size()));
+      }
+      return out;
+    };
+    // Arrange the rows: 0 at random, 1 sorted, 2 sorted with the last pair
+    // of differing adjacent rows swapped, 3 sorted then reversed.
+    const int arrangement = static_cast<int>(rng.Below(4));
+    std::vector<ColumnPtr> input = cols;
+    if (arrangement != 0) {
+      SelVector order = stable_order(cols);
+      if (arrangement == 2) {
+        std::vector<ColumnPtr> sorted = gather(order);
+        for (size_t r = n; r-- > 1;) {
+          if (less(sorted, static_cast<uint32_t>(r - 1),
+                   static_cast<uint32_t>(r))) {
+            std::swap(order[r - 1], order[r]);
+            break;
+          }
+        }
+      } else if (arrangement == 3) {
+        std::reverse(order.begin(), order.end());
+      }
+      input = gather(order);
+    }
+
+    const SelVector want = stable_order(input);
+    bool identity = true;
+    for (size_t r = 0; r < n; ++r) identity = identity && want[r] == r;
+    const std::string ctx =
+        StrCat("seed ", GetParam(), " trial ", trial, " n ", n, " keys ",
+               nkeys, " arrangement ", arrangement);
+    EXPECT_EQ(InKeyOrder(input, keys, n), identity) << ctx;
+    std::optional<SelVector> got = SortPermutation(input, keys, n);
+    if (got) {
+      EXPECT_FALSE(identity) << ctx;
+      EXPECT_EQ(*got, want) << ctx;
+    } else {
+      EXPECT_TRUE(identity) << ctx;
+      ++shortcuts;
+    }
+  }
+  EXPECT_GT(shortcuts, 0) << "the presorted shortcut never fired";
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, NullAwareBatchProperty,
+                         ::testing::Values(3u, 7u, 31u, 127u, 8191u));
+INSTANTIATE_TEST_SUITE_P(Seeds, SortPermutationProperty,
                          ::testing::Values(3u, 7u, 31u, 127u, 8191u));
 INSTANTIATE_TEST_SUITE_P(Seeds, AsOfJoinResidual,
                          ::testing::Values(3u, 7u, 31u));

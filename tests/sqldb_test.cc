@@ -508,45 +508,17 @@ TEST_F(SqlDbTest, QuotedIdentifiersPreserveCase) {
   EXPECT_DOUBLE_EQ(r.rows[0][0].AsDouble(), 1.5);
 }
 
-TEST_F(SqlDbTest, AppendColumnsBumpsOnlyTheTablesOwnVersion) {
-  // The ingest-flush contract: AppendColumns is a data-only change, so it
-  // advances the flushed table's per-table version (kernel invalidation)
-  // while the global catalog version — which gates the schema-dependent
-  // translation cache and every other table's caches — stays put. DML
-  // INSERT, by contrast, bumps both.
-  Run("CREATE TABLE other (v bigint)");
-  uint64_t global0 = db_.catalog().version();
-  uint64_t trades0 = db_.catalog().TableVersion("trades");
-  uint64_t other0 = db_.catalog().TableVersion("other");
-
-  std::vector<ColumnPtr> cols = {
-      Column::FromStrings(SqlType::kVarchar, {"ORCL"}),
-      Column::FromFloats(SqlType::kDouble, {39.5}),
-      Column::FromInts(SqlType::kBigInt, {50}),
-      Column::FromInts(SqlType::kTime, {34205000})};
-  ASSERT_TRUE(db_.catalog().AppendColumns("trades", cols, 1).ok());
-
-  EXPECT_EQ(db_.catalog().version(), global0)
-      << "a data flush must not invalidate schema-level caches";
-  EXPECT_GT(db_.catalog().TableVersion("trades"), trades0);
-  EXPECT_EQ(db_.catalog().TableVersion("other"), other0);
-
-  QueryResult r = Run("SELECT count(*) AS n FROM trades");
-  EXPECT_EQ(r.rows[0][0].AsInt(), 6);
-
-  Run("INSERT INTO trades VALUES ('IBM', 151.0, 10, '09:31:00')");
-  EXPECT_GT(db_.catalog().version(), global0)
-      << "DML must keep bumping the global version";
-}
-
 TEST_F(SqlDbTest, AppendColumnsIsCopyOnWriteForSnapshotHolders) {
   // A reader holding the StoredTable snapshot from before a flush must
   // never observe the appended rows — the epoch-pinned hybrid split relies
-  // on exactly this.
+  // on exactly this. A flush is a data-only change: the global catalog
+  // version, which gates the schema-dependent translation cache, stays
+  // put.
   Result<std::shared_ptr<StoredTable>> before =
       db_.catalog().GetTable("trades");
   ASSERT_TRUE(before.ok());
   size_t rows_before = (*before)->row_count;
+  uint64_t global0 = db_.catalog().version();
   std::vector<ColumnPtr> cols = {
       Column::FromStrings(SqlType::kVarchar, {"ORCL", "ORCL"}),
       Column::FromFloats(SqlType::kDouble, {39.5, 39.6}),
@@ -554,6 +526,8 @@ TEST_F(SqlDbTest, AppendColumnsIsCopyOnWriteForSnapshotHolders) {
       Column::FromInts(SqlType::kTime, {34205000, 34206000})};
   ASSERT_TRUE(db_.catalog().AppendColumns("trades", cols, 2).ok());
 
+  EXPECT_EQ(db_.catalog().version(), global0)
+      << "a data flush must not invalidate schema-level caches";
   EXPECT_EQ((*before)->row_count, rows_before);
   EXPECT_EQ((*before)->data[0]->size(), rows_before);
   Result<std::shared_ptr<StoredTable>> after =
@@ -577,6 +551,10 @@ TEST_F(SqlDbTest, AppendColumnsIsCopyOnWriteForSnapshotHolders) {
       db_.catalog().GetTable("trades");
   ASSERT_TRUE(final_t.ok());
   EXPECT_EQ((*final_t)->row_count, rows_before + 2);
+
+  Run("INSERT INTO trades VALUES ('IBM', 151.0, 10, '09:31:00')");
+  EXPECT_GT(db_.catalog().version(), global0)
+      << "DML must keep bumping the global version";
 }
 
 }  // namespace
