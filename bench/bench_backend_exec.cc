@@ -1,14 +1,16 @@
 // Backend executor throughput: columnar, morsel-parallel scan/filter,
-// grouped aggregation and hash join at 1-8 threads, plus a hand-coded
-// row-at-a-time reference loop (the seed executor's evaluation strategy)
-// so the vectorization win is measured against a fixed baseline rather
-// than a moving one. Thread counts are total workers including the
-// calling thread (the pool holds threads-1; ParallelFor always
-// participates).
+// grouped aggregation and hash join at 1-8 threads, the translated hot Q
+// family end to end at 1 and 4 threads, plus a hand-coded row-at-a-time
+// reference loop (the seed executor's evaluation strategy) so the
+// vectorization win is measured against a fixed baseline rather than a
+// moving one. Thread counts are total workers including the calling
+// thread (the pool holds threads-1; ParallelFor always participates).
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "bench/bench_main.h"
 
 #include "common/worker_pool.h"
+#include "core/hyperq.h"
 #include "sqldb/database.h"
 #include "sqldb/eval.h"
 #include "sqldb/session.h"
@@ -77,10 +80,6 @@ Database& Fixture() {
                  Column::FromFloats(SqlType::kDouble, std::move(w))};
     dims.row_count = kSyms;
     if (!d->CreateAndLoad(std::move(dims)).ok()) std::abort();
-    // This bench measures the interpreted columnar executor; the fused
-    // kernel tier has its own bench (bench_kernel_exec) that compares
-    // against these numbers.
-    d->set_kernel_enabled(false);
     return d;
   }();
   return *db;
@@ -122,6 +121,95 @@ void BM_HashJoin(benchmark::State& state) {
                 "ON f.sym = d.sym WHERE f.px > 900.0");
 }
 BENCHMARK(BM_HashJoin)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+// ---------------------------------------------------------------------------
+// End-to-end translated-Q family: Q text -> cross-compiler -> backend. The
+// table mirrors the Q loader's output (an `ordcol` scan-order column), so
+// the serializer emits flat single-table SELECTs with the final q-order
+// `ORDER BY "ordcol"` on the same block, and the sort is skipped because
+// the rows are already in order.
+
+constexpr size_t kQRows = 1 << 20;
+
+struct TranslatedFixture {
+  Database db;
+  std::unique_ptr<HyperQSession> session;
+};
+
+TranslatedFixture& QFixture() {
+  static TranslatedFixture* f = [] {
+    auto* t = new TranslatedFixture();
+    testing::Rng rng(43);
+    StoredTable trades;
+    trades.name = "trades";
+    trades.columns = {TableColumn{"ordcol", SqlType::kBigInt},
+                      TableColumn{"Sym", SqlType::kVarchar},
+                      TableColumn{"Price", SqlType::kDouble},
+                      TableColumn{"Size", SqlType::kBigInt}};
+    std::vector<int64_t> ord(kQRows);
+    std::vector<std::string> syms(kQRows);
+    std::vector<double> px(kQRows);
+    std::vector<int64_t> sz(kQRows);
+    for (size_t r = 0; r < kQRows; ++r) {
+      ord[r] = static_cast<int64_t>(r);
+      syms[r] = "S" + std::to_string(rng.Below(kSyms));
+      px[r] = rng.NextDouble() * 1000.0;
+      sz[r] = static_cast<int64_t>(rng.Below(10000));
+    }
+    trades.data = {Column::FromInts(SqlType::kBigInt, std::move(ord)),
+                   Column::FromStrings(SqlType::kVarchar, std::move(syms)),
+                   Column::FromFloats(SqlType::kDouble, std::move(px)),
+                   Column::FromInts(SqlType::kBigInt, std::move(sz))};
+    trades.row_count = kQRows;
+    if (!t->db.CreateAndLoad(std::move(trades)).ok()) std::abort();
+    t->session = std::make_unique<HyperQSession>(&t->db);
+    return t;
+  }();
+  return *f;
+}
+
+/// The hot dashboard family (§2.1 shapes): plain scans with literal
+/// filters, symbol membership, grouped aggregates, a scalar aggregate, and
+/// sort+take paging.
+const char* const kHotQQueries[] = {
+    "select Sym, Price, Size from trades where Price>500.0",
+    "select from trades where Sym=`S3",
+    "select Sym, Price from trades where Sym in `S1`S2`S5",
+    "select s: sum Price, n: count Price by Sym from trades where Size>1000",
+    "select hi: max Price, lo: min Price by Sym from trades",
+    "exec avg Price from trades where Sym=`S7",
+    "10#`Price xdesc trades",
+    "select[25;>Size] from trades",
+};
+
+/// One iteration runs the whole family once, on a warm translation cache.
+void BM_TranslatedQ(benchmark::State& state) {
+  TranslatedFixture& f = QFixture();
+  WorkerPool::Shared().Resize(static_cast<size_t>(state.range(0)) - 1);
+  for (const char* q : kHotQQueries) {
+    auto r = f.session->Query(q);
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      WorkerPool::Shared().Resize(0);
+      return;
+    }
+  }
+  for (auto _ : state) {
+    for (const char* q : kHotQQueries) {
+      auto r = f.session->Query(q);
+      if (!r.ok()) {
+        state.SkipWithError(r.status().ToString().c_str());
+        WorkerPool::Shared().Resize(0);
+        return;
+      }
+      benchmark::DoNotOptimize(*r);
+    }
+  }
+  WorkerPool::Shared().Resize(0);
+  state.SetItemsProcessed(state.iterations() * std::size(kHotQQueries) *
+                          kQRows);
+}
+BENCHMARK(BM_TranslatedQ)->Arg(1)->Arg(4);
 
 /// Row-at-a-time reference: the seed executor interpreted every
 /// expression per row through EvalExpr, encoded group keys per row, and

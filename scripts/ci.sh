@@ -7,7 +7,7 @@
 # halt_on_error.
 #
 # Usage: scripts/ci.sh [--skip-tsan] [--bench-smoke] [--chaos-smoke]
-#                      [--kernel-coverage] [--oversubscribe]
+#                      [--oversubscribe]
 #
 #   --chaos-smoke  re-runs the chaos/soak battery (non-TSAN binary) with a
 #                  pinned seed and a short wall-clock budget; part of the
@@ -15,18 +15,11 @@
 #                  standalone with the canonical CI seed so a failure
 #                  reproduces with: HYPERQ_SOAK_SEED=42 HYPERQ_SOAK_MS=1500
 #
-#   --kernel-coverage  builds and runs ONLY the fused-kernel grammar checks:
-#                  the KernelCoverageOnTranslatedHotCorpus fuzz battery
-#                  (translator-emitted hot SELECTs must be served by
-#                  compiled kernels at >= 80% or the run fails), then the
-#                  kernel_exec_test byte-identity sweep over the supported
-#                  shapes (KernelIdentity) and the fallback check over the
-#                  unsupported ones (UnsupportedShapes). Fast standalone
-#                  check for kernel-grammar regressions.
-#
 #   --oversubscribe  builds and runs ONLY the oversubscription stress gate:
 #                  2 x nproc concurrent copies of each of the worker pool,
-#                  kernel, shard, chaos-soak and ingest-hybrid tests, once per
+#                  executor (kernel_exec_test's statement sweep and the
+#                  sqldb property tests), shard, chaos-soak and
+#                  ingest-hybrid tests, once per
 #                  HYPERQ_EXEC_THREADS value in 1/4/16. Lost wakeups and
 #                  other hangs TSAN cannot see show up as a copy that
 #                  exceeds its 300 s timeout; any non-zero exit fails.
@@ -37,37 +30,20 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 SKIP_TSAN=0
 BENCH_SMOKE=0
 CHAOS_SMOKE=0
-KERNEL_COVERAGE=0
 OVERSUBSCRIBE=0
 for arg in "$@"; do
   case "$arg" in
     --skip-tsan) SKIP_TSAN=1 ;;
     --bench-smoke) BENCH_SMOKE=1 ;;
     --chaos-smoke) CHAOS_SMOKE=1 ;;
-    --kernel-coverage) KERNEL_COVERAGE=1 ;;
     --oversubscribe) OVERSUBSCRIBE=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
 done
 
-if [[ "$KERNEL_COVERAGE" == 1 ]]; then
-  echo "==> kernel-coverage: configure + build"
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS" \
-    --target side_by_side_fuzz_test kernel_exec_test >/dev/null
-  echo "==> kernel-coverage: translated hot-corpus sweep (floor: 80%)"
-  ./build/tests/side_by_side_fuzz_test \
-    --gtest_filter='*KernelCoverageOnTranslatedHotCorpus*'
-  echo "==> kernel-coverage: kernel vs interpreter on the grammar's shapes"
-  ./build/tests/kernel_exec_test \
-    --gtest_filter='*KernelIdentity*:*UnsupportedShapes*'
-  echo "==> kernel-coverage: green"
-  exit 0
-fi
-
 if [[ "$OVERSUBSCRIBE" == 1 ]]; then
-  STRESS_TESTS=(worker_pool_test kernel_exec_test shard_exec_test
-                chaos_soak_test ingest_hybrid_test)
+  STRESS_TESTS=(worker_pool_test kernel_exec_test sqldb_property_test
+                shard_exec_test chaos_soak_test ingest_hybrid_test)
   COPIES=$((2 * JOBS))
   echo "==> oversubscribe: configure + build"
   cmake -B build -S . >/dev/null
@@ -150,7 +126,7 @@ cmake --build build-tsan -j "$JOBS" \
   --target endpoint_stress_test metrics_test endpoint_test \
   event_loop_test protocol_test \
   translation_cache_test worker_pool_test exec_stress_test \
-  kernel_exec_test \
+  kernel_exec_test sqldb_property_test \
   wire_path_test qipc_property_test fault_injection_test chaos_soak_test \
   shard_exec_test side_by_side_fuzz_test ingest_hybrid_test
 
@@ -165,6 +141,7 @@ export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 ./build-tsan/tests/worker_pool_test
 ./build-tsan/tests/exec_stress_test
 ./build-tsan/tests/kernel_exec_test
+./build-tsan/tests/sqldb_property_test
 ./build-tsan/tests/wire_path_test
 ./build-tsan/tests/qipc_property_test
 ./build-tsan/tests/fault_injection_test

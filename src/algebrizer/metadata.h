@@ -15,7 +15,7 @@ namespace hyperq {
 
 /// Name of the implicit order column Hyper-Q adds to backend tables to
 /// preserve Q's ordered-list semantics in SQL (§2.2, §3.3). Shared with
-/// the backend kernel's sort elision via sql_markers.h.
+/// the backend's sort elision via sql_markers.h.
 inline constexpr const char* kOrdColName = kSqlOrdColName;
 
 struct ColumnMetadata {

@@ -34,7 +34,7 @@ constexpr SiteInfo kSites[] = {
     {"pgwire.write", StatusCode::kNetworkError, "pg wire write"},
     {"shard.execute", StatusCode::kUnavailable, "shard scatter execution"},
     {"shard.gather", StatusCode::kUnavailable, "shard partial gather"},
-    {"backend.kernel", StatusCode::kUnavailable, "fused kernel execution"},
+    {"backend.select", StatusCode::kUnavailable, "backend SELECT execution"},
     {"ingest.upd", StatusCode::kUnavailable, "ingest upd append"},
     {"ingest.flush", StatusCode::kUnavailable, "ingest tail flush"},
 };

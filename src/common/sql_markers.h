@@ -4,7 +4,7 @@
 namespace hyperq {
 
 /// Shared spellings for the helper constructs the cross-compiler plants in
-/// its emitted SQL, so downstream recognition (the kernel's sort elision,
+/// its emitted SQL, so downstream recognition (the backend's sort elision,
 /// result-leg column dropping) is an exact-name match against the same
 /// constants the serializer writes — recognition, not guessing.
 ///

@@ -1,7 +1,6 @@
 #ifndef HYPERQ_CORE_GATEWAY_H_
 #define HYPERQ_CORE_GATEWAY_H_
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -50,14 +49,6 @@ class BackendGateway {
   /// for pure wire gateways.
   virtual sqldb::Database* database() { return nullptr; }
   virtual sqldb::Session* session() { return nullptr; }
-
-  /// Visits every in-process backend database this gateway can reach
-  /// (cache-invalidation fan-out: a sharded gateway also visits its shard
-  /// backends). No-op for pure wire gateways.
-  virtual void ForEachDatabase(
-      const std::function<void(sqldb::Database*)>& fn) {
-    if (sqldb::Database* db = database()) fn(db);
-  }
 
   /// Human-readable backend description for logs.
   virtual std::string Describe() const = 0;

@@ -112,15 +112,6 @@ std::optional<Result<QValue>> HyperQSession::TryBuiltin(
     tcache_->Clear();
     return Result<QValue>(QValue());
   }
-  // Runtime control over the fused kernels (docs/PERFORMANCE.md): benches
-  // and byte-identity sweeps pin them off to measure/exercise the
-  // interpreted executor.
-  if (name == ".hyperq.kernelEnable" || name == ".hyperq.kernelDisable") {
-    const bool on = name == ".hyperq.kernelEnable";
-    gateway_->ForEachDatabase(
-        [on](sqldb::Database* db) { db->set_kernel_enabled(on); });
-    return Result<QValue>(QValue());
-  }
   // Runtime fault-injection control (docs/ROBUSTNESS.md). Faults are
   // process-global, like metrics: arming over one connection affects the
   // whole server, which is exactly what a chaos test wants.

@@ -138,8 +138,7 @@ Result<sqldb::QueryResult> HybridGateway::SplitExecute(const Translation& t,
   std::vector<sqldb::QueryResult> partials(2);  // historical, tail
   auto run_partial = [&](int part) -> Status {
     // Each partial sees its part of the snapshot as a temp shadow under
-    // the live table's name, and a kernel-shaped partial compiles against
-    // that part.
+    // the live table's name.
     ScopedShadows shadow(session_.get());
     shadow.Add(live.table,
                part == 0 ? live.snap.historical : live.snap.tail);

@@ -24,8 +24,7 @@ namespace ingest {
 /// can never double- or zero-count rows. Three paths, chosen per
 /// translated query:
 ///
-///   - plain: no snapshot has a tail — execute as-is (tier-1 behavior,
-///     including fused kernels).
+///   - plain: no snapshot has a tail — execute as-is (tier-1 behavior).
 ///   - split: the plan splits the one live table — run the partial SQL
 ///     over the snapshot's tail, then over its historical part (each
 ///     shadowed into the session under the table's name), and recombine
@@ -36,9 +35,8 @@ namespace ingest {
 ///     byte-identical to a bulk-loaded table by the order-column
 ///     construction.
 ///
-/// Kernel-shaped reads on every shadow still run on fused kernels: each
-/// SELECT compiles against the table its name resolves to, which here is
-/// the shadow itself.
+/// Every shadow is a session temp table, which the executor scans in place
+/// like a catalog table: the shadows add no copy beyond the snapshot's.
 class HybridGateway : public BackendGateway {
  public:
   /// Non-owning: the store outlives the gateway and is shared by every

@@ -265,11 +265,5 @@ std::string ShardedGateway::Describe() const {
                 " shards)");
 }
 
-void ShardedGateway::ForEachDatabase(
-    const std::function<void(sqldb::Database*)>& fn) {
-  fn(backend_->fallback());
-  for (int i = 0; i < backend_->num_shards(); ++i) fn(backend_->shard(i));
-}
-
 }  // namespace shard
 }  // namespace hyperq

@@ -91,11 +91,6 @@ class ShardedGateway : public BackendGateway {
   sqldb::Database* database() override { return backend_->fallback(); }
   sqldb::Session* session() override { return fallback_session_.get(); }
 
-  /// Cache invalidation must reach every shard backend, not just the
-  /// fallback (kernels compiled on shards would otherwise go stale).
-  void ForEachDatabase(
-      const std::function<void(sqldb::Database*)>& fn) override;
-
   std::string Describe() const override;
 
  private:

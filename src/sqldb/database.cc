@@ -1,10 +1,10 @@
 #include "sqldb/database.h"
 
+#include "common/fault.h"
 #include "common/metrics.h"
 #include "common/strings.h"
 #include "sqldb/eval.h"
 #include "sqldb/exec.h"
-#include "sqldb/kernel.h"
 #include "sqldb/sql_parser.h"
 
 namespace hyperq {
@@ -39,8 +39,6 @@ Status CoerceRow(const std::vector<TableColumn>& columns,
 }
 
 }  // namespace
-
-Database::Database() { RegisterKernelMetrics(); }
 
 Result<QueryResult> Database::Execute(Session* session,
                                       const std::string& sql) {
@@ -82,13 +80,11 @@ Result<QueryResult> Database::ExecuteStatement(Session* session,
   Executor executor(&catalog_, session);
   switch (stmt.kind) {
     case SqlStatement::Kind::kSelect: {
-      // Hot shapes run on a fused kernel; anything it declines (nullopt)
-      // falls back to the interpreted executor.
-      if (kernel_enabled()) {
-        if (auto kr = TryKernelSelect(*stmt.select, catalog_, session)) {
-          if (!kr->ok()) return kr->status();
-          return FromRelation(*std::move(*kr));
-        }
+      // Fault site: a SELECT failing or stalling inside the backend, after
+      // the gateway handed it over (docs/ROBUSTNESS.md).
+      if (FaultHit f = CheckFault("backend.select");
+          f.kind == FaultHit::Kind::kError) {
+        return f.error;
       }
       HQ_ASSIGN_OR_RETURN(Relation rel, executor.ExecuteSelect(*stmt.select));
       return FromRelation(std::move(rel));

@@ -1,7 +1,6 @@
 #ifndef HYPERQ_SQLDB_DATABASE_H_
 #define HYPERQ_SQLDB_DATABASE_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -140,23 +139,13 @@ struct QueryResult {
 /// dialect and (via protocol/pgwire) the same wire protocol.
 class Database {
  public:
-  Database();
+  Database() = default;
 
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
   Catalog& catalog() { return catalog_; }
   const Catalog& catalog() const { return catalog_; }
-
-  /// Whether SELECTs try a fused kernel (sqldb/kernel.h) before the
-  /// interpreted executor. On by default; tests and benches switch it off
-  /// to use the interpreter as the reference.
-  void set_kernel_enabled(bool enabled) {
-    kernel_enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool kernel_enabled() const {
-    return kernel_enabled_.load(std::memory_order_relaxed);
-  }
 
   std::unique_ptr<Session> CreateSession() {
     return std::make_unique<Session>();
@@ -186,7 +175,6 @@ class Database {
 
  private:
   Catalog catalog_;
-  std::atomic<bool> kernel_enabled_{true};
 };
 
 }  // namespace sqldb

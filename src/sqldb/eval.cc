@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
+#include <optional>
 #include <set>
 
 #include "common/strings.h"
@@ -228,6 +230,21 @@ Result<Datum> EvalScalarFunction(const Expr& e,
                             " is not implemented in the mini PG engine"));
 }
 
+/// Resolves a column reference against `rel` and memoizes the index on the
+/// node. Relation addresses can be reused across queries, so the memo is
+/// validated against the column name before it is trusted.
+Result<int> ResolveColRef(const Expr& e, const Relation& rel) {
+  if (e.resolved_rel == &rel && e.resolved_idx >= 0 &&
+      static_cast<size_t>(e.resolved_idx) < rel.cols.size() &&
+      rel.cols[e.resolved_idx].name == e.column) {
+    return e.resolved_idx;
+  }
+  HQ_ASSIGN_OR_RETURN(int idx, rel.Resolve(e.qualifier, e.column));
+  e.resolved_rel = &rel;
+  e.resolved_idx = idx;
+  return idx;
+}
+
 /// The non-AND/OR binary operator, applied to already-evaluated operands.
 /// Shared between EvalExpr and the per-row fallback of the batch kernels.
 Result<Datum> ScalarBinaryTail(const Expr& e, const Datum& a,
@@ -359,16 +376,7 @@ Result<Datum> EvalExpr(const Expr& e, const EvalCtx& ctx) {
         return BindError(StrCat("column \"", e.column,
                                 "\" referenced without a FROM clause"));
       }
-      // Relation addresses can be reused across queries, so validate the
-      // memo against the column name before trusting it.
-      if (e.resolved_rel == ctx.rel && e.resolved_idx >= 0 &&
-          static_cast<size_t>(e.resolved_idx) < ctx.rel->cols.size() &&
-          ctx.rel->cols[e.resolved_idx].name == e.column) {
-        return ctx.rel->At(ctx.row_idx, e.resolved_idx);
-      }
-      HQ_ASSIGN_OR_RETURN(int idx, ctx.rel->Resolve(e.qualifier, e.column));
-      e.resolved_rel = ctx.rel;
-      e.resolved_idx = idx;
+      HQ_ASSIGN_OR_RETURN(int idx, ResolveColRef(e, *ctx.rel));
       return ctx.rel->At(ctx.row_idx, idx);
     }
     case ExprKind::kStar:
@@ -759,18 +767,7 @@ Result<Datum> ComputeAggregateColumnar(const Expr& agg, const Column& col,
 // ---------------------------------------------------------------------------
 
 bool PreResolve(const Expr& e, const Relation& rel) {
-  if (e.kind == ExprKind::kColRef) {
-    if (e.resolved_rel == &rel && e.resolved_idx >= 0 &&
-        static_cast<size_t>(e.resolved_idx) < rel.cols.size() &&
-        rel.cols[e.resolved_idx].name == e.column) {
-      return true;
-    }
-    Result<int> r = rel.Resolve(e.qualifier, e.column);
-    if (!r.ok()) return false;
-    e.resolved_rel = &rel;
-    e.resolved_idx = *r;
-    return true;
-  }
+  if (e.kind == ExprKind::kColRef) return ResolveColRef(e, rel).ok();
   if (e.kind == ExprKind::kWindow) return true;  // values precomputed
   bool ok = true;
   if (e.lhs) ok = PreResolve(*e.lhs, rel) && ok;
@@ -1100,6 +1097,361 @@ Result<ColumnPtr> CoalesceBatch(const Expr& e, const BatchCtx& ctx,
   }
 }
 
+/// Whether `e` is a literal: a constant, or a cast or unary minus over one
+/// (the serializer spells literals 'S1'::varchar, parsers spell -5 as -(5)).
+bool IsLiteralTree(const Expr& e) {
+  if (e.kind == ExprKind::kConst) return true;
+  return (e.kind == ExprKind::kCast ||
+          (e.kind == ExprKind::kUnary && e.op == "-")) &&
+         e.lhs != nullptr && IsLiteralTree(*e.lhs);
+}
+
+/// A literal folded once, with EvalExpr itself, so the value is the one
+/// every row would compute. nullopt when `e` is not a literal or its fold
+/// fails; the per-row path then reports that error on the row reaching it.
+std::optional<Datum> FoldLiteral(const Expr& e) {
+  if (!IsLiteralTree(e)) return std::nullopt;
+  Result<Datum> v = EvalExpr(e, EvalCtx{});
+  if (!v.ok()) return std::nullopt;
+  return *std::move(v);
+}
+
+/// Whether a non-NULL literal compares with the cells of a column of
+/// storage `st` without a type error (CompareDatums: strings only with
+/// strings).
+bool ComparableWith(Column::Storage st, const Datum& lit) {
+  const bool str = IsStringType(lit.type());
+  return st == Column::Storage::kString
+             ? str
+             : (st == Column::Storage::kInt || st == Column::Storage::kFloat) &&
+                   !str;
+}
+
+/// Calls fn(cmp) with `cmp(r)`, whose sign is that of Datum::Compare(cell
+/// r, lit), typed once for the column's storage (kInt, kFloat or kString)
+/// and the literal's class, as BinaryKernel types a column against a
+/// constant. With `eq_only` a string cell only reports equal (0) or not,
+/// which is all `=` and `<>` read.
+template <typename Fn>
+void WithCellCmp(const Column& c, const Datum& lit, bool eq_only, Fn&& fn) {
+  switch (c.storage()) {
+    case Column::Storage::kInt: {
+      const int64_t* v = c.ints();
+      if (IsFloatDatum(lit)) {
+        const double b = lit.AsDouble();
+        fn([v, b](uint32_t r) {
+          return Cmp3Double(static_cast<double>(v[r]), b);
+        });
+      } else {
+        const int64_t b = lit.AsInt();
+        fn([v, b](uint32_t r) { return (v[r] > b) - (v[r] < b); });
+      }
+      return;
+    }
+    case Column::Storage::kFloat: {
+      const double* v = c.floats();
+      const double b = lit.AsDouble();
+      fn([v, b](uint32_t r) { return Cmp3Double(v[r], b); });
+      return;
+    }
+    default: {
+      const std::string* v = c.strs().data();
+      const std::string* b = &lit.AsString();
+      if (eq_only) {
+        fn([v, b](uint32_t r) { return v[r] == *b ? 0 : 1; });
+      } else {
+        fn([v, b](uint32_t r) { return v[r].compare(*b); });
+      }
+      return;
+    }
+  }
+}
+
+/// Calls fn(holds) with `holds(cmp)`: whether comparison `op` (CmpOpIndex)
+/// holds for a three-way result, fixed outside the row loop.
+template <typename Fn>
+void WithCmpOp(int op, Fn&& fn) {
+  switch (op) {
+    case 0: return fn([](int c) { return c == 0; });
+    case 1: return fn([](int c) { return c != 0; });
+    case 2: return fn([](int c) { return c < 0; });
+    case 3: return fn([](int c) { return c > 0; });
+    case 4: return fn([](int c) { return c <= 0; });
+    default: return fn([](int c) { return c >= 0; });
+  }
+}
+
+/// A predicate's value on one row under three-valued logic.
+enum class Truth : uint8_t { kFalse, kTrue, kNull };
+
+inline Truth TruthOf(bool b) { return b ? Truth::kTrue : Truth::kFalse; }
+
+/// Calls emit(i, row, truth) for rows sel[0..n) (sel == nullptr: rows
+/// [0, n)) in ascending order: NULL where the column's null byte is set,
+/// else test(row). The common no-selection, no-NULL case loops without
+/// either check.
+template <typename Test, typename Emit>
+void ForRows(const uint32_t* sel, size_t n, const uint8_t* nulls, Test test,
+             Emit emit) {
+  if (sel == nullptr && nulls == nullptr) {
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t r = static_cast<uint32_t>(i);
+      emit(i, r, test(r));
+    }
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t r = sel ? sel[i] : static_cast<uint32_t>(i);
+    emit(i, r, nulls != nullptr && nulls[r] != 0 ? Truth::kNull : test(r));
+  }
+}
+
+/// A leaf predicate bound to one column of the batch's relation, which it
+/// reads in place: `col op lit` (the literal on either side),
+/// `col [NOT] IN (lits)`, `col [NOT] BETWEEN lit AND lit` and
+/// `col IS [NOT] NULL`. It binds only where its typed loop gives what
+/// EvalExpr gives on every row and cannot fail; anything else (a kMixed
+/// column, a literal class the comparison rejects, a literal whose fold
+/// fails) stays on the general path, which owns the errors.
+struct LeafPred {
+  enum class Kind : uint8_t { kCmp, kBetween, kIn, kIsNull, kAllNull };
+  Kind kind = Kind::kAllNull;
+  const Column* col = nullptr;
+  int op = 0;            ///< kCmp, with the literal on the right
+  bool negated = false;  ///< kBetween, kIn, kIsNull
+  Datum lo, hi;          ///< kCmp literal (lo); kBetween bounds
+  /// kIn: the non-NULL items that can equal a cell (Datum::DistinctEquals
+  /// never matches across the string/number divide, so the rest are
+  /// dropped), and whether a NULL item was listed.
+  std::vector<int64_t> int_items;
+  std::vector<double> float_items;
+  std::vector<std::string> str_items;
+  bool null_item = false;
+
+  /// Calls emit(i, row, truth) for rows sel[0..n) (sel == nullptr: rows
+  /// [0, n)) in ascending order; the storage, the operator and the
+  /// literals are dispatched once, outside the row loop.
+  template <typename Emit>
+  void Run(const uint32_t* sel, size_t n, Emit emit) const {
+    const uint8_t* nulls = NullBytesOf(*col);
+    switch (kind) {
+      case Kind::kAllNull:
+        ForRows(sel, n, nullptr, [](uint32_t) { return Truth::kNull; },
+                emit);
+        return;
+      case Kind::kIsNull: {
+        const Column* c = col;
+        const bool neg = negated;
+        ForRows(sel, n, nullptr,
+                [c, neg](uint32_t r) { return TruthOf(c->IsNull(r) != neg); },
+                emit);
+        return;
+      }
+      case Kind::kCmp:
+        WithCmpOp(op, [&](auto holds) {
+          WithCellCmp(*col, lo, op <= 1, [&](auto cmp) {
+            ForRows(sel, n, nulls,
+                    [holds, cmp](uint32_t r) { return TruthOf(holds(cmp(r))); },
+                    emit);
+          });
+        });
+        return;
+      case Kind::kBetween: {
+        const bool neg = negated;
+        WithCellCmp(*col, lo, false, [&](auto cmp_lo) {
+          WithCellCmp(*col, hi, false, [&](auto cmp_hi) {
+            ForRows(sel, n, nulls,
+                    [cmp_lo, cmp_hi, neg](uint32_t r) {
+                      return TruthOf((cmp_lo(r) >= 0 && cmp_hi(r) <= 0) !=
+                                     neg);
+                    },
+                    emit);
+          });
+        });
+        return;
+      }
+      case Kind::kIn: {
+        // A match decides; otherwise a NULL item makes the answer NULL.
+        const Truth miss = null_item ? Truth::kNull : TruthOf(negated);
+        const Truth hit = TruthOf(!negated);
+        switch (col->storage()) {
+          case Column::Storage::kInt: {
+            const int64_t* v = col->ints();
+            ForRows(sel, n, nulls,
+                    [&, v](uint32_t r) {
+                      for (int64_t x : int_items) {
+                        if (v[r] == x) return hit;
+                      }
+                      for (double x : float_items) {
+                        if (DistinctEqualsDouble(static_cast<double>(v[r]),
+                                                 x)) {
+                          return hit;
+                        }
+                      }
+                      return miss;
+                    },
+                    emit);
+            return;
+          }
+          case Column::Storage::kFloat: {
+            const double* v = col->floats();
+            ForRows(sel, n, nulls,
+                    [&, v](uint32_t r) {
+                      for (double x : float_items) {
+                        if (DistinctEqualsDouble(v[r], x)) return hit;
+                      }
+                      return miss;
+                    },
+                    emit);
+            return;
+          }
+          default: {
+            const std::string* v = col->strs().data();
+            ForRows(sel, n, nulls,
+                    [&, v](uint32_t r) {
+                      for (const std::string& x : str_items) {
+                        if (v[r] == x) return hit;
+                      }
+                      return miss;
+                    },
+                    emit);
+            return;
+          }
+        }
+      }
+    }
+  }
+
+  /// Appends the rows where the predicate is TRUE.
+  void Filter(const uint32_t* sel, size_t n, SelVector* out) const {
+    const size_t base = out->size();
+    out->resize(base + n);
+    uint32_t* w = out->data() + base;
+    size_t k = 0;
+    Run(sel, n, [w, &k](size_t, uint32_t r, Truth t) {
+      w[k] = r;
+      k += t == Truth::kTrue;
+    });
+    out->resize(base + k);
+  }
+
+  /// The predicate's boolean column over the rows, built as the general
+  /// path builds it: BinaryKernel's for a comparison (an all-NULL operand
+  /// gives an all-NULL constant), EvalBatch's null test for IS NULL, and
+  /// the per-row appends of EvalBatchFallback for IN and BETWEEN.
+  ColumnPtr ToColumn(const uint32_t* sel, size_t n) const {
+    if (kind == Kind::kAllNull) return Column::Constant(Datum::Null(), n);
+    std::vector<int64_t> out(n, 0);
+    std::vector<uint8_t> nulls(n, 0);
+    int64_t* o = out.data();
+    uint8_t* nb = nulls.data();
+    size_t null_count = 0;
+    Run(sel, n, [o, nb, &null_count](size_t i, uint32_t, Truth t) {
+      o[i] = t == Truth::kTrue;
+      nb[i] = t == Truth::kNull;
+      null_count += t == Truth::kNull;
+    });
+    if (null_count == n && (kind == Kind::kIn || kind == Kind::kBetween)) {
+      return Column::Constant(Datum::Null(), n);
+    }
+    if (null_count == 0) nulls.clear();
+    return Column::FromInts(SqlType::kBoolean, std::move(out),
+                            std::move(nulls));
+  }
+};
+
+/// Binds `e` as a leaf predicate over ctx.rel, or nullopt (see LeafPred).
+std::optional<LeafPred> BindLeaf(const Expr& e, const BatchCtx& ctx) {
+  using Kind = LeafPred::Kind;
+  if (ctx.rel == nullptr || e.lhs == nullptr) return std::nullopt;
+  LeafPred p;
+  p.negated = e.negated;
+  const Expr* colref = e.lhs.get();
+  std::vector<Datum> lits;  // compared with the cells: class-checked below
+  switch (e.kind) {
+    case ExprKind::kIsNull:
+      p.kind = Kind::kIsNull;
+      break;
+    case ExprKind::kBinary: {
+      p.op = CmpOpIndex(e.op);
+      if (p.op < 0 || e.rhs == nullptr) return std::nullopt;
+      std::optional<Datum> lit;
+      if (e.lhs->kind == ExprKind::kColRef) lit = FoldLiteral(*e.rhs);
+      if (!lit && e.rhs->kind == ExprKind::kColRef) {
+        lit = FoldLiteral(*e.lhs);
+        colref = e.rhs.get();
+        p.op = FlipCmpOp(p.op);
+      }
+      if (!lit) return std::nullopt;
+      p.kind = Kind::kCmp;
+      p.lo = *std::move(lit);
+      lits = {p.lo};
+      break;
+    }
+    case ExprKind::kBetween: {
+      if (e.low == nullptr || e.high == nullptr) return std::nullopt;
+      std::optional<Datum> lo = FoldLiteral(*e.low);
+      std::optional<Datum> hi = FoldLiteral(*e.high);
+      if (!lo || !hi) return std::nullopt;
+      p.kind = Kind::kBetween;
+      p.lo = *std::move(lo);
+      p.hi = *std::move(hi);
+      lits = {p.lo, p.hi};
+      break;
+    }
+    case ExprKind::kInList:
+      p.kind = Kind::kIn;
+      break;
+    default:
+      return std::nullopt;
+  }
+  if (colref->kind != ExprKind::kColRef) return std::nullopt;
+  Result<int> idx = ResolveColRef(*colref, *ctx.rel);
+  if (!idx.ok()) return std::nullopt;
+  p.col = ctx.rel->columns[*idx].get();
+  if (p.col->size() != ctx.rel->row_count) return std::nullopt;
+  const Column::Storage st = p.col->storage();
+  if (p.kind == Kind::kIsNull) return p;
+  if (st == Column::Storage::kMixed) return std::nullopt;
+  if (p.kind == Kind::kIn) {
+    for (const auto& item : e.args) {
+      std::optional<Datum> x = FoldLiteral(*item);
+      if (!x) return std::nullopt;
+      if (x->is_null()) {
+        p.null_item = true;
+      } else if (IsStringType(x->type())) {
+        p.str_items.push_back(x->AsString());
+      } else if (IsFloatDatum(*x) || st == Column::Storage::kFloat) {
+        p.float_items.push_back(x->AsDouble());
+      } else {
+        p.int_items.push_back(x->AsInt());
+      }
+    }
+  }
+  // A NULL cell or a NULL literal makes the comparison NULL before any
+  // type check, so an all-NULL column or a NULL literal never errors.
+  if (st == Column::Storage::kEmpty) {
+    p.kind = Kind::kAllNull;
+    return p;
+  }
+  for (const Datum& lit : lits) {
+    if (lit.is_null()) {
+      p.kind = Kind::kAllNull;
+      return p;
+    }
+  }
+  for (const Datum& lit : lits) {
+    if (!ComparableWith(st, lit)) return std::nullopt;
+  }
+  return p;
+}
+
+/// Merges two disjoint ascending row lists into *out.
+void MergeAscending(const SelVector& a, const SelVector& b, SelVector* out) {
+  out->reserve(out->size() + a.size() + b.size());
+  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(*out));
+}
+
 }  // namespace
 
 Result<ColumnPtr> EvalBatch(const Expr& e, const BatchCtx& ctx,
@@ -1113,16 +1465,7 @@ Result<ColumnPtr> EvalBatch(const Expr& e, const BatchCtx& ctx,
         return BindError(StrCat("column \"", e.column,
                                 "\" referenced without a FROM clause"));
       }
-      int idx;
-      if (e.resolved_rel == ctx.rel && e.resolved_idx >= 0 &&
-          static_cast<size_t>(e.resolved_idx) < ctx.rel->cols.size() &&
-          ctx.rel->cols[e.resolved_idx].name == e.column) {
-        idx = e.resolved_idx;
-      } else {
-        HQ_ASSIGN_OR_RETURN(idx, ctx.rel->Resolve(e.qualifier, e.column));
-        e.resolved_rel = ctx.rel;
-        e.resolved_idx = idx;
-      }
+      HQ_ASSIGN_OR_RETURN(int idx, ResolveColRef(e, *ctx.rel));
       const ColumnPtr& col = ctx.rel->columns[idx];
       if (sel == nullptr && n == col->size()) return col;  // zero copy
       return col->Gather(sel, n);
@@ -1241,12 +1584,14 @@ Result<ColumnPtr> EvalBatch(const Expr& e, const BatchCtx& ctx,
                                 any_null ? std::move(nulls)
                                          : std::vector<uint8_t>());
       }
+      if (auto leaf = BindLeaf(e, ctx)) return leaf->ToColumn(sel, n);
       HQ_ASSIGN_OR_RETURN(ColumnPtr a, EvalBatch(*e.lhs, ctx, sel, n));
       HQ_ASSIGN_OR_RETURN(ColumnPtr b, EvalBatch(*e.rhs, ctx, sel, n));
       return BinaryKernel(e, *a, *b, n);
     }
 
     case ExprKind::kIsNull: {
+      if (auto leaf = BindLeaf(e, ctx)) return leaf->ToColumn(sel, n);
       HQ_ASSIGN_OR_RETURN(ColumnPtr a, EvalBatch(*e.lhs, ctx, sel, n));
       std::vector<int64_t> out(n, 0);
       for (size_t i = 0; i < n; ++i) {
@@ -1300,8 +1645,18 @@ Result<ColumnPtr> EvalBatch(const Expr& e, const BatchCtx& ctx,
 
     case ExprKind::kInList:
     case ExprKind::kBetween:
-    case ExprKind::kCase:
+      if (auto leaf = BindLeaf(e, ctx)) return leaf->ToColumn(sel, n);
+      return EvalBatchFallback(e, ctx, sel, n);
+
     case ExprKind::kCast:
+      // A cast of a literal is folded once for the batch (zero rows cast
+      // nothing, so they also raise nothing).
+      if (n > 0) {
+        if (auto v = FoldLiteral(e)) return Column::Constant(*v, n);
+      }
+      return EvalBatchFallback(e, ctx, sel, n);
+
+    case ExprKind::kCase:
       return EvalBatchFallback(e, ctx, sel, n);
   }
   return InternalError("unhandled expression kind");
@@ -1309,8 +1664,37 @@ Result<ColumnPtr> EvalBatch(const Expr& e, const BatchCtx& ctx,
 
 Status EvalFilter(const Expr& e, const BatchCtx& ctx, const uint32_t* sel,
                   size_t n, SelVector* out) {
+  if (auto leaf = BindLeaf(e, ctx)) {
+    leaf->Filter(sel, n, out);
+    return Status::OK();
+  }
   if (e.kind == ExprKind::kBinary && (e.op == "AND" || e.op == "OR")) {
     bool is_and = e.op == "AND";
+    if (auto rhs = BindLeaf(*e.rhs, ctx)) {
+      // A leaf cannot fail, so it need not run on every row short-circuit
+      // evaluation reaches: AND narrows the left side's survivors, OR
+      // tests the rows the left side left not TRUE.
+      SelVector lhs_true;
+      HQ_RETURN_IF_ERROR(EvalFilter(*e.lhs, ctx, sel, n, &lhs_true));
+      if (is_and) {
+        rhs->Filter(lhs_true.data(), lhs_true.size(), out);
+        return Status::OK();
+      }
+      SelVector rest, rhs_true;
+      rest.reserve(n - lhs_true.size());
+      size_t k = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t row = sel ? sel[i] : static_cast<uint32_t>(i);
+        if (k < lhs_true.size() && lhs_true[k] == row) {
+          ++k;
+        } else {
+          rest.push_back(row);
+        }
+      }
+      rhs->Filter(rest.data(), rest.size(), &rhs_true);
+      MergeAscending(lhs_true, rhs_true, out);
+      return Status::OK();
+    }
     HQ_ASSIGN_OR_RETURN(ColumnPtr a, EvalBatch(*e.lhs, ctx, sel, n));
     SelVector lhs_true, cand;
     for (size_t i = 0; i < n; ++i) {
@@ -1339,16 +1723,8 @@ Status EvalFilter(const Expr& e, const BatchCtx& ctx, const uint32_t* sel,
       }
     } else {
       // lhs-true and rhs-true are disjoint (rhs only ran where lhs was not
-      // true); merge the two ascending lists.
-      size_t i = 0, j = 0;
-      while (i < lhs_true.size() || j < rhs_true.size()) {
-        if (j >= rhs_true.size() ||
-            (i < lhs_true.size() && lhs_true[i] < rhs_true[j])) {
-          out->push_back(lhs_true[i++]);
-        } else {
-          out->push_back(rhs_true[j++]);
-        }
-      }
+      // true).
+      MergeAscending(lhs_true, rhs_true, out);
     }
     return Status::OK();
   }

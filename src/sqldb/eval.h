@@ -47,17 +47,21 @@ bool PreResolve(const Expr& e, const Relation& rel);
 
 /// Evaluates e over rows sel[0..n) of ctx.rel (sel == nullptr means rows
 /// [0, n)) into a column of n results. Comparisons, arithmetic and boolean
-/// logic run as type-specialized loops; other nodes fall back to EvalExpr
-/// per row. Rows are processed in ascending order, so the first failing
-/// row's error is returned, like the row-at-a-time path.
+/// logic run as type-specialized loops; a leaf predicate over a stored
+/// column (`col op literal`, `[NOT] IN`, `BETWEEN`, `IS [NOT] NULL`) reads
+/// that column in place, and a cast of a literal is folded once. Other
+/// nodes fall back to EvalExpr per row. Rows are processed in ascending
+/// order, so the first failing row's error is returned, like the
+/// row-at-a-time path.
 Result<ColumnPtr> EvalBatch(const Expr& e, const BatchCtx& ctx,
                             const uint32_t* sel, size_t n);
 
 /// Filter evaluation: appends to *out the rows among sel[0..n) (ascending)
-/// where e evaluates TRUE. AND/OR narrow the candidate rows exactly the way
-/// short-circuit evaluation does — the set of (row, subexpression) pairs
-/// evaluated matches EvalExpr row by row, so data-dependent errors surface
-/// on the same rows.
+/// where e evaluates TRUE. A leaf predicate writes its survivors straight
+/// into *out. AND/OR narrow the candidate rows the way short-circuit
+/// evaluation does — every (row, subexpression) pair that can fail is
+/// evaluated exactly when EvalExpr row by row evaluates it, so
+/// data-dependent errors surface on the same rows.
 Status EvalFilter(const Expr& e, const BatchCtx& ctx, const uint32_t* sel,
                   size_t n, SelVector* out);
 

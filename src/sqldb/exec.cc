@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -172,21 +173,41 @@ Status FilterRows(const Expr& e, const BatchCtx& ctx, size_t n,
   return EvalFilter(e, ctx, nullptr, n, out);
 }
 
-/// Groups rows [0, n) by the key columns on the shared group table
-/// (first-occurrence group order, ascending members). Parallel morsels
-/// record their time in exec.morsel_us.
+/// Groups rows sel[0..n) (sel == nullptr: rows [0, n)) by the key columns
+/// on the shared group table (first-occurrence group order, ascending
+/// members, which are rows of the key columns). Parallel morsels record
+/// their time in exec.morsel_us.
 Result<std::vector<SelVector>> GroupRows(const std::vector<ColumnPtr>& keys,
-                                         size_t n, bool parallel) {
+                                         const uint32_t* sel, size_t n,
+                                         bool parallel) {
   const ExecMetrics& m = ExecMetrics::Get();
   return GroupMembers(keys, n, parallel, Deadline::Current(),
                       [&](size_t lo, size_t hi, auto&& add) {
                         double t0 = parallel ? NowUs() : 0;
                         for (size_t i = lo; i < hi; ++i) {
-                          add(static_cast<uint32_t>(i));
+                          add(sel ? sel[i] : static_cast<uint32_t>(i));
                         }
                         if (parallel) m.morsel_us->Record(NowUs() - t0);
                         return Status::OK();
                       });
+}
+
+/// Whether grouping can read the ungathered input through the WHERE
+/// selection: every group key and aggregate argument is a plain column,
+/// whose stored cells are the values a gather would copy.
+bool GroupsThroughSelection(const SelectStmt& stmt,
+                            const std::vector<const Expr*>& aggs) {
+  for (const auto& g : stmt.group_by) {
+    if (g->kind != ExprKind::kColRef) return false;
+  }
+  for (const Expr* agg : aggs) {
+    for (const auto& a : agg->args) {
+      if (a->kind != ExprKind::kColRef && a->kind != ExprKind::kStar) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -313,25 +334,34 @@ Result<Executor::CoreResult> Executor::ExecCore(const SelectStmt& stmt) {
     input.AppendRow({});  // SELECT without FROM: one empty row
   }
 
-  // ---- WHERE ----
-  if (stmt.where) {
-    BatchCtx wctx;
-    wctx.rel = &input;
-    SelVector sel;
-    HQ_RETURN_IF_ERROR(FilterRows(*stmt.where, wctx, input.row_count, &sel));
-    input = input.GatherRows(sel.data(), sel.size());
-  }
-
   CoreResult core;
-
-  // ---- GROUP BY / aggregates ----
   std::vector<const Expr*> agg_nodes;
   for (const auto& item : stmt.items) CollectAggregates(item.expr, &agg_nodes);
   CollectAggregates(stmt.having, &agg_nodes);
   bool grouped = !stmt.group_by.empty() || !agg_nodes.empty();
 
+  // ---- WHERE ----
+  // Grouping over plain columns reads the input in place through the
+  // selection (`where_sel`); everything else reads the gathered survivors.
+  std::optional<SelVector> where_sel;
+  if (stmt.where) {
+    BatchCtx wctx;
+    wctx.rel = &input;
+    SelVector sel;
+    HQ_RETURN_IF_ERROR(FilterRows(*stmt.where, wctx, input.row_count, &sel));
+    if (grouped && GroupsThroughSelection(stmt, agg_nodes)) {
+      where_sel = std::move(sel);
+    } else {
+      input = input.GatherRows(sel.data(), sel.size());
+    }
+  }
+
+  // ---- GROUP BY / aggregates ----
   if (grouped) {
-    size_t n = input.row_count;
+    // Rows to group: the selection's, else all of the input. Group members
+    // are input rows either way.
+    const uint32_t* sel = where_sel ? where_sel->data() : nullptr;
+    const size_t n = where_sel ? where_sel->size() : input.row_count;
 
     // Group keys evaluate column-wise; rows are then bucketed on the
     // shared group table, whose adapter follows the key columns' storage.
@@ -339,7 +369,8 @@ Result<Executor::CoreResult> Executor::ExecCore(const SelectStmt& stmt) {
     std::vector<ColumnPtr> key_cols;
     key_cols.reserve(stmt.group_by.size());
     for (const auto& g : stmt.group_by) {
-      HQ_ASSIGN_OR_RETURN(ColumnPtr c, EvalBatch(*g, ictx, nullptr, n));
+      HQ_ASSIGN_OR_RETURN(ColumnPtr c,
+                          EvalBatch(*g, ictx, nullptr, input.row_count));
       key_cols.push_back(std::move(c));
     }
 
@@ -349,12 +380,14 @@ Result<Executor::CoreResult> Executor::ExecCore(const SelectStmt& stmt) {
     std::vector<SelVector> members;
     if (!key_cols.empty()) {
       const bool parallel = ShouldParallelize(n);
-      HQ_ASSIGN_OR_RETURN(members, GroupRows(key_cols, n, parallel));
+      HQ_ASSIGN_OR_RETURN(members, GroupRows(key_cols, sel, n, parallel));
       metrics.batches->Increment(parallel ? MorselCount(n) : 1);
       if (parallel) metrics.parallel_tasks->Increment(MorselCount(n));
       metrics.rows->Increment(n);
-    } else if (n > 0) {
+    } else if (where_sel) {
       // No GROUP BY: every row lands in one group.
+      if (n > 0) members.push_back(std::move(*where_sel));
+    } else if (n > 0) {
       members.emplace_back(n);
       std::iota(members[0].begin(), members[0].end(), 0);
     }
@@ -386,8 +419,8 @@ Result<Executor::CoreResult> Executor::ExecCore(const SelectStmt& stmt) {
         if (agg->args.size() != 1 && f != "count") {
           return TypeError(StrCat("aggregate ", f, " takes one argument"));
         }
-        HQ_ASSIGN_OR_RETURN(arg_col,
-                            EvalBatch(*agg->args[0], ictx, nullptr, n));
+        HQ_ASSIGN_OR_RETURN(
+            arg_col, EvalBatch(*agg->args[0], ictx, nullptr, input.row_count));
         metrics.batches->Increment(1);
         if (par_aggs) metrics.parallel_tasks->Increment(ngroups);
       }
@@ -475,8 +508,9 @@ Result<Executor::CoreResult> Executor::ExecCore(const SelectStmt& stmt) {
   // ---- DISTINCT ----
   // Keeps the first member of each group over all output columns.
   if (stmt.distinct) {
-    HQ_ASSIGN_OR_RETURN(std::vector<SelVector> groups,
-                        GroupRows(core.output.columns, out_rows, false));
+    HQ_ASSIGN_OR_RETURN(
+        std::vector<SelVector> groups,
+        GroupRows(core.output.columns, nullptr, out_rows, false));
     SelVector keep;
     keep.reserve(groups.size());
     for (const SelVector& g : groups) keep.push_back(g[0]);
@@ -935,7 +969,7 @@ Status Executor::ComputeWindows(
       }
     }
     HQ_ASSIGN_OR_RETURN(std::vector<SelVector> partitions,
-                        GroupRows(part_cols, n, false));
+                        GroupRows(part_cols, nullptr, n, false));
 
     std::vector<Datum> result(n);
     for (auto& part : partitions) {

@@ -19,12 +19,11 @@
 namespace hyperq {
 namespace sqldb {
 
-/// The typed operator layer under both executors. The interpreter
-/// (exec.cc) calls these operators one stage at a time; the fused kernels
-/// (kernel.cc) call the same operators with a fused per-morsel filter. Each
-/// concept — morsel scheduling, the group table, per-group reduction, the
-/// order permutation, the LIMIT window and the comparison primitives —
-/// lives only here, so the two executors agree by construction.
+/// The typed operator layer under the executor (exec.cc): morsel
+/// scheduling, the group table, per-group reduction, the order
+/// permutation, the LIMIT window and the comparison primitives. Joins,
+/// grouping, DISTINCT and ORDER BY all build on these, so each concept has
+/// one implementation.
 
 // --- Morsels and cancellation ---
 
@@ -369,8 +368,7 @@ bool InKeyOrder(const std::vector<ColumnPtr>& cols,
 /// The stable permutation of rows [0, n) of `cols` under `keys`, with ties
 /// kept in row order; nullopt when the rows are already in key order
 /// (InKeyOrder), where that permutation is the identity and callers skip
-/// the sort and the gather. This is the one sort elision both executors
-/// share.
+/// the sort and the gather.
 std::optional<SelVector> SortPermutation(const std::vector<ColumnPtr>& cols,
                                          const std::vector<SortKey>& keys,
                                          size_t n);

@@ -527,7 +527,13 @@ Result<int> Relation::Resolve(const std::string& qualifier,
                               const std::string& name) const {
   int found = -1;
   for (size_t i = 0; i < cols.size(); ++i) {
-    if (cols[i].name != name) continue;
+    // Wide relations hold hundreds of names of one length that differ
+    // mostly at the end: test the length and last byte before comparing.
+    const std::string& n = cols[i].name;
+    if (n.size() != name.size() || (!n.empty() && n.back() != name.back()) ||
+        n != name) {
+      continue;
+    }
     if (!qualifier.empty() && cols[i].qualifier != qualifier) continue;
     if (found >= 0) {
       return BindError(StrCat("column reference \"", name,

@@ -160,7 +160,6 @@ TEST_F(ChaosSoakTest, SoakSurvivesSeededFaultsAndReplaysByteIdentical) {
                        "qipc.decode=error,p:0.02;"
                        "qipc.encode=error,p:0.02;"
                        "backend.execute=error,p:0.04;"
-                       "backend.kernel=error,p:0.04;"
                        "pool.task=delay:1,p:0.05")
                   .ok());
 
@@ -309,7 +308,6 @@ TEST_F(ChaosSoakTest, ShardedSoakSurvivesAndMixedReplayIsByteIdentical) {
                   .Arm("shard.execute=error,p:0.03;"
                        "shard.gather=error,p:0.02;"
                        "backend.execute=error,p:0.02;"
-                       "backend.kernel=delay:1,p:0.03;"
                        "net.write=error,p:0.01;"
                        "qipc.encode=error,p:0.02;"
                        "pool.task=delay:1,p:0.05")
@@ -467,7 +465,6 @@ TEST_F(ChaosSoakTest, IngestSoakKeepsAccountingAndReplaysByteIdentical) {
                   .Arm("ingest.upd=error,p:0.05;"
                        "ingest.flush=error,p:0.08;"
                        "backend.execute=error,p:0.03;"
-                       "backend.kernel=error,p:0.03;"
                        "net.write=error,p:0.005;"
                        "pool.task=delay:1,p:0.05")
                   .ok());

@@ -1,16 +1,18 @@
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
 
 #include <gtest/gtest.h>
 
-#include "common/metrics.h"
 #include "common/strings.h"
 #include "common/worker_pool.h"
 #include "sqldb/database.h"
+#include "sqldb/eval.h"
 #include "sqldb/operators.h"
+#include "sqldb/sql_parser.h"
 #include "testing/market_data.h"
 
 namespace hyperq {
@@ -405,25 +407,35 @@ TEST_P(NullAwareBatchProperty, GroupTableAgreesAcrossPoolSizes) {
 }
 
 TEST_P(NullAwareBatchProperty, KernelGroupByMatchesInterpreter) {
+  // Grouping over plain columns reads the ungathered input through the
+  // WHERE selection. The reference moves the WHERE into a derived table,
+  // whose output the outer block then groups after the gather.
   LoadMorselTables();
-  const char* kShapes[] = {
-      "SELECT k, COUNT(*), SUM(x), MIN(s), MAX(id) FROM m GROUP BY k",
-      "SELECT s, COUNT(x), MAX(x) FROM m WHERE id > 100 GROUP BY s",
-      "SELECT x, COUNT(*), MIN(id) FROM m GROUP BY x",
-      "SELECT k, s, SUM(id) FROM m WHERE x IS NOT NULL GROUP BY k, s",
-      "SELECT COUNT(*), SUM(x) FROM m WHERE k > 1000",
-      "SELECT s, COUNT(*) AS c FROM m GROUP BY s ORDER BY c DESC, s "
-      "LIMIT 5 OFFSET 2",
+  struct Shape {
+    const char* items;
+    const char* where;
+    const char* tail;
   };
-  Counter* hits = MetricsRegistry::Global().GetCounter("kernel.hits");
-  for (const char* sql : kShapes) {
-    int64_t h0 = hits->value();
-    QueryResult kernel = RunAtPoolSizes(sql);
-    ASSERT_GT(hits->value(), h0) << "kernel did not take: " << sql;
-    db_.set_kernel_enabled(false);
-    QueryResult interpreted = RunAtPoolSizes(sql);
-    db_.set_kernel_enabled(true);
-    ExpectSameData(kernel, interpreted, sql);
+  const Shape kShapes[] = {
+      {"k, COUNT(*), SUM(x), MIN(s), MAX(id)", "id % 3 <> 0", "GROUP BY k"},
+      {"s, COUNT(x), MAX(x)", "id > 100", "GROUP BY s"},
+      {"x, COUNT(*), MIN(id), FIRST(s), LAST(k)", "s <> 's3'", "GROUP BY x"},
+      {"k, s, SUM(id)", "x IS NOT NULL", "GROUP BY k, s"},
+      {"COUNT(*), SUM(x), AVG(k)", "k > 1000", ""},
+      {"COUNT(*), SUM(x), MEDIAN(k)", "s IN ('s1', 's4')", ""},
+      {"s, COUNT(*) AS c", "((k < 20) OR (k IS NULL))",
+       "GROUP BY s ORDER BY c DESC, s LIMIT 5 OFFSET 2"},
+      {"k, COUNT(DISTINCT s), SUM(x)", "x BETWEEN 0 AND 2", "GROUP BY k"},
+      {"s, SUM(k)", "id < 0", "GROUP BY s"},
+      {"k, COUNT(*)", "k > 5", "GROUP BY k HAVING COUNT(*) > 100"},
+  };
+  for (const Shape& sh : kShapes) {
+    const std::string sql =
+        StrCat("SELECT ", sh.items, " FROM m WHERE ", sh.where, " ", sh.tail);
+    const std::string ref =
+        StrCat("SELECT ", sh.items, " FROM (SELECT * FROM m WHERE ", sh.where,
+               ") AS m ", sh.tail);
+    ExpectSameData(RunAtPoolSizes(sql), RunAtPoolSizes(ref), sql);
   }
 }
 
@@ -481,20 +493,16 @@ TEST_P(NullAwareBatchProperty, HashJoinMatchesCrossJoinFilter) {
                             "WHERE ", kNanOn)),
                  kNanOn);
   EXPECT_EQ(nan_hashed.data.row_count, 3u);
-  // The fused kernel's equality and IN predicates follow the same rule.
-  Counter* hits = MetricsRegistry::Global().GetCounter("kernel.hits");
-  for (const char* sql : {"SELECT id FROM na WHERE v = "
-                          "CAST('NaN' AS double precision)",
-                          "SELECT id FROM na WHERE v IN "
-                          "(CAST('NaN' AS double precision), 2.0)"}) {
-    Run(sql);  // compiles
-    int64_t h0 = hits->value();
-    QueryResult kernel = Run(sql);
-    EXPECT_GT(hits->value(), h0) << "kernel did not take: " << sql;
-    db_.set_kernel_enabled(false);
-    ExpectSameData(kernel, Run(sql), sql);
-    db_.set_kernel_enabled(true);
-    EXPECT_EQ(kernel.data.row_count, 1u) << sql;
+  // The leaf equality and IN predicates follow the same rule as the
+  // per-row path, which a CASE around the predicate forces.
+  for (const char* pred : {"v = CAST('NaN' AS double precision)",
+                           "v IN (CAST('NaN' AS double precision), 2.0)"}) {
+    QueryResult leaf = Run(StrCat("SELECT id FROM na WHERE ", pred));
+    ExpectSameData(leaf,
+                   Run(StrCat("SELECT id FROM na WHERE CASE WHEN ", pred,
+                              " THEN TRUE ELSE FALSE END")),
+                   pred);
+    EXPECT_EQ(leaf.data.row_count, 1u) << pred;
   }
 }
 
@@ -760,12 +768,217 @@ TEST_P(SortPermutationProperty, PresortedShortcutMatchesStableSort) {
   EXPECT_GT(shortcuts, 0) << "the presorted shortcut never fired";
 }
 
+/// The interpreter's leaf predicates and literal folds (eval.cc), checked
+/// against two references over one relation: per-row EvalExpr, and the
+/// general batch path, which a predicate takes when each column is spelled
+/// `COALESCE(col)` (no leaf binds to anything but a plain column). The
+/// relation holds an integer, a float (NULL, NaN, -0.0), a string and a
+/// boolean column with NULLs, an all-NULL (kEmpty) column and a
+/// mixed-cell (kMixed) one.
+class LeafPredicateProperty : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  void SetUp() override {
+    const size_t n = 1 + rng_.Below(300);
+    const double kF[] = {0.5, 1.0, 2.0, -0.0, 0.0, std::nan("")};
+    std::vector<int64_t> iv(n), bv(n);
+    std::vector<double> fv(n);
+    std::vector<std::string> sv(n);
+    std::vector<uint8_t> in(n), fn(n), sn(n), bn(n);
+    std::vector<Datum> mixed;
+    for (size_t r = 0; r < n; ++r) {
+      iv[r] = static_cast<int64_t>(rng_.Below(5)) - 1;
+      fv[r] = kF[rng_.Below(6)];
+      sv[r] = StrCat("s", rng_.Below(3));
+      bv[r] = static_cast<int64_t>(rng_.Below(2));
+      in[r] = rng_.Below(5) == 0;
+      fn[r] = rng_.Below(5) == 0;
+      sn[r] = rng_.Below(5) == 0;
+      bn[r] = rng_.Below(5) == 0;
+      switch (rng_.Below(4)) {
+        case 0: mixed.push_back(Datum::Null()); break;
+        case 1: mixed.push_back(Datum::BigInt(iv[r])); break;
+        case 2: mixed.push_back(Datum::Double(fv[r])); break;
+        default: mixed.push_back(Datum::Varchar(sv[r])); break;
+      }
+    }
+    auto add = [&](const char* name, SqlType type, ColumnPtr col) {
+      rel_.cols.push_back(RelColumn{"t", name, type});
+      rel_.columns.push_back(std::move(col));
+    };
+    add("i", SqlType::kBigInt,
+        Column::FromInts(SqlType::kBigInt, std::move(iv), std::move(in)));
+    add("f", SqlType::kDouble,
+        Column::FromFloats(SqlType::kDouble, std::move(fv), std::move(fn)));
+    add("s", SqlType::kVarchar,
+        Column::FromStrings(SqlType::kVarchar, std::move(sv), std::move(sn)));
+    add("b", SqlType::kBoolean,
+        Column::FromInts(SqlType::kBoolean, std::move(bv), std::move(bn)));
+    add("e", SqlType::kVarchar, Column::Constant(Datum::Null(), n));
+    add("mx", SqlType::kText, Column::FromDatums(std::move(mixed)));
+    rel_.row_count = n;
+    ASSERT_EQ(rel_.columns[5]->storage(), Column::Storage::kMixed);
+  }
+
+  /// A literal: plain, negated, cast (one cast fails), NULL, or of any
+  /// class, so comparisons meet every storage class.
+  std::string Literal() {
+    static const char* const kLits[] = {
+        "0", "1", "2", "-1", "1.0", "0.5", "-0.0",
+        "CAST('NaN' AS double precision)", "'s0'", "'s1'", "''",
+        "'s0'::varchar", "CAST('s2' AS text)", "NULL",
+        "CAST(NULL AS bigint)", "'2'::bigint", "1::double precision",
+        "TRUE", "FALSE", "'2024-01-02'::date", "'abc'::date"};
+    return kLits[rng_.Below(std::size(kLits))];
+  }
+
+  /// A predicate over the columns, spelled `{c}` so either form can be
+  /// substituted in.
+  std::string Predicate(int depth) {
+    static const char* const kCols[] = {"i", "f", "s", "b", "e", "mx"};
+    static const char* const kOps[] = {"=", "<>", "!=", "<", ">", "<=", ">="};
+    const std::string c = StrCat("{", kCols[rng_.Below(6)], "}");
+    const std::string op = kOps[rng_.Below(7)];
+    switch (rng_.Below(depth > 0 ? 10 : 7)) {
+      case 0:
+        return StrCat(c, " ", op, " ", Literal());
+      case 1:
+        return StrCat(Literal(), " ", op, " ", c);
+      case 2: {
+        std::string items = Literal();
+        for (uint64_t k = rng_.Below(4); k > 0; --k) {
+          items += StrCat(", ", Literal());
+        }
+        return StrCat(c, rng_.Below(2) ? " NOT IN (" : " IN (", items, ")");
+      }
+      case 3:
+        return StrCat(c, rng_.Below(2) ? " NOT BETWEEN " : " BETWEEN ",
+                      Literal(), " AND ", Literal());
+      case 4:
+        return StrCat(c, rng_.Below(2) ? " IS NOT NULL" : " IS NULL");
+      case 5:
+        return StrCat("((", c, " ", op, " ", Literal(), ") OR (", c,
+                      " IS NULL))");
+      case 6:
+        return StrCat(c, " ", op, " ", c);  // no leaf: two columns
+      case 7:
+        return StrCat("(", Predicate(depth - 1), ") AND (",
+                      Predicate(depth - 1), ")");
+      case 8:
+        return StrCat("(", Predicate(depth - 1), ") OR (",
+                      Predicate(depth - 1), ")");
+      default:
+        return StrCat("NOT (", Predicate(depth - 1), ")");
+    }
+  }
+
+  static std::string Spell(const std::string& text, bool general) {
+    std::string out;
+    for (size_t i = 0; i < text.size(); ++i) {
+      if (text[i] != '{') {
+        out += text[i];
+        continue;
+      }
+      const size_t end = text.find('}', i);
+      const std::string col = text.substr(i + 1, end - i - 1);
+      out += general ? StrCat("COALESCE(", col, ")") : col;
+      i = end;
+    }
+    return out;
+  }
+
+  /// Every check for one predicate over the rows `sel` (null: all rows).
+  void Check(const std::string& text, const SelVector* sel) {
+    const std::string leaf_sql = Spell(text, false);
+    Result<ExprPtr> leaf = SqlParser::ParseExpressionText(leaf_sql);
+    Result<ExprPtr> general = SqlParser::ParseExpressionText(Spell(text, true));
+    ASSERT_TRUE(leaf.ok() && general.ok()) << leaf_sql;
+    const uint32_t* rows = sel ? sel->data() : nullptr;
+    const size_t n = sel ? sel->size() : rel_.row_count;
+    const std::string what =
+        StrCat(leaf_sql, sel ? StrCat(" over ", n, " selected rows") : "");
+
+    // Per-row reference: each row's value, or the first failing row.
+    std::vector<Datum> want;
+    Status want_status = Status::OK();
+    for (size_t k = 0; k < n && want_status.ok(); ++k) {
+      EvalCtx ctx;
+      ctx.rel = &rel_;
+      ctx.row_idx = rows ? rows[k] : k;
+      Result<Datum> v = EvalExpr(**leaf, ctx);
+      if (v.ok()) {
+        want.push_back(*std::move(v));
+      } else {
+        want_status = v.status();
+      }
+    }
+
+    const BatchCtx ctx{&rel_, nullptr, nullptr};
+    Result<ColumnPtr> got = EvalBatch(**leaf, ctx, rows, n);
+    Result<ColumnPtr> ref = EvalBatch(**general, ctx, rows, n);
+    ASSERT_EQ(got.ok(), want_status.ok()) << what;
+    ASSERT_EQ(got.ok(), ref.ok()) << what;
+    if (!got.ok()) {
+      EXPECT_EQ(got.status().ToString(), ref.status().ToString()) << what;
+    } else {
+      const Column& g = **got;
+      const Column& w = **ref;
+      ASSERT_EQ(g.size(), n) << what;
+      ASSERT_EQ(g.storage(), w.storage()) << what;
+      if (g.storage() != Column::Storage::kMixed) {
+        EXPECT_EQ(g.value_type(), w.value_type()) << what;
+      }
+      EXPECT_EQ(g.has_nulls(), w.has_nulls()) << what;
+      for (size_t k = 0; k < n; ++k) {
+        const Datum gv = g.At(k);
+        ASSERT_EQ(gv.is_null(), want[k].is_null()) << what << " row " << k;
+        ASSERT_EQ(gv.is_null(), w.IsNull(k)) << what << " row " << k;
+        if (gv.is_null()) continue;
+        EXPECT_EQ(gv.type(), want[k].type()) << what << " row " << k;
+        EXPECT_EQ(Datum::Compare(gv, want[k]), 0) << what << " row " << k;
+      }
+    }
+
+    SelVector got_rows, ref_rows;
+    Status fs = EvalFilter(**leaf, ctx, rows, n, &got_rows);
+    Status rs = EvalFilter(**general, ctx, rows, n, &ref_rows);
+    ASSERT_EQ(fs.ok(), want_status.ok()) << what;
+    ASSERT_EQ(fs.ToString(), rs.ToString()) << what;
+    if (!fs.ok()) return;
+    EXPECT_EQ(got_rows, ref_rows) << what;
+    SelVector true_rows;
+    for (size_t k = 0; k < n; ++k) {
+      if (DatumIsTrue(want[k])) {
+        true_rows.push_back(rows ? rows[k] : static_cast<uint32_t>(k));
+      }
+    }
+    EXPECT_EQ(got_rows, true_rows) << what;
+  }
+
+  hyperq::testing::Rng rng_{GetParam()};
+  Relation rel_;
+};
+
+TEST_P(LeafPredicateProperty, BatchAndFilterMatchPerRowEvaluation) {
+  for (int round = 0; round < 400; ++round) {
+    const std::string text = Predicate(2);
+    Check(text, nullptr);
+    SelVector sel;
+    for (uint32_t r = 0; r < rel_.row_count; ++r) {
+      if (rng_.Below(3) == 0) sel.push_back(r);
+    }
+    Check(text, &sel);
+    if (HasFatalFailure()) return;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, NullAwareBatchProperty,
                          ::testing::Values(3u, 7u, 31u, 127u, 8191u));
 INSTANTIATE_TEST_SUITE_P(Seeds, SortPermutationProperty,
                          ::testing::Values(3u, 7u, 31u, 127u, 8191u));
 INSTANTIATE_TEST_SUITE_P(Seeds, AsOfJoinResidual,
                          ::testing::Values(3u, 7u, 31u));
+INSTANTIATE_TEST_SUITE_P(Seeds, LeafPredicateProperty,
+                         ::testing::Values(3u, 7u, 31u, 127u, 8191u));
 
 }  // namespace
 }  // namespace sqldb
