@@ -3,13 +3,15 @@
 // family end to end at 1 and 4 threads, plus a hand-coded row-at-a-time
 // reference loop (the seed executor's evaluation strategy) so the
 // vectorization win is measured against a fixed baseline rather than a
-// moving one. Thread counts are total workers including the calling
+// moving one. The top-N pages and the LEAD and running-sum windows run
+// alone as well. Thread counts are total workers including the calling
 // thread (the pool holds threads-1; ParallelFor always participates).
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -136,32 +138,37 @@ struct TranslatedFixture {
   std::unique_ptr<HyperQSession> session;
 };
 
+/// Loads an n-row `trades` table in the Q loader's shape into `db`.
+void LoadTrades(Database* db, size_t n) {
+  testing::Rng rng(43);
+  StoredTable trades;
+  trades.name = "trades";
+  trades.columns = {TableColumn{"ordcol", SqlType::kBigInt},
+                    TableColumn{"Sym", SqlType::kVarchar},
+                    TableColumn{"Price", SqlType::kDouble},
+                    TableColumn{"Size", SqlType::kBigInt}};
+  std::vector<int64_t> ord(n);
+  std::vector<std::string> syms(n);
+  std::vector<double> px(n);
+  std::vector<int64_t> sz(n);
+  for (size_t r = 0; r < n; ++r) {
+    ord[r] = static_cast<int64_t>(r);
+    syms[r] = "S" + std::to_string(rng.Below(kSyms));
+    px[r] = rng.NextDouble() * 1000.0;
+    sz[r] = static_cast<int64_t>(rng.Below(10000));
+  }
+  trades.data = {Column::FromInts(SqlType::kBigInt, std::move(ord)),
+                 Column::FromStrings(SqlType::kVarchar, std::move(syms)),
+                 Column::FromFloats(SqlType::kDouble, std::move(px)),
+                 Column::FromInts(SqlType::kBigInt, std::move(sz))};
+  trades.row_count = n;
+  if (!db->CreateAndLoad(std::move(trades)).ok()) std::abort();
+}
+
 TranslatedFixture& QFixture() {
   static TranslatedFixture* f = [] {
     auto* t = new TranslatedFixture();
-    testing::Rng rng(43);
-    StoredTable trades;
-    trades.name = "trades";
-    trades.columns = {TableColumn{"ordcol", SqlType::kBigInt},
-                      TableColumn{"Sym", SqlType::kVarchar},
-                      TableColumn{"Price", SqlType::kDouble},
-                      TableColumn{"Size", SqlType::kBigInt}};
-    std::vector<int64_t> ord(kQRows);
-    std::vector<std::string> syms(kQRows);
-    std::vector<double> px(kQRows);
-    std::vector<int64_t> sz(kQRows);
-    for (size_t r = 0; r < kQRows; ++r) {
-      ord[r] = static_cast<int64_t>(r);
-      syms[r] = "S" + std::to_string(rng.Below(kSyms));
-      px[r] = rng.NextDouble() * 1000.0;
-      sz[r] = static_cast<int64_t>(rng.Below(10000));
-    }
-    trades.data = {Column::FromInts(SqlType::kBigInt, std::move(ord)),
-                   Column::FromStrings(SqlType::kVarchar, std::move(syms)),
-                   Column::FromFloats(SqlType::kDouble, std::move(px)),
-                   Column::FromInts(SqlType::kBigInt, std::move(sz))};
-    trades.row_count = kQRows;
-    if (!t->db.CreateAndLoad(std::move(trades)).ok()) std::abort();
+    LoadTrades(&t->db, kQRows);
     t->session = std::make_unique<HyperQSession>(&t->db);
     return t;
   }();
@@ -210,6 +217,73 @@ void BM_TranslatedQ(benchmark::State& state) {
                           kQRows);
 }
 BENCHMARK(BM_TranslatedQ)->Arg(1)->Arg(4);
+
+/// The two top-N pages of the family, each alone: ORDER BY ... LIMIT sorts
+/// and gathers only the rows it keeps.
+const char* const kTopNQueries[] = {
+    "10#`Price xdesc trades",
+    "select[25;>Size] from trades",
+};
+
+void BM_TranslatedTopN(benchmark::State& state) {
+  TranslatedFixture& f = QFixture();
+  const char* q = kTopNQueries[state.range(0)];
+  state.SetLabel(q);
+  WorkerPool::Shared().Resize(0);
+  for (auto _ : state) {
+    auto r = f.session->Query(q);
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(*r);
+  }
+  state.SetItemsProcessed(state.iterations() * kQRows);
+}
+BENCHMARK(BM_TranslatedTopN)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// Window SQL over an n-row `trades` table (one database per size),
+/// pool at 0 threads.
+void RunWindowBench(benchmark::State& state, const char* sql) {
+  static std::map<size_t, Database*>* dbs = new std::map<size_t, Database*>();
+  const size_t n = static_cast<size_t>(state.range(0));
+  Database*& db = (*dbs)[n];
+  if (db == nullptr) {
+    db = new Database();
+    LoadTrades(db, n);
+  }
+  Session session;
+  WorkerPool::Shared().Resize(0);
+  for (auto _ : state) {
+    auto r = db->Execute(&session, sql);
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(r->data);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+/// The window every `aj` lowers to: LEAD over symbol partitions in an
+/// order the rows are not stored in.
+void BM_WindowLead(benchmark::State& state) {
+  RunWindowBench(state,
+                 "SELECT \"Sym\", \"Price\", LEAD(\"Price\") OVER (PARTITION "
+                 "BY \"Sym\" ORDER BY \"Price\") AS nxt FROM trades");
+}
+BENCHMARK(BM_WindowLead)->Arg(1 << 18)->Unit(benchmark::kMillisecond);
+
+/// q's `sums`: a running sum in load order, one pass over the rows.
+void BM_WindowRunningSum(benchmark::State& state) {
+  RunWindowBench(state,
+                 "SELECT SUM(\"Price\") OVER (ORDER BY \"ordcol\") AS s "
+                 "FROM trades");
+}
+BENCHMARK(BM_WindowRunningSum)
+    ->Arg(2048)
+    ->Arg(1 << 18)
+    ->Unit(benchmark::kMillisecond);
 
 /// Row-at-a-time reference: the seed executor interpreted every
 /// expression per row through EvalExpr, encoded group keys per row, and

@@ -1,18 +1,20 @@
 #!/usr/bin/env bash
 # Bench runner: builds the headline benches and writes their JSON artifacts
 # at the repo root (BENCH_translation.json, BENCH_fig6.json,
-# BENCH_backend.json, BENCH_wire.json,
-# BENCH_shard.json, BENCH_endpoint.json). The translation-cache bench
+# BENCH_backend.json, BENCH_wire.json, BENCH_shard.json,
+# BENCH_endpoint.json, BENCH_asof.json). The translation-cache bench
 # exits non-zero if the hot path is not at least 5x faster than cold
 # translation or if the three-table joins q10, q18 or q19 translate cold
 # in more than 8x the mean of the one-table q1-q5 (translation must not
 # grow with table width), the wire bench exits non-zero if bulk encode is
 # not at least 4x faster than the element-wise baseline, and this script
 # exits non-zero if the routed 4-shard filter+agg is not at least 2x faster
-# than 1 shard, or if the C10K endpoint bench shows the idle fleet taxing
+# than 1 shard, if the C10K endpoint bench shows the idle fleet taxing
 # active clients (p99 latency above the idle-free baseline), an idle
 # connection refused on a full run, or more than 8 KiB of server RSS per
-# idle connection, so it doubles as a perf gate.
+# idle connection, or if the translated as-of join over 50k quotes
+# (BM_HyperQTranslatedAj/50000, the band join) takes more than 20 ms, so
+# it doubles as a perf gate.
 #
 # Usage: scripts/bench.sh [--smoke]
 set -euo pipefail
@@ -27,7 +29,8 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS" \
   --target bench_translation_cache bench_fig6_translation_overhead \
   bench_backend_exec bench_wire \
-  bench_shard_scatter bench_ingest_hybrid bench_endpoint_c10k >/dev/null
+  bench_shard_scatter bench_ingest_hybrid bench_endpoint_c10k \
+  bench_asof_join >/dev/null
 
 echo "==> bench: translation cache hot path"
 ./build/bench/bench_translation_cache --json=BENCH_translation.json \
@@ -51,6 +54,9 @@ echo "==> bench: ingest + hybrid live/historical queries"
 
 echo "==> bench: C10K endpoint (idle fleet vs idle-free baseline)"
 ./build/bench/bench_endpoint_c10k --json=BENCH_endpoint.json "${SMOKE[@]}"
+
+echo "==> bench: as-of join (band join vs native aj)"
+./build/bench/bench_asof_join --json=BENCH_asof.json "${SMOKE[@]}"
 
 echo "==> bench: artifacts"
 grep -o '"speedup_[a-z]*": [0-9.]*' BENCH_translation.json
@@ -134,3 +140,21 @@ awk -F': ' -v slack="$SLACK" '
       exit 1
     }
   }' BENCH_endpoint.json
+# Gate: the translated as-of join runs as a band join (each trade
+# binary-searches its symbol's quotes sorted by time), so 50k quotes must
+# take at most 20 ms (the bench reports milliseconds); the pair filter it
+# replaced took over 100 ms.
+awk -F': ' '
+  /"name": "BM_HyperQTranslatedAj\/50000"/ { want = 1 }
+  want && /"real_time"/ { t = $2 + 0; want = 0 }
+  END {
+    if (t <= 0) {
+      print "as-of bench: BM_HyperQTranslatedAj/50000 missing from BENCH_asof.json"
+      exit 1
+    }
+    printf "translated aj over 50k quotes: %.2f ms\n", t
+    if (t > 20) {
+      print "FAIL: translated as-of join over 50k quotes above 20 ms"
+      exit 1
+    }
+  }' BENCH_asof.json

@@ -484,7 +484,7 @@ Result<Datum> EvalExpr(const Expr& e, const EvalCtx& ctx) {
       if (ctx.window_values != nullptr) {
         auto it = ctx.window_values->find(&e);
         if (it != ctx.window_values->end()) {
-          return it->second[ctx.row_idx];
+          return it->second->At(ctx.row_idx);
         }
       }
       return BindError(StrCat("window function ", e.func_name,
@@ -1627,20 +1627,17 @@ Result<ColumnPtr> EvalBatch(const Expr& e, const BatchCtx& ctx,
 
     case ExprKind::kWindow: {
       // Missing window values likewise only error when a row asks.
-      auto out = std::make_shared<Column>();
-      const std::vector<Datum>* vals = nullptr;
       if (ctx.window_values != nullptr) {
         auto it = ctx.window_values->find(&e);
-        if (it != ctx.window_values->end()) vals = &it->second;
-      }
-      for (size_t i = 0; i < n; ++i) {
-        if (vals == nullptr) {
-          return BindError(StrCat("window function ", e.func_name,
-                                  " used in an unsupported position"));
+        if (it != ctx.window_values->end()) {
+          const ColumnPtr& col = it->second;
+          if (sel == nullptr && n == col->size()) return col;  // zero copy
+          return col->Gather(sel, n);
         }
-        out->Append((*vals)[sel ? sel[i] : i]);
       }
-      return out;
+      if (n == 0) return std::make_shared<Column>();
+      return BindError(StrCat("window function ", e.func_name,
+                              " used in an unsupported position"));
     }
 
     case ExprKind::kInList:

@@ -13,13 +13,13 @@ namespace sqldb {
 
 /// Evaluation context for one row of a relation. `agg_values` supplies
 /// pre-computed results for aggregate nodes (grouped execution) keyed by
-/// node identity; `window_values` supplies per-row window function results.
+/// node identity; `window_values` supplies each window node's column of
+/// per-row results.
 struct EvalCtx {
   const Relation* rel = nullptr;
   size_t row_idx = 0;
   const std::unordered_map<const Expr*, Datum>* agg_values = nullptr;
-  const std::unordered_map<const Expr*, std::vector<Datum>>* window_values =
-      nullptr;
+  const std::unordered_map<const Expr*, ColumnPtr>* window_values = nullptr;
 };
 
 /// Evaluates an expression under SQL three-valued logic (contrast with the
@@ -33,8 +33,7 @@ struct BatchCtx {
   const Relation* rel = nullptr;
   const std::vector<std::unordered_map<const Expr*, Datum>>* agg_rows =
       nullptr;
-  const std::unordered_map<const Expr*, std::vector<Datum>>* window_values =
-      nullptr;
+  const std::unordered_map<const Expr*, ColumnPtr>* window_values = nullptr;
 };
 
 /// Resolves and memoizes every column reference in the tree against `rel`

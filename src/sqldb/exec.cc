@@ -210,6 +210,228 @@ bool GroupsThroughSelection(const SelectStmt& stmt,
   return true;
 }
 
+/// The truth of a null test (boolean constants and IS [NOT] NULL over
+/// column references, under NOT, AND and OR) on a row where columns a and
+/// b of `schema` are non-NULL: 1 TRUE, 0 FALSE, -1 unknown. nullopt when
+/// `e` is no null test or a reference does not resolve.
+std::optional<int> NullTestTruth(const Expr& e, const Relation& schema, int a,
+                                 int b) {
+  switch (e.kind) {
+    case ExprKind::kConst:
+      if (e.datum.is_null()) return -1;
+      if (e.datum.type() != SqlType::kBoolean) return std::nullopt;
+      return DatumIsTrue(e.datum) ? 1 : 0;
+    case ExprKind::kIsNull: {
+      if (e.lhs->kind != ExprKind::kColRef) return std::nullopt;
+      Result<int> c = schema.Resolve(e.lhs->qualifier, e.lhs->column);
+      if (!c.ok()) return std::nullopt;
+      if (*c != a && *c != b) return -1;
+      return e.negated ? 1 : 0;
+    }
+    case ExprKind::kUnary: {
+      if (e.op != "NOT") return std::nullopt;
+      std::optional<int> t = NullTestTruth(*e.lhs, schema, a, b);
+      if (!t || *t < 0) return t;
+      return 1 - *t;
+    }
+    case ExprKind::kBinary: {
+      if (e.op != "AND" && e.op != "OR") return std::nullopt;
+      std::optional<int> x = NullTestTruth(*e.lhs, schema, a, b);
+      std::optional<int> y = NullTestTruth(*e.rhs, schema, a, b);
+      if (!x || !y) return std::nullopt;
+      const int decides = e.op == "AND" ? 0 : 1;  // FALSE for AND, TRUE for OR
+      if (*x == decides || *y == decides) return decides;
+      return *x < 0 || *y < 0 ? -1 : 1 - decides;
+    }
+    default:
+      return std::nullopt;
+  }
+}
+
+/// The comparison `x op y` (two column references, op one of < > <= >=)
+/// through which `e` bounds a join: `e` is that comparison,
+/// COALESCE(bound, null tests...), or `bound OR n` (either way round) with
+/// n a null test that is FALSE whenever x and y are both non-NULL. On a
+/// pair where x and y are non-NULL, `e` is then TRUE exactly when the
+/// comparison is, and no part of it can fail. nullptr for anything else.
+const Expr* BoundingCmp(const Expr& e, const Relation& schema) {
+  // Whether `n` is a null test that is FALSE wherever cmp's columns are
+  // non-NULL (`want` 0), or any null test (`want` nullopt).
+  auto null_test = [&](const Expr& n, const Expr& cmp,
+                       std::optional<int> want) {
+    Result<int> a = schema.Resolve(cmp.lhs->qualifier, cmp.lhs->column);
+    Result<int> b = schema.Resolve(cmp.rhs->qualifier, cmp.rhs->column);
+    std::optional<int> t =
+        NullTestTruth(n, schema, a.ok() ? *a : -1, b.ok() ? *b : -1);
+    return t.has_value() && (!want || t == want);
+  };
+  if (e.kind == ExprKind::kBinary && CmpOpIndex(e.op) >= 2 &&
+      e.lhs->kind == ExprKind::kColRef && e.rhs->kind == ExprKind::kColRef) {
+    return &e;
+  }
+  if (e.kind == ExprKind::kFuncCall && e.func_name == "coalesce" &&
+      !e.args.empty()) {
+    const Expr* cmp = BoundingCmp(*e.args[0], schema);
+    if (cmp == nullptr) return nullptr;
+    for (size_t i = 1; i < e.args.size(); ++i) {
+      if (!null_test(*e.args[i], *cmp, std::nullopt)) return nullptr;
+    }
+    return cmp;
+  }
+  if (e.kind == ExprKind::kBinary && e.op == "OR") {
+    for (const auto& [bound, n] : {std::pair{&e.lhs, &e.rhs},
+                                   std::pair{&e.rhs, &e.lhs}}) {
+      const Expr* cmp = BoundingCmp(**bound, schema);
+      if (cmp != nullptr && null_test(**n, *cmp, 0)) return cmp;
+    }
+  }
+  return nullptr;
+}
+
+/// The band bounds of a hash join's residual: its leading conjuncts that
+/// bound (BoundingCmp) a comparison between a kInt column of each side,
+/// as `right op left`. The scan stops at the first other conjunct, so a
+/// pair the bounds rule out is one the residual drops before it reaches
+/// anything that could fail.
+std::vector<BandBound> BandBounds(const std::vector<ExprPtr>& residual,
+                                  const Relation& left, const Relation& right,
+                                  const Relation& schema) {
+  std::vector<BandBound> bounds;
+  const int nleft = static_cast<int>(left.cols.size());
+  for (const ExprPtr& c : residual) {
+    const Expr* cmp = BoundingCmp(*c, schema);
+    if (cmp == nullptr) break;
+    Result<int> x = schema.Resolve(cmp->lhs->qualifier, cmp->lhs->column);
+    Result<int> y = schema.Resolve(cmp->rhs->qualifier, cmp->rhs->column);
+    if (!x.ok() || !y.ok() || (*x < nleft) == (*y < nleft)) break;
+    int op = CmpOpIndex(cmp->op);
+    if (*x < nleft) {  // `left op right`
+      std::swap(*x, *y);
+      op = FlipCmpOp(op);
+    }
+    const Column* r = right.columns[*x - nleft].get();
+    const Column* l = left.columns[*y].get();
+    if (r->storage() != Column::Storage::kInt ||
+        l->storage() != Column::Storage::kInt) {
+      break;
+    }
+    bounds.push_back({r, l, op});
+  }
+  return bounds;
+}
+
+/// The running sum, count, avg, min or max of `arg` along `seq`: entry p
+/// is the aggregate over seq[0..p], with the value and type
+/// ComputeAggregateColumnar gives that frame (NULLs skipped, values added
+/// in seq order). `arg` is an int or float column, or nullptr for
+/// COUNT(*).
+std::vector<Datum> RunningAggregate(const std::string& f, const Column* arg,
+                                    const SelVector& seq) {
+  std::vector<Datum> out(seq.size());
+  if (arg == nullptr) {
+    for (size_t p = 0; p < seq.size(); ++p) {
+      out[p] = Datum::BigInt(static_cast<int64_t>(p + 1));
+    }
+    return out;
+  }
+  enum class Fn { kSum, kCount, kAvg, kMin, kMax };
+  const Fn fn = f == "sum"   ? Fn::kSum
+                : f == "count" ? Fn::kCount
+                : f == "avg" ? Fn::kAvg
+                : f == "min" ? Fn::kMin
+                             : Fn::kMax;
+  const bool is_float = arg->storage() == Column::Storage::kFloat;
+  const int64_t* iv = arg->ints();
+  const double* fv = arg->floats();
+  const uint8_t* nulls = NullBytesOf(*arg);
+  const SqlType vt = arg->value_type();
+  int64_t count = 0, isum = 0, ibest = 0;
+  double dsum = 0, dbest = 0;
+  for (size_t p = 0; p < seq.size(); ++p) {
+    const uint32_t r = seq[p];
+    if (nulls == nullptr || nulls[r] == 0) {
+      if (fn == Fn::kMin || fn == Fn::kMax) {
+        // ComputeAggregateColumnar's comparisons, NaN placement included.
+        const int cmp = count == 0 ? (fn == Fn::kMin ? -1 : 1)
+                        : is_float ? Cmp3Double(fv[r], dbest)
+                                   : (iv[r] > ibest) - (iv[r] < ibest);
+        if (fn == Fn::kMin ? cmp < 0 : cmp > 0) {
+          if (is_float) {
+            dbest = fv[r];
+          } else {
+            ibest = iv[r];
+          }
+        }
+      } else if (is_float || fn == Fn::kAvg) {
+        dsum += is_float ? fv[r] : static_cast<double>(iv[r]);
+      } else {
+        isum += iv[r];
+      }
+      ++count;
+    }
+    if (fn == Fn::kCount) {
+      out[p] = Datum::BigInt(count);
+    } else if (count == 0) {
+      continue;  // NULL
+    } else if (fn == Fn::kSum) {
+      out[p] = is_float ? Datum::Double(dsum) : Datum::BigInt(isum);
+    } else if (fn == Fn::kAvg) {
+      out[p] = Datum::Double(dsum / static_cast<double>(count));
+    } else {
+      out[p] = is_float ? Datum::Float(vt, dbest) : Datum::Int(vt, ibest);
+    }
+  }
+  return out;
+}
+
+/// A window node's result column from ComputeWindows' per-row results:
+/// `ints` (ranks, row numbers), else `source` (the row of `arg` LAG/LEAD
+/// reads, -1 for none, which takes `dflt` at that row or NULL), else
+/// `values`. The cells and storage are those of appending each row's value
+/// in row order.
+ColumnPtr WindowColumn(std::vector<int64_t>& ints,
+                       const std::vector<int64_t>& source,
+                       const std::vector<Datum>& values, const Column* arg,
+                       const Column* dflt) {
+  if (!ints.empty()) return Column::FromInts(SqlType::kBigInt, std::move(ints));
+  auto out = std::make_shared<Column>();
+  if (!source.empty()) {
+    const bool any = std::any_of(source.begin(), source.end(),
+                                 [](int64_t r) { return r >= 0; });
+    if (any && dflt == nullptr && arg->storage() != Column::Storage::kMixed) {
+      return arg->GatherPad(source.data(), source.size());
+    }
+    for (size_t i = 0; i < source.size(); ++i) {
+      if (source[i] >= 0) {
+        out->Append(arg->At(source[i]));
+      } else if (dflt != nullptr) {
+        out->Append(dflt->At(i));
+      } else {
+        out->AppendNull();
+      }
+    }
+    return out;
+  }
+  for (const Datum& v : values) out->Append(v);
+  return out;
+}
+
+/// The LIMIT and OFFSET constants of `stmt` (-1 and 0 when absent).
+Status LimitBounds(const SelectStmt& stmt, int64_t* limit, int64_t* offset) {
+  auto eval_const = [&](const ExprPtr& e, int64_t* out) -> Status {
+    if (!e) return Status::OK();
+    EvalCtx ctx;
+    HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*e, ctx));
+    if (v.is_null() || !IsIntegralType(v.type())) {
+      return BindError("LIMIT/OFFSET must be integer constants");
+    }
+    *out = v.AsInt();
+    return Status::OK();
+  };
+  HQ_RETURN_IF_ERROR(eval_const(stmt.limit, limit));
+  return eval_const(stmt.offset, offset);
+}
+
 }  // namespace
 
 SqlType Executor::InferType(const Expr& e, const Relation& input) {
@@ -309,14 +531,16 @@ Result<Relation> Executor::ExecuteSelect(const SelectStmt& stmt) {
       for_order.work = for_order.output;  // resolve against outputs
       for_order.distinct_applied = true;  // forces output-only resolution
       HQ_RETURN_IF_ERROR(ApplyOrderBy(stmt, &for_order));
-      core.output = std::move(for_order.output);
+      return std::move(for_order.output);
     }
   } else if (!stmt.order_by.empty()) {
     HQ_RETURN_IF_ERROR(CancelIfExpired(deadline, "order by"));
     HQ_RETURN_IF_ERROR(ApplyOrderBy(stmt, &core));
+    return std::move(core.output);
   }
-  HQ_RETURN_IF_ERROR(ApplyLimit(stmt, &core.output));
-  return std::move(core.output);
+  int64_t limit = -1, offset = 0;
+  HQ_RETURN_IF_ERROR(LimitBounds(stmt, &limit, &offset));
+  return LimitWindow(std::move(core.output), limit, offset);
 }
 
 Result<Executor::CoreResult> Executor::ExecCore(const SelectStmt& stmt) {
@@ -571,27 +795,16 @@ Status Executor::ApplyOrderBy(const SelectStmt& stmt, CoreResult* core) {
     keys.push_back({static_cast<int>(k), stmt.order_by[k].ascending,
                     stmt.order_by[k].nulls_first});
   }
-  if (auto sel = SortPermutation(key_cols, keys, n)) {
-    core->output = core->output.GatherRows(sel->data(), sel->size());
-  }
-  return Status::OK();
-}
-
-Status Executor::ApplyLimit(const SelectStmt& stmt, Relation* rel) {
-  auto eval_const = [&](const ExprPtr& e, int64_t* out) -> Status {
-    if (!e) return Status::OK();
-    EvalCtx ctx;
-    HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*e, ctx));
-    if (v.is_null() || !IsIntegralType(v.type())) {
-      return BindError("LIMIT/OFFSET must be integer constants");
-    }
-    *out = v.AsInt();
-    return Status::OK();
-  };
+  // Only the LIMIT window of the order is sorted and gathered.
   int64_t limit = -1, offset = 0;
-  HQ_RETURN_IF_ERROR(eval_const(stmt.limit, &limit));
-  HQ_RETURN_IF_ERROR(eval_const(stmt.offset, &offset));
-  *rel = LimitWindow(std::move(*rel), limit, offset);
+  HQ_RETURN_IF_ERROR(LimitBounds(stmt, &limit, &offset));
+  const auto [start, end] = LimitRange(n, limit, offset);
+  if (auto sel = SortPermutation(key_cols, keys, n, end)) {
+    core->output =
+        core->output.GatherRows(sel->data() + start, end - start);
+  } else {
+    core->output = LimitWindow(std::move(core->output), limit, offset);
+  }
   return Status::OK();
 }
 
@@ -857,6 +1070,13 @@ Result<Relation> Executor::ExecJoin(const TableRef& join) {
       return true;
     };
 
+    std::vector<BandBound> bounds;
+    if (!residual.empty()) {
+      Relation schema;
+      schema.cols = out_cols;
+      bounds = BandBounds(residual, left, right, schema);
+    }
+
     // Morsel-parallel probe: each left row looks up its key's group; the
     // pairs are then emitted in left-row order, so the output permutation
     // is deterministic.
@@ -886,9 +1106,21 @@ Result<Relation> Executor::ExecJoin(const TableRef& join) {
             if (parallel) metrics.morsel_us->Record(NowUs() - t0);
             return Status::OK();
           }));
+      // A band join takes from each bucket only the rows its bounds admit,
+      // built per bucket on first probe; the residual then decides.
+      std::vector<std::optional<BandBucket>> buckets(
+          bounds.empty() ? 0 : table->members.size());
+      SelVector band;
       for (size_t l = 0; l < ln; ++l) {
         if (group_of[l] == kNoGroup) continue;
-        for (uint32_t r : table->members[group_of[l]]) {
+        const SelVector* rows = &table->members[group_of[l]];
+        if (!bounds.empty()) {
+          std::optional<BandBucket>& bucket = buckets[group_of[l]];
+          if (!bucket) bucket.emplace(bounds, *rows);
+          bucket->Candidates(bounds, static_cast<uint32_t>(l), *rows, &band);
+          rows = &band;
+        }
+        for (uint32_t r : *rows) {
           li.push_back(static_cast<uint32_t>(l));
           ri.push_back(static_cast<int64_t>(r));
         }
@@ -945,169 +1177,179 @@ Result<Relation> Executor::ExecJoin(const TableRef& join) {
 Status Executor::ComputeWindows(
     const std::vector<const Expr*>& nodes, const Relation& work,
     const std::vector<std::unordered_map<const Expr*, Datum>>& agg_per_row,
-    std::unordered_map<const Expr*, std::vector<Datum>>* out) {
-  size_t n = work.row_count;
+    std::unordered_map<const Expr*, ColumnPtr>* out) {
+  const size_t n = work.row_count;
+  const BatchCtx ctx{&work, agg_per_row.empty() ? nullptr : &agg_per_row,
+                     nullptr};
+  auto eval = [&](const Expr& e) { return EvalBatch(e, ctx, nullptr, n); };
   for (const Expr* node : nodes) {
     if (out->count(node) > 0) continue;
-    const WindowSpec& spec = node->window;
-
-    auto ctx_for = [&](size_t i) {
-      return EvalCtx{&work, i,
-                     agg_per_row.empty() ? nullptr : &agg_per_row[i],
-                     nullptr};
-    };
-
-    // Partition rows: the keys evaluate row by row (so errors surface on
-    // the same rows), then the shared group table buckets their columns.
-    std::vector<ColumnPtr> part_cols(spec.partition_by.size());
-    for (ColumnPtr& c : part_cols) c = std::make_shared<Column>();
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t p = 0; p < spec.partition_by.size(); ++p) {
-        HQ_ASSIGN_OR_RETURN(Datum v,
-                            EvalExpr(*spec.partition_by[p], ctx_for(i)));
-        part_cols[p]->Append(v);
-      }
+    if (n == 0) {
+      out->emplace(node, std::make_shared<Column>());
+      continue;
     }
-    HQ_ASSIGN_OR_RETURN(std::vector<SelVector> partitions,
-                        GroupRows(part_cols, nullptr, n, false));
+    const WindowSpec& spec = node->window;
+    const std::string& f = node->func_name;
+    const bool ranking = f == "rank" || f == "dense_rank";
+    const bool offset_fn = f == "lag" || f == "lead";
+    const bool framed = !ranking && !offset_fn && f != "row_number";
+    if (framed && f != "first_value" && f != "last_value" &&
+        !IsAggregateFunction(f)) {
+      return Unsupported(StrCat("window function ", f, " is not implemented"));
+    }
 
-    std::vector<Datum> result(n);
-    for (auto& part : partitions) {
-      // Order within the partition.
-      std::vector<std::vector<Datum>> keys(part.size());
-      for (size_t p = 0; p < part.size(); ++p) {
-        for (const auto& o : spec.order_by) {
-          HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*o.expr, ctx_for(part[p])));
-          keys[p].push_back(std::move(v));
+    // Partitions, order keys and arguments evaluate once, column-wise.
+    std::vector<ColumnPtr> part_cols;
+    for (const ExprPtr& p : spec.partition_by) {
+      HQ_ASSIGN_OR_RETURN(ColumnPtr c, eval(*p));
+      part_cols.push_back(std::move(c));
+    }
+    std::vector<SelVector> partitions;
+    if (part_cols.empty()) {
+      partitions.emplace_back(n);
+      std::iota(partitions[0].begin(), partitions[0].end(), 0u);
+    } else {
+      HQ_ASSIGN_OR_RETURN(partitions, GroupRows(part_cols, nullptr, n, false));
+    }
+    std::vector<ColumnPtr> order_cols;
+    std::vector<SortKey> keys;
+    for (const OrderItem& o : spec.order_by) {
+      HQ_ASSIGN_OR_RETURN(ColumnPtr c, eval(*o.expr));
+      keys.push_back({static_cast<int>(order_cols.size()), o.ascending,
+                      o.nulls_first});
+      order_cols.push_back(std::move(c));
+    }
+    // args[0] is the value (COUNT(*) has none); LAG/LEAD read an offset
+    // and a default at the current row.
+    const bool counts_rows =
+        f == "count" && (node->args.empty() ||
+                         node->args[0]->kind == ExprKind::kStar);
+    if (IsAggregateFunction(f) && f != "count" && node->args.size() != 1) {
+      return TypeError(StrCat("aggregate ", f, " takes one argument"));
+    }
+    if ((offset_fn || f == "first_value" || f == "last_value") &&
+        node->args.empty()) {
+      return TypeError(StrCat("window function ", f, " takes an argument"));
+    }
+    std::vector<ColumnPtr> args(node->args.size());
+    for (size_t a = 0; a < args.size(); ++a) {
+      if ((a == 0 && counts_rows) || (!offset_fn && a > 0)) continue;
+      HQ_ASSIGN_OR_RETURN(args[a], eval(*node->args[a]));
+    }
+    const Column* arg = args.empty() ? nullptr : args[0].get();
+
+    // A frame that starts at the partition's first row; sum, count, avg,
+    // min and max over a typed column then accumulate in one pass, adding
+    // in the order a per-frame reduction does.
+    const WindowFrame& fr = spec.frame;
+    const bool from_start = !fr.specified || fr.start_offset == INT64_MIN;
+    const bool typed_arg = arg == nullptr ||
+                           arg->storage() == Column::Storage::kInt ||
+                           arg->storage() == Column::Storage::kFloat;
+    const bool running = framed && from_start && !node->distinct &&
+                         typed_arg &&
+                         (f == "sum" || f == "count" || f == "avg" ||
+                          f == "min" || f == "max");
+    const bool needs_peers =
+        ranking || (framed && !fr.specified && !keys.empty());
+
+    // Results by row: ranks and row numbers as integers, LAG/LEAD as the
+    // row each reads (-1: none), aggregates as values.
+    std::vector<int64_t> ints(ranking || f == "row_number" ? n : 0);
+    std::vector<int64_t> source(offset_fn ? n : 0, -1);
+    std::vector<Datum> result(framed ? n : 0);
+    std::vector<size_t> peer_end;
+    std::vector<Datum> prefix;  // running: the aggregate over seq[0..p]
+    for (SelVector& seq : partitions) {
+      SortRows(order_cols, keys, &seq);
+      const size_t m = seq.size();
+      if (needs_peers) {
+        // Peer groups, rank and dense_rank in one pass over the order: a
+        // group [first, pos) closes where the keys change.
+        peer_end.resize(m);
+        int64_t dense = 0;
+        size_t first = 0;
+        for (size_t pos = 0; pos <= m; ++pos) {
+          const bool closes =
+              pos == m || (pos > 0 && !SameKeys(order_cols, keys,
+                                                seq[pos - 1], seq[pos]));
+          if (closes) {
+            std::fill(peer_end.begin() + first, peer_end.begin() + pos,
+                      pos - 1);
+            first = pos;
+          }
+          if (pos == m) break;
+          if (first == pos) ++dense;
+          if (ranking) {
+            ints[seq[pos]] = f == "rank" ? static_cast<int64_t>(first) + 1
+                                         : dense;
+          }
         }
+        if (ranking) continue;
       }
-      std::vector<size_t> order(part.size());
-      std::iota(order.begin(), order.end(), 0);
-      std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        for (size_t k = 0; k < spec.order_by.size(); ++k) {
-          const Datum& x = keys[a][k];
-          const Datum& y = keys[b][k];
-          const OrderItem& item = spec.order_by[k];
-          if (x.is_null() || y.is_null()) {
-            if (x.is_null() == y.is_null()) continue;
-            return x.is_null() == item.nulls_first;
-          }
-          int cmp = Datum::Compare(x, y);
-          if (cmp != 0) return item.ascending ? cmp < 0 : cmp > 0;
+      if (f == "row_number") {
+        for (size_t pos = 0; pos < m; ++pos) {
+          ints[seq[pos]] = static_cast<int64_t>(pos + 1);
         }
-        return false;
-      });
-      std::vector<size_t> seq;  // row indices in window order
-      seq.reserve(part.size());
-      for (size_t o : order) seq.push_back(part[o]);
-
-      // Peer groups (rows equal on all order keys).
-      std::vector<size_t> peer_end(seq.size());
-      {
-        size_t i = 0;
-        while (i < seq.size()) {
-          size_t j = i;
-          while (j + 1 < seq.size()) {
-            bool equal = true;
-            for (size_t k = 0; k < spec.order_by.size(); ++k) {
-              const Datum& x = keys[order[i]][k];
-              const Datum& y = keys[order[j + 1]][k];
-              if (!Datum::DistinctEquals(x, y)) {
-                equal = false;
-                break;
-              }
-            }
-            if (!equal) break;
-            ++j;
-          }
-          for (size_t p = i; p <= j; ++p) peer_end[p] = j;
-          i = j + 1;
-        }
+        continue;
       }
-
-      const std::string& f = node->func_name;
-      auto arg_at = [&](size_t pos, size_t arg_idx) -> Result<Datum> {
-        return EvalExpr(*node->args[arg_idx], ctx_for(seq[pos]));
-      };
-
-      for (size_t pos = 0; pos < seq.size(); ++pos) {
-        Datum value;
-        if (f == "row_number") {
-          value = Datum::BigInt(static_cast<int64_t>(pos + 1));
-        } else if (f == "rank" || f == "dense_rank") {
-          // rank = index of first peer + 1.
-          size_t first_peer = pos;
-          while (first_peer > 0 && peer_end[first_peer - 1] >= pos) {
-            --first_peer;
-          }
-          int64_t rank = static_cast<int64_t>(first_peer) + 1;
-          // dense rank: count of peer groups before this one.
-          int64_t dense = 1;
-          size_t p = 0;
-          while (p < first_peer) {
-            ++dense;
-            p = peer_end[p] + 1;
-          }
-          value = Datum::BigInt(f == "rank" ? rank : dense);
-        } else if (f == "lag" || f == "lead") {
+      if (offset_fn) {
+        for (size_t pos = 0; pos < m; ++pos) {
           int64_t off = 1;
-          if (node->args.size() >= 2) {
-            HQ_ASSIGN_OR_RETURN(Datum o, arg_at(pos, 1));
+          if (args.size() >= 2) {
+            Datum o = args[1]->At(seq[pos]);
             if (!o.is_null()) off = o.AsInt();
           }
-          int64_t target = static_cast<int64_t>(pos) +
-                           (f == "lag" ? -off : off);
-          if (target < 0 || target >= static_cast<int64_t>(seq.size())) {
-            if (node->args.size() >= 3) {
-              HQ_ASSIGN_OR_RETURN(value, arg_at(pos, 2));
-            } else {
-              value = Datum::Null();
-            }
-          } else {
-            HQ_ASSIGN_OR_RETURN(value, arg_at(target, 0));
-          }
-        } else {
-          // Frame-based functions. Default frame: RANGE UNBOUNDED
-          // PRECEDING .. CURRENT ROW (ends at the last peer).
-          int64_t lo = 0;
-          int64_t hi;
-          if (node->window.frame.specified) {
-            const WindowFrame& fr = node->window.frame;
-            lo = fr.start_offset == INT64_MIN
-                     ? 0
-                     : std::max<int64_t>(0, static_cast<int64_t>(pos) +
-                                                fr.start_offset);
-            hi = fr.end_offset == INT64_MAX
-                     ? static_cast<int64_t>(seq.size()) - 1
-                     : std::min<int64_t>(
-                           static_cast<int64_t>(seq.size()) - 1,
-                           static_cast<int64_t>(pos) + fr.end_offset);
-          } else {
-            hi = spec.order_by.empty()
-                     ? static_cast<int64_t>(seq.size()) - 1
-                     : static_cast<int64_t>(peer_end[pos]);
-          }
-          if (f == "first_value" || f == "last_value") {
-            if (lo > hi) {
-              value = Datum::Null();
-            } else {
-              HQ_ASSIGN_OR_RETURN(
-                  value, arg_at(f == "first_value" ? lo : hi, 0));
-            }
-          } else if (IsAggregateFunction(f)) {
-            std::vector<size_t> frame_rows;
-            for (int64_t p = lo; p <= hi; ++p) frame_rows.push_back(seq[p]);
-            HQ_ASSIGN_OR_RETURN(value,
-                                ComputeAggregate(*node, work, frame_rows));
-          } else {
-            return Unsupported(StrCat("window function ", f,
-                                      " is not implemented"));
+          const int64_t target =
+              static_cast<int64_t>(pos) + (f == "lag" ? -off : off);
+          if (target >= 0 && target < static_cast<int64_t>(m)) {
+            source[seq[pos]] = seq[target];
           }
         }
-        result[seq[pos]] = std::move(value);
+        continue;
+      }
+      if (running) prefix = RunningAggregate(f, arg, seq);
+      const int64_t last = static_cast<int64_t>(m) - 1;
+      for (size_t pos = 0; pos < m; ++pos) {
+        // The frame [lo, hi]; the default one is RANGE UNBOUNDED
+        // PRECEDING .. CURRENT ROW, which ends at the last peer.
+        const int64_t p = static_cast<int64_t>(pos);
+        int64_t lo = 0;
+        int64_t hi = last;
+        if (fr.specified) {
+          if (fr.start_offset != INT64_MIN) {
+            lo = std::max<int64_t>(0, p + fr.start_offset);
+          }
+          if (fr.end_offset != INT64_MAX) {
+            hi = std::min<int64_t>(last, p + fr.end_offset);
+          }
+        } else if (!keys.empty()) {
+          hi = static_cast<int64_t>(peer_end[pos]);
+        }
+        Datum& value = result[seq[pos]];
+        if (running) {
+          if (hi >= 0) {
+            value = prefix[hi];
+          } else if (f == "count") {
+            value = Datum::BigInt(0);
+          }
+        } else if (f == "first_value" || f == "last_value") {
+          if (lo <= hi) value = arg->At(seq[f == "first_value" ? lo : hi]);
+        } else {
+          SelVector frame;
+          if (lo <= hi) frame.assign(seq.begin() + lo, seq.begin() + hi + 1);
+          if (arg == nullptr) {
+            value = Datum::BigInt(static_cast<int64_t>(frame.size()));
+          } else {
+            HQ_ASSIGN_OR_RETURN(value,
+                                ComputeAggregateColumnar(*node, *arg, frame));
+          }
+        }
       }
     }
-    out->emplace(node, std::move(result));
+    out->emplace(node, WindowColumn(ints, source, result, arg,
+                                    args.size() >= 3 ? args[2].get()
+                                                     : nullptr));
   }
   return Status::OK();
 }

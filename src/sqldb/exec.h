@@ -41,7 +41,7 @@ class Executor {
     /// ORDER BY can reference input expressions.
     Relation work;
     std::vector<std::unordered_map<const Expr*, Datum>> agg_per_row;
-    std::unordered_map<const Expr*, std::vector<Datum>> window_values;
+    std::unordered_map<const Expr*, ColumnPtr> window_values;
     bool distinct_applied = false;
   };
   Result<CoreResult> ExecCore(const SelectStmt& stmt);
@@ -54,10 +54,10 @@ class Executor {
   Status ComputeWindows(
       const std::vector<const Expr*>& nodes, const Relation& work,
       const std::vector<std::unordered_map<const Expr*, Datum>>& agg_per_row,
-      std::unordered_map<const Expr*, std::vector<Datum>>* out);
+      std::unordered_map<const Expr*, ColumnPtr>* out);
 
+  /// Sorts the output and keeps its LIMIT/OFFSET window.
   Status ApplyOrderBy(const SelectStmt& stmt, CoreResult* core);
-  Status ApplyLimit(const SelectStmt& stmt, Relation* rel);
 
   Catalog* catalog_;
   Session* session_;

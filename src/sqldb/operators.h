@@ -335,6 +335,39 @@ Result<std::vector<SelVector>> GroupMembers(
       });
 }
 
+// --- Band join ---
+
+/// One range bound of a join: `right op left`, op a CmpOpIndex among
+/// < > <= >=, over two kInt-storage columns.
+struct BandBound {
+  const Column* right;
+  const Column* left;
+  int op;
+};
+
+/// A hash bucket's right rows arranged for range probes. Rows whose bound
+/// columns are all non-NULL are sorted by the first bound's right column,
+/// ties in row order; rows with a NULL there are candidates for every
+/// probe. A later bound narrows the probe range only when its right column
+/// is non-decreasing along that order.
+class BandBucket {
+ public:
+  BandBucket(const std::vector<BandBound>& bounds, const SelVector& members);
+
+  /// Replaces *out with the members, ascending, that can satisfy every
+  /// bound for left row l: a superset of the rows where each bound holds
+  /// or reads a NULL. A NULL in l's bound columns keeps every member.
+  void Candidates(const std::vector<BandBound>& bounds, uint32_t l,
+                  const SelVector& members, SelVector* out) const;
+
+ private:
+  SelVector sorted_;
+  SelVector always_;
+  /// Per bound: its right column's values along sorted_; empty when the
+  /// bound does not narrow the range.
+  std::vector<std::vector<int64_t>> keys_;
+};
+
 // --- Per-group reduction ---
 
 /// Each group's representative row: its first member, or -1 (an all-NULL
@@ -360,26 +393,42 @@ struct SortKey {
 
 /// Whether rows [0, n) of `cols` are already in `keys` order (ties
 /// allowed): NULLs placed by nulls_first, cells ordered by CompareCells.
-/// A single ascending or descending key over a NULL-free integer column
-/// is checked without the per-cell dispatch.
+/// A single int, float or string key is checked without the per-cell
+/// dispatch.
 bool InKeyOrder(const std::vector<ColumnPtr>& cols,
                 const std::vector<SortKey>& keys, size_t n);
 
-/// The stable permutation of rows [0, n) of `cols` under `keys`, with ties
-/// kept in row order; nullopt when the rows are already in key order
-/// (InKeyOrder), where that permutation is the identity and callers skip
-/// the sort and the gather.
+/// Orders `rows` (ascending row ids of `cols`) by `keys`, ties kept in row
+/// order. With `limit` below rows->size() only the first `limit` rows of
+/// that order are computed (a partial sort with the row id as the last
+/// key, O(n log limit)) and the rest are dropped. Returns false, leaving
+/// `rows` untouched, when they are already in key order.
+bool SortRows(const std::vector<ColumnPtr>& cols,
+              const std::vector<SortKey>& keys, SelVector* rows,
+              size_t limit = SIZE_MAX);
+
+/// The stable permutation of rows [0, n) of `cols` under `keys`, ties kept
+/// in row order, cut to its first `limit` entries; nullopt when the rows
+/// are already in key order (InKeyOrder), where that permutation is the
+/// identity and callers skip the sort and the gather.
 std::optional<SelVector> SortPermutation(const std::vector<ColumnPtr>& cols,
                                          const std::vector<SortKey>& keys,
-                                         size_t n);
+                                         size_t n, size_t limit = SIZE_MAX);
+
+/// Whether rows a and b of `cols` are peers under `keys`: NULL meets NULL,
+/// and cells that compare equal (kMixed cells by Datum::DistinctEquals).
+bool SameKeys(const std::vector<ColumnPtr>& cols,
+              const std::vector<SortKey>& keys, uint32_t a, uint32_t b);
 
 /// The output column type: the first row's value refines the statically
 /// inferred type.
 SqlType RefinedType(SqlType inferred, const Column& col, size_t rows);
 
-/// The rows a LIMIT/OFFSET keeps: a negative `limit` means no limit, and
-/// `offset` only applies when positive. Keeping every row skips the
-/// gather.
+/// The rows [first, second) of n that a LIMIT/OFFSET keeps: a negative
+/// `limit` means no limit, and `offset` only applies when positive.
+std::pair<size_t, size_t> LimitRange(size_t n, int64_t limit, int64_t offset);
+
+/// The LimitRange rows of `rel`. Keeping every row skips the gather.
 Relation LimitWindow(Relation rel, int64_t limit, int64_t offset);
 
 }  // namespace sqldb

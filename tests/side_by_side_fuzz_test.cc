@@ -35,6 +35,12 @@ class SideBySideFuzz : public ::testing::TestWithParam<uint64_t> {
     MarketData data = GenerateMarketData(opts);
     ASSERT_TRUE(harness_.LoadTable("trades", data.trades).ok());
     ASSERT_TRUE(harness_.LoadTable("quotes", data.quotes).ok());
+    // The same feed squeezed into 40 ms: many trades and quotes share a
+    // time, so as-of joins meet ties on the quote side.
+    opts.close_millis = opts.open_millis + 40;
+    MarketData dense = GenerateMarketData(opts);
+    ASSERT_TRUE(harness_.LoadTable("dtrades", dense.trades).ok());
+    ASSERT_TRUE(harness_.LoadTable("dquotes", dense.quotes).ok());
   }
 
   Rng rng_{GetParam() * 7919 + 1};
@@ -161,11 +167,14 @@ class SideBySideFuzz : public ::testing::TestWithParam<uint64_t> {
                           RandomColumn(), ") fby Symbol");
         }
       }
-      default:  // as-of join with a filtered left side
+      default: {  // as-of join with a filtered left side
+        const bool dense = rng_.Below(2) == 0;  // quote times repeat
         return StrCat(
-            "aj[`Symbol`Time; select Symbol, Time, Price from trades"
-            " where ",
-            RandomCondition(), "; select Symbol, Time, Bid from quotes]");
+            "aj[`Symbol`Time; select Symbol, Time, Price from ",
+            dense ? "dtrades" : "trades", " where ", RandomCondition(),
+            "; select Symbol, Time, Bid from ", dense ? "dquotes" : "quotes",
+            "]");
+      }
     }
   }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/strings.h"
 #include "common/worker_pool.h"
 #include "sqldb/database.h"
@@ -655,6 +656,393 @@ TEST_P(AsOfJoinResidual, UnresolvableResidualColumnKeepsItsError) {
   ExpectSameData(unreached, reference, "unreached unresolvable branch");
 }
 
+/// The band join and the window operators against references that share
+/// none of their code. A band join must keep exactly the pairs, in the
+/// order, of the same ON condition forced onto the nested-loop path (the
+/// equality wrapped as `(...) OR FALSE` is no hash key). Window functions
+/// must match a frame-by-definition evaluator written here.
+class BandJoinAndWindowDifferential : public NullAwareBatchProperty {
+ protected:
+  /// `bq` quotes: NULL and duplicate times, NULL symbols, a float time
+  /// `ft` and a column `w` that is not monotone in `t`. `bt` trades, some
+  /// on a symbol no quote has (an empty bucket).
+  void LoadBandTables() {
+    hyperq::testing::Rng rng(GetParam() + 5);
+    Run("CREATE TABLE bq (sym varchar, t bigint, ft double precision, "
+        "w bigint, bid double precision)");
+    Run("CREATE TABLE bt (id bigint, sym varchar, t bigint, "
+        "ft double precision)");
+    const char* kSyms[] = {"'A'", "'B'", "'C'", "NULL"};
+    const char* kTradeSyms[] = {"'A'", "'B'", "'C'", "'D'", "NULL"};
+    auto maybe_null = [&](const std::string& v) {
+      return rng.Below(8) == 0 ? std::string("NULL") : v;
+    };
+    std::vector<std::string> qs, ts;
+    for (size_t i = 0; i < 500; ++i) {
+      const uint64_t t = rng.Below(300);  // ~1.7 quotes per time
+      qs.push_back(StrCat("(", kSyms[rng.Below(4)], ",",
+                          maybe_null(StrCat(t)), ",",
+                          maybe_null(StrCat(t, ".5")), ",",
+                          maybe_null(StrCat(rng.Below(300))), ",",
+                          rng.NextDouble(), ")"));
+    }
+    for (size_t i = 0; i < 400; ++i) {
+      const uint64_t t = rng.Below(320);
+      ts.push_back(StrCat("(", i, ",", kTradeSyms[rng.Below(5)], ",",
+                          maybe_null(StrCat(t)), ",",
+                          maybe_null(StrCat(t, ".25")), ")"));
+    }
+    Run(StrCat("INSERT INTO bq VALUES ", Join(qs, ",")));
+    Run(StrCat("INSERT INTO bt VALUES ", Join(ts, ",")));
+  }
+
+  static uint64_t ExecRows() {
+    return MetricsRegistry::Global().GetCounter("exec.rows")->value();
+  }
+};
+
+TEST_P(BandJoinAndWindowDifferential, BandJoinMatchesNestedLoop) {
+  LoadBandTables();
+  const std::string right =
+      "(SELECT sym, t, ft, w, bid, LEAD(t) OVER (PARTITION BY sym ORDER BY "
+      "t) AS nt, LEAD(ft) OVER (PARTITION BY sym ORDER BY ft) AS nft FROM "
+      "bq) q";
+  // {equality, band}: the serializer's COALESCE form, the `OR ... IS
+  // NULL` form, operands either way round, a second bound that is not
+  // monotone, a float-time band, and a band followed by other conjuncts.
+  const std::pair<const char*, const char*> kOn[] = {
+      {"bt.sym IS NOT DISTINCT FROM q.sym",
+       "COALESCE((q.t <= bt.t), (q.t IS NULL)) AND "
+       "(COALESCE((bt.t < q.nt), ((bt.t IS NULL) AND (q.nt IS NOT NULL))) "
+       "OR (q.nt IS NULL))"},
+      {"bt.sym = q.sym",
+       "(q.t <= bt.t OR q.t IS NULL) AND (bt.t < q.nt OR (bt.t IS NULL AND "
+       "q.nt IS NOT NULL) OR q.nt IS NULL)"},
+      {"q.sym = bt.sym", "bt.t >= q.t AND q.nt > bt.t"},
+      {"bt.sym = q.sym", "q.t > bt.t AND q.t <= bt.t + 0"},
+      {"bt.sym IS NOT DISTINCT FROM q.sym", "q.t <= bt.t AND bt.t < q.w"},
+      {"bt.sym = q.sym", "q.t < bt.t AND (q.w IS NULL OR bt.t <= q.w)"},
+      {"bt.sym IS NOT DISTINCT FROM q.sym",
+       "COALESCE((q.ft <= bt.ft), (q.ft IS NULL)) AND "
+       "(COALESCE((bt.ft < q.nft), FALSE) OR (q.nft IS NULL))"},
+      {"bt.sym = q.sym", "q.t <= bt.t AND q.bid > 0.5 AND bt.t < q.nt"},
+  };
+  for (const auto& [eq, band] : kOn) {
+    for (const char* join : {" JOIN ", " LEFT JOIN "}) {
+      const std::string sql = StrCat(
+          "SELECT bt.id, bt.t, q.t, q.nt, q.w, q.bid FROM bt", join, right,
+          " ON ", eq, " AND ", band);
+      QueryResult looped =
+          Run(StrCat("SELECT bt.id, bt.t, q.t, q.nt, q.w, q.bid FROM bt",
+                     join, right, " ON ((", eq, ") OR FALSE) AND ", band));
+      ExpectSameData(Run(sql), looped, sql);
+    }
+  }
+  // The band ruled candidates out: the executor read far fewer rows than
+  // with a leading TRUE conjunct, behind which no conjunct bounds.
+  auto rows_read = [&](const std::string& residual) {
+    const uint64_t before = ExecRows();
+    Run(StrCat("SELECT bt.id, q.bid FROM bt JOIN ", right, " ON ",
+               kOn[0].first, " AND ", residual));
+    return ExecRows() - before;
+  };
+  EXPECT_LT(rows_read(kOn[0].second) * 2,
+            rows_read(StrCat("TRUE AND ", kOn[0].second)));
+}
+
+/// One row of the window table, as the frame-by-definition evaluator reads
+/// it.
+struct WinRow {
+  std::optional<int64_t> p, o, y;
+  std::optional<double> x;
+};
+
+TEST_P(BandJoinAndWindowDifferential, WindowsMatchFrameDefinitions) {
+  hyperq::testing::Rng rng(GetParam() + 9);
+  const size_t n = 12000;
+  std::vector<WinRow> rows(n);
+  std::vector<int64_t> id(n), p(n), g(n), o(n), y(n);
+  std::vector<double> x(n);
+  std::vector<uint8_t> p_null(n), o_null(n), y_null(n), x_null(n);
+  for (size_t i = 0; i < n; ++i) {
+    id[i] = static_cast<int64_t>(i);
+    g[i] = static_cast<int64_t>(rng.Below(10000));  // 10^4 partitions
+    p[i] = static_cast<int64_t>(rng.Below(12));
+    p_null[i] = rng.Below(20) == 0;
+    o[i] = static_cast<int64_t>(rng.Below(40));  // ties: RANGE peers
+    o_null[i] = rng.Below(10) == 0;
+    y[i] = static_cast<int64_t>(rng.Below(1000)) - 500;
+    y_null[i] = rng.Below(7) == 0;
+    x[i] = rng.NextDouble() * 100.0 - 30.0;
+    x_null[i] = rng.Below(7) == 0;
+  }
+  StoredTable wt;
+  wt.name = "wt";
+  wt.columns = {{"id", SqlType::kBigInt}, {"g", SqlType::kBigInt},
+                {"p", SqlType::kBigInt},  {"o", SqlType::kBigInt},
+                {"y", SqlType::kBigInt},  {"x", SqlType::kDouble}};
+  auto opt_int = [](const std::vector<int64_t>& v,
+                    const std::vector<uint8_t>& nulls, size_t i) {
+    return nulls[i] ? std::nullopt : std::optional<int64_t>(v[i]);
+  };
+  std::vector<std::optional<int64_t>> gcol(n), pcol(n), ocol(n), ycol(n);
+  std::vector<std::optional<double>> xcol(n);
+  const std::vector<uint8_t> no_nulls(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    gcol[i] = g[i];
+    pcol[i] = opt_int(p, p_null, i);
+    ocol[i] = opt_int(o, o_null, i);
+    ycol[i] = opt_int(y, y_null, i);
+    xcol[i] = x_null[i] ? std::nullopt : std::optional<double>(x[i]);
+  }
+  wt.data = {Column::FromInts(SqlType::kBigInt, id),
+             Column::FromInts(SqlType::kBigInt, g),
+             Column::FromInts(SqlType::kBigInt, p, p_null),
+             Column::FromInts(SqlType::kBigInt, o, o_null),
+             Column::FromInts(SqlType::kBigInt, y, y_null),
+             Column::FromFloats(SqlType::kDouble, x, x_null)};
+  wt.row_count = n;
+  ASSERT_TRUE(db_.CreateAndLoad(std::move(wt)).ok());
+
+  // A window: partition column, order (column, ascending, nulls first;
+  // none: no ORDER BY), function, value column ('x', 'y' or '*'), and a
+  // ROWS frame [lo, hi] (nullopt bound: unbounded; no frame: the default).
+  struct Win {
+    std::string sql;
+    const std::vector<std::optional<int64_t>>* part;
+    std::optional<std::pair<bool, bool>> order;  // on `o`
+    std::string fn;
+    char arg;
+    bool rows_frame;
+    std::optional<int64_t> lo, hi;
+    int64_t offset;
+    std::optional<double> dflt;
+    /// Only rows with id below 2000 (for the windows over the whole
+    /// table, which the evaluator reads in quadratic time).
+    bool small = false;
+  };
+  const std::vector<Win> kWins = {
+      {"SUM(x) OVER (PARTITION BY p ORDER BY o)", &pcol,
+       std::pair{true, false}, "sum", 'x', false, {}, {}, 0, {}},
+      {"SUM(y) OVER (PARTITION BY p ORDER BY o DESC)", &pcol,
+       std::pair{false, true}, "sum", 'y', false, {}, {}, 0, {}},
+      {"AVG(x) OVER (ORDER BY o NULLS FIRST)", nullptr,
+       std::pair{true, true}, "avg", 'x', false, {}, {}, 0, {}, true},
+      {"MIN(x) OVER (PARTITION BY p ORDER BY o)", &pcol,
+       std::pair{true, false}, "min", 'x', false, {}, {}, 0, {}},
+      {"MAX(y) OVER (PARTITION BY p ORDER BY o DESC NULLS LAST)", &pcol,
+       std::pair{false, false}, "max", 'y', false, {}, {}, 0, {}},
+      {"COUNT(x) OVER (PARTITION BY p ORDER BY o)", &pcol,
+       std::pair{true, false}, "count", 'x', false, {}, {}, 0, {}},
+      {"COUNT(*) OVER (PARTITION BY p ORDER BY o)", &pcol,
+       std::pair{true, false}, "count", '*', false, {}, {}, 0, {}},
+      {"SUM(x) OVER (PARTITION BY p)", &pcol, std::nullopt, "sum", 'x',
+       false, {}, {}, 0, {}},
+      {"SUM(x) OVER (PARTITION BY p ORDER BY o ROWS BETWEEN 2 PRECEDING "
+       "AND CURRENT ROW)",
+       &pcol, std::pair{true, false}, "sum", 'x', true, -2, 0, 0, {}},
+      {"SUM(y) OVER (PARTITION BY p ORDER BY o ROWS BETWEEN UNBOUNDED "
+       "PRECEDING AND 1 FOLLOWING)",
+       &pcol, std::pair{true, false}, "sum", 'y', true, {}, 1, 0, {}},
+      {"AVG(x) OVER (ORDER BY o ROWS BETWEEN UNBOUNDED PRECEDING AND 2 "
+       "PRECEDING)",
+       nullptr, std::pair{true, false}, "avg", 'x', true, {}, -2, 0, {},
+       true},
+      {"MAX(x) OVER (PARTITION BY p ORDER BY o ROWS BETWEEN 1 PRECEDING "
+       "AND 1 FOLLOWING)",
+       &pcol, std::pair{true, false}, "max", 'x', true, -1, 1, 0, {}},
+      {"COUNT(y) OVER (PARTITION BY g ORDER BY o ROWS BETWEEN UNBOUNDED "
+       "PRECEDING AND UNBOUNDED FOLLOWING)",
+       &gcol, std::pair{true, false}, "count", 'y', true, {}, {}, 0, {}},
+      {"LAG(x, 2, -1.0) OVER (PARTITION BY p ORDER BY o)", &pcol,
+       std::pair{true, false}, "lag", 'x', false, {}, {}, 2, -1.0},
+      {"LEAD(y, 3, 7) OVER (PARTITION BY p ORDER BY o DESC)", &pcol,
+       std::pair{false, true}, "lead", 'y', false, {}, {}, 3, 7.0},
+      {"LEAD(x) OVER (PARTITION BY g ORDER BY o)", &gcol,
+       std::pair{true, false}, "lead", 'x', false, {}, {}, 1, {}},
+      {"ROW_NUMBER() OVER (PARTITION BY g ORDER BY o)", &gcol,
+       std::pair{true, false}, "row_number", '*', false, {}, {}, 0, {}},
+      {"RANK() OVER (PARTITION BY g ORDER BY o)", &gcol,
+       std::pair{true, false}, "rank", '*', false, {}, {}, 0, {}},
+      {"DENSE_RANK() OVER (PARTITION BY p ORDER BY o DESC)", &pcol,
+       std::pair{false, true}, "dense_rank", '*', false, {}, {}, 0, {}},
+      {"RANK() OVER (PARTITION BY p ORDER BY o)", &pcol,
+       std::pair{true, false}, "rank", '*', false, {}, {}, 0, {}},
+  };
+  for (const Win& w : kWins) {
+    // Partitions in row order; each ordered stably by `o`.
+    const size_t rows_in = w.small ? 2000 : n;
+    std::map<std::optional<int64_t>, std::vector<size_t>> parts;
+    for (size_t i = 0; i < rows_in; ++i) {
+      parts[w.part ? (*w.part)[i] : std::nullopt].push_back(i);
+    }
+    auto before = [&](size_t a, size_t b) {  // a sorts before b
+      if (!w.order) return false;
+      const auto& [asc, nulls_first] = *w.order;
+      if (!ocol[a] || !ocol[b]) {
+        return ocol[a].has_value() != ocol[b].has_value() &&
+               !ocol[a].has_value() == nulls_first;
+      }
+      return asc ? *ocol[a] < *ocol[b] : *ocol[a] > *ocol[b];
+    };
+    std::vector<Datum> want(rows_in);
+    for (auto& [key, seq] : parts) {
+      std::stable_sort(seq.begin(), seq.end(), before);
+      const int64_t m = static_cast<int64_t>(seq.size());
+      auto peer = [&](int64_t a, int64_t b) {
+        return !before(seq[a], seq[b]) && !before(seq[b], seq[a]);
+      };
+      for (int64_t pos = 0; pos < m; ++pos) {
+        Datum& out = want[seq[pos]];
+        auto value_at = [&](int64_t q) {
+          const size_t r = seq[q];
+          if (w.arg == 'x') {
+            return xcol[r] ? Datum::Double(*xcol[r]) : Datum::Null();
+          }
+          return ycol[r] ? Datum::BigInt(*ycol[r]) : Datum::Null();
+        };
+        if (w.fn == "row_number") {
+          out = Datum::BigInt(pos + 1);
+        } else if (w.fn == "rank" || w.fn == "dense_rank") {
+          int64_t first = pos, groups = 1;
+          while (first > 0 && peer(first - 1, pos)) --first;
+          for (int64_t q = 1; q <= first; ++q) groups += !peer(q - 1, q);
+          out = Datum::BigInt(w.fn == "rank" ? first + 1 : groups);
+        } else if (w.fn == "lag" || w.fn == "lead") {
+          const int64_t q = w.fn == "lag" ? pos - w.offset : pos + w.offset;
+          if (q >= 0 && q < m) {
+            out = value_at(q);
+          } else if (w.dflt) {
+            out = w.arg == 'x' ? Datum::Double(*w.dflt)
+                               : Datum::BigInt(static_cast<int64_t>(*w.dflt));
+          }
+        } else {
+          int64_t lo = 0, hi = m - 1;
+          if (w.rows_frame) {
+            if (w.lo) lo = std::max<int64_t>(0, pos + *w.lo);
+            if (w.hi) hi = std::min<int64_t>(m - 1, pos + *w.hi);
+          } else if (w.order) {
+            hi = pos;
+            while (hi + 1 < m && peer(hi + 1, pos)) ++hi;
+          }
+          int64_t count = 0, isum = 0;
+          double dsum = 0;
+          Datum best;
+          for (int64_t q = lo; q <= hi; ++q) {
+            const Datum v = w.arg == '*' ? Datum::BigInt(1) : value_at(q);
+            if (v.is_null()) continue;
+            ++count;
+            if (w.arg == 'x') {
+              dsum += v.AsDouble();
+            } else {
+              isum += v.AsInt();
+            }
+            const int cmp = best.is_null() ? 0 : Datum::Compare(v, best);
+            if (best.is_null() || (w.fn == "min" ? cmp < 0 : cmp > 0)) {
+              best = v;
+            }
+          }
+          if (w.fn == "count") {
+            out = Datum::BigInt(count);
+          } else if (count == 0) {
+            out = Datum::Null();
+          } else if (w.fn == "sum") {
+            out = w.arg == 'x' ? Datum::Double(dsum) : Datum::BigInt(isum);
+          } else if (w.fn == "avg") {
+            out = Datum::Double(dsum / static_cast<double>(count));
+          } else {
+            out = best;
+          }
+        }
+      }
+    }
+    QueryResult got = Run(StrCat("SELECT id, ", w.sql, " FROM wt",
+                                 w.small ? " WHERE id < 2000" : ""));
+    ASSERT_EQ(got.data.row_count, rows_in) << w.sql;
+    for (size_t i = 0; i < rows_in; ++i) {
+      ASSERT_EQ(got.data.At(i, 0).AsInt(), static_cast<int64_t>(i));
+      const Datum v = got.data.At(i, 1);
+      ASSERT_EQ(v.is_null(), want[i].is_null()) << w.sql << " row " << i;
+      if (v.is_null()) continue;
+      if (w.arg == 'x' && w.fn != "count" && w.fn != "row_number" &&
+          w.fn != "rank" && w.fn != "dense_rank") {
+        ASSERT_EQ(v.AsDouble(), want[i].AsDouble()) << w.sql << " row " << i;
+      } else if (w.fn == "avg") {
+        ASSERT_EQ(v.AsDouble(), want[i].AsDouble()) << w.sql << " row " << i;
+      } else {
+        ASSERT_EQ(v.AsInt(), want[i].AsInt()) << w.sql << " row " << i;
+      }
+    }
+  }
+}
+
+/// Random ORDER BY input over small domains, so ties are common: `nkeys`
+/// columns of int, float or string storage, NULL at `null_rate` (with no
+/// null map when none came out NULL), each with a random direction and
+/// NULL placement.
+void RandomSortInput(hyperq::testing::Rng& rng, size_t n, size_t nkeys,
+                     double null_rate, std::vector<ColumnPtr>* cols,
+                     std::vector<SortKey>* keys) {
+  for (size_t k = 0; k < nkeys; ++k) {
+    std::vector<uint8_t> nulls(n, 0);
+    bool any_null = false;
+    for (uint8_t& b : nulls) {
+      b = rng.NextDouble() < null_rate;
+      any_null = any_null || b;
+    }
+    if (!any_null) nulls.clear();  // the typed no-null path
+    switch (rng.Below(3)) {
+      case 0: {
+        std::vector<int64_t> v(n);
+        for (int64_t& x : v) x = static_cast<int64_t>(rng.Below(6)) - 2;
+        cols->push_back(Column::FromInts(SqlType::kBigInt, v, nulls));
+        break;
+      }
+      case 1: {
+        std::vector<double> v(n);
+        for (double& x : v) x = static_cast<double>(rng.Below(5)) * 0.5;
+        cols->push_back(Column::FromFloats(SqlType::kDouble, v, nulls));
+        break;
+      }
+      default: {
+        std::vector<std::string> v(n);
+        for (std::string& x : v) x = StrCat("s", rng.Below(4));
+        cols->push_back(Column::FromStrings(SqlType::kVarchar, v, nulls));
+        break;
+      }
+    }
+    keys->push_back({static_cast<int>(k), rng.Below(2) == 0,
+                     rng.Below(2) == 0});
+  }
+}
+
+/// The ORDER BY comparator, independently of the executor's: NULLs placed
+/// by nulls_first, cells by Datum::Compare.
+bool RowLess(const std::vector<ColumnPtr>& c, const std::vector<SortKey>& keys,
+             uint32_t a, uint32_t b) {
+  for (const SortKey& k : keys) {
+    const Datum x = c[k.col]->At(a), y = c[k.col]->At(b);
+    if (x.is_null() || y.is_null()) {
+      if (x.is_null() == y.is_null()) continue;
+      return x.is_null() == k.nulls_first;
+    }
+    const int cmp = Datum::Compare(x, y);
+    if (cmp != 0) return k.ascending ? cmp < 0 : cmp > 0;
+  }
+  return false;
+}
+
+/// std::stable_sort of rows [0, n) under RowLess.
+SelVector StableOrder(const std::vector<ColumnPtr>& c,
+                      const std::vector<SortKey>& keys, size_t n) {
+  SelVector order(n);
+  for (size_t r = 0; r < n; ++r) order[r] = static_cast<uint32_t>(r);
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return RowLess(c, keys, a, b);
+  });
+  return order;
+}
+
 /// SortPermutation's presorted shortcut against std::stable_sort with an
 /// independent comparator (Datum::Compare per cell), over random keys and
 /// inputs arranged sorted, almost sorted, reversed or at random.
@@ -667,60 +1055,9 @@ TEST_P(SortPermutationProperty, PresortedShortcutMatchesStableSort) {
     const size_t n = rng.Below(4) == 0 ? rng.Below(4) : 2 + rng.Below(200);
     const double null_rate = rng.Below(3) * 0.2;  // 0, 0.2 or 0.4
     const size_t nkeys = 1 + rng.Below(3);
-    // Random columns over small domains, so ties are common.
     std::vector<ColumnPtr> cols;
     std::vector<SortKey> keys;
-    for (size_t k = 0; k < nkeys; ++k) {
-      std::vector<uint8_t> nulls(n, 0);
-      bool any_null = false;
-      for (uint8_t& b : nulls) {
-        b = rng.NextDouble() < null_rate;
-        any_null = any_null || b;
-      }
-      if (!any_null) nulls.clear();  // the typed no-null path
-      switch (rng.Below(3)) {
-        case 0: {
-          std::vector<int64_t> v(n);
-          for (int64_t& x : v) x = static_cast<int64_t>(rng.Below(6)) - 2;
-          cols.push_back(Column::FromInts(SqlType::kBigInt, v, nulls));
-          break;
-        }
-        case 1: {
-          std::vector<double> v(n);
-          for (double& x : v) x = static_cast<double>(rng.Below(5)) * 0.5;
-          cols.push_back(Column::FromFloats(SqlType::kDouble, v, nulls));
-          break;
-        }
-        default: {
-          std::vector<std::string> v(n);
-          for (std::string& x : v) x = StrCat("s", rng.Below(4));
-          cols.push_back(Column::FromStrings(SqlType::kVarchar, v, nulls));
-          break;
-        }
-      }
-      keys.push_back({static_cast<int>(k), rng.Below(2) == 0,
-                      rng.Below(2) == 0});
-    }
-    auto less = [&](const std::vector<ColumnPtr>& c, uint32_t a,
-                    uint32_t b) {
-      for (const SortKey& k : keys) {
-        const Datum x = c[k.col]->At(a), y = c[k.col]->At(b);
-        if (x.is_null() || y.is_null()) {
-          if (x.is_null() == y.is_null()) continue;
-          return x.is_null() == k.nulls_first;
-        }
-        const int cmp = Datum::Compare(x, y);
-        if (cmp != 0) return k.ascending ? cmp < 0 : cmp > 0;
-      }
-      return false;
-    };
-    auto stable_order = [&](const std::vector<ColumnPtr>& c) {
-      SelVector order(n);
-      for (size_t r = 0; r < n; ++r) order[r] = static_cast<uint32_t>(r);
-      std::stable_sort(order.begin(), order.end(),
-                       [&](uint32_t a, uint32_t b) { return less(c, a, b); });
-      return order;
-    };
+    RandomSortInput(rng, n, nkeys, null_rate, &cols, &keys);
     auto gather = [&](const SelVector& order) {
       std::vector<ColumnPtr> out;
       for (const ColumnPtr& c : cols) {
@@ -733,12 +1070,12 @@ TEST_P(SortPermutationProperty, PresortedShortcutMatchesStableSort) {
     const int arrangement = static_cast<int>(rng.Below(4));
     std::vector<ColumnPtr> input = cols;
     if (arrangement != 0) {
-      SelVector order = stable_order(cols);
+      SelVector order = StableOrder(cols, keys, n);
       if (arrangement == 2) {
         std::vector<ColumnPtr> sorted = gather(order);
         for (size_t r = n; r-- > 1;) {
-          if (less(sorted, static_cast<uint32_t>(r - 1),
-                   static_cast<uint32_t>(r))) {
+          if (RowLess(sorted, keys, static_cast<uint32_t>(r - 1),
+                      static_cast<uint32_t>(r))) {
             std::swap(order[r - 1], order[r]);
             break;
           }
@@ -749,7 +1086,7 @@ TEST_P(SortPermutationProperty, PresortedShortcutMatchesStableSort) {
       input = gather(order);
     }
 
-    const SelVector want = stable_order(input);
+    const SelVector want = StableOrder(input, keys, n);
     bool identity = true;
     for (size_t r = 0; r < n; ++r) identity = identity && want[r] == r;
     const std::string ctx =
@@ -766,6 +1103,46 @@ TEST_P(SortPermutationProperty, PresortedShortcutMatchesStableSort) {
     }
   }
   EXPECT_GT(shortcuts, 0) << "the presorted shortcut never fired";
+}
+
+/// ORDER BY ... LIMIT: SortPermutation cut at k = offset + limit is the
+/// first k entries of the stable order, and the LIMIT window is its slice
+/// from the offset on; k runs from 0 to past n. Inputs up to 300 rows
+/// also take the full sort's radix path for one numeric key.
+TEST_P(SortPermutationProperty, LimitedSortIsStableSortPrefix) {
+  hyperq::testing::Rng rng(GetParam() + 11);
+  int partial = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t n = rng.Below(5) == 0 ? rng.Below(3) : 2 + rng.Below(300);
+    std::vector<ColumnPtr> cols;
+    std::vector<SortKey> keys;
+    RandomSortInput(rng, n, 1 + rng.Below(2), rng.Below(3) * 0.2, &cols,
+                    &keys);
+    const int64_t limit = static_cast<int64_t>(rng.Below(n + 4));
+    const int64_t offset =
+        rng.Below(2) == 0 ? 0 : static_cast<int64_t>(rng.Below(n + 2));
+    const auto [start, end] = LimitRange(n, limit, offset);
+    const std::string ctx = StrCat("seed ", GetParam(), " trial ", trial,
+                                   " n ", n, " limit ", limit, " offset ",
+                                   offset);
+    const SelVector want = StableOrder(cols, keys, n);
+    if (std::optional<SelVector> full = SortPermutation(cols, keys, n)) {
+      EXPECT_EQ(*full, want) << ctx << " (full sort)";
+    }
+    std::optional<SelVector> got = SortPermutation(cols, keys, n, end);
+    if (!got) {
+      for (size_t r = 0; r < n; ++r) ASSERT_EQ(want[r], r) << ctx;
+      continue;
+    }
+    ASSERT_EQ(got->size(), std::min(n, end)) << ctx;
+    EXPECT_TRUE(std::equal(got->begin(), got->end(), want.begin())) << ctx;
+    partial += end < n;
+    SelVector rows(n);
+    for (size_t r = 0; r < n; ++r) rows[r] = static_cast<uint32_t>(r);
+    ASSERT_TRUE(SortRows(cols, keys, &rows, end)) << ctx;
+    EXPECT_EQ(rows, *got) << ctx;
+  }
+  EXPECT_GT(partial, 100) << "too few partial sorts";
 }
 
 /// The interpreter's leaf predicates and literal folds (eval.cc), checked
@@ -976,6 +1353,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, NullAwareBatchProperty,
 INSTANTIATE_TEST_SUITE_P(Seeds, SortPermutationProperty,
                          ::testing::Values(3u, 7u, 31u, 127u, 8191u));
 INSTANTIATE_TEST_SUITE_P(Seeds, AsOfJoinResidual,
+                         ::testing::Values(3u, 7u, 31u));
+INSTANTIATE_TEST_SUITE_P(Seeds, BandJoinAndWindowDifferential,
                          ::testing::Values(3u, 7u, 31u));
 INSTANTIATE_TEST_SUITE_P(Seeds, LeafPredicateProperty,
                          ::testing::Values(3u, 7u, 31u, 127u, 8191u));
