@@ -285,6 +285,66 @@ BENCHMARK(BM_WindowRunningSum)
     ->Arg(1 << 18)
     ->Unit(benchmark::kMillisecond);
 
+/// Table width: a 2,000-row table of `ordcol` and `w` float columns
+/// (state.range(0)), queried through Database::Execute with the pool at 0
+/// threads. Query 0 (state.range(1)) selects every column in `ordcol`
+/// order, as q's whole-table templates do; query 1 reads three columns.
+/// The cost of query 0 should grow about with the width, not faster:
+/// scripts/bench.sh gates 500 columns at no more than 14x 50 columns.
+void BM_WideSelect(benchmark::State& state) {
+  constexpr size_t kWideRows = 2000;
+  const size_t w = static_cast<size_t>(state.range(0));
+  static std::map<size_t, Database*>* dbs = new std::map<size_t, Database*>();
+  Database*& db = (*dbs)[w];
+  if (db == nullptr) {
+    db = new Database();
+    testing::Rng rng(44);
+    StoredTable t;
+    t.name = "wide";
+    std::vector<int64_t> ord(kWideRows);
+    for (size_t r = 0; r < kWideRows; ++r) ord[r] = static_cast<int64_t>(r);
+    t.columns.push_back(TableColumn{"ordcol", SqlType::kBigInt});
+    t.data.push_back(Column::FromInts(SqlType::kBigInt, std::move(ord)));
+    for (size_t c = 0; c < w; ++c) {
+      std::vector<double> v(kWideRows);
+      for (double& x : v) x = rng.NextDouble();
+      t.columns.push_back(TableColumn{"f" + std::to_string(c),
+                                      SqlType::kDouble});
+      t.data.push_back(Column::FromFloats(SqlType::kDouble, std::move(v)));
+    }
+    t.row_count = kWideRows;
+    if (!db->CreateAndLoad(std::move(t)).ok()) std::abort();
+  }
+  std::string sql;
+  if (state.range(1) == 0) {
+    sql = "SELECT \"ordcol\"";
+    for (size_t c = 0; c < w; ++c) sql += ", \"f" + std::to_string(c) + "\"";
+    sql += " FROM wide ORDER BY \"ordcol\"";
+    state.SetLabel("all columns");
+  } else {
+    sql = "SELECT \"f3\", \"f" + std::to_string(w / 2) + "\" FROM wide WHERE \"f" +
+          std::to_string(w - 1) + "\" > 0.5";
+    state.SetLabel("three columns");
+  }
+  Session session;
+  WorkerPool::Shared().Resize(0);
+  for (auto _ : state) {
+    auto r = db->Execute(&session, sql);
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(r->data);
+  }
+  state.SetItemsProcessed(state.iterations() * kWideRows);
+}
+BENCHMARK(BM_WideSelect)
+    ->Args({50, 0})
+    ->Args({500, 0})
+    ->Args({50, 1})
+    ->Args({500, 1})
+    ->Unit(benchmark::kMicrosecond);
+
 /// Row-at-a-time reference: the seed executor interpreted every
 /// expression per row through EvalExpr, encoded group keys per row, and
 /// reduced aggregates by re-evaluating the argument per member row
@@ -328,11 +388,17 @@ void BM_RowAtATimeFilterAggregate(benchmark::State& state) {
   for (const auto& item : stmt.items) {
     sqldb::CollectAggregates(item.expr, &aggs);
   }
+  // Column references bind once, outside the timed loop.
+  std::vector<const sqldb::Expr*> exprs = aggs;
+  exprs.push_back(stmt.where.get());
+  for (const auto& g : stmt.group_by) exprs.push_back(g.get());
+  sqldb::Binding binding;
+  sqldb::BindColumns(exprs, rel, &binding);
   for (auto _ : state) {
     // Filter: one EvalExpr per row (the seed's WHERE loop).
     std::vector<size_t> kept;
     for (size_t r = 0; r < rel.row_count; ++r) {
-      auto v = sqldb::EvalExpr(*stmt.where, sqldb::EvalCtx{&rel, r});
+      auto v = sqldb::EvalExpr(*stmt.where, sqldb::EvalCtx{&rel, r, &binding});
       if (v.ok() && sqldb::DatumIsTrue(*v)) kept.push_back(r);
     }
     // Group: per-row key encode into a string map (the seed's bucketing).
@@ -341,7 +407,7 @@ void BM_RowAtATimeFilterAggregate(benchmark::State& state) {
     for (size_t r : kept) {
       std::vector<sqldb::Datum> key;
       for (const auto& g : stmt.group_by) {
-        auto v = sqldb::EvalExpr(*g, sqldb::EvalCtx{&rel, r});
+        auto v = sqldb::EvalExpr(*g, sqldb::EvalCtx{&rel, r, &binding});
         key.push_back(v.ok() ? *v : sqldb::Datum::Null());
       }
       auto [it, inserted] =
@@ -353,7 +419,7 @@ void BM_RowAtATimeFilterAggregate(benchmark::State& state) {
     std::vector<sqldb::Datum> results;
     for (const auto& m : members) {
       for (const sqldb::Expr* agg : aggs) {
-        auto v = sqldb::ComputeAggregate(*agg, rel, m);
+        auto v = sqldb::ComputeAggregate(*agg, rel, binding, m);
         results.push_back(v.ok() ? *v : sqldb::Datum::Null());
       }
     }
@@ -374,13 +440,15 @@ void BM_RowAtATimeScanFilter(benchmark::State& state) {
   }
   const sqldb::Relation& rel = *plan->rel;
   const sqldb::SelectStmt& stmt = *plan->stmt;
+  sqldb::Binding binding;
+  sqldb::BindColumns({stmt.where.get()}, rel, &binding);
   for (auto _ : state) {
     sqldb::Relation out;
     for (size_t c = 0; c < rel.columns.size(); ++c) {
       out.columns.push_back(std::make_shared<Column>());
     }
     for (size_t r = 0; r < rel.row_count; ++r) {
-      auto v = sqldb::EvalExpr(*stmt.where, sqldb::EvalCtx{&rel, r});
+      auto v = sqldb::EvalExpr(*stmt.where, sqldb::EvalCtx{&rel, r, &binding});
       if (!v.ok() || !sqldb::DatumIsTrue(*v)) continue;
       for (size_t c = 0; c < rel.columns.size(); ++c) {
         out.columns[c]->Append(rel.At(r, c));

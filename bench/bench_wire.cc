@@ -246,8 +246,10 @@ int Run(const std::string& json_path, bool smoke) {
       return 1;
     }
     std::fprintf(f, "{\n  \"name\": \"wire_path\",\n");
-    std::fprintf(f, "  \"num_cpus\": %u,\n  \"smoke\": %s,\n",
-                 std::thread::hardware_concurrency(),
+    std::fprintf(f,
+                 "  \"num_cpus\": %u,\n  \"build_type\": \"%s\",\n"
+                 "  \"smoke\": %s,\n",
+                 std::thread::hardware_concurrency(), HQ_BUILD_TYPE,
                  smoke ? "true" : "false");
     std::fprintf(f, "  \"typed_rows\": %zu,\n  \"string_rows\": %zu,\n",
                  typed_rows, string_rows);

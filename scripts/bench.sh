@@ -13,8 +13,10 @@
 # active clients (p99 latency above the idle-free baseline), an idle
 # connection refused on a full run, or more than 8 KiB of server RSS per
 # idle connection, or if the translated as-of join over 50k quotes
-# (BM_HyperQTranslatedAj/50000, the band join) takes more than 20 ms, so
-# it doubles as a perf gate.
+# (BM_HyperQTranslatedAj/50000, the band join) takes more than 20 ms, or
+# if selecting every column of a 500-column table (BM_WideSelect/500/0)
+# costs more than 14x the same query over 50 columns, so it doubles as a
+# perf gate.
 #
 # Usage: scripts/bench.sh [--smoke]
 set -euo pipefail
@@ -158,3 +160,23 @@ awk -F': ' '
       exit 1
     }
   }' BENCH_asof.json
+# Gate: each SELECT binds its column names once, through a by-name index,
+# so selecting every column of a 500-column table must cost at most 14x
+# the same query over 50 columns (10x the columns; the per-reference
+# linear name search it replaced read 22x).
+awk -F': ' '
+  /"name": "BM_WideSelect\/50\/0"/ { want50 = 1 }
+  want50 && /"real_time"/ { t50 = $2 + 0; want50 = 0 }
+  /"name": "BM_WideSelect\/500\/0"/ { want500 = 1 }
+  want500 && /"real_time"/ { t500 = $2 + 0; want500 = 0 }
+  END {
+    if (t50 <= 0 || t500 <= 0) {
+      print "backend bench: BM_WideSelect timings missing from BENCH_backend.json"
+      exit 1
+    }
+    printf "all-column select, 500 vs 50 columns: %.1fx\n", t500 / t50
+    if (t500 > t50 * 14) {
+      print "FAIL: all-column select over 500 columns above 14x 50 columns"
+      exit 1
+    }
+  }' BENCH_backend.json

@@ -205,7 +205,6 @@ Result<size_t> IngestStore::Upd(const std::string& table,
     }
     seg->cols.push_back(Column::FromInts(SqlType::kBigInt, std::move(ord)));
     seg->bytes += rows * 8;
-    seg->seq = lt->next_seq++;
     lt->next_ord += static_cast<int64_t>(rows);
     lt->rows_ingested += rows;
     lt->batches += 1;

@@ -25,12 +25,12 @@ struct IngestOptions {
 };
 
 /// The tickerplant-side store (docs/INGEST.md): per live table, an
-/// in-memory columnar tail of sequence-numbered immutable segments (one
-/// per accepted `upd` batch), appended to the historical `sqldb` table by
-/// Flush. The implicit order column continues from the historical row
-/// count, so a live table's (historical + tail) rows are at all times
-/// byte-identical to a single table bulk-loaded with the same data — the
-/// invariant every hybrid query plan is proven against.
+/// in-memory columnar tail of immutable segments (one per accepted `upd`
+/// batch), appended to the historical `sqldb` table by Flush. The
+/// implicit order column continues from the historical row count, so a
+/// live table's (historical + tail) rows are at all times byte-identical
+/// to a single table bulk-loaded with the same data — the invariant every
+/// hybrid query plan is proven against.
 ///
 /// Locking: one `mu` per table guards the segment list and counters.
 /// Flush holds it across the catalog append and the segment clear, and
@@ -87,13 +87,11 @@ class IngestStore : public LiveStore {
     std::vector<sqldb::ColumnPtr> cols;  ///< schema-aligned, ordcol last
     size_t rows = 0;
     size_t bytes = 0;    ///< rough heap footprint
-    uint64_t seq = 0;    ///< batch sequence number
   };
 
   struct LiveTable {
     mutable std::mutex mu;
     std::vector<std::shared_ptr<const Segment>> segments;
-    uint64_t next_seq = 0;
     int64_t next_ord = 0;  ///< continues past the historical rows
     uint64_t rows_ingested = 0;
     uint64_t rows_flushed = 0;

@@ -65,12 +65,6 @@ struct Expr {
   // kColRef / kStar
   std::string qualifier;
   std::string column;
-  /// Column-resolution memo: callers evaluate the same expression once per
-  /// row of one relation; caching the resolved index turns the per-row
-  /// name scan into a pointer compare. (Expression trees are per-session,
-  /// so this is not shared across threads.)
-  mutable const void* resolved_rel = nullptr;
-  mutable int resolved_idx = -1;
 
   // kBinary / kUnary: op spelling, uppercase for keywords.
   std::string op;

@@ -1,11 +1,14 @@
 #include "sqldb/eval.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <iterator>
+#include <numeric>
 #include <optional>
 #include <set>
+#include <string_view>
 
 #include "common/strings.h"
 #include "qval/temporal.h"
@@ -230,19 +233,29 @@ Result<Datum> EvalScalarFunction(const Expr& e,
                             " is not implemented in the mini PG engine"));
 }
 
-/// Resolves a column reference against `rel` and memoizes the index on the
-/// node. Relation addresses can be reused across queries, so the memo is
-/// validated against the column name before it is trusted.
-Result<int> ResolveColRef(const Expr& e, const Relation& rel) {
-  if (e.resolved_rel == &rel && e.resolved_idx >= 0 &&
-      static_cast<size_t>(e.resolved_idx) < rel.cols.size() &&
-      rel.cols[e.resolved_idx].name == e.column) {
-    return e.resolved_idx;
+/// The column of `rel` that reference `e` reads, as `binding` (set with
+/// every relation) bound it.
+Result<int> ColumnOf(const Expr& e, const Relation* rel,
+                     const Binding* binding) {
+  if (rel == nullptr) {
+    return BindError(StrCat("column \"", e.column,
+                            "\" referenced without a FROM clause"));
   }
-  HQ_ASSIGN_OR_RETURN(int idx, rel.Resolve(e.qualifier, e.column));
-  e.resolved_rel = &rel;
-  e.resolved_idx = idx;
-  return idx;
+  return binding->Find(e);
+}
+
+/// Calls fn(ref) for every column reference under e, window specs
+/// included.
+template <typename Fn>
+void ForEachColRef(const Expr& e, Fn& fn) {
+  if (e.kind == ExprKind::kColRef) return fn(e);
+  for (const Expr* child :
+       {e.lhs.get(), e.rhs.get(), e.low.get(), e.high.get()}) {
+    if (child != nullptr) ForEachColRef(*child, fn);
+  }
+  for (const auto& a : e.args) ForEachColRef(*a, fn);
+  for (const auto& p : e.window.partition_by) ForEachColRef(*p, fn);
+  for (const auto& o : e.window.order_by) ForEachColRef(*o.expr, fn);
 }
 
 /// The non-AND/OR binary operator, applied to already-evaluated operands.
@@ -272,6 +285,72 @@ Result<Datum> ScalarBinaryTail(const Expr& e, const Datum& a,
 }
 
 }  // namespace
+
+Result<int> Binding::Find(const Expr& ref) const {
+  auto it = columns.find(&ref);
+  if (it != columns.end()) return it->second;
+  return InternalError(StrCat("column \"", ref.column, "\" was not bound"));
+}
+
+void Binding::Narrow(const std::vector<uint8_t>& kept) {
+  std::vector<int> rank(kept.size());  // kept columns before each one
+  std::exclusive_scan(kept.begin(), kept.end(), rank.begin(), 0);
+  for (auto& [ref, col] : columns) {
+    if (col.ok()) col = rank[*col];
+  }
+}
+
+std::vector<uint8_t> BindColumns(const std::vector<const Expr*>& exprs,
+                                 const Relation& schema, Binding* out) {
+  // The by-name index: column numbers in an open-addressed table at most
+  // half full, probed linearly from the name's hash.
+  const std::hash<std::string_view> hash;
+  const size_t mask = std::bit_ceil(2 * schema.cols.size() + 1) - 1;
+  std::vector<int> slots(mask + 1, -1);
+  for (size_t c = 0; c < schema.cols.size(); ++c) {
+    size_t h = hash(schema.cols[c].name) & mask;
+    while (slots[h] >= 0) h = (h + 1) & mask;
+    slots[h] = static_cast<int>(c);
+  }
+  std::vector<uint8_t> read(schema.cols.size(), 0);
+  auto bind = [&](const Expr& ref) {
+    // The one column named ref.column under ref.qualifier.
+    int found = -1;
+    int matches = 0;
+    for (size_t h = hash(ref.column) & mask; slots[h] >= 0;
+         h = (h + 1) & mask) {
+      const RelColumn& col = schema.cols[slots[h]];
+      if (col.name == ref.column &&
+          (ref.qualifier.empty() || col.qualifier == ref.qualifier)) {
+        found = slots[h];
+        ++matches;
+      }
+    }
+    if (matches == 1) {
+      read[found] = 1;
+      out->columns.insert_or_assign(&ref, found);
+    } else if (matches > 1) {
+      out->columns.insert_or_assign(
+          &ref, BindError(StrCat("column reference \"", ref.column,
+                                 "\" is ambiguous; qualify it with a table "
+                                 "alias")));
+    } else {
+      std::vector<std::string> names;
+      for (const auto& c : schema.cols) {
+        names.push_back(c.qualifier.empty() ? c.name
+                                            : c.qualifier + "." + c.name);
+      }
+      const std::string& q = ref.qualifier;
+      out->columns.insert_or_assign(
+          &ref, BindError(StrCat("column \"",
+                                 q.empty() ? ref.column : q + "." + ref.column,
+                                 "\" does not exist; available columns: ",
+                                 Join(names, ", "))));
+    }
+  };
+  for (const Expr* e : exprs) ForEachColRef(*e, bind);
+  return read;
+}
 
 bool DatumIsTrue(const Datum& d) { return !d.is_null() && d.AsInt() != 0; }
 
@@ -372,11 +451,7 @@ Result<Datum> EvalExpr(const Expr& e, const EvalCtx& ctx) {
     case ExprKind::kConst:
       return e.datum;
     case ExprKind::kColRef: {
-      if (ctx.rel == nullptr) {
-        return BindError(StrCat("column \"", e.column,
-                                "\" referenced without a FROM clause"));
-      }
-      HQ_ASSIGN_OR_RETURN(int idx, ResolveColRef(e, *ctx.rel));
+      HQ_ASSIGN_OR_RETURN(int idx, ColumnOf(e, ctx.rel, ctx.binding));
       return ctx.rel->At(ctx.row_idx, idx);
     }
     case ExprKind::kStar:
@@ -602,6 +677,7 @@ Result<Datum> AggregateCollected(const std::string& f,
 }  // namespace
 
 Result<Datum> ComputeAggregate(const Expr& agg, const Relation& rel,
+                               const Binding& binding,
                                const std::vector<size_t>& member_rows) {
   const std::string& f = agg.func_name;
   bool star = !agg.args.empty() && agg.args[0]->kind == ExprKind::kStar;
@@ -618,6 +694,7 @@ Result<Datum> ComputeAggregate(const Expr& agg, const Relation& rel,
     if (member_rows.empty()) return Datum::Null();
     EvalCtx ctx;
     ctx.rel = &rel;
+    ctx.binding = &binding;
     ctx.row_idx = f == "first" ? member_rows.front() : member_rows.back();
     return EvalExpr(*agg.args[0], ctx);
   }
@@ -629,6 +706,7 @@ Result<Datum> ComputeAggregate(const Expr& agg, const Relation& rel,
   for (size_t r : member_rows) {
     EvalCtx ctx;
     ctx.rel = &rel;
+    ctx.binding = &binding;
     ctx.row_idx = r;
     HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*agg.args[0], ctx));
     if (v.is_null()) continue;  // SQL aggregates ignore NULLs
@@ -766,20 +844,6 @@ Result<Datum> ComputeAggregateColumnar(const Expr& agg, const Column& col,
 // Columnar (batch) evaluation
 // ---------------------------------------------------------------------------
 
-bool PreResolve(const Expr& e, const Relation& rel) {
-  if (e.kind == ExprKind::kColRef) return ResolveColRef(e, rel).ok();
-  if (e.kind == ExprKind::kWindow) return true;  // values precomputed
-  bool ok = true;
-  if (e.lhs) ok = PreResolve(*e.lhs, rel) && ok;
-  if (e.rhs) ok = PreResolve(*e.rhs, rel) && ok;
-  if (e.low) ok = PreResolve(*e.low, rel) && ok;
-  if (e.high) ok = PreResolve(*e.high, rel) && ok;
-  for (const auto& a : e.args) {
-    if (a) ok = PreResolve(*a, rel) && ok;
-  }
-  return ok;
-}
-
 namespace {
 
 bool IsArithOp(const std::string& op) {
@@ -794,6 +858,7 @@ Result<ColumnPtr> EvalBatchFallback(const Expr& e, const BatchCtx& ctx,
   auto out = std::make_shared<Column>();
   EvalCtx c;
   c.rel = ctx.rel;
+  c.binding = ctx.binding;
   c.window_values = ctx.window_values;
   for (size_t i = 0; i < n; ++i) {
     size_t row = sel ? sel[i] : i;
@@ -1406,7 +1471,7 @@ std::optional<LeafPred> BindLeaf(const Expr& e, const BatchCtx& ctx) {
       return std::nullopt;
   }
   if (colref->kind != ExprKind::kColRef) return std::nullopt;
-  Result<int> idx = ResolveColRef(*colref, *ctx.rel);
+  Result<int> idx = ColumnOf(*colref, ctx.rel, ctx.binding);
   if (!idx.ok()) return std::nullopt;
   p.col = ctx.rel->columns[*idx].get();
   if (p.col->size() != ctx.rel->row_count) return std::nullopt;
@@ -1461,11 +1526,7 @@ Result<ColumnPtr> EvalBatch(const Expr& e, const BatchCtx& ctx,
       return Column::Constant(e.datum, n);
 
     case ExprKind::kColRef: {
-      if (ctx.rel == nullptr) {
-        return BindError(StrCat("column \"", e.column,
-                                "\" referenced without a FROM clause"));
-      }
-      HQ_ASSIGN_OR_RETURN(int idx, ResolveColRef(e, *ctx.rel));
+      HQ_ASSIGN_OR_RETURN(int idx, ColumnOf(e, ctx.rel, ctx.binding));
       const ColumnPtr& col = ctx.rel->columns[idx];
       if (sel == nullptr && n == col->size()) return col;  // zero copy
       return col->Gather(sel, n);

@@ -11,13 +11,34 @@
 namespace hyperq {
 namespace sqldb {
 
-/// Evaluation context for one row of a relation. `agg_values` supplies
+/// The column of one relation schema each bound column reference reads,
+/// or the bind error that evaluating the reference raises (so errors
+/// surface where per-row name resolution raised them). Built once per
+/// SELECT block and per join's ON residual; evaluation only reads it.
+struct Binding {
+  std::unordered_map<const Expr*, Result<int>> columns;
+
+  Result<int> Find(const Expr& ref) const;
+  /// Renumbers the columns after a narrowing that keeps the columns `kept`
+  /// marks, every bound one among them.
+  void Narrow(const std::vector<uint8_t>& kept);
+};
+
+/// Binds every column reference under `exprs` (window specs included)
+/// against `schema` through a by-name index built once, into *out.
+/// Returns one flag per schema column: whether a reference reads it.
+std::vector<uint8_t> BindColumns(const std::vector<const Expr*>& exprs,
+                                 const Relation& schema, Binding* out);
+
+/// Evaluation context for one row of a relation. `binding` maps the column
+/// references evaluated to columns of `rel`; `agg_values` supplies
 /// pre-computed results for aggregate nodes (grouped execution) keyed by
 /// node identity; `window_values` supplies each window node's column of
 /// per-row results.
 struct EvalCtx {
   const Relation* rel = nullptr;
   size_t row_idx = 0;
+  const Binding* binding = nullptr;
   const std::unordered_map<const Expr*, Datum>* agg_values = nullptr;
   const std::unordered_map<const Expr*, ColumnPtr>* window_values = nullptr;
 };
@@ -31,18 +52,11 @@ Result<Datum> EvalExpr(const Expr& e, const EvalCtx& ctx);
 /// projection/HAVING, where every output row is a group).
 struct BatchCtx {
   const Relation* rel = nullptr;
+  const Binding* binding = nullptr;
   const std::vector<std::unordered_map<const Expr*, Datum>>* agg_rows =
       nullptr;
   const std::unordered_map<const Expr*, ColumnPtr>* window_values = nullptr;
 };
-
-/// Resolves and memoizes every column reference in the tree against `rel`
-/// (skipping window nodes, whose values are precomputed). Returns false if
-/// any reference does not resolve; callers then fall back to sequential
-/// row-at-a-time evaluation, which reports the bind error. Running this
-/// before fanning an expression out to worker threads makes the memo
-/// read-only inside the parallel region.
-bool PreResolve(const Expr& e, const Relation& rel);
 
 /// Evaluates e over rows sel[0..n) of ctx.rel (sel == nullptr means rows
 /// [0, n)) into a column of n results. Comparisons, arithmetic and boolean
@@ -80,8 +94,10 @@ void CollectWindows(const ExprPtr& e, std::vector<const Expr*>* out);
 /// True if the function name denotes an aggregate.
 bool IsAggregateFunction(const std::string& lower_name);
 
-/// Computes one aggregate over the given member rows of a relation.
+/// Computes one aggregate over the given member rows of a relation, whose
+/// argument's column references `binding` binds.
 Result<Datum> ComputeAggregate(const Expr& agg, const Relation& rel,
+                               const Binding& binding,
                                const std::vector<size_t>& member_rows);
 
 /// Columnar variant: the aggregate's argument has already been evaluated

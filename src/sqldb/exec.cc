@@ -75,85 +75,22 @@ std::string OutputName(const SelectItem& item) {
   return "?column?";
 }
 
-/// Marks in *mask the columns of `rel` that the column references under e
-/// resolve to. Returns false as soon as one does not resolve.
-bool MarkReferencedColumns(const Expr& e, const Relation& rel,
-                           std::vector<uint8_t>* mask) {
-  if (e.kind == ExprKind::kColRef) {
-    Result<int> idx = rel.Resolve(e.qualifier, e.column);
-    if (!idx.ok()) return false;
-    (*mask)[*idx] = 1;
-    return true;
-  }
-  for (const Expr* child : {e.lhs.get(), e.rhs.get(), e.low.get(),
-                            e.high.get()}) {
-    if (child != nullptr && !MarkReferencedColumns(*child, rel, mask)) {
-      return false;
-    }
-  }
-  for (const auto& a : e.args) {
-    if (a && !MarkReferencedColumns(*a, rel, mask)) return false;
-  }
-  for (const auto& p : e.window.partition_by) {
-    if (p && !MarkReferencedColumns(*p, rel, mask)) return false;
-  }
-  for (const auto& o : e.window.order_by) {
-    if (o.expr && !MarkReferencedColumns(*o.expr, rel, mask)) return false;
-  }
-  return true;
-}
-
-/// Drops the columns of the FROM relation that `stmt` never reads, so WHERE
-/// and grouping gather only what later clauses use: a flat SELECT over a
-/// wide table would otherwise copy every column. Keeps every column when a
-/// star selects them or a reference does not resolve, so errors are
-/// reported over the full relation.
-void DropUnreadColumns(const SelectStmt& stmt, Relation* rel) {
-  std::vector<uint8_t> mask(rel->cols.size(), 0);
-  std::vector<std::string> outputs;
-  for (const auto& item : stmt.items) {
-    if (item.expr->kind == ExprKind::kStar ||
-        !MarkReferencedColumns(*item.expr, *rel, &mask)) {
-      return;
-    }
-    outputs.push_back(OutputName(item));
-  }
-  for (const ExprPtr& e : {stmt.where, stmt.having}) {
-    if (e && !MarkReferencedColumns(*e, *rel, &mask)) return;
-  }
-  for (const auto& g : stmt.group_by) {
-    if (!MarkReferencedColumns(*g, *rel, &mask)) return;
-  }
-  for (const auto& o : stmt.order_by) {
-    // Unqualified output names sort the output, not this relation.
-    const Expr& e = *o.expr;
-    if (e.kind == ExprKind::kColRef && e.qualifier.empty() &&
-        std::find(outputs.begin(), outputs.end(), e.column) !=
-            outputs.end()) {
-      continue;
-    }
-    if (!MarkReferencedColumns(e, *rel, &mask)) return;
-  }
-  if (std::find(mask.begin(), mask.end(), 0) == mask.end()) return;
-  Relation narrow;
-  narrow.row_count = rel->row_count;
-  for (size_t c = 0; c < mask.size(); ++c) {
-    if (!mask[c]) continue;
-    narrow.cols.push_back(std::move(rel->cols[c]));
-    narrow.columns.push_back(std::move(rel->columns[c]));
-  }
-  *rel = std::move(narrow);
+/// The stored data of column i of `table` (an empty column when the table
+/// holds none yet).
+ColumnPtr StoredColumn(const StoredTable& table, size_t i) {
+  return i < table.data.size() ? table.data[i]
+                               : Column::Make(table.columns[i].type);
 }
 
 /// Evaluates a filter over rows [0, n) of ctx.rel, morsel-parallel when the
-/// input is large and every column reference pre-resolves. Survivors are
-/// written to *out in ascending row order regardless of scheduling; on
-/// error the lowest failing morsel wins, matching sequential evaluation.
+/// input is large. Survivors are written to *out in ascending row order
+/// regardless of scheduling; on error the lowest failing morsel wins,
+/// matching sequential evaluation.
 Status FilterRows(const Expr& e, const BatchCtx& ctx, size_t n,
                   SelVector* out) {
   const ExecMetrics& m = ExecMetrics::Get();
   m.rows->Increment(n);
-  if (ShouldParallelize(n) && PreResolve(e, *ctx.rel)) {
+  if (ShouldParallelize(n)) {
     Result<SelVector> sel = FilterMorsels(
         n, true, Deadline::Current(),
         [&](size_t lo, size_t hi, SelVector* part) {
@@ -212,9 +149,9 @@ bool GroupsThroughSelection(const SelectStmt& stmt,
 
 /// The truth of a null test (boolean constants and IS [NOT] NULL over
 /// column references, under NOT, AND and OR) on a row where columns a and
-/// b of `schema` are non-NULL: 1 TRUE, 0 FALSE, -1 unknown. nullopt when
-/// `e` is no null test or a reference does not resolve.
-std::optional<int> NullTestTruth(const Expr& e, const Relation& schema, int a,
+/// b are non-NULL: 1 TRUE, 0 FALSE, -1 unknown. nullopt when `e` is no
+/// null test or a reference does not resolve in `binding`.
+std::optional<int> NullTestTruth(const Expr& e, const Binding& binding, int a,
                                  int b) {
   switch (e.kind) {
     case ExprKind::kConst:
@@ -223,21 +160,21 @@ std::optional<int> NullTestTruth(const Expr& e, const Relation& schema, int a,
       return DatumIsTrue(e.datum) ? 1 : 0;
     case ExprKind::kIsNull: {
       if (e.lhs->kind != ExprKind::kColRef) return std::nullopt;
-      Result<int> c = schema.Resolve(e.lhs->qualifier, e.lhs->column);
+      Result<int> c = binding.Find(*e.lhs);
       if (!c.ok()) return std::nullopt;
       if (*c != a && *c != b) return -1;
       return e.negated ? 1 : 0;
     }
     case ExprKind::kUnary: {
       if (e.op != "NOT") return std::nullopt;
-      std::optional<int> t = NullTestTruth(*e.lhs, schema, a, b);
+      std::optional<int> t = NullTestTruth(*e.lhs, binding, a, b);
       if (!t || *t < 0) return t;
       return 1 - *t;
     }
     case ExprKind::kBinary: {
       if (e.op != "AND" && e.op != "OR") return std::nullopt;
-      std::optional<int> x = NullTestTruth(*e.lhs, schema, a, b);
-      std::optional<int> y = NullTestTruth(*e.rhs, schema, a, b);
+      std::optional<int> x = NullTestTruth(*e.lhs, binding, a, b);
+      std::optional<int> y = NullTestTruth(*e.rhs, binding, a, b);
       if (!x || !y) return std::nullopt;
       const int decides = e.op == "AND" ? 0 : 1;  // FALSE for AND, TRUE for OR
       if (*x == decides || *y == decides) return decides;
@@ -254,15 +191,15 @@ std::optional<int> NullTestTruth(const Expr& e, const Relation& schema, int a,
 /// n a null test that is FALSE whenever x and y are both non-NULL. On a
 /// pair where x and y are non-NULL, `e` is then TRUE exactly when the
 /// comparison is, and no part of it can fail. nullptr for anything else.
-const Expr* BoundingCmp(const Expr& e, const Relation& schema) {
+const Expr* BoundingCmp(const Expr& e, const Binding& binding) {
   // Whether `n` is a null test that is FALSE wherever cmp's columns are
   // non-NULL (`want` 0), or any null test (`want` nullopt).
   auto null_test = [&](const Expr& n, const Expr& cmp,
                        std::optional<int> want) {
-    Result<int> a = schema.Resolve(cmp.lhs->qualifier, cmp.lhs->column);
-    Result<int> b = schema.Resolve(cmp.rhs->qualifier, cmp.rhs->column);
+    Result<int> a = binding.Find(*cmp.lhs);
+    Result<int> b = binding.Find(*cmp.rhs);
     std::optional<int> t =
-        NullTestTruth(n, schema, a.ok() ? *a : -1, b.ok() ? *b : -1);
+        NullTestTruth(n, binding, a.ok() ? *a : -1, b.ok() ? *b : -1);
     return t.has_value() && (!want || t == want);
   };
   if (e.kind == ExprKind::kBinary && CmpOpIndex(e.op) >= 2 &&
@@ -271,7 +208,7 @@ const Expr* BoundingCmp(const Expr& e, const Relation& schema) {
   }
   if (e.kind == ExprKind::kFuncCall && e.func_name == "coalesce" &&
       !e.args.empty()) {
-    const Expr* cmp = BoundingCmp(*e.args[0], schema);
+    const Expr* cmp = BoundingCmp(*e.args[0], binding);
     if (cmp == nullptr) return nullptr;
     for (size_t i = 1; i < e.args.size(); ++i) {
       if (!null_test(*e.args[i], *cmp, std::nullopt)) return nullptr;
@@ -281,7 +218,7 @@ const Expr* BoundingCmp(const Expr& e, const Relation& schema) {
   if (e.kind == ExprKind::kBinary && e.op == "OR") {
     for (const auto& [bound, n] : {std::pair{&e.lhs, &e.rhs},
                                    std::pair{&e.rhs, &e.lhs}}) {
-      const Expr* cmp = BoundingCmp(**bound, schema);
+      const Expr* cmp = BoundingCmp(**bound, binding);
       if (cmp != nullptr && null_test(**n, *cmp, 0)) return cmp;
     }
   }
@@ -292,17 +229,18 @@ const Expr* BoundingCmp(const Expr& e, const Relation& schema) {
 /// bound (BoundingCmp) a comparison between a kInt column of each side,
 /// as `right op left`. The scan stops at the first other conjunct, so a
 /// pair the bounds rule out is one the residual drops before it reaches
-/// anything that could fail.
+/// anything that could fail. `binding` binds the residual against the
+/// join's combined schema.
 std::vector<BandBound> BandBounds(const std::vector<ExprPtr>& residual,
                                   const Relation& left, const Relation& right,
-                                  const Relation& schema) {
+                                  const Binding& binding) {
   std::vector<BandBound> bounds;
   const int nleft = static_cast<int>(left.cols.size());
   for (const ExprPtr& c : residual) {
-    const Expr* cmp = BoundingCmp(*c, schema);
+    const Expr* cmp = BoundingCmp(*c, binding);
     if (cmp == nullptr) break;
-    Result<int> x = schema.Resolve(cmp->lhs->qualifier, cmp->lhs->column);
-    Result<int> y = schema.Resolve(cmp->rhs->qualifier, cmp->rhs->column);
+    Result<int> x = binding.Find(*cmp->lhs);
+    Result<int> y = binding.Find(*cmp->rhs);
     if (!x.ok() || !y.ok() || (*x < nleft) == (*y < nleft)) break;
     int op = CmpOpIndex(cmp->op);
     if (*x < nleft) {  // `left op right`
@@ -432,21 +370,22 @@ Status LimitBounds(const SelectStmt& stmt, int64_t* limit, int64_t* offset) {
   return eval_const(stmt.offset, offset);
 }
 
-}  // namespace
-
-SqlType Executor::InferType(const Expr& e, const Relation& input) {
+/// The static output type of an expression over `input`, whose column
+/// references `binding` binds (the RowDescription of an empty result).
+SqlType InferType(const Expr& e, const Relation& input,
+                  const Binding& binding) {
   switch (e.kind) {
     case ExprKind::kConst:
       return e.datum.is_null() ? SqlType::kText : e.datum.type();
     case ExprKind::kColRef: {
-      auto idx = input.Resolve(e.qualifier, e.column);
+      Result<int> idx = binding.Find(e);
       return idx.ok() ? input.cols[*idx].type : SqlType::kText;
     }
     case ExprKind::kStar:
       return SqlType::kText;
     case ExprKind::kUnary:
       if (e.op == "NOT") return SqlType::kBoolean;
-      return InferType(*e.lhs, input);
+      return InferType(*e.lhs, input, binding);
     case ExprKind::kBinary: {
       const std::string& op = e.op;
       if (CmpOpIndex(op) >= 0 || op == "AND" || op == "OR" ||
@@ -454,8 +393,8 @@ SqlType Executor::InferType(const Expr& e, const Relation& input) {
         return SqlType::kBoolean;
       }
       if (op == "||") return SqlType::kText;
-      SqlType lt = InferType(*e.lhs, input);
-      SqlType rt = InferType(*e.rhs, input);
+      SqlType lt = InferType(*e.lhs, input, binding);
+      SqlType rt = InferType(*e.rhs, input, binding);
       if (lt == SqlType::kReal || lt == SqlType::kDouble ||
           rt == SqlType::kReal || rt == SqlType::kDouble) {
         return SqlType::kDouble;
@@ -473,7 +412,7 @@ SqlType Executor::InferType(const Expr& e, const Relation& input) {
     case ExprKind::kBetween:
       return SqlType::kBoolean;
     case ExprKind::kCase: {
-      if (e.args.size() >= 2) return InferType(*e.args[1], input);
+      if (e.args.size() >= 2) return InferType(*e.args[1], input, binding);
       return SqlType::kText;
     }
     case ExprKind::kCast:
@@ -498,12 +437,14 @@ SqlType Executor::InferType(const Expr& e, const Relation& input) {
           f == "substring" || f == "concat") {
         return SqlType::kText;
       }
-      if (!e.args.empty()) return InferType(*e.args[0], input);
+      if (!e.args.empty()) return InferType(*e.args[0], input, binding);
       return SqlType::kBigInt;
     }
   }
   return SqlType::kText;
 }
+
+}  // namespace
 
 Result<Relation> Executor::ExecuteSelect(const SelectStmt& stmt) {
   const Deadline deadline = Deadline::Current();
@@ -528,7 +469,6 @@ Result<Relation> Executor::ExecuteSelect(const SelectStmt& stmt) {
     if (!stmt.order_by.empty()) {
       CoreResult for_order;
       for_order.output = std::move(core.output);
-      for_order.work = for_order.output;  // resolve against outputs
       for_order.distinct_applied = true;  // forces output-only resolution
       HQ_RETURN_IF_ERROR(ApplyOrderBy(stmt, &for_order));
       return std::move(for_order.output);
@@ -548,17 +488,11 @@ Result<Executor::CoreResult> Executor::ExecCore(const SelectStmt& stmt) {
   const Deadline deadline = Deadline::Current();
 
   // ---- FROM ----
-  Relation input;
-  if (stmt.from) {
-    HQ_ASSIGN_OR_RETURN(input, EvalTableRef(*stmt.from));
-    DropUnreadColumns(stmt, &input);
-  }
-  HQ_RETURN_IF_ERROR(CancelIfExpired(deadline, "scan/join"));
-  if (!stmt.from) {
-    input.AppendRow({});  // SELECT without FROM: one empty row
-  }
-
   CoreResult core;
+  std::vector<SelectItem> items;  // the select list, stars expanded
+  HQ_ASSIGN_OR_RETURN(Relation input, Scan(stmt, &core.binding, &items));
+  HQ_RETURN_IF_ERROR(CancelIfExpired(deadline, "scan/join"));
+
   std::vector<const Expr*> agg_nodes;
   for (const auto& item : stmt.items) CollectAggregates(item.expr, &agg_nodes);
   CollectAggregates(stmt.having, &agg_nodes);
@@ -569,8 +503,7 @@ Result<Executor::CoreResult> Executor::ExecCore(const SelectStmt& stmt) {
   // selection (`where_sel`); everything else reads the gathered survivors.
   std::optional<SelVector> where_sel;
   if (stmt.where) {
-    BatchCtx wctx;
-    wctx.rel = &input;
+    const BatchCtx wctx{&input, &core.binding};
     SelVector sel;
     HQ_RETURN_IF_ERROR(FilterRows(*stmt.where, wctx, input.row_count, &sel));
     if (grouped && GroupsThroughSelection(stmt, agg_nodes)) {
@@ -589,7 +522,7 @@ Result<Executor::CoreResult> Executor::ExecCore(const SelectStmt& stmt) {
 
     // Group keys evaluate column-wise; rows are then bucketed on the
     // shared group table, whose adapter follows the key columns' storage.
-    const BatchCtx ictx{&input, nullptr, nullptr};
+    const BatchCtx ictx{&input, &core.binding};
     std::vector<ColumnPtr> key_cols;
     key_cols.reserve(stmt.group_by.size());
     for (const auto& g : stmt.group_by) {
@@ -658,7 +591,7 @@ Result<Executor::CoreResult> Executor::ExecCore(const SelectStmt& stmt) {
 
     // HAVING filters groups.
     if (stmt.having) {
-      BatchCtx hctx{&core.work, &core.agg_per_row, nullptr};
+      BatchCtx hctx{&core.work, &core.binding, &core.agg_per_row};
       SelVector hsel;
       HQ_RETURN_IF_ERROR(EvalFilter(*stmt.having, hctx, nullptr,
                                     core.work.row_count, &hsel));
@@ -678,32 +611,13 @@ Result<Executor::CoreResult> Executor::ExecCore(const SelectStmt& stmt) {
   std::vector<const Expr*> window_nodes;
   for (const auto& item : stmt.items) CollectWindows(item.expr, &window_nodes);
   for (const auto& o : stmt.order_by) CollectWindows(o.expr, &window_nodes);
+  BatchCtx pctx{&core.work, &core.binding,
+                core.agg_per_row.empty() ? nullptr : &core.agg_per_row};
   if (!window_nodes.empty()) {
-    HQ_RETURN_IF_ERROR(ComputeWindows(window_nodes, core.work,
-                                      core.agg_per_row,
-                                      &core.window_values));
+    HQ_RETURN_IF_ERROR(ComputeWindows(window_nodes, pctx, &core.window_values));
   }
 
   // ---- Projection ----
-  // Expand stars first.
-  std::vector<SelectItem> items;
-  for (const auto& item : stmt.items) {
-    if (item.expr->kind == ExprKind::kStar) {
-      for (size_t c = 0; c < core.work.cols.size(); ++c) {
-        const RelColumn& col = core.work.cols[c];
-        if (!item.expr->qualifier.empty() &&
-            col.qualifier != item.expr->qualifier) {
-          continue;
-        }
-        SelectItem expanded;
-        expanded.expr = MakeColRef(col.qualifier, col.name);
-        expanded.alias = col.name;
-        items.push_back(std::move(expanded));
-      }
-      continue;
-    }
-    items.push_back(item);
-  }
   if (items.empty()) return BindError("empty select list");
 
   size_t out_rows = core.work.row_count;
@@ -711,12 +625,10 @@ Result<Executor::CoreResult> Executor::ExecCore(const SelectStmt& stmt) {
   for (const auto& item : items) {
     RelColumn col;
     col.name = OutputName(item);
-    col.type = InferType(*item.expr, core.work);
+    col.type = InferType(*item.expr, core.work, core.binding);
     core.output.cols.push_back(std::move(col));
   }
-  BatchCtx pctx{&core.work,
-                core.agg_per_row.empty() ? nullptr : &core.agg_per_row,
-                core.window_values.empty() ? nullptr : &core.window_values};
+  if (!core.window_values.empty()) pctx.window_values = &core.window_values;
   core.output.columns.reserve(items.size());
   for (size_t c = 0; c < items.size(); ++c) {
     HQ_ASSIGN_OR_RETURN(ColumnPtr col,
@@ -782,7 +694,7 @@ Status Executor::ApplyOrderBy(const SelectStmt& stmt, CoreResult* core) {
     if (core->work.row_count != n) {
       return InternalError("order-by source rows out of sync");
     }
-    BatchCtx kctx{&core->work,
+    BatchCtx kctx{&core->work, &core->binding,
                   core->agg_per_row.empty() ? nullptr : &core->agg_per_row,
                   core->window_values.empty() ? nullptr
                                               : &core->window_values};
@@ -812,10 +724,66 @@ Status Executor::ApplyOrderBy(const SelectStmt& stmt, CoreResult* core) {
 // FROM clause
 // ---------------------------------------------------------------------------
 
-Result<Relation> Executor::EvalTableRef(const TableRef& ref) {
+Result<Relation> Executor::Scan(const SelectStmt& stmt, Binding* binding,
+                                std::vector<SelectItem>* items) {
+  Relation rel;
+  std::shared_ptr<StoredTable> table;
+  if (stmt.from) {
+    HQ_ASSIGN_OR_RETURN(rel, EvalTableRef(*stmt.from, &table));
+  } else {
+    rel.AppendRow({});  // SELECT without FROM: one empty row
+  }
+  // Stars expand over the whole FROM schema. An ORDER BY key that names an
+  // output column sorts the output and is left unbound.
+  for (const auto& item : stmt.items) {
+    if (item.expr->kind != ExprKind::kStar) {
+      items->push_back(item);
+      continue;
+    }
+    for (const RelColumn& col : rel.cols) {
+      if (item.expr->qualifier.empty() ||
+          col.qualifier == item.expr->qualifier) {
+        items->push_back({MakeColRef(col.qualifier, col.name), col.name});
+      }
+    }
+  }
+  std::vector<const Expr*> exprs;
+  for (const ExprPtr& e : {stmt.where, stmt.having}) {
+    if (e) exprs.push_back(e.get());
+  }
+  for (const auto& g : stmt.group_by) exprs.push_back(g.get());
+  std::vector<std::string> outputs;
+  for (const auto& item : *items) {
+    exprs.push_back(item.expr.get());
+    outputs.push_back(OutputName(item));
+  }
+  for (const auto& o : stmt.order_by) {
+    const Expr& e = *o.expr;
+    if (e.kind != ExprKind::kColRef || !e.qualifier.empty() ||
+        std::find(outputs.begin(), outputs.end(), e.column) ==
+            outputs.end()) {
+      exprs.push_back(&e);
+    }
+  }
+  const std::vector<uint8_t> read = BindColumns(exprs, rel, binding);
+  binding->Narrow(read);
+  Relation narrow;
+  narrow.row_count = rel.row_count;
+  for (size_t c = 0; c < read.size(); ++c) {
+    if (!read[c]) continue;
+    narrow.cols.push_back(std::move(rel.cols[c]));
+    narrow.columns.push_back(table ? StoredColumn(*table, c)
+                                   : std::move(rel.columns[c]));
+  }
+  return narrow;
+}
+
+Result<Relation> Executor::EvalTableRef(const TableRef& ref,
+                                        std::shared_ptr<StoredTable>* table) {
   switch (ref.kind) {
     case TableRef::Kind::kNamed:
-      return LookupNamed(ref.name, ref.alias.empty() ? ref.name : ref.alias);
+      return LookupNamed(ref.name, ref.alias.empty() ? ref.name : ref.alias,
+                         table);
     case TableRef::Kind::kSubquery: {
       HQ_ASSIGN_OR_RETURN(Relation rel, ExecuteSelect(*ref.subquery));
       for (auto& c : rel.cols) c.qualifier = ref.alias;
@@ -828,7 +796,8 @@ Result<Relation> Executor::EvalTableRef(const TableRef& ref) {
 }
 
 Result<Relation> Executor::LookupNamed(const std::string& name,
-                                       const std::string& alias) {
+                                       const std::string& alias,
+                                       std::shared_ptr<StoredTable>* stored) {
   // Resolution order: session temp tables, catalog tables, session temp
   // views, catalog views.
   std::shared_ptr<StoredTable> table;
@@ -840,18 +809,17 @@ Result<Relation> Executor::LookupNamed(const std::string& name,
     HQ_ASSIGN_OR_RETURN(table, catalog_->GetTable(name));
   }
   if (table) {
-    // Zero-copy scan: the relation shares the stored column buffers.
-    // Mutation anywhere downstream goes through copy-on-write.
+    // Zero-copy scan: the relation shares the stored column buffers (with
+    // `stored` set, the caller shares those it reads). Mutation anywhere
+    // downstream goes through copy-on-write.
     Relation rel;
-    rel.cols.reserve(table->columns.size());
-    rel.columns.reserve(table->columns.size());
     rel.row_count = table->row_count;
     for (size_t i = 0; i < table->columns.size(); ++i) {
       const TableColumn& c = table->columns[i];
       rel.cols.push_back(RelColumn{alias, c.name, c.type});
-      rel.columns.push_back(i < table->data.size() ? table->data[i]
-                                                   : Column::Make(c.type));
+      if (stored == nullptr) rel.columns.push_back(StoredColumn(*table, i));
     }
+    if (stored != nullptr) *stored = std::move(table);
     return rel;
   }
   const StoredView* view = nullptr;
@@ -881,32 +849,25 @@ Result<Relation> Executor::LookupNamed(const std::string& name,
 }
 
 Result<Relation> Executor::ExecJoin(const TableRef& join) {
-  HQ_ASSIGN_OR_RETURN(Relation left, EvalTableRef(*join.left));
-  HQ_ASSIGN_OR_RETURN(Relation right, EvalTableRef(*join.right));
+  HQ_ASSIGN_OR_RETURN(Relation left, EvalTableRef(*join.left, nullptr));
+  HQ_ASSIGN_OR_RETURN(Relation right, EvalTableRef(*join.right, nullptr));
 
   const ExecMetrics& metrics = ExecMetrics::Get();
   size_t ln = left.row_count;
   size_t rn = right.row_count;
 
-  std::vector<RelColumn> out_cols = left.cols;
-  out_cols.insert(out_cols.end(), right.cols.begin(), right.cols.end());
-
-  // Materializes a pair list (li, ri) into a combined-schema relation.
-  // ri == -1 pads an all-NULL right row (left outer join).
-  auto materialize_pairs = [&](const std::vector<uint32_t>& li,
-                               const std::vector<int64_t>& ri) {
-    Relation lg = left.GatherRows(li.data(), li.size());
-    Relation rg = right.GatherRowsPad(ri.data(), ri.size());
-    Relation res;
-    res.cols = out_cols;
-    res.columns = std::move(lg.columns);
+  // Rows li of `l` beside rows ri of `r` (ri -1: an all-NULL row).
+  auto pairs = [](const Relation& l, const Relation& r,
+                  const std::vector<uint32_t>& li,
+                  const std::vector<int64_t>& ri) {
+    Relation res = l.GatherRows(li.data(), li.size());
+    Relation rg = r.GatherRowsPad(ri.data(), ri.size());
+    res.cols.insert(res.cols.end(), rg.cols.begin(), rg.cols.end());
     res.columns.insert(res.columns.end(),
                        std::make_move_iterator(rg.columns.begin()),
                        std::make_move_iterator(rg.columns.end()));
-    res.row_count = li.size();
     return res;
   };
-
   if (join.join_type == JoinType::kCross) {
     std::vector<uint32_t> li;
     std::vector<int64_t> ri;
@@ -918,7 +879,7 @@ Result<Relation> Executor::ExecJoin(const TableRef& join) {
         ri.push_back(static_cast<int64_t>(r));
       }
     }
-    return materialize_pairs(li, ri);
+    return pairs(left, right, li, ri);
   }
 
   // Extract hashable equality keys from the ON conjuncts.
@@ -929,22 +890,34 @@ Result<Relation> Executor::ExecJoin(const TableRef& join) {
     int right_idx;
     bool null_safe;  // IS NOT DISTINCT FROM
   };
+  auto is_eq = [](const Expr& c) {
+    return c.kind == ExprKind::kBinary &&
+           (c.op == "=" || c.op == "IS_NOT_DISTINCT") &&
+           c.lhs->kind == ExprKind::kColRef && c.rhs->kind == ExprKind::kColRef;
+  };
+  // Both sides of each equality bind against each input alone.
+  std::vector<const Expr*> sides;
+  for (const auto& c : conjuncts) {
+    if (is_eq(*c)) sides.insert(sides.end(), {c->lhs.get(), c->rhs.get()});
+  }
+  Binding in_left, in_right;
+  if (!sides.empty()) {
+    BindColumns(sides, left, &in_left);
+    BindColumns(sides, right, &in_right);
+  }
   std::vector<EquiKey> keys;
   std::vector<ExprPtr> residual;
   for (const auto& c : conjuncts) {
-    bool is_eq = c->kind == ExprKind::kBinary &&
-                 (c->op == "=" || c->op == "IS_NOT_DISTINCT");
-    if (is_eq && c->lhs->kind == ExprKind::kColRef &&
-        c->rhs->kind == ExprKind::kColRef) {
-      auto l_in_left = left.Resolve(c->lhs->qualifier, c->lhs->column);
-      auto r_in_right = right.Resolve(c->rhs->qualifier, c->rhs->column);
+    if (is_eq(*c)) {
+      auto l_in_left = in_left.Find(*c->lhs);
+      auto r_in_right = in_right.Find(*c->rhs);
       if (l_in_left.ok() && r_in_right.ok()) {
         keys.push_back(
             {*l_in_left, *r_in_right, c->op == "IS_NOT_DISTINCT"});
         continue;
       }
-      auto l_in_right = right.Resolve(c->lhs->qualifier, c->lhs->column);
-      auto r_in_left = left.Resolve(c->rhs->qualifier, c->rhs->column);
+      auto l_in_right = in_right.Find(*c->lhs);
+      auto r_in_left = in_left.Find(*c->rhs);
       if (l_in_right.ok() && r_in_left.ok()) {
         keys.push_back(
             {*r_in_left, *l_in_right, c->op == "IS_NOT_DISTINCT"});
@@ -954,55 +927,46 @@ Result<Relation> Executor::ExecJoin(const TableRef& join) {
     residual.push_back(c);
   }
 
-  // Applies conjuncts to candidate pairs chunk by chunk, narrowing with
+  // Pairs are filtered by the residual (a nested loop: the whole ON
+  // condition), bound once against the combined schema; candidate pairs
+  // gather only the columns it reads.
+  const std::vector<ExprPtr> on_only{join.on};
+  const std::vector<ExprPtr>& conds = keys.empty() ? on_only : residual;
+  Binding bound;
+  Relation read_left, read_right;
+  if (!conds.empty()) {
+    Relation schema;
+    schema.cols = left.cols;
+    schema.cols.insert(schema.cols.end(), right.cols.begin(),
+                       right.cols.end());
+    std::vector<const Expr*> exprs;
+    for (const auto& c : conds) exprs.push_back(c.get());
+    const std::vector<uint8_t> read = BindColumns(exprs, schema, &bound);
+    bound.Narrow(read);
+    for (size_t c = 0; c < read.size(); ++c) {
+      if (!read[c]) continue;
+      const bool from_left = c < left.cols.size();
+      const Relation& src = from_left ? left : right;
+      const size_t k = from_left ? c : c - left.cols.size();
+      Relation& dst = from_left ? read_left : read_right;
+      dst.AddColumn(src.cols[k], src.columns[k]);
+    }
+  }
+
+  // Applies the conjuncts to candidate pairs chunk by chunk, narrowing with
   // each conjunct the way row-at-a-time evaluation short-circuited: a
   // later conjunct only sees pairs where every earlier one was TRUE.
-  //
-  // Candidates carry the full combined schema but gather only the columns
-  // the conjuncts reference; the rest stay null pointers nothing reads.
-  // When a reference does not resolve, every column is gathered so the
-  // evaluation reports the same error as over the full relation.
-  auto filter_pairs = [&](const std::vector<ExprPtr>& conds,
-                          std::vector<uint32_t>* li,
+  auto filter_pairs = [&](std::vector<uint32_t>* li,
                           std::vector<int64_t>* ri) -> Status {
     if (conds.empty() || li->empty()) return Status::OK();
-    Relation cand;
-    cand.cols = out_cols;
-    std::vector<uint8_t> mask(out_cols.size(), 0);
-    bool resolved = true;
-    for (const auto& c : conds) {
-      resolved = resolved && MarkReferencedColumns(*c, cand, &mask);
-    }
-    if (!resolved) mask.assign(out_cols.size(), 1);
-    Relation narrow_left, narrow_right;
-    std::vector<size_t> narrow_pos;  // combined index of each narrow column
-    for (size_t c = 0; c < mask.size(); ++c) {
-      if (!mask[c]) continue;
-      bool from_left = c < left.cols.size();
-      const Relation& src = from_left ? left : right;
-      size_t k = from_left ? c : c - left.cols.size();
-      Relation& dst = from_left ? narrow_left : narrow_right;
-      dst.cols.push_back(src.cols[k]);
-      dst.columns.push_back(src.columns[k]);
-      narrow_pos.push_back(c);
-    }
     std::vector<uint32_t> keep_li;
     std::vector<int64_t> keep_ri;
     for (size_t base = 0; base < li->size(); base += kJoinChunkPairs) {
       size_t cn = std::min(kJoinChunkPairs, li->size() - base);
       std::vector<uint32_t> cli(li->begin() + base, li->begin() + base + cn);
       std::vector<int64_t> cri(ri->begin() + base, ri->begin() + base + cn);
-      Relation lg = narrow_left.GatherRows(cli.data(), cn);
-      Relation rg = narrow_right.GatherRowsPad(cri.data(), cn);
-      cand.columns.assign(out_cols.size(), nullptr);
-      cand.row_count = cn;
-      for (size_t k = 0; k < narrow_pos.size(); ++k) {
-        cand.columns[narrow_pos[k]] =
-            k < lg.columns.size() ? std::move(lg.columns[k])
-                                  : std::move(rg.columns[k - lg.columns.size()]);
-      }
-      BatchCtx bctx;
-      bctx.rel = &cand;
+      const Relation cand = pairs(read_left, read_right, cli, cri);
+      const BatchCtx bctx{&cand, &bound};
       SelVector sel;
       HQ_RETURN_IF_ERROR(
           EvalFilter(*conds[0], bctx, nullptr, cn, &sel));
@@ -1070,12 +1034,8 @@ Result<Relation> Executor::ExecJoin(const TableRef& join) {
       return true;
     };
 
-    std::vector<BandBound> bounds;
-    if (!residual.empty()) {
-      Relation schema;
-      schema.cols = out_cols;
-      bounds = BandBounds(residual, left, right, schema);
-    }
+    const std::vector<BandBound> bounds =
+        BandBounds(residual, read_left, read_right, bound);
 
     // Morsel-parallel probe: each left row looks up its key's group; the
     // pairs are then emitted in left-row order, so the output permutation
@@ -1130,14 +1090,14 @@ Result<Relation> Executor::ExecJoin(const TableRef& join) {
     metrics.batches->Increment(parallel ? MorselCount(ln) : 1);
     if (parallel) metrics.parallel_tasks->Increment(MorselCount(ln));
     metrics.rows->Increment(ln + rn);
-    HQ_RETURN_IF_ERROR(filter_pairs(residual, &li, &ri));
+    HQ_RETURN_IF_ERROR(filter_pairs(&li, &ri));
 
     if (join.join_type == JoinType::kLeft) {
       std::vector<uint8_t> matched(ln, 0);
       for (uint32_t l : li) matched[l] = 1;
       pad_unmatched(matched, &li, &ri);
     }
-    return materialize_pairs(li, ri);
+    return pairs(left, right, li, ri);
   }
 
   // Nested-loop fallback: enumerate pairs in chunks and evaluate the full
@@ -1146,7 +1106,6 @@ Result<Relation> Executor::ExecJoin(const TableRef& join) {
   std::vector<int64_t> ri;
   std::vector<uint8_t> matched(ln, 0);
   if (rn > 0) {
-    std::vector<ExprPtr> on_only{join.on};
     for (size_t base = 0; base < ln * rn; base += kJoinChunkPairs) {
       size_t cn = std::min(kJoinChunkPairs, ln * rn - base);
       std::vector<uint32_t> cli(cn);
@@ -1156,7 +1115,7 @@ Result<Relation> Executor::ExecJoin(const TableRef& join) {
         cli[k] = static_cast<uint32_t>(p / rn);
         cri[k] = static_cast<int64_t>(p % rn);
       }
-      HQ_RETURN_IF_ERROR(filter_pairs(on_only, &cli, &cri));
+      HQ_RETURN_IF_ERROR(filter_pairs(&cli, &cri));
       for (size_t k = 0; k < cli.size(); ++k) {
         li.push_back(cli[k]);
         ri.push_back(cri[k]);
@@ -1167,7 +1126,7 @@ Result<Relation> Executor::ExecJoin(const TableRef& join) {
   if (join.join_type == JoinType::kLeft) {
     pad_unmatched(matched, &li, &ri);
   }
-  return materialize_pairs(li, ri);
+  return pairs(left, right, li, ri);
 }
 
 // ---------------------------------------------------------------------------
@@ -1175,12 +1134,9 @@ Result<Relation> Executor::ExecJoin(const TableRef& join) {
 // ---------------------------------------------------------------------------
 
 Status Executor::ComputeWindows(
-    const std::vector<const Expr*>& nodes, const Relation& work,
-    const std::vector<std::unordered_map<const Expr*, Datum>>& agg_per_row,
+    const std::vector<const Expr*>& nodes, const BatchCtx& ctx,
     std::unordered_map<const Expr*, ColumnPtr>* out) {
-  const size_t n = work.row_count;
-  const BatchCtx ctx{&work, agg_per_row.empty() ? nullptr : &agg_per_row,
-                     nullptr};
+  const size_t n = ctx.rel->row_count;
   auto eval = [&](const Expr& e) { return EvalBatch(e, ctx, nullptr, n); };
   for (const Expr* node : nodes) {
     if (out->count(node) > 0) continue;

@@ -29,10 +29,6 @@ class Executor {
 
   Result<Relation> ExecuteSelect(const SelectStmt& stmt);
 
-  /// Infers the static output type of an expression against input columns
-  /// (used for RowDescription of empty results).
-  static SqlType InferType(const Expr& e, const Relation& input);
-
  private:
   /// Everything except UNION ALL / final ORDER BY / LIMIT.
   struct CoreResult {
@@ -42,19 +38,32 @@ class Executor {
     Relation work;
     std::vector<std::unordered_map<const Expr*, Datum>> agg_per_row;
     std::unordered_map<const Expr*, ColumnPtr> window_values;
+    /// The block's column references, bound against `work`'s schema.
+    Binding binding;
     bool distinct_applied = false;
   };
   Result<CoreResult> ExecCore(const SelectStmt& stmt);
 
-  Result<Relation> EvalTableRef(const TableRef& ref);
+  /// The FROM relation of `stmt`, holding only the columns the statement
+  /// reads: binds every clause into *binding and expands the select list's
+  /// stars into `items`.
+  Result<Relation> Scan(const SelectStmt& stmt, Binding* binding,
+                        std::vector<SelectItem>* items);
+  /// A FROM item's relation. With `table` set, a stored table comes back as
+  /// its schema alone and *table as the table, whose columns the caller
+  /// shares.
+  Result<Relation> EvalTableRef(const TableRef& ref,
+                                std::shared_ptr<StoredTable>* table);
   Result<Relation> LookupNamed(const std::string& name,
-                               const std::string& alias);
+                               const std::string& alias,
+                               std::shared_ptr<StoredTable>* stored);
   Result<Relation> ExecJoin(const TableRef& join);
 
-  Status ComputeWindows(
-      const std::vector<const Expr*>& nodes, const Relation& work,
-      const std::vector<std::unordered_map<const Expr*, Datum>>& agg_per_row,
-      std::unordered_map<const Expr*, ColumnPtr>* out);
+  /// Computes each window node's column over ctx.rel (window values
+  /// unset: a window inside another's arguments is an error).
+  Status ComputeWindows(const std::vector<const Expr*>& nodes,
+                        const BatchCtx& ctx,
+                        std::unordered_map<const Expr*, ColumnPtr>* out);
 
   /// Sorts the output and keeps its LIMIT/OFFSET window.
   Status ApplyOrderBy(const SelectStmt& stmt, CoreResult* core);

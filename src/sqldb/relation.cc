@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "common/strings.h"
 #include "common/worker_pool.h"
 
 namespace hyperq {
@@ -522,38 +521,6 @@ void Column::EncodeValue(size_t i, std::string* out) const {
 // ---------------------------------------------------------------------------
 // Relation
 // ---------------------------------------------------------------------------
-
-Result<int> Relation::Resolve(const std::string& qualifier,
-                              const std::string& name) const {
-  int found = -1;
-  for (size_t i = 0; i < cols.size(); ++i) {
-    // Wide relations hold hundreds of names of one length that differ
-    // mostly at the end: test the length and last byte before comparing.
-    const std::string& n = cols[i].name;
-    if (n.size() != name.size() || (!n.empty() && n.back() != name.back()) ||
-        n != name) {
-      continue;
-    }
-    if (!qualifier.empty() && cols[i].qualifier != qualifier) continue;
-    if (found >= 0) {
-      return BindError(StrCat("column reference \"", name,
-                              "\" is ambiguous; qualify it with a table "
-                              "alias"));
-    }
-    found = static_cast<int>(i);
-  }
-  if (found < 0) {
-    std::vector<std::string> names;
-    for (const auto& c : cols) {
-      names.push_back(c.qualifier.empty() ? c.name
-                                          : c.qualifier + "." + c.name);
-    }
-    return BindError(StrCat(
-        "column \"", qualifier.empty() ? name : qualifier + "." + name,
-        "\" does not exist; available columns: ", Join(names, ", ")));
-  }
-  return found;
-}
 
 std::vector<Datum> Relation::RowAt(size_t row) const {
   std::vector<Datum> out;

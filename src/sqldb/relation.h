@@ -181,11 +181,6 @@ struct Relation {
   std::vector<ColumnPtr> columns;
   size_t row_count = 0;
 
-  /// Resolves [qualifier.]name to a column index; reports ambiguity and
-  /// misses with verbose messages (the serializer relies on exact names).
-  Result<int> Resolve(const std::string& qualifier,
-                      const std::string& name) const;
-
   Datum At(size_t row, size_t col) const { return columns[col]->At(row); }
   std::vector<Datum> RowAt(size_t row) const;
 

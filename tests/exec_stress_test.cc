@@ -96,6 +96,55 @@ TEST_F(ExecStressTest, ConcurrentSessionsMatchSequentialResults) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+TEST_F(ExecStressTest, ConcurrentSessionsReadOneCatalogView) {
+  // Every session that reads a catalog view executes the view's one parse
+  // tree, so evaluation must write nothing to it: the view's leaf WHERE,
+  // an arithmetic projection and a CASE (evaluated row by row) all bind
+  // their column references while other sessions do the same.
+  sqldb::Session ddl;
+  ASSERT_TRUE(db_.Execute(&ddl, "CREATE VIEW hot AS SELECT sym, px, qty "
+                                "FROM facts WHERE qty > 100")
+                  .ok());
+  const std::vector<std::string> queries = {
+      "SELECT px + qty AS s FROM hot",
+      "SELECT CASE WHEN px > 50.0 THEN qty ELSE 0 END AS c, sym FROM hot",
+  };
+  WorkerPool::Shared().Resize(0);
+  std::vector<std::string> expected;
+  for (const auto& q : queries) {
+    sqldb::Session s;
+    auto r = db_.Execute(&s, q);
+    ASSERT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+    expected.push_back(Render(*r));
+  }
+
+  WorkerPool::Shared().Resize(2);
+  constexpr int kThreads = 4;
+  constexpr int kIters = 4;
+  std::atomic<int> mismatches{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      sqldb::Session session;
+      for (int it = 0; it < kIters; ++it) {
+        size_t qi = static_cast<size_t>(t + it) % queries.size();
+        auto r = db_.Execute(&session, queries[qi]);
+        if (!r.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        if (Render(*r) != expected[qi]) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  WorkerPool::Shared().Resize(0);
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 TEST_F(ExecStressTest, ParallelAndSequentialAggregatesBitIdentical) {
   // Float accumulation order is part of the determinism contract: the
   // morsel-parallel grouped path must add members in exactly the row order

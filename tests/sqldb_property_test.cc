@@ -1275,11 +1275,15 @@ class LeafPredicateProperty : public ::testing::TestWithParam<uint64_t> {
         StrCat(leaf_sql, sel ? StrCat(" over ", n, " selected rows") : "");
 
     // Per-row reference: each row's value, or the first failing row.
+    Binding leaf_binding, general_binding;
+    BindColumns({leaf->get()}, rel_, &leaf_binding);
+    BindColumns({general->get()}, rel_, &general_binding);
     std::vector<Datum> want;
     Status want_status = Status::OK();
     for (size_t k = 0; k < n && want_status.ok(); ++k) {
       EvalCtx ctx;
       ctx.rel = &rel_;
+      ctx.binding = &leaf_binding;
       ctx.row_idx = rows ? rows[k] : k;
       Result<Datum> v = EvalExpr(**leaf, ctx);
       if (v.ok()) {
@@ -1289,9 +1293,10 @@ class LeafPredicateProperty : public ::testing::TestWithParam<uint64_t> {
       }
     }
 
-    const BatchCtx ctx{&rel_, nullptr, nullptr};
+    const BatchCtx ctx{&rel_, &leaf_binding};
+    const BatchCtx general_ctx{&rel_, &general_binding};
     Result<ColumnPtr> got = EvalBatch(**leaf, ctx, rows, n);
-    Result<ColumnPtr> ref = EvalBatch(**general, ctx, rows, n);
+    Result<ColumnPtr> ref = EvalBatch(**general, general_ctx, rows, n);
     ASSERT_EQ(got.ok(), want_status.ok()) << what;
     ASSERT_EQ(got.ok(), ref.ok()) << what;
     if (!got.ok()) {
@@ -1317,7 +1322,7 @@ class LeafPredicateProperty : public ::testing::TestWithParam<uint64_t> {
 
     SelVector got_rows, ref_rows;
     Status fs = EvalFilter(**leaf, ctx, rows, n, &got_rows);
-    Status rs = EvalFilter(**general, ctx, rows, n, &ref_rows);
+    Status rs = EvalFilter(**general, general_ctx, rows, n, &ref_rows);
     ASSERT_EQ(fs.ok(), want_status.ok()) << what;
     ASSERT_EQ(fs.ToString(), rs.ToString()) << what;
     if (!fs.ok()) return;

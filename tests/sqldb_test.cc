@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "qval/temporal.h"
 #include "sqldb/database.h"
 
@@ -431,6 +432,11 @@ TEST_F(SqlDbTest, UnknownColumnErrorIsVerbose) {
   Status s = RunErr("SELECT nosuchcol FROM trades");
   EXPECT_NE(s.message().find("nosuchcol"), std::string::npos);
   EXPECT_NE(s.message().find("symbol"), std::string::npos);  // lists columns
+  // The scan keeps only `symbol`, but the message names every column.
+  s = RunErr("SELECT symbol FROM trades WHERE nope > 1");
+  EXPECT_EQ(s.ToString(),
+            "BindError: column \"nope\" does not exist; available columns: "
+            "trades.symbol, trades.price, trades.size, trades.ts");
 }
 
 TEST_F(SqlDbTest, ClausesSeeColumnsTheSelectListLeavesOut) {
@@ -452,10 +458,81 @@ TEST_F(SqlDbTest, ClausesSeeColumnsTheSelectListLeavesOut) {
   ASSERT_EQ(having.rows.size(), 2u);
   EXPECT_EQ(having.rows[0][0].AsString(), "IBM");
   EXPECT_EQ(having.rows[1][0].AsString(), "MSFT");
-  // An unresolved reference keeps every column, so the error still lists
-  // the columns no clause reads.
+  // A reference binds against the whole FROM schema before the scan is
+  // narrowed, so the error still lists the columns no clause reads.
   Status s = RunErr("SELECT symbol FROM trades WHERE price > 1 ORDER BY nope");
   EXPECT_NE(s.message().find("size"), std::string::npos) << s.ToString();
+}
+
+/// Every column, type and cell of a result, for comparing two runs.
+std::string Render(const QueryResult& r) {
+  std::string out;
+  for (const TableColumn& c : r.columns) {
+    out += c.name + ":" + SqlTypeName(c.type) + " ";
+  }
+  for (size_t row = 0; row < r.data.row_count; ++row) {
+    out += "\n";
+    for (size_t c = 0; c < r.data.columns.size(); ++c) {
+      out += r.data.At(row, c).ToText() + "|";
+    }
+  }
+  return out;
+}
+
+TEST_F(SqlDbTest, SelfJoinBindsQualifiedNamesLikeAFullWidthRun) {
+  // Both aliases expose the same four names. Each query runs as written
+  // (the scans keep only the columns it reads) and again with a WHERE
+  // tautology over every column of both aliases (nothing narrowed); the
+  // two must agree cell for cell.
+  std::string every;
+  for (const char* alias : {"a", "b"}) {
+    for (const char* col : {"symbol", "price", "size", "ts"}) {
+      every += StrCat(" AND (", alias, ".", col, " IS NULL OR ", alias, ".",
+                      col, " IS NOT NULL)");
+    }
+  }
+  const std::string join =
+      "FROM trades a JOIN trades b ON a.symbol = b.symbol AND a.ts <= b.ts "
+      "AND CASE WHEN a.price > b.price THEN a.size ELSE b.size END > 0 ";
+  const std::string windowed =
+      "SELECT a.symbol, b.price, "
+      "CASE WHEN a.price > b.price THEN a.size ELSE b.size END AS pick, "
+      "SUM(b.size) OVER (PARTITION BY a.symbol ORDER BY b.ts) AS run " +
+      join + "WHERE b.size >= a.size - 100";
+  const std::string grouped =
+      "SELECT a.symbol, COUNT(*) AS n, SUM(b.size) AS s " + join +
+      "WHERE TRUE";
+  const std::pair<std::string, std::string> queries[] = {
+      {windowed, " ORDER BY a.ts, b.ts"},
+      {grouped, " GROUP BY a.symbol HAVING a.symbol <> 'MSFT' AND "
+                "SUM(b.size) > MIN(a.size) ORDER BY a.symbol"},
+  };
+  for (const auto& [head, tail] : queries) {
+    QueryResult narrow = Run(head + tail);
+    QueryResult full = Run(head + every + tail);
+    EXPECT_GT(narrow.data.row_count, 0u) << head;
+    EXPECT_EQ(Render(narrow), Render(full)) << head << tail;
+  }
+  QueryResult win = Run(windowed + " ORDER BY a.ts, b.ts");
+  ASSERT_EQ(win.rows.size(), 7u);  // GOOG 3 pairs, IBM 3, MSFT 1
+  EXPECT_EQ(win.rows[0][0].AsString(), "GOOG");
+  EXPECT_EQ(win.rows[0][2].AsInt(), 100);
+}
+
+TEST_F(SqlDbTest, UnresolvedReferenceInCaseOverZeroRows) {
+  // A CASE evaluates row by row, so over zero rows its bad reference is
+  // never reached; over any row it raises the bind error.
+  QueryResult none = Run(
+      "SELECT CASE WHEN nope > 1 THEN size ELSE 0 END AS c FROM trades "
+      "WHERE size < 0");
+  EXPECT_EQ(none.data.row_count, 0u);
+  ASSERT_EQ(none.columns.size(), 1u);
+  EXPECT_EQ(none.columns[0].name, "c");
+  EXPECT_EQ(none.columns[0].type, SqlType::kBigInt);
+  Status s = RunErr(
+      "SELECT CASE WHEN nope > 1 THEN size ELSE 0 END AS c FROM trades");
+  EXPECT_NE(s.message().find("\"nope\" does not exist"), std::string::npos)
+      << s.ToString();
 }
 
 TEST_F(SqlDbTest, UnknownTableError) {
